@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage errors (unknown id, malformed ranges, out-of-bounds
-parameters, enumeration cap exceeded).
+parameters, enumeration cap exceeded or OPLAB_ENUM_CAP malformed).
 
 Output is deterministic: identical invocations produce byte-identical
 bytes. Wall-clock timings are therefore reported as 0 unless --timings is
@@ -345,6 +345,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2
+    if args.command != "list":
+        # every other command may enumerate; reject a bad cap setting up front
+        try:
+            op.enumeration_cap()
+        except ValueError as exc:
+            return _usage_error(str(exc))
     handlers = {
         "list": _cmd_list,
         "verify": _cmd_verify,

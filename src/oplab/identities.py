@@ -1183,6 +1183,8 @@ def verify_series(
     n = desc.default_order if order is None else order
     if n is None or not 0 <= n <= MAX_ORDER:
         raise BadParamsError(f"order must be within 0..{MAX_ORDER}, got {n}")
+    if perturb is not None and not 0 <= perturb[0] <= n:
+        raise BadParamsError(f"perturbation index {perturb[0]} outside 0..{n}")
     t0 = perf_counter()
     lhs = desc.series_lhs(p, n)
     rhs = desc.series_rhs(p, n)

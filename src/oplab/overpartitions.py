@@ -184,16 +184,22 @@ class EnumerationCapError(ValueError):
 
 
 def enumeration_cap() -> int:
-    """Active enumeration cap (environment override or the default 30)."""
+    """Active enumeration cap (environment override or the default 30).
+
+    Raises ValueError when the environment value is not a non-negative
+    integer."""
     raw = os.environ.get(ENUMERATION_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
     try:
-        return int(raw)
+        cap = int(raw)
+        if cap >= 0:
+            return cap
     except ValueError:
-        raise ValueError(
-            f"{ENUMERATION_CAP_ENV} must be an integer, got {raw!r}"
-        ) from None
+        pass
+    raise ValueError(
+        f"{ENUMERATION_CAP_ENV} must be a non-negative integer, got {raw!r}"
+    )
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -315,6 +321,92 @@ def partition_mex(p: Partition) -> int:
     return candidate
 
 
+# -- statistic tables over partition shapes ----------------------------------
+#
+# Each statistic depends only on the shape of an overpartition, its
+# (value, multiplicity) blocks, and on which blocks carry an overline. A
+# shape with b blocks stands for 2^b overpartitions, one per flag
+# assignment, so one pass over the p(n) shapes, weighing the assignments in
+# closed form, fills the column for every k. This is still exhaustive
+# counting: no table reads pbar or any generating function.
+
+
+class _ShapeTables(NamedTuple):
+    """Counts for one weight n, indexed by k; a k past the end counts 0."""
+
+    mbar: tuple[int, ...]
+    nbar: tuple[int, ...]
+    mk: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _shape_tables(n: int) -> _ShapeTables:
+    mbar_diff = [0] * (n + 2)
+    nbar_col = [0] * (n + 2)
+    mk_col = [0] * (n + 2)
+    for blocks in _value_blocks(n, n):
+        blocks = blocks[::-1]  # values increasing
+        weight = 1 << len(blocks)
+        half = weight >> 1
+        prev = 0
+        for i, (v, c) in enumerate(blocks):
+            # mbar: for prev <= k < v the smallest value above k is v, which
+            # occurs c times whatever the flags, so k <= c - 1 qualifies
+            top = min(v, c)
+            if top > prev:
+                mbar_diff[prev] += weight
+                mbar_diff[top] -= weight
+            # nbar, prev < k < v: the smallest part >= k has value v and must
+            # be plain, so v is plain and c == k
+            if prev < c < v:
+                nbar_col[c] += half
+            # nbar, k == v: v plain needs c == k; v overlined with c >= 2 is
+            # exempt once, leaving c - 1 == k plain copies; v overlined with
+            # c == 1 is exempt entirely, so the next block decides and must
+            # be plain with k copies
+            if c == v or c - 1 == v:
+                nbar_col[v] += half
+            if c == 1 and i + 1 < len(blocks) and blocks[i + 1][1] == v:
+                nbar_col[v] += half >> 1
+            prev = v
+        # mk: values 1..mex-1 are the first blocks, the rest lie above mex
+        mex, below = 1, 0
+        for v, c in blocks:
+            if v != mex:
+                break
+            mex += 1
+            below += c
+        if sum(c for _, c in blocks) - below > below:
+            mk_col[mex] += 1
+    return _ShapeTables(
+        tuple(itertools.accumulate(mbar_diff)), tuple(nbar_col), tuple(mk_col)
+    )
+
+
+@lru_cache(maxsize=None)
+def _mex_weights(n: int, query: MexQuery) -> tuple[tuple[int, int], ...]:
+    """(mex, number of overpartitions of n with that overline-mex) pairs."""
+    weights: dict[int, int] = {}
+    for blocks in _value_blocks(n, n):
+        counts = dict(blocks)
+        weight = 1 << len(blocks)
+        candidate = query.residue
+        # a value occurring twice or more is always present as a plain part;
+        # a single occurrence is plain in half the assignments, and in the
+        # other half the walk stops at it
+        while candidate in counts:
+            if counts[candidate] == 1:
+                weight >>= 1
+                weights[candidate] = weights.get(candidate, 0) + weight
+            candidate += query.modulus
+        weights[candidate] = weights.get(candidate, 0) + weight
+    return tuple(sorted(weights.items()))
+
+
+def _column(col: tuple[int, ...], k: int) -> int:
+    return col[k] if k < len(col) else 0
+
+
 def op_class_counts(
     n: int, query: MexQuery = MEX_2_1, cap: int | None = None
 ) -> tuple[int, int]:
@@ -324,17 +416,13 @@ def op_class_counts(
     the modulus it falls in one of exactly two classes; returns (low, high)
     where low counts mex = residue and high counts mex = residue + modulus.
     """
-    ops = enumerate_overpartitions(n, cap)
+    if n < 0:
+        raise ValueError("weight must be >= 0")
+    _check_cap(n, cap)
     two_a = 2 * query.modulus
-    low = sum(
-        1 for pi in ops if overline_mex(pi, query) % two_a == query.residue % two_a
-    )
-    return low, len(ops) - low
-
-
-@lru_cache(maxsize=None)
-def _mex21_values(n: int) -> tuple[int, ...]:
-    return tuple(overline_mex(pi) for pi in _overpartitions_of(n))
+    weights = _mex_weights(n, query)
+    low = sum(w for m, w in weights if m % two_a == query.residue % two_a)
+    return low, sum(w for _, w in weights) - low
 
 
 def op21(n: int, k: int, cap: int | None = None) -> int:
@@ -347,7 +435,9 @@ def op21(n: int, k: int, cap: int | None = None) -> int:
     _check_cap(n, cap)
     bound = 2 * k + 1
     target = bound % 4
-    return sum(1 for m in _mex21_values(n) if m >= bound and m % 4 == target)
+    return sum(
+        w for m, w in _mex_weights(n, MEX_2_1) if m >= bound and m % 4 == target
+    )
 
 
 def mbar(n: int, k: int, cap: int | None = None) -> int:
@@ -358,32 +448,7 @@ def mbar(n: int, k: int, cap: int | None = None) -> int:
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_cap(n, cap)
-    count = 0
-    for pi in _overpartitions_of(n):
-        above = [p.value for p in pi.parts if p.value > k]
-        if not above:
-            continue
-        v = min(above)
-        if pi.total_count(v) >= k + 1:
-            count += 1
-    return count
-
-
-def _nbar_qualifies(pi: Overpartition, k: int) -> bool:
-    parts = list(pi.parts)
-    # an overlined k is exempt: set it aside before testing the rest
-    for idx, p in enumerate(parts):
-        if p.value == k and p.overlined:
-            del parts[idx]
-            break
-    big = [p for p in parts if p.value >= k]
-    if not big:
-        return False
-    smallest = min(big, key=lambda p: p.rank)
-    if smallest.overlined:
-        return False
-    occurrences = sum(1 for p in parts if p.value == smallest.value)
-    return occurrences == k
+    return _column(_shape_tables(n).mbar, k)
 
 
 def nbar(n: int, k: int, cap: int | None = None) -> int:
@@ -396,7 +461,7 @@ def nbar(n: int, k: int, cap: int | None = None) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_cap(n, cap)
-    return sum(1 for pi in _overpartitions_of(n) if _nbar_qualifies(pi, k))
+    return _column(_shape_tables(n).nbar, k)
 
 
 def mk_stat(n: int, k: int, cap: int | None = None) -> int:
@@ -407,12 +472,4 @@ def mk_stat(n: int, k: int, cap: int | None = None) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_cap(n, cap)
-    count = 0
-    for p in _partitions_of(n):
-        if partition_mex(p) != k:
-            continue
-        above = sum(1 for v in p.parts if v > k)
-        below = sum(1 for v in p.parts if v < k)
-        if above > below:
-            count += 1
-    return count
+    return _column(_shape_tables(n).mk, k)

@@ -121,6 +121,7 @@ def test_acceptance_3_series_identities():
 
 
 def test_acceptance_4_enumerative_identities():
+    t0 = time.perf_counter()
     failures = []
     n_checked = 0
     for ident, grid, n_max in ENUM_IDS:
@@ -129,23 +130,30 @@ def test_acceptance_4_enumerative_identities():
             n_checked += 1
             if not r.passed:
                 failures.append((ident, params, r.first_mismatch))
-    ok = not failures
-    _report(4, ok, f"{n_checked} enumerative checks, failures {failures}")
+    dt = time.perf_counter() - t0
+    ok = not failures and dt < 5.0
+    _report(
+        4,
+        ok,
+        f"{n_checked} enumerative checks, failures {failures}, {dt:.1f}s < 5s",
+    )
 
 
 def test_acceptance_5_dilated_series_from_enumeration():
+    t0 = time.perf_counter()
     failures = []
     for k in range(1, 4):
         for ell in range(1, 4):
             r = idn.verify_series("yao", {"k": k, "ell": ell}, 25)
             if not r.passed:
                 failures.append((k, ell, r.first_mismatch))
-    ok = not failures
+    dt = time.perf_counter() - t0
+    ok = not failures and dt < 3.0
     _report(
         5,
         ok,
         f"9 dilated checks at order 25 (enumerated left side), "
-        f"failures {failures}",
+        f"failures {failures}, {dt:.1f}s < 3s",
     )
 
 

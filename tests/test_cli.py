@@ -5,9 +5,13 @@ stdout/stderr are asserted directly.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import oplab
 from oplab import cli, identities
 from oplab import overpartitions as op
 
@@ -218,6 +222,30 @@ def test_table_respects_enumeration_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "table", "--stat", "op21", "--k", "1",
                        "--n-max", "5", "--format", "csv")
     assert code == 0 and out.splitlines()[-1] == f"5,1,{op.op21(5, 1)}"
+
+
+@pytest.mark.parametrize("cap", ["abc", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--id", "thm-2-2", "--n-max", "5"],
+        ["table", "--stat", "mbar", "--k", "1", "--n-max", "5"],
+        ["bijection", "--which", "section3", "--n", "4"],
+    ],
+    ids=["verify", "table", "bijection"],
+)
+def test_malformed_enumeration_cap_is_a_usage_error(argv, cap):
+    # run as a real process so an escaping exception would show its traceback
+    env = dict(os.environ, **{op.ENUMERATION_CAP_ENV: cap})
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oplab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oplab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and op.ENUMERATION_CAP_ENV in proc.stderr
 
 
 def test_bijection_section3_check(capsys):

@@ -192,6 +192,9 @@ def test_form_and_bound_validation():
         idn.verify_enumerative("thm-2-2", n_max=0)
     with pytest.raises(idn.BadParamsError, match="perturbation index"):
         idn.verify_enumerative("thm-2-2", n_max=5, perturb=(6, 1))
+    for idx in (-1, 31):
+        with pytest.raises(idn.BadParamsError, match="perturbation index"):
+            idn.verify_series("gauss", order=30, perturb=(idx, 1))
 
 
 def test_expand_grid_shapes():

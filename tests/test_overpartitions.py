@@ -3,7 +3,8 @@
 The mex table for weight 4 and the individual statistic values below were
 worked out by hand from the definitions and are treated as ground truth;
 the larger sweeps then pin enumeration against generating-function
-coefficients.
+coefficients, and the shape-weighted statistic tables against direct scans
+of the enumerated objects.
 """
 
 import pytest
@@ -228,9 +229,10 @@ def test_enumeration_cap_env_override(monkeypatch):
     with pytest.raises(EnumerationCapError):
         op.enumerate_overpartitions(7)
     assert len(op.enumerate_overpartitions(6)) == op.pbar(6)
-    monkeypatch.setenv(op.ENUMERATION_CAP_ENV, "not-a-number")
-    with pytest.raises(ValueError):
-        op.enumeration_cap()
+    for bad in ("not-a-number", "-1"):
+        monkeypatch.setenv(op.ENUMERATION_CAP_ENV, bad)
+        with pytest.raises(ValueError):
+            op.enumeration_cap()
 
 
 def test_negative_weight_rejected():
@@ -238,3 +240,89 @@ def test_negative_weight_rejected():
         op.enumerate_overpartitions(-1)
     with pytest.raises(ValueError):
         op.enumerate_partitions(-2)
+
+
+# -- reference oracle: statistics scanned object by object ------------------
+#
+# The library counts its statistics over partition shapes weighted by their
+# overline assignments. These scans read each enumerated object instead, and
+# the tests below require both routes to agree everywhere.
+
+REF_N_MAX = 20
+
+
+def _ref_op_class_counts(n, query):
+    ops = op.enumerate_overpartitions(n)
+    two_a = 2 * query.modulus
+    low = sum(
+        1 for pi in ops if op.overline_mex(pi, query) % two_a == query.residue % two_a
+    )
+    return low, len(ops) - low
+
+
+def _ref_op21(mex_values, k):
+    bound = 2 * k + 1
+    return sum(1 for m in mex_values if m >= bound and m % 4 == bound % 4)
+
+
+def _ref_mbar(n, k):
+    count = 0
+    for pi in op.enumerate_overpartitions(n):
+        above = [p.value for p in pi.parts if p.value > k]
+        if above and pi.total_count(min(above)) >= k + 1:
+            count += 1
+    return count
+
+
+def _ref_nbar_qualifies(pi, k):
+    parts = list(pi.parts)
+    # an overlined k is exempt: set it aside before testing the rest
+    for idx, p in enumerate(parts):
+        if p.value == k and p.overlined:
+            del parts[idx]
+            break
+    big = [p for p in parts if p.value >= k]
+    if not big:
+        return False
+    smallest = min(big, key=lambda p: p.rank)
+    if smallest.overlined:
+        return False
+    return sum(1 for p in parts if p.value == smallest.value) == k
+
+
+def _ref_nbar(n, k):
+    return sum(1 for pi in op.enumerate_overpartitions(n) if _ref_nbar_qualifies(pi, k))
+
+
+def _ref_mk_stat(n, k):
+    count = 0
+    for p in op.enumerate_partitions(n):
+        if op.partition_mex(p) != k:
+            continue
+        above = sum(1 for v in p.parts if v > k)
+        below = sum(1 for v in p.parts if v < k)
+        if above > below:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, REF_N_MAX + 1))
+def test_shape_tables_match_object_scans(n):
+    mex_values = [op.overline_mex(pi) for pi in op.enumerate_overpartitions(n)]
+    for k in range(0, n + 3):
+        assert op.op21(n, k) == _ref_op21(mex_values, k), ("op21", n, k)
+        assert op.mbar(n, k) == _ref_mbar(n, k), ("mbar", n, k)
+    for k in range(1, n + 3):
+        assert op.nbar(n, k) == _ref_nbar(n, k), ("nbar", n, k)
+        assert op.mk_stat(n, k) == _ref_mk_stat(n, k), ("mk_stat", n, k)
+
+
+@pytest.mark.parametrize(
+    "query", [MexQuery(2, 1), MexQuery(1, 1), MexQuery(3, 2), MexQuery(4, 4)]
+)
+def test_op_class_counts_match_object_scans(query):
+    for n in range(0, REF_N_MAX + 1):
+        split = op.op_class_counts(n, query)
+        assert split == _ref_op_class_counts(n, query), (n, query)
+        # pinned to enumeration, not to the generating function
+        assert sum(split) == len(op.enumerate_overpartitions(n)), (n, query)
