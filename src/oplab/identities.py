@@ -28,13 +28,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
 from . import bijections
 from . import overpartitions as op
 from . import series
-from .series import PochSpec, TruncatedSeries
+from .series import PochSpec, TruncatedSeries, _div_factor_into, _times_factor_into
 
 __all__ = [
     "IdentityDescriptor",
@@ -170,13 +171,9 @@ def _negq_inf(order: int) -> TruncatedSeries:
     return series.qproduct(-1, 1, 1, None, order)
 
 
-def _accumulate(acc: list[int], s: TruncatedSeries, shift: int) -> None:
-    cs = s.coeffs
-    top = len(acc) - 1 - shift
-    for i in range(top + 1):
-        ci = cs[i]
-        if ci:
-            acc[i + shift] += ci
+def _accumulate(acc: list[int], c: Sequence[int], shift: int) -> None:
+    """acc += q^shift * c, dropping what lands past the end of acc."""
+    acc[shift:] = map(add, acc[shift:], c)
 
 
 def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeries:
@@ -190,11 +187,12 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     m_hi = order // coef
     if m_hi < m_lo:
         return series.zero(order)
-    ratio = series.poch_ratio(m_hi + 1, m_hi + denom_off, order)
+    ratio = list(series.poch_ratio(m_hi + 1, m_hi + denom_off, order).coeffs)
     acc = [0] * (order + 1)
     _accumulate(acc, ratio, coef * m_hi)
     for m in range(m_hi - 1, m_lo - 1, -1):
-        ratio = ratio.times_factor(m + 1, -1).div_factor(m + denom_off, 1)
+        _times_factor_into(ratio, m + 1, -1)
+        _div_factor_into(ratio, m + denom_off, 1)
         _accumulate(acc, ratio, coef * m)
     return TruncatedSeries(order, acc)
 
@@ -220,16 +218,18 @@ def _odd_square_theta(k: int, order: int) -> TruncatedSeries:
 
 def _times_neg_poch(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """Multiply by (-q;q)_k, one factor at a time."""
+    c = list(s.coeffs)
     for i in range(1, min(k, s.order) + 1):
-        s = s.times_factor(i, -1)
-    return s
+        _times_factor_into(c, i, -1)
+    return TruncatedSeries(s.order, c)
 
 
 def _div_qpoch(s: TruncatedSeries, n: int) -> TruncatedSeries:
     """Divide by (q;q)_n, one factor at a time."""
+    c = list(s.coeffs)
     for i in range(1, min(n, s.order) + 1):
-        s = s.div_factor(i, 1)
-    return s
+        _div_factor_into(c, i, 1)
+    return TruncatedSeries(s.order, c)
 
 
 def _mbar_gf(kappa: int, order: int) -> TruncatedSeries:
@@ -274,14 +274,23 @@ def _pent_am_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _pent_am_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
+    """Summands T(n) = qbin(n-1|k-1)/(q;q)_n vanish below n = k and start at
+    T(k) = 1/(q;q)_k. Successive ones differ by three factors,
+    T(n+1) = T(n) (1-q^n) / ((1-q^(n-k+1)) (1-q^(n+1))), and each is kept
+    only to the order its shift leaves visible."""
     k = p["k"]
     base = k * (k - 1) // 2
     acc = [0] * (order + 1)
-    n = 1
+    n = k
+    term = list(_div_qpoch(series.one(order), k).coeffs)
     while base + (k + 1) * n <= order:
-        term = series.gauss_binomial(n - 1, k - 1, order)
-        term = _div_qpoch(term, n)
-        _accumulate(acc, term, base + (k + 1) * n)
+        shift = base + (k + 1) * n
+        del term[order - shift + 1 :]
+        if n > k:
+            _times_factor_into(term, n - 1, 1)
+            _div_factor_into(term, n - k, 1)
+            _div_factor_into(term, n, 1)
+        _accumulate(acc, term, shift)
         n += 1
     return series.one(order) + TruncatedSeries(order, acc).scale(_sign(k - 1))
 
@@ -299,18 +308,25 @@ def _guo_zeng_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _guo_zeng_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
+    """Summands T(n) = (-q;q)_k (-1;q)_{n-k} qbin(n-1|k)/(q;q)_n start at
+    T(k+1) = 2(-q;q)_k/(q;q)_{k+1} (the factor (1 + q^0) of (-1;q)_1 is 2).
+    Successive ones differ by four factors,
+    T(n+1) = T(n) (1-q^n)(1+q^(n-k)) / ((1-q^(n-k))(1-q^(n+1))), and each
+    is kept only to the order its shift leaves visible."""
     k = p["k"]
     acc = [0] * (order + 1)
     n = k + 1
+    term = _div_qpoch(_times_neg_poch(series.one(order), k), k + 1)
+    term = list(term.scale(2).coeffs)
     while (k + 1) * n <= order:
-        term = series.gauss_binomial(n - 1, k, order)
-        term = _times_neg_poch(term, k)
-        # (-1;q)_{n-k} has leading factor (1 + q^0) = 2
-        term = term.scale(2)
-        for i in range(1, min(n - k - 1, order) + 1):
-            term = term.times_factor(i, -1)
-        term = _div_qpoch(term, n)
-        _accumulate(acc, term, (k + 1) * n)
+        shift = (k + 1) * n
+        del term[order - shift + 1 :]
+        if n > k + 1:
+            _times_factor_into(term, n - 1, 1)
+            _times_factor_into(term, n - 1 - k, -1)
+            _div_factor_into(term, n - 1 - k, 1)
+            _div_factor_into(term, n, 1)
+        _accumulate(acc, term, shift)
         n += 1
     return series.one(order) + TruncatedSeries(order, acc).scale(_sign(k))
 
@@ -408,9 +424,10 @@ def _yao_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k, ell = p["k"], p["ell"]
     s = series.pochhammer(PochSpec(1, 1, None, ell), order)
     s = _div_qpoch(s, order)  # 1/(q;q)oo
+    c = list(s.coeffs)
     for e in range(1, order + 1, 2):  # 1/(q;q^2)oo
-        s = s.div_factor(e, 1)
-    return (s * _odd_square_theta(k, order)).scale(2)
+        _div_factor_into(c, e, 1)
+    return (TruncatedSeries(order, c) * _odd_square_theta(k, order)).scale(2)
 
 
 # -- enumerative builders -----------------------------------------------------

@@ -19,7 +19,9 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
+from operator import add, mul, sub
 from typing import Sequence
 
 __all__ = [
@@ -114,13 +116,12 @@ class TruncatedSeries:
         self._same_order(other)
         n = self._order
         a, b = self._coeffs, other._coeffs
+        if a.count(0) < b.count(0):  # loop over the sparser operand
+            a, b = b, a
         out = [0] * (n + 1)
         for i, ai in enumerate(a):
             if ai:
-                for j in range(n - i + 1):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
+                out[i:] = map(add, out[i:], map(ai.__mul__, b[: n + 1 - i]))
         return TruncatedSeries(n, out)
 
     def shift(self, exponent: int) -> "TruncatedSeries":
@@ -139,14 +140,9 @@ class TruncatedSeries:
             raise ValueError("sign must be +1 or -1")
         if exponent < 0:
             raise ValueError("factor exponent must be >= 0")
-        if exponent == 0:
-            return self.scale(1 - sign)
-        n = self._order
-        c = self._coeffs
-        out = list(c)
-        for i in range(exponent, n + 1):
-            out[i] -= sign * c[i - exponent]
-        return TruncatedSeries(n, out)
+        out = list(self._coeffs)
+        _times_factor_into(out, exponent, sign)
+        return TruncatedSeries(self._order, out)
 
     def div_factor(self, exponent: int, sign: int = 1) -> "TruncatedSeries":
         """Divide by the single factor (1 - sign*q^exponent) in O(order) time.
@@ -158,11 +154,9 @@ class TruncatedSeries:
             raise ValueError("sign must be +1 or -1")
         if exponent <= 0:
             raise ValueError("can only divide by factors with exponent >= 1")
-        n = self._order
         out = list(self._coeffs)
-        for i in range(exponent, n + 1):
-            out[i] += sign * out[i - exponent]
-        return TruncatedSeries(n, out)
+        _div_factor_into(out, exponent, sign)
+        return TruncatedSeries(self._order, out)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse mod q^(order+1).
@@ -179,15 +173,10 @@ class TruncatedSeries:
                 f"constant term must be +1 or -1 to invert, got {c0}"
             )
         n = self._order
-        b = [0] * (n + 1)
-        b[0] = c0
+        rev = a[:0:-1]  # a_n .. a_1, so rev[n-m:] is a_m .. a_1
+        b = [c0]
         for m in range(1, n + 1):
-            s = 0
-            for i in range(1, m + 1):
-                ai = a[i]
-                if ai:
-                    s += ai * b[m - i]
-            b[m] = -c0 * s
+            b.append(-c0 * sum(map(mul, b, rev[n - m :])))
         return TruncatedSeries(n, b)
 
     def truncate(self, new_order: int) -> "TruncatedSeries":
@@ -255,6 +244,37 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self._order}, {self._terms()})"
+
+
+def _times_factor_into(c: list[int], exponent: int, sign: int) -> None:
+    """c <- c * (1 - sign*q^exponent) in place, for exponent >= 0; the
+    truncation order is len(c) - 1."""
+    if exponent == 0:
+        c[:] = map((1 - sign).__mul__, c)
+    elif exponent < len(c):
+        c[exponent:] = map(sub if sign == 1 else add, c[exponent:], c[:-exponent])
+
+
+def _div_factor_into(c: list[int], exponent: int, sign: int) -> None:
+    """c <- c / (1 - sign*q^exponent) in place, for exponent >= 1.
+
+    Dividing by (1 - q^e) is a running sum over each residue class mod e.
+    With few classes (e*e <= len(c)) each class is one accumulate; with
+    many short ones, each block of e coefficients adds the block before it.
+    """
+    n = len(c)
+    if exponent >= n:
+        return
+    if sign == -1:  # 1/(1 + x) = (1 - x)/(1 - x^2)
+        _times_factor_into(c, exponent, 1)
+        _div_factor_into(c, 2 * exponent, 1)
+    elif exponent * exponent <= n:
+        for r in range(exponent):
+            c[r::exponent] = accumulate(c[r::exponent])
+    else:
+        for lo in range(exponent, n, exponent):
+            hi = lo + exponent
+            c[lo:hi] = map(add, c[lo:hi], c[lo - exponent : lo])
 
 
 def make(order: int, coeffs: Sequence[int] = ()) -> TruncatedSeries:
@@ -330,15 +350,15 @@ def qproduct(
         raise ValueError("length must be >= 0 or None")
     if sign == 1 and start == 0 and length is None:
         raise ValueError("infinite product with a (1 - q^0) factor is zero")
-    s = one(order)
+    c = [1] + [0] * order
     i = 0
     while length is None or i < length:
         e = start + step * i
         if e > order:
             break
-        s = s.times_factor(e, sign)
+        _times_factor_into(c, e, sign)
         i += 1
-    return s
+    return TruncatedSeries(order, c)
 
 
 def pochhammer(spec: PochSpec, order: int) -> TruncatedSeries:
@@ -361,14 +381,15 @@ def poch_inverse(spec: PochSpec, order: int) -> TruncatedSeries:
     if spec.start_exponent == 0:
         raise ValueError("leading factor is not a unit; cannot invert")
     base_order = order // spec.dilation
-    s = one(base_order)
+    c = [1] + [0] * base_order
     i = 0
     while spec.length is None or i < spec.length:
         e = spec.start_exponent + i
         if e > base_order:
             break
-        s = s.div_factor(e, spec.sign)
+        _div_factor_into(c, e, spec.sign)
         i += 1
+    s = TruncatedSeries(base_order, c)
     return s if spec.dilation == 1 else s.dilate(spec.dilation, order)
 
 
@@ -381,16 +402,12 @@ def gauss_binomial(m: int, n: int, order: int) -> TruncatedSeries:
     """
     if n < 0 or m < n:
         return zero(order)
-    s = qproduct(1, 1, 1, m, order)
-    for i in range(1, n + 1):
-        if i > order:
-            break
-        s = s.div_factor(i, 1)
-    for i in range(1, m - n + 1):
-        if i > order:
-            break
-        s = s.div_factor(i, 1)
-    return s
+    c = list(qproduct(1, 1, 1, m, order).coeffs)
+    for i in range(1, min(n, order) + 1):
+        _div_factor_into(c, i, 1)
+    for i in range(1, min(m - n, order) + 1):
+        _div_factor_into(c, i, 1)
+    return TruncatedSeries(order, c)
 
 
 def pentagonal_series(order: int, dilation: int = 1) -> TruncatedSeries:
@@ -438,25 +455,25 @@ def gauss_theta(k: int | None, order: int) -> TruncatedSeries:
 
 def partition_gf(order: int) -> TruncatedSeries:
     """1/(q;q)oo, the partition generating function."""
-    s = one(order)
+    c = [1] + [0] * order
     for i in range(1, order + 1):
-        s = s.div_factor(i, 1)
-    return s
+        _div_factor_into(c, i, 1)
+    return TruncatedSeries(order, c)
 
 
 def overpartition_gf(order: int) -> TruncatedSeries:
     """(-q;q)oo/(q;q)oo, the overpartition generating function."""
-    s = qproduct(-1, 1, 1, None, order)
+    c = list(qproduct(-1, 1, 1, None, order).coeffs)
     for i in range(1, order + 1):
-        s = s.div_factor(i, 1)
-    return s
+        _div_factor_into(c, i, 1)
+    return TruncatedSeries(order, c)
 
 
 def poch_ratio(numer_start: int, denom_start: int, order: int) -> TruncatedSeries:
     """(-q^numer_start;q)oo / (q^denom_start;q)oo mod q^(order+1)."""
     if numer_start < 1 or denom_start < 1:
         raise ValueError("both start exponents must be >= 1")
-    s = qproduct(-1, numer_start, 1, None, order)
+    c = list(qproduct(-1, numer_start, 1, None, order).coeffs)
     for e in range(denom_start, order + 1):
-        s = s.div_factor(e, 1)
-    return s
+        _div_factor_into(c, e, 1)
+    return TruncatedSeries(order, c)
