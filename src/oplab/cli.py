@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage errors (unknown id, malformed ranges, out-of-bounds
-parameters, enumeration cap exceeded or OPLAB_ENUM_CAP malformed).
+parameters, --order or --n-max past MAX_ORDER, enumeration cap exceeded or
+OPLAB_ENUM_CAP malformed).
 
 Output is deterministic: identical invocations produce byte-identical
 bytes. Wall-clock timings are therefore reported as 0 unless --timings is
@@ -172,8 +173,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(
             f"--order must be within 0..{identities.MAX_ORDER}"
         )
-    if args.n_max is not None and args.n_max < 1:
-        return _usage_error("--n-max must be >= 1")
+    if args.n_max is not None and not 1 <= args.n_max <= identities.MAX_ORDER:
+        return _usage_error(
+            f"--n-max must be within 1..{identities.MAX_ORDER}"
+        )
     if args.all:
         selected = [d.id for d in identities.list_identities()]
     else:
@@ -235,8 +238,10 @@ _STAT_FN = {
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        return _usage_error("--n-max must be >= 1")
+    if not 1 <= args.n_max <= identities.MAX_ORDER:
+        return _usage_error(
+            f"--n-max must be within 1..{identities.MAX_ORDER}"
+        )
     try:
         if args.stat == "pbar":
             if args.k is not None:

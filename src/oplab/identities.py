@@ -35,7 +35,12 @@ from typing import Callable, Mapping, Sequence
 from . import bijections
 from . import overpartitions as op
 from . import series
-from .series import PochSpec, TruncatedSeries, _div_factor_into, _times_factor_into
+from .series import (
+    PochSpec,
+    TruncatedSeries,
+    _div_factor_into,
+    _times_factor_into,
+)
 
 __all__ = [
     "IdentityDescriptor",
@@ -309,15 +314,15 @@ def _guo_zeng_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _guo_zeng_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     """Summands T(n) = (-q;q)_k (-1;q)_{n-k} qbin(n-1|k)/(q;q)_n start at
-    T(k+1) = 2(-q;q)_k/(q;q)_{k+1} (the factor (1 + q^0) of (-1;q)_1 is 2).
+    T(k+1) = (-1;q)_{k+1}/(q;q)_{k+1}, since (-1;q)_{k+1} = 2(-q;q)_k.
     Successive ones differ by four factors,
     T(n+1) = T(n) (1-q^n)(1+q^(n-k)) / ((1-q^(n-k))(1-q^(n+1))), and each
     is kept only to the order its shift leaves visible."""
     k = p["k"]
     acc = [0] * (order + 1)
     n = k + 1
-    term = _div_qpoch(_times_neg_poch(series.one(order), k), k + 1)
-    term = list(term.scale(2).coeffs)
+    term = _div_qpoch(series.qproduct(-1, 0, 1, k + 1, order), k + 1)
+    term = list(term.coeffs)
     while (k + 1) * n <= order:
         shift = (k + 1) * n
         del term[order - shift + 1 :]
@@ -1181,6 +1186,25 @@ def _first_diff(
     return None
 
 
+def _checked_n_max(
+    desc: IdentityDescriptor,
+    n_max: int | None,
+    perturb: tuple[int, int] | None,
+) -> int:
+    """The n_max to count up to, with it and any perturbation index checked
+    before either side is built."""
+    n_top = desc.default_n_max if n_max is None else n_max
+    if n_top is None or not 1 <= n_top <= MAX_ORDER:
+        raise BadParamsError(
+            f"n_max must be within 1..{MAX_ORDER}, got {n_top}"
+        )
+    if perturb is not None and not 1 <= perturb[0] <= n_top:
+        raise BadParamsError(
+            f"perturbation index {perturb[0]} outside 1..{n_top}"
+        )
+    return n_top
+
+
 def verify_series(
     ident: str,
     params: Mapping[str, int] | None = None,
@@ -1237,16 +1261,12 @@ def verify_enumerative(
     if not desc.has_enum:
         raise BadParamsError(f"{ident} has no enumerative form")
     p = _validate_params(desc, params)
-    n_top = desc.default_n_max if n_max is None else n_max
-    if n_top is None or n_top < 1:
-        raise BadParamsError(f"n_max must be >= 1, got {n_top}")
+    n_top = _checked_n_max(desc, n_max, perturb)
     t0 = perf_counter()
     lhs_rows = desc.enum_lhs(p, n_top)
     rhs_rows = desc.enum_rhs(p, n_top)
     if perturb is not None:
         idx, delta = perturb
-        if not 1 <= idx <= n_top:
-            raise BadParamsError(f"perturbation index {idx} outside 1..{n_top}")
         row = lhs_rows[idx - 1]
         lhs_rows[idx - 1] = (row[0] + delta,) + row[1:]
     mismatch = None
@@ -1287,15 +1307,11 @@ def verify_inequality(
     if not desc.has_inequality:
         raise BadParamsError(f"{ident} has no inequality form")
     p = _validate_params(desc, params)
-    n_top = desc.default_n_max if n_max is None else n_max
-    if n_top is None or n_top < 1:
-        raise BadParamsError(f"n_max must be >= 1, got {n_top}")
+    n_top = _checked_n_max(desc, n_max, perturb)
     t0 = perf_counter()
     values = desc.ineq_values(p, n_top)
     if perturb is not None:
         idx, delta = perturb
-        if not 1 <= idx <= n_top:
-            raise BadParamsError(f"perturbation index {idx} outside 1..{n_top}")
         values[idx - 1] += delta
     threshold = desc.strict_from(p) if desc.strict_from is not None else None
     mismatch = None

@@ -248,6 +248,40 @@ def test_malformed_enumeration_cap_is_a_usage_error(argv, cap):
     assert proc.stderr.count("\n") == 1 and op.ENUMERATION_CAP_ENV in proc.stderr
 
 
+_TOO_FAR = str(identities.MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--id", "thm-2-2", "--n-max", _TOO_FAR],
+        ["verify", "--id", "ineq-xyz", "--n-max", _TOO_FAR],
+        ["verify", "--all", "--n-max", _TOO_FAR],
+        ["verify", "--id", "gauss", "--order", _TOO_FAR],
+        ["verify", "--id", "gauss", "--n-max", "0"],
+        ["table", "--stat", "pbar", "--n-max", _TOO_FAR],
+        ["table", "--stat", "mbar", "--k", "1", "--n-max", _TOO_FAR],
+        ["table", "--stat", "pbar", "--n-max", "0"],
+    ],
+    ids=["verify-enum", "verify-ineq", "verify-all", "verify-order",
+         "verify-zero", "table-pbar", "table-mbar", "table-zero"],
+)
+def test_bounds_past_max_order_are_usage_errors(argv):
+    # run as a real process so an escaping exception would show its traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oplab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oplab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    flag = "--n-max" if "--n-max" in argv else "--order"
+    assert f"{flag} must be within" in proc.stderr
+
+
 def test_bijection_section3_check(capsys):
     code, out, _ = run(capsys, "bijection", "--which", "section3", "--n", "4",
                        "--check")

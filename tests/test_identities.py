@@ -6,6 +6,8 @@ registry shape, report schema, perturbation sensitivity plumbing, parameter
 validation, and a handful of coefficient-level oracles recomputed in-test.
 """
 
+import time
+
 import pytest
 
 from oplab import identities as idn
@@ -195,6 +197,35 @@ def test_form_and_bound_validation():
     for idx in (-1, 31):
         with pytest.raises(idn.BadParamsError, match="perturbation index"):
             idn.verify_series("gauss", order=30, perturb=(idx, 1))
+    for n_max in (0, idn.MAX_ORDER + 1):
+        with pytest.raises(idn.BadParamsError, match="n_max"):
+            idn.verify_enumerative("gauss", n_max=n_max)
+        with pytest.raises(idn.BadParamsError, match="n_max"):
+            idn.verify_inequality("ineq-xyz", {"k": 1}, n_max=n_max)
+    assert idn.verify_inequality("ineq-xyz", {"k": 1}, idn.MAX_ORDER).passed
+
+
+def _never_built(p, n):
+    raise AssertionError("a side was built for a rejected perturbation")
+
+
+@pytest.mark.parametrize("idx", [0, 6])
+def test_counting_perturbation_index_checked_before_building(monkeypatch, idx):
+    for builders in (
+        dict(kind="enumerative-equality", enum_lhs=_never_built,
+             enum_rhs=_never_built),
+        dict(kind="inequality", ineq_values=_never_built),
+    ):
+        desc = idn.IdentityDescriptor(
+            id="never-built", statement="", oracle="", default_n_max=5,
+            **builders,
+        )
+        monkeypatch.setitem(idn._REGISTRY, "never-built", desc)
+        verify = (
+            idn.verify_enumerative if desc.has_enum else idn.verify_inequality
+        )
+        with pytest.raises(idn.BadParamsError, match="perturbation index"):
+            verify("never-built", perturb=(idx, 1))
 
 
 def test_expand_grid_shapes():
@@ -292,3 +323,74 @@ def test_pentagonal_terms_generator():
     assert terms[2] == 5 and terms[-2] == 7 and terms[3] == 12
     dil = dict(idn._gen_pentagonal_terms(3, 20))
     assert dil[1] == 3 and dil[-1] == 6 and dil[2] == 15
+
+
+# -- the summand recurrences against the summands built one by one ----------
+
+def ref_pent_am_rhs(k, order):
+    """1 + (-1)^(k-1) sum_{n>=1} q^(k(k-1)/2+(k+1)n) qbin(n-1|k-1)/(q;q)_n,
+    each summand built from scratch."""
+    acc = series.zero(order)
+    n = 1
+    while k * (k - 1) // 2 + (k + 1) * n <= order:
+        term = series.gauss_binomial(n - 1, k - 1, order)
+        for i in range(1, min(n, order) + 1):
+            term = term.div_factor(i, 1)
+        acc = acc + term.shift(k * (k - 1) // 2 + (k + 1) * n)
+        n += 1
+    return series.one(order) + acc.scale((-1) ** (k - 1))
+
+
+def ref_guo_zeng_rhs(k, order):
+    """1 + (-1)^k sum_{n>=k+1} q^((k+1)n) (-q;q)_k (-1;q)_{n-k}
+    qbin(n-1|k)/(q;q)_n, each summand built from scratch."""
+    acc = series.zero(order)
+    n = k + 1
+    while (k + 1) * n <= order:
+        term = series.gauss_binomial(n - 1, k, order)
+        term = term * series.qproduct(-1, 1, 1, k, order)
+        term = term * series.qproduct(-1, 0, 1, n - k, order)
+        for i in range(1, min(n, order) + 1):
+            term = term.div_factor(i, 1)
+        acc = acc + term.shift((k + 1) * n)
+        n += 1
+    return series.one(order) + acc.scale((-1) ** k)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 17, 150])
+def test_summand_recurrences_match_summands_built_from_scratch(order):
+    pent = idn.get_identity("pentagonal-am").series_rhs
+    guo = idn.get_identity("guo-zeng-truncation").series_rhs
+    for k in range(1, 9):
+        assert pent({"k": k}, order) == ref_pent_am_rhs(k, order), k
+        assert guo({"k": k}, order) == ref_guo_zeng_rhs(k, order), k
+
+
+def test_summand_recurrences_include_empty_sums():
+    # the first summand's shift passes the order: k=8 starts at q^100 and
+    # q^81, k=1 at q^2 and q^4
+    for order in (0, 1, 17):
+        for k in (1, 8) if order < 2 else (8,):
+            assert idn.get_identity("pentagonal-am").series_rhs(
+                {"k": k}, order
+            ) == series.one(order)
+            assert idn.get_identity("guo-zeng-truncation").series_rhs(
+                {"k": k}, order
+            ) == series.one(order)
+
+
+SERIES_AT_MAX_ORDER = [
+    d.id for d in idn.list_identities() if d.has_series and d.id != "yao"
+]
+
+
+@pytest.mark.parametrize("ident", SERIES_AT_MAX_ORDER)
+def test_series_identity_at_max_order_within_budget(ident):
+    # every series builder is O(order^2); yao's lhs is enumeration, which
+    # the enumeration cap bounds far below MAX_ORDER
+    params = idn.expand_grid(idn.get_identity(ident))[0]
+    t0 = time.perf_counter()
+    r = idn.verify_series(ident, params, idn.MAX_ORDER)
+    dt = time.perf_counter() - t0
+    assert r.passed, r.first_mismatch
+    assert dt < 5.0, f"{ident} took {dt:.1f}s at order {idn.MAX_ORDER}"

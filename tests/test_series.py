@@ -1,8 +1,11 @@
 """Series layer: frozen expansions, algebraic round trips, error paths."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplab import series as s
 from oplab.series import PochSpec, TruncatedSeries
@@ -290,3 +293,130 @@ def test_monomial_bounds():
     assert s.monomial(5, 5, -3).coeff(5) == -3
     with pytest.raises(ValueError):
         s.monomial(5, 6)
+
+
+# -- the kernel against plain index loops ------------------------------------
+#
+# The kernel runs its inner loops as slice maps and running sums; these are
+# the coefficient-at-a-time definitions it must agree with exactly.
+
+def ref_times_factor(c, e, sign):
+    out = list(c)
+    if e == 0:
+        return [(1 - sign) * x for x in c]
+    for i in range(e, len(c)):
+        out[i] -= sign * c[i - e]
+    return out
+
+
+def ref_div_factor(c, e, sign):
+    out = list(c)
+    for i in range(e, len(c)):
+        out[i] += sign * out[i - e]
+    return out
+
+
+def ref_mul(a, b):
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_invert(a):
+    n = len(a) - 1
+    b = [a[0]] + [0] * n
+    for m in range(1, n + 1):
+        b[m] = -a[0] * sum(a[i] * b[m - i] for i in range(1, m + 1))
+    return b
+
+
+def _random_coeffs(rng, order, density=1.0, bits=40):
+    return [
+        rng.randint(-(2**bits), 2**bits) if rng.random() < density else 0
+        for _ in range(order + 1)
+    ]
+
+
+def _kernel_exponents(order):
+    """e = 1, both sides of sqrt(order + 1) (the two division strategies
+    switch there: at order 100, e = 10 sums residue classes and e = 11 adds
+    blocks), e = order and e = order + 1 (a factor past the order)."""
+    root = math.isqrt(order + 1)
+    return sorted({1, root, root + 1, order, order + 1} - {0})
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 10, 37, 100, 257])
+def test_factor_kernel_matches_index_loops(order):
+    rng = random.Random(order)
+    for e in _kernel_exponents(order):
+        for sign in (1, -1):
+            c = _random_coeffs(rng, order)
+            f = s.make(order, c)
+            assert list(f.times_factor(e, sign).coeffs) == ref_times_factor(c, e, sign)
+            assert list(f.div_factor(e, sign).coeffs) == ref_div_factor(c, e, sign)
+    c = _random_coeffs(rng, order)
+    for sign in (1, -1):
+        assert list(s.make(order, c).times_factor(0, sign).coeffs) == (
+            ref_times_factor(c, 0, sign)
+        )
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 30, 120])
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.05])
+def test_mul_and_invert_match_index_loops(order, density):
+    rng = random.Random(1000 * order + int(100 * density))
+    a = _random_coeffs(rng, order, density)
+    b = _random_coeffs(rng, order)
+    fa, fb = s.make(order, a), s.make(order, b)
+    assert list((fa * fb).coeffs) == ref_mul(a, b)
+    assert list((fb * fa).coeffs) == ref_mul(a, b)
+    for c0 in (1, -1):
+        u = [c0] + a[1:]
+        assert list(s.make(order, u).invert().coeffs) == ref_invert(u)
+
+
+_ORDERS = st.integers(min_value=0, max_value=60)
+
+
+def _series_of(order, first=st.integers(-(10**12), 10**12)):
+    rest = st.lists(
+        st.integers(-(10**12), 10**12), min_size=order, max_size=order
+    )
+    return st.tuples(first, rest).map(lambda t: s.make(order, [t[0]] + t[1]))
+
+
+@settings(deadline=None)
+@given(
+    _ORDERS.flatmap(_series_of),
+    st.integers(min_value=1, max_value=70),
+    st.sampled_from((1, -1)),
+)
+def test_div_factor_undoes_times_factor(f, e, sign):
+    assert f.times_factor(e, sign).div_factor(e, sign) == f
+    assert f.div_factor(e, sign).times_factor(e, sign) == f
+
+
+@settings(deadline=None)
+@given(_ORDERS.flatmap(lambda n: _series_of(n, st.sampled_from((1, -1)))))
+def test_series_times_its_inverse_is_one(f):
+    assert f * f.invert() == s.one(f.order)
+
+
+@settings(deadline=None)
+@given(
+    _ORDERS.flatmap(
+        lambda n: st.tuples(
+            _series_of(n),
+            st.dictionaries(
+                st.integers(0, n), st.integers(-(10**6), 10**6), max_size=3
+            ).map(lambda d: s.make(n, [d.get(i, 0) for i in range(n + 1)])),
+        )
+    )
+)
+def test_sparse_times_dense_commutes(pair):
+    dense, sparse = pair
+    assert sparse * dense == dense * sparse
+    assert list((sparse * dense).coeffs) == ref_mul(sparse.coeffs, dense.coeffs)
