@@ -210,22 +210,26 @@ def _never_built(p, n):
 
 
 @pytest.mark.parametrize("idx", [0, 6])
-def test_counting_perturbation_index_checked_before_building(monkeypatch, idx):
-    for builders in (
-        dict(kind="enumerative-equality", enum_lhs=_never_built,
-             enum_rhs=_never_built),
-        dict(kind="inequality", ineq_values=_never_built),
-    ):
-        desc = idn.IdentityDescriptor(
-            id="never-built", statement="", oracle="", default_n_max=5,
-            **builders,
-        )
-        monkeypatch.setitem(idn._REGISTRY, "never-built", desc)
-        verify = (
-            idn.verify_enumerative if desc.has_enum else idn.verify_inequality
-        )
-        with pytest.raises(idn.BadParamsError, match="perturbation index"):
-            verify("never-built", perturb=(idx, 1))
+@pytest.mark.parametrize(
+    "verify, builders",
+    [
+        (idn.verify_enumerative, dict(kind="enumerative-equality",
+                                      enum_lhs=_never_built,
+                                      enum_rhs=_never_built)),
+        (idn.verify_inequality, dict(kind="inequality",
+                                     ineq_values=_never_built)),
+    ],
+    ids=["enum", "ineq"],
+)
+def test_counting_perturbation_index_checked_before_building(
+    monkeypatch, verify, builders, idx
+):
+    desc = idn.IdentityDescriptor(
+        id="never-built", statement="", oracle="", default_n_max=5, **builders
+    )
+    monkeypatch.setitem(idn._REGISTRY, "never-built", desc)
+    with pytest.raises(idn.BadParamsError, match="perturbation index"):
+        verify("never-built", perturb=(idx, 1))
 
 
 def test_expand_grid_shapes():
