@@ -11,9 +11,11 @@ given. Ranges are closed intervals written a..b; a bare integer means a
 single value. Note that a leading minus sign requires the = form
 (--m=-4..4) so the shell token is not mistaken for an option.
 
-Which forms of an identity run depends on the bounds given: --order alone
-selects series forms, --n-max alone selects enumerative and inequality
-forms, both flags (or neither) select every registered form.
+verify passes its flags through to identities.run_default_suite, which
+owns the form selection: --order alone runs series forms, --n-max alone
+enumerative and inequality forms, both flags (or neither) every registered
+form. The command itself checks only the flag bounds and, for --id, that
+every range flag names a parameter of that identity.
 """
 
 from __future__ import annotations
@@ -177,49 +179,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(
             f"--n-max must be within 1..{identities.MAX_ORDER}"
         )
-    if args.all:
-        selected = [d.id for d in identities.list_identities()]
-    else:
-        selected = [args.id]
-    # bounds given on the command line choose which forms run
-    want_series = args.n_max is None or args.order is not None
-    want_counts = args.order is None or args.n_max is not None
-    reports: list[identities.VerificationReport] = []
     try:
         if not args.all:
             desc = identities.get_identity(args.id)
-            names = {name for name, _, _ in desc.schema}
-            stray = sorted(set(overrides) - names)
+            stray = sorted(set(overrides) - {n for n, _, _ in desc.schema})
             if stray:
-                return _usage_error(
-                    f"{desc.id} does not take parameter(s) {stray}"
-                )
-        for ident in selected:
-            desc = identities.get_identity(ident)
-            names = {name for name, _, _ in desc.schema}
-            local = {k: v for k, v in overrides.items() if k in names}
-            for params in identities.expand_grid(desc, local):
-                if want_series and desc.has_series:
-                    reports.append(
-                        identities.verify_series(ident, params, args.order)
-                    )
-                if want_counts and desc.has_enum:
-                    reports.append(
-                        identities.verify_enumerative(
-                            ident, params, args.n_max
-                        )
-                    )
-                if want_counts and desc.has_inequality:
-                    reports.append(
-                        identities.verify_inequality(ident, params, args.n_max)
-                    )
+                return _usage_error(f"{desc.id} does not take parameter(s) {stray}")
+        reports = identities.run_default_suite(
+            None if args.all else [args.id],
+            order=args.order,
+            n_max=args.n_max,
+            overrides=overrides,
+        )
     except (
         identities.UnknownIdentityError,
         identities.BadParamsError,
         op.EnumerationCapError,
     ) as exc:
         return _usage_error(str(exc))
-    reports.sort(key=lambda r: (r.id, r.params, r.compared))
     if args.format == "csv":
         sys.stdout.write(_reports_csv(reports, args.timings))
     else:

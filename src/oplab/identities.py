@@ -15,11 +15,12 @@ exist:
   optional threshold past which it must be strictly positive. Strictness
   failures are reported distinctly from sign failures.
 
-An identity that admits both a series and an enumerative reading carries
-both; verify_identity runs every registered form. All comparisons are
-exact, a mismatch carries the first differing index and both values, and a
-verifier accepts an optional single-coefficient perturbation of its
-left-hand side so the harness can prove its own sensitivity.
+An identity may carry several forms; each runs through one verification
+pipeline, and verify_identity picks the forms from the bounds given. All
+comparisons are exact, a mismatch carries the first differing index and
+both values, and a verifier accepts an optional single-coefficient
+perturbation of its left-hand side so the harness can prove its own
+sensitivity.
 """
 
 from __future__ import annotations
@@ -30,17 +31,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from time import perf_counter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import bijections
 from . import overpartitions as op
 from . import series
-from .series import (
-    PochSpec,
-    TruncatedSeries,
-    _div_factor_into,
-    _times_factor_into,
-)
+from .series import TruncatedSeries, _div_factor_into, _times_factor_into
 
 __all__ = [
     "IdentityDescriptor",
@@ -50,6 +46,7 @@ __all__ = [
     "MAX_ORDER",
     "list_identities",
     "get_identity",
+    "expand_grid",
     "verify_series",
     "verify_enumerative",
     "verify_inequality",
@@ -62,6 +59,9 @@ MAX_ORDER = 2000
 SeriesBuilder = Callable[[Mapping[str, int], int], TruncatedSeries]
 RowsBuilder = Callable[[Mapping[str, int], int], "list[tuple[int, ...]]"]
 ValuesBuilder = Callable[[Mapping[str, int], int], "list[int]"]
+Perturb = Optional[Tuple[int, int]]  # (index, delta) added to the left side
+# a check's first mismatch (index, lhs, rhs) or None, and its detail text
+Outcome = Tuple[Optional[Tuple[int, int, int]], Optional[str]]
 
 
 class UnknownIdentityError(KeyError):
@@ -156,14 +156,10 @@ def _window_pbar_sq(n: int, m: int, k: int) -> int:
     return sum(_sign(j) * op.pbar(n - j * j) for j in range(m, k + 1))
 
 
-@lru_cache(maxsize=None)
-def _opgf(order: int) -> TruncatedSeries:
-    return series.overpartition_gf(order)
-
-
-@lru_cache(maxsize=None)
-def _pgf(order: int) -> TruncatedSeries:
-    return series.partition_gf(order)
+def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
+    """A generating function read from its one cache in overpartitions
+    (op._pbar_table or op._p_table), truncated to the order."""
+    return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +271,7 @@ def _pent_am_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
         h = g + 2 * j + 1
         if h <= order:
             c[h] -= _sign(j)
-    return TruncatedSeries(order, c) * _pgf(order)
+    return TruncatedSeries(order, c) * _gf(op._p_table, order)
 
 
 def _pent_am_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -309,7 +305,7 @@ def _gauss_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _guo_zeng_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    return _opgf(order) * series.gauss_theta(p["k"], order)
+    return _gf(op._pbar_table, order) * series.gauss_theta(p["k"], order)
 
 
 def _guo_zeng_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -345,7 +341,7 @@ def _am2018_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _li_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    return _opgf(order) * series.theta_partial(-k, k - 1, order)
+    return _gf(op._pbar_table, order) * series.theta_partial(-k, k - 1, order)
 
 
 def _li_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -357,7 +353,7 @@ def _li_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _cor26_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    inner = _opgf(order) * _odd_square_theta(k, order)
+    inner = _gf(op._pbar_table, order) * _odd_square_theta(k, order)
     return series.one(order) + inner.scale(2 * _sign(k))
 
 
@@ -427,8 +423,8 @@ def _yao_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _yao_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k, ell = p["k"], p["ell"]
-    s = series.pochhammer(PochSpec(1, 1, None, ell), order)
-    s = _div_qpoch(s, order)  # 1/(q;q)oo
+    # (q^ell;q^ell)oo/(q;q)oo
+    s = _div_qpoch(series.qproduct(1, ell, ell, None, order), order)
     c = list(s.coeffs)
     for e in range(1, order + 1, 2):  # 1/(q;q^2)oo
         _div_factor_into(c, e, 1)
@@ -561,7 +557,7 @@ def _gen_op_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 def _gen_op_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     k = p["k"]
-    s = _opgf(n_max) * _odd_square_theta(k, n_max)
+    s = _gf(op._pbar_table, n_max) * _odd_square_theta(k, n_max)
     return [(s.coeff(n),) for n in range(1, n_max + 1)]
 
 
@@ -1173,36 +1169,111 @@ def _validate_params(
     return given
 
 
-def _params_key(params: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(params.items()))
-
-
-def _first_diff(
-    lhs: Sequence[int], rhs: Sequence[int]
-) -> tuple[int, int, int] | None:
-    for i, (a, b) in enumerate(zip(lhs, rhs)):
+def _series_check(
+    desc: IdentityDescriptor, p: Mapping[str, int], n: int, perturb: Perturb
+) -> Outcome:
+    """Coefficients q^0..q^n of both sides; perturb adds delta*q^index to
+    the left."""
+    lhs = desc.series_lhs(p, n)
+    rhs = desc.series_rhs(p, n)
+    if perturb is not None:
+        lhs = lhs + series.monomial(n, *perturb)
+    for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
         if a != b:
-            return (i, a, b)
-    return None
+            return (i, a, b), None
+    return None, None
 
 
-def _checked_n_max(
-    desc: IdentityDescriptor,
-    n_max: int | None,
-    perturb: tuple[int, int] | None,
-) -> int:
-    """The n_max to count up to, with it and any perturbation index checked
-    before either side is built."""
-    n_top = desc.default_n_max if n_max is None else n_max
-    if n_top is None or not 1 <= n_top <= MAX_ORDER:
+def _enum_check(
+    desc: IdentityDescriptor, p: Mapping[str, int], n: int, perturb: Perturb
+) -> Outcome:
+    """Rows for weights 1..n; perturb shifts the first component of the
+    left row at the index."""
+    lhs = desc.enum_lhs(p, n)
+    rhs = desc.enum_rhs(p, n)
+    if perturb is not None:
+        idx, delta = perturb
+        row = lhs[idx - 1]
+        lhs[idx - 1] = (row[0] + delta,) + row[1:]
+    for w, (lrow, rrow) in enumerate(zip(lhs, rhs), start=1):
+        for ci, (a, b) in enumerate(zip(lrow, rrow)):
+            if a != b:
+                detail = f"display {ci + 1} of {len(lrow)}"
+                return (w, a, b), detail if len(lrow) > 1 else None
+    return None, None
+
+
+def _ineq_check(
+    desc: IdentityDescriptor, p: Mapping[str, int], n: int, perturb: Perturb
+) -> Outcome:
+    """Values for weights 1..n against 0, and against strictness past the
+    descriptor's threshold; perturb shifts the value at the index."""
+    values = desc.ineq_values(p, n)
+    if perturb is not None:
+        values[perturb[0] - 1] += perturb[1]
+    threshold = desc.strict_from(p) if desc.strict_from is not None else None
+    for w, v in enumerate(values, start=1):
+        if v < 0:
+            return (w, v, 0), "sign violation: value below 0"
+        if threshold is not None and w >= threshold and v == 0:
+            return (w, v, 0), (
+                f"strictness violation: zero at n={w} >= {threshold}"
+            )
+    return None, None
+
+
+class _Form(NamedTuple):
+    attr: str  # descriptor field that is set when the identity has the form
+    low: int  # lowest compared index, and lowest allowed bound
+    bound: str  # name of the bound; the descriptor default is default_<bound>
+    compared: str  # report label, formatted with the bound
+    check: Callable[..., Outcome]
+
+
+_FORMS = {
+    "series": _Form("series_lhs", 0, "order", "order={}", _series_check),
+    "enumerative": _Form("enum_lhs", 1, "n_max", "n=1..{}", _enum_check),
+    "inequality": _Form("ineq_values", 1, "n_max", "n=1..{}", _ineq_check),
+}
+
+
+def _verify(
+    form: str,
+    ident: str,
+    params: Mapping[str, int] | None,
+    bound: int | None,
+    perturb: Perturb,
+) -> VerificationReport:
+    """The one verification pipeline: validate the parameters, the bound and
+    any perturbation index before either side is built, then time the
+    form's check and report its first mismatch."""
+    f = _FORMS[form]
+    desc = get_identity(ident)
+    if getattr(desc, f.attr) is None:
+        raise BadParamsError(f"{ident} has no {form} form")
+    p = _validate_params(desc, params)
+    n = getattr(desc, f"default_{f.bound}") if bound is None else bound
+    if n is None or not f.low <= n <= MAX_ORDER:
         raise BadParamsError(
-            f"n_max must be within 1..{MAX_ORDER}, got {n_top}"
+            f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {n}"
         )
-    if perturb is not None and not 1 <= perturb[0] <= n_top:
+    if perturb is not None and not f.low <= perturb[0] <= n:
         raise BadParamsError(
-            f"perturbation index {perturb[0]} outside 1..{n_top}"
+            f"perturbation index {perturb[0]} outside {f.low}..{n}"
         )
-    return n_top
+    t0 = perf_counter()
+    mismatch, detail = f.check(desc, p, n, perturb)
+    elapsed = (perf_counter() - t0) * 1000.0
+    return VerificationReport(
+        id=ident,
+        params=tuple(sorted(p.items())),
+        compared=f.compared.format(n),
+        status="pass" if mismatch is None else "fail",
+        first_mismatch=mismatch,
+        elapsed_ms=elapsed,
+        anchor=desc.statement,
+        detail=detail,
+    )
 
 
 def verify_series(
@@ -1217,32 +1288,7 @@ def verify_series(
     perturb=(index, delta) adds delta*q^index to the left side before the
     comparison; it exists so tests can confirm the check actually bites.
     """
-    desc = get_identity(ident)
-    if not desc.has_series:
-        raise BadParamsError(f"{ident} has no series form")
-    p = _validate_params(desc, params)
-    n = desc.default_order if order is None else order
-    if n is None or not 0 <= n <= MAX_ORDER:
-        raise BadParamsError(f"order must be within 0..{MAX_ORDER}, got {n}")
-    if perturb is not None and not 0 <= perturb[0] <= n:
-        raise BadParamsError(f"perturbation index {perturb[0]} outside 0..{n}")
-    t0 = perf_counter()
-    lhs = desc.series_lhs(p, n)
-    rhs = desc.series_rhs(p, n)
-    if perturb is not None:
-        idx, delta = perturb
-        lhs = lhs + series.monomial(n, idx, delta)
-    mismatch = _first_diff(lhs.coeffs, rhs.coeffs)
-    elapsed = (perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        id=ident,
-        params=_params_key(p),
-        compared=f"order={n}",
-        status="pass" if mismatch is None else "fail",
-        first_mismatch=mismatch,
-        elapsed_ms=elapsed,
-        anchor=desc.statement,
-    )
+    return _verify("series", ident, params, order, perturb)
 
 
 def verify_enumerative(
@@ -1257,40 +1303,7 @@ def verify_enumerative(
     Rows may carry several components (an identity with two displays); the
     first mismatching component of the first mismatching n is reported.
     """
-    desc = get_identity(ident)
-    if not desc.has_enum:
-        raise BadParamsError(f"{ident} has no enumerative form")
-    p = _validate_params(desc, params)
-    n_top = _checked_n_max(desc, n_max, perturb)
-    t0 = perf_counter()
-    lhs_rows = desc.enum_lhs(p, n_top)
-    rhs_rows = desc.enum_rhs(p, n_top)
-    if perturb is not None:
-        idx, delta = perturb
-        row = lhs_rows[idx - 1]
-        lhs_rows[idx - 1] = (row[0] + delta,) + row[1:]
-    mismatch = None
-    detail = None
-    for n, (lrow, rrow) in enumerate(zip(lhs_rows, rhs_rows), start=1):
-        for ci, (a, b) in enumerate(zip(lrow, rrow)):
-            if a != b:
-                mismatch = (n, a, b)
-                if len(lrow) > 1:
-                    detail = f"display {ci + 1} of {len(lrow)}"
-                break
-        if mismatch:
-            break
-    elapsed = (perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        id=ident,
-        params=_params_key(p),
-        compared=f"n=1..{n_top}",
-        status="pass" if mismatch is None else "fail",
-        first_mismatch=mismatch,
-        elapsed_ms=elapsed,
-        anchor=desc.statement,
-        detail=detail,
-    )
+    return _verify("enumerative", ident, params, n_max, perturb)
 
 
 def verify_inequality(
@@ -1303,39 +1316,7 @@ def verify_inequality(
     """Scan the value sequence for sign violations and, where a strictness
     threshold applies, for zeros at or past it. The two failure modes are
     reported distinctly through the detail field."""
-    desc = get_identity(ident)
-    if not desc.has_inequality:
-        raise BadParamsError(f"{ident} has no inequality form")
-    p = _validate_params(desc, params)
-    n_top = _checked_n_max(desc, n_max, perturb)
-    t0 = perf_counter()
-    values = desc.ineq_values(p, n_top)
-    if perturb is not None:
-        idx, delta = perturb
-        values[idx - 1] += delta
-    threshold = desc.strict_from(p) if desc.strict_from is not None else None
-    mismatch = None
-    detail = None
-    for n, v in enumerate(values, start=1):
-        if v < 0:
-            mismatch = (n, v, 0)
-            detail = "sign violation: value below 0"
-            break
-        if threshold is not None and n >= threshold and v == 0:
-            mismatch = (n, v, 0)
-            detail = f"strictness violation: zero at n={n} >= {threshold}"
-            break
-    elapsed = (perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        id=ident,
-        params=_params_key(p),
-        compared=f"n=1..{n_top}",
-        status="pass" if mismatch is None else "fail",
-        first_mismatch=mismatch,
-        elapsed_ms=elapsed,
-        anchor=desc.statement,
-        detail=detail,
-    )
+    return _verify("inequality", ident, params, n_max, perturb)
 
 
 def verify_identity(
@@ -1345,14 +1326,21 @@ def verify_identity(
     order: int | None = None,
     n_max: int | None = None,
 ) -> list[VerificationReport]:
-    """Run every registered form of one identity for one parameter set."""
+    """Run the registered forms of one identity for one parameter set.
+
+    The bounds given choose the forms: order alone runs the series form,
+    n_max alone the enumerative and inequality forms, both or neither every
+    form. An identity with none of the chosen forms yields no report.
+    """
     desc = get_identity(ident)
+    series_wanted = n_max is None or order is not None
+    counts_wanted = order is None or n_max is not None
     reports = []
-    if desc.has_series:
+    if series_wanted and desc.has_series:
         reports.append(verify_series(ident, params, order))
-    if desc.has_enum:
+    if counts_wanted and desc.has_enum:
         reports.append(verify_enumerative(ident, params, n_max))
-    if desc.has_inequality:
+    if counts_wanted and desc.has_inequality:
         reports.append(verify_inequality(ident, params, n_max))
     return reports
 

@@ -28,6 +28,7 @@ __all__ = [
     "Overpartition",
     "Partition",
     "MexQuery",
+    "MEX_2_1",
     "EnumerationCapError",
     "DEFAULT_ENUMERATION_CAP",
     "ENUMERATION_CAP_ENV",

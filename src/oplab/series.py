@@ -4,8 +4,9 @@ Everything here is exact. Coefficients are Python ints, truncation is a hard
 cutoff at a fixed order, and no operation ever reads or writes an exponent
 beyond that order. On top of the core arithmetic the module provides the
 q-series building blocks used by the identity checkers: q-Pochhammer
-products, Gaussian binomial polynomials, pentagonal and theta sums, and the
-partition and overpartition generating functions.
+products (qproduct: finite, infinite, dilated, any step), Gaussian binomial
+polynomials, pentagonal and theta sums, and the partition and
+overpartition generating functions.
 
 Conventions:
 
@@ -18,7 +19,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
 from operator import add, mul, sub
@@ -26,14 +26,11 @@ from typing import Sequence
 
 __all__ = [
     "TruncatedSeries",
-    "PochSpec",
     "make",
     "zero",
     "one",
     "monomial",
     "qproduct",
-    "pochhammer",
-    "poch_inverse",
     "gauss_binomial",
     "pentagonal_series",
     "theta_partial",
@@ -298,37 +295,6 @@ def monomial(order: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
     return TruncatedSeries(order, c)
 
 
-@dataclass(frozen=True)
-class PochSpec:
-    """Description of a q-Pochhammer product (a; q^dilation)_length.
-
-    The base is a = sign * q^(dilation*start_exponent); sign -1 with
-    start_exponent 0 encodes a = -1, whose leading factor is (1+1) = 2.
-    length None means the infinite product. With dilation ell the factors
-    are (1 - sign*q^(ell*(start_exponent+i))), i.e. the undilated product
-    re-indexed by q -> q^ell.
-    """
-
-    sign: int
-    start_exponent: int
-    length: int | None = None
-    dilation: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.start_exponent < 0:
-            raise ValueError("start_exponent must be >= 0")
-        if self.length is not None and self.length < 0:
-            raise ValueError("length must be >= 0 or None for infinite")
-        if self.dilation < 1:
-            raise ValueError("dilation must be >= 1")
-        if self.sign == 1 and self.start_exponent == 0 and self.length is None:
-            raise ValueError(
-                "infinite product with a leading (1 - q^0) factor is zero"
-            )
-
-
 def qproduct(
     sign: int,
     start: int,
@@ -359,38 +325,6 @@ def qproduct(
         _times_factor_into(c, e, sign)
         i += 1
     return TruncatedSeries(order, c)
-
-
-def pochhammer(spec: PochSpec, order: int) -> TruncatedSeries:
-    """Expand the q-Pochhammer product described by spec mod q^(order+1)."""
-    if spec.dilation == 1:
-        return qproduct(spec.sign, spec.start_exponent, 1, spec.length, order)
-    # dilation is a re-indexing of the finished undilated series
-    base = qproduct(
-        spec.sign, spec.start_exponent, 1, spec.length, order // spec.dilation
-    )
-    return base.dilate(spec.dilation, order)
-
-
-def poch_inverse(spec: PochSpec, order: int) -> TruncatedSeries:
-    """Reciprocal of a q-Pochhammer product, factor by factor.
-
-    Faster than pochhammer(spec, order).invert() and exact for the same
-    reason: each (1 - sign*q^e) with e >= 1 is a unit mod q^(order+1).
-    """
-    if spec.start_exponent == 0:
-        raise ValueError("leading factor is not a unit; cannot invert")
-    base_order = order // spec.dilation
-    c = [1] + [0] * base_order
-    i = 0
-    while spec.length is None or i < spec.length:
-        e = spec.start_exponent + i
-        if e > base_order:
-            break
-        _div_factor_into(c, e, spec.sign)
-        i += 1
-    s = TruncatedSeries(base_order, c)
-    return s if spec.dilation == 1 else s.dilate(spec.dilation, order)
 
 
 def gauss_binomial(m: int, n: int, order: int) -> TruncatedSeries:

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so exit codes and captured
 stdout/stderr are asserted directly.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -342,3 +343,39 @@ def test_console_entry_matches_main():
     # pyproject wires oplab = oplab.cli:main
     from oplab.cli import main
     assert callable(main)
+
+
+def test_python_dash_m_oplab_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oplab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oplab", "list"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        d.id for d in identities.list_identities()
+    ]
+
+
+def test_package_exports_are_the_modules_exports():
+    from oplab import bijections, overpartitions, series
+    modules = (series, overpartitions, bijections, identities)
+    union = set().union(*(m.__all__ for m in modules))
+    assert set(oplab.__all__) - {"__version__"} == union
+    assert all(hasattr(oplab, name) for name in oplab.__all__)
+
+
+# sha256 of `oplab verify --all` stdout; any change to a verdict, a
+# mismatch, a record field or the formatting shows up here
+GOLDEN_SHA256 = {
+    "json": "9bd92fa77371b8315bc43b2dae74cd2430879f0f05d8ec03139746d162175583",
+    "csv": "9e32c679cd94f8ce828d1be98366f9d98c46b1b4441bb7f8ddca5a671766f251",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SHA256))
+def test_verify_all_output_is_golden(capsys, fmt):
+    code, out, err = run(capsys, "verify", "--all", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[fmt]

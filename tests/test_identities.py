@@ -122,6 +122,17 @@ def test_verify_identity_runs_every_form():
     assert all(r.passed for r in reports)
     reports = idn.verify_identity("ineq-xyz", {"k": 2}, n_max=30)
     assert len(reports) == 1
+    # the bounds given choose the forms; an identity without the chosen
+    # form yields no report
+    for bounds, ranges in (
+        ({"order": 50}, ["order=50"]),
+        ({"n_max": 10}, ["n=1..10"]),
+        ({}, ["order=100", "n=1..25"]),
+    ):
+        reports = idn.verify_identity("cor-2-9", {"k": 1}, **bounds)
+        assert [r.compared for r in reports] == ranges
+    assert idn.verify_identity("thm-2-2", order=50) == []
+    assert idn.verify_identity("euler-odd-distinct", n_max=10) == []
 
 
 def test_series_perturbation_hits_exact_index():
@@ -261,6 +272,16 @@ def test_run_default_suite_subset_sorted():
     )
     assert [r.id for r in reports] == ["euler-odd-distinct", "thm-2-3"]
     assert all(r.passed for r in reports)
+    # an override applies to the ids that take the parameter; gauss takes
+    # no k and keeps its default grid
+    reports = idn.run_default_suite(
+        ["li-truncation", "gauss"], order=30, overrides={"k": (2, 3)}
+    )
+    assert [(r.id, r.params) for r in reports] == [
+        ("gauss", ()),
+        ("li-truncation", (("k", 2),)),
+        ("li-truncation", (("k", 3),)),
+    ]
 
 
 def test_report_jsonable_schema():

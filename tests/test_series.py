@@ -4,11 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oplab import series as s
-from oplab.series import PochSpec, TruncatedSeries
+from oplab.series import TruncatedSeries
 
 # hand-checked low-order expansions
 QQ_INF_7 = (1, -1, -1, 0, 0, 1, 0, 1)
@@ -169,42 +169,18 @@ def test_pentagonal_series_dilated():
     assert s.pentagonal_series(60, dilation=3) == s.qproduct(1, 3, 3, None, 60)
 
 
-def test_pochhammer_splitting():
-    # (a;q)_n * (a q^n;q)oo = (a;q)oo for a = -q and a = q
-    order = 100
-    for sign, start, n in ((-1, 1, 7), (1, 1, 5), (-1, 2, 4)):
-        finite = s.qproduct(sign, start, 1, n, order)
-        rest = s.qproduct(sign, start + n, 1, None, order)
-        whole = s.qproduct(sign, start, 1, None, order)
-        assert finite * rest == whole
-
-
-def test_pochspec_validation():
-    with pytest.raises(ValueError):
-        PochSpec(2, 1)
-    with pytest.raises(ValueError):
-        PochSpec(1, -1)
-    with pytest.raises(ValueError):
-        PochSpec(1, 0, None)  # infinite product with a (1 - 1) factor
-    with pytest.raises(ValueError):
-        PochSpec(1, 1, -2)
-    with pytest.raises(ValueError):
-        PochSpec(1, 1, None, 0)
-    assert PochSpec(-1, 0, 3).length == 3  # finite (-1;q)_3 is fine
-
-
 def test_pochhammer_with_dilation_reindexes():
-    spec = PochSpec(1, 1, None, 2)
-    assert s.pochhammer(spec, 50) == s.qproduct(1, 2, 2, None, 50)
-    spec5 = PochSpec(-1, 1, 4, 5)
-    assert s.pochhammer(spec5, 41) == s.qproduct(-1, 5, 5, 4, 41)
-
-
-def test_poch_inverse_matches_invert():
-    for spec in (PochSpec(1, 1), PochSpec(-1, 1), PochSpec(1, 2, 6)):
-        assert s.poch_inverse(spec, 80) == s.pochhammer(spec, 80).invert()
-    with pytest.raises(ValueError):
-        s.poch_inverse(PochSpec(-1, 0, 2), 10)
+    # (a q^(ell*s); q^ell)_n is (a q^s; q)_n with q -> q^ell
+    for sign, start, ell, n, order in (
+        (1, 1, 2, None, 50),
+        (-1, 1, 5, 4, 41),
+        (-1, 0, 3, 6, 40),
+        (1, 2, 4, 3, 9),
+    ):
+        undilated = s.qproduct(sign, start, 1, n, order // ell)
+        assert s.qproduct(sign, ell * start, ell, n, order) == (
+            undilated.dilate(ell, order)
+        )
 
 
 def test_qproduct_validation():
@@ -420,3 +396,57 @@ def test_sparse_times_dense_commutes(pair):
     dense, sparse = pair
     assert sparse * dense == dense * sparse
     assert list((sparse * dense).coeffs) == ref_mul(sparse.coeffs, dense.coeffs)
+
+
+@settings(deadline=None)
+@given(_ORDERS.flatmap(lambda n: st.tuples(*[_series_of(n)] * 3)))
+def test_mul_is_associative_and_distributes_over_add(triple):
+    f, g, h = triple
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+
+
+@settings(deadline=None)
+@given(
+    _ORDERS.flatmap(_series_of),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_dilate_and_truncate_commute(f, ell, data):
+    order = data.draw(st.integers(0, ell * f.order + ell - 1), label="order")
+    new_order = data.draw(st.integers(0, order), label="new_order")
+    assert f.dilate(ell, order).truncate(new_order) == (
+        f.truncate(new_order // ell).dilate(ell, new_order)
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=31),
+    st.integers(min_value=0, max_value=120),
+)
+def test_gauss_binomial_q_pascal(m, n, order):
+    # [m, n] = [m-1, n-1] + q^n [m-1, n] = q^(m-n) [m-1, n-1] + [m-1, n]
+    whole = s.gauss_binomial(m, n, order)
+    left = s.gauss_binomial(m - 1, n - 1, order)
+    right = s.gauss_binomial(m - 1, n, order)
+    assert whole == left + right.shift(n)
+    if n <= m:
+        assert whole == left.shift(m - n) + right
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((1, -1)),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=40),
+    _ORDERS,
+)
+def test_pochhammer_splitting(sign, start, n, order):
+    # (a;q)_n (a q^n;q)oo = (a;q)oo for a = sign * q^start
+    assume(not (sign == 1 and start == 0))  # (q^0;q)oo is zero
+    finite = s.qproduct(sign, start, 1, n, order)
+    rest = s.qproduct(sign, start + n, 1, None, order)
+    assert finite * rest == s.qproduct(sign, start, 1, None, order)
