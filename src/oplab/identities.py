@@ -2,18 +2,18 @@
 
 Each identity is registered under a stable string id together with a
 human-readable statement of what is being compared (echoed in reports as
-the anchor), the name of the oracle used for its right-hand side, and the
-parameter ranges it is verified over by default. Three kinds of check
+the anchor), a note on the oracle behind each of its two sides, and the
+parameter ranges it is verified over by default. Three forms of check
 exist:
 
 * series equality: both sides are built as TruncatedSeries and compared
   coefficient by coefficient up to a fixed order;
-* enumerative equality: both sides are computed as integer sequences over
+* enumerative equality: both sides are computed as integer rows over
   n = 1..n_max, by exhaustive enumeration on one side and alternating sums
   or generating-function coefficients on the other;
-* inequality: a single integer sequence that must be nonnegative, with an
-  optional threshold past which it must be strictly positive. Strictness
-  failures are reported distinctly from sign failures.
+* inequality: one-component rows (v,) whose values must be nonnegative,
+  with an optional threshold past which they must be strictly positive.
+  Strictness failures are reported distinctly from sign failures.
 
 An identity may carry several forms; each runs through one verification
 pipeline, and verify_identity picks the forms from the bounds given. All
@@ -58,7 +58,6 @@ MAX_ORDER = 2000
 
 SeriesBuilder = Callable[[Mapping[str, int], int], TruncatedSeries]
 RowsBuilder = Callable[[Mapping[str, int], int], "list[tuple[int, ...]]"]
-ValuesBuilder = Callable[[Mapping[str, int], int], "list[int]"]
 Perturb = Optional[Tuple[int, int]]  # (index, delta) added to the left side
 # a check's first mismatch (index, lhs, rhs) or None, and its detail text
 Outcome = Tuple[Optional[Tuple[int, int, int]], Optional[str]]
@@ -75,8 +74,15 @@ class BadParamsError(ValueError):
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
+    """One identity: its statement, parameters and form builders.
+
+    series_lhs, enum_lhs and ineq_values mark the series, enumerative and
+    inequality forms. Series builders map (params, order) to a
+    TruncatedSeries; the others map (params, n_max) to one row per
+    n = 1..n_max, and the rows of ineq_values are 1-tuples (v,).
+    """
+
     id: str
-    kind: str  # "series-equality" | "enumerative-equality" | "inequality"
     statement: str
     oracle: str
     # validation bounds per parameter and the default verification ranges
@@ -89,9 +95,8 @@ class IdentityDescriptor:
     series_rhs: SeriesBuilder | None = None
     enum_lhs: RowsBuilder | None = None
     enum_rhs: RowsBuilder | None = None
-    ineq_values: ValuesBuilder | None = None
+    ineq_values: RowsBuilder | None = None
     strict_from: Callable[[Mapping[str, int]], int] | None = None
-    truncation_note: str | None = None
 
     @property
     def has_series(self) -> bool:
@@ -233,12 +238,21 @@ def _div_qpoch(s: TruncatedSeries, n: int) -> TruncatedSeries:
     return TruncatedSeries(s.order, c)
 
 
+def _large_tail(kappa: int, order: int) -> TruncatedSeries:
+    """(-q;q)_kappa/(q;q)_kappa sum_{m>=kappa+1} q^((kappa+1)m)
+    (-q^(m+1);q)oo / (q^m;q)oo."""
+    tail = _times_neg_poch(_tail_sum(order, kappa + 1, kappa + 1, 0), kappa)
+    return _div_qpoch(tail, kappa)
+
+
+def _li_tail(k: int, order: int) -> TruncatedSeries:
+    """(-q;q)_k/(q;q)_{k-1} sum_{m>=k} q^(km) (-q^(m+1);q)oo / (q^(m+1);q)oo."""
+    return _div_qpoch(_times_neg_poch(_tail_sum(order, k, k, 1), k), k - 1)
+
+
 def _mbar_gf(kappa: int, order: int) -> TruncatedSeries:
-    """Generating function of the repeated-first-large-part counts: twice
-    (-q;q)_kappa/(q;q)_kappa times the tail sum with shift (kappa+1)m."""
-    tail = _tail_sum(order, kappa + 1, kappa + 1, 0)
-    tail = _div_qpoch(_times_neg_poch(tail, kappa), kappa)
-    return tail.scale(2)
+    """Generating function of the repeated-first-large-part counts."""
+    return _large_tail(kappa, order).scale(2)
 
 
 def _gen_pentagonal_terms(ell: int, bound: int) -> list[tuple[int, int]]:
@@ -334,9 +348,7 @@ def _guo_zeng_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _am2018_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    tail = _tail_sum(order, k + 1, k + 1, 0)
-    tail = _div_qpoch(_times_neg_poch(tail, k), k)
-    return series.one(order) + tail.scale(2 * _sign(k))
+    return series.one(order) + _large_tail(k, order).scale(2 * _sign(k))
 
 
 def _li_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -346,9 +358,7 @@ def _li_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _li_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    tail = _tail_sum(order, k, k, 1)
-    tail = _div_qpoch(_times_neg_poch(tail, k), k - 1)
-    return series.one(order) + tail.scale(_sign(k - 1))
+    return series.one(order) + _li_tail(k, order).scale(_sign(k - 1))
 
 
 def _cor26_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -363,25 +373,16 @@ def _cor29_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _cor29_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    k = p["k"]
-    tail = _tail_sum(order, k, k, 1)
-    tail = _div_qpoch(_times_neg_poch(tail, k), k - 1)
-    return tail.scale(2)
+    return _li_tail(p["k"], order).scale(2)
 
 
 def _sec5_main_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    t1 = _tail_sum(order, k, k, 0)
-    t1 = _div_qpoch(_times_neg_poch(t1, k - 1), k - 1)
-    t2 = _tail_sum(order, k + 1, k + 1, 0)
-    t2 = _div_qpoch(_times_neg_poch(t2, k), k)
-    return t1 - t2
+    return _large_tail(k - 1, order) - _large_tail(k, order)
 
 
 def _sec5_main_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    k = p["k"]
-    tail = _tail_sum(order, k, k, 1)
-    return _div_qpoch(_times_neg_poch(tail, k), k - 1)
+    return _li_tail(p["k"], order)
 
 
 def _sec5_red_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -516,11 +517,6 @@ def _thm24_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     return _rows(lambda n: (op.op21(n, low) + eps * op.op21(n, b + 1),), n_max)
 
 
-def _cor25a_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    k = p["k"]
-    return _rows(lambda n: (_sign(k) * _alt_pbar_sq(n, k),), n_max)
-
-
 def _cor25a_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     k = p["k"]
     return _rows(lambda n: (2 * op.op21(n, k + 1),), n_max)
@@ -587,59 +583,34 @@ def _sec3_data(n: int) -> dict:
 
 
 def _sec3_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    rows = []
-    for n in range(1, n_max + 1):
+    def row(n: int) -> tuple[int, ...]:
         d = _sec3_data(n)
         if n <= 3:
             c_comp = d["c_count"]
         else:
             c_comp = int(bool(d["witness_ok"]) and d["c_count"] >= 1)
-        rows.append(
-            (
-                d["a_count"],
-                d["images_in_b"],
-                int(d["round_trip_ok"] and d["weights_ok"]),
-                c_comp,
-            )
-        )
-    return rows
+        bijective = int(d["round_trip_ok"] and d["weights_ok"])
+        return (d["a_count"], d["images_in_b"], bijective, c_comp)
+
+    return _rows(row, n_max)
 
 
 def _sec3_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    rows = []
-    for n in range(1, n_max + 1):
+    def row(n: int) -> tuple[int, ...]:
         d = _sec3_data(n)
-        rows.append((d["pbar_half"], d["b_count"], 1, 0 if n <= 3 else 1))
-    return rows
+        return (d["pbar_half"], d["b_count"], 1, 0 if n <= 3 else 1)
+
+    return _rows(row, n_max)
 
 
 # -- inequality builders ------------------------------------------------------
 
-def _ineq_gz_values(p: Mapping[str, int], n_max: int) -> list[int]:
+def _ineq_xyz_rows(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     k = p["k"]
-    return [_sign(k) * _alt_pbar_sq(n, k) for n in range(1, n_max + 1)]
-
-
-def _ineq_15_values(p: Mapping[str, int], n_max: int) -> list[int]:
-    k = p["k"]
-    return [
-        _sign(k - 1) * _alt_pbar_sq(n, k) + op.pbar(n - k * k)
-        for n in range(1, n_max + 1)
-    ]
-
-
-def _ineq_xyz_values(p: Mapping[str, int], n_max: int) -> list[int]:
-    k = p["k"]
-    return [
-        _sign(k - 1) * _alt_pbar_sq(n, k) + op.pbar(n - k * (k + 1))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def _ineq_mk_values(p: Mapping[str, int], n_max: int) -> list[int]:
-    m, k = p["m"], p["k"]
-    pref = _sign(min(abs(m), k))
-    return [pref * _window_pbar_sq(n, m, k) for n in range(1, n_max + 1)]
+    return _rows(
+        lambda n: (_sign(k - 1) * _alt_pbar_sq(n, k) + op.pbar(n - k * (k + 1)),),
+        n_max,
+    )
 
 
 # -- registry -----------------------------------------------------------------
@@ -653,39 +624,35 @@ def _register(desc: IdentityDescriptor) -> None:
     _REGISTRY[desc.id] = desc
 
 
-_K_SERIES = (("k", 1, 64),)
-_K_ENUM = (("k", 1, 64),)
+_K = (("k", 1, 64),)
 _MK = (("m", -64, 64), ("k", -64, 64))
 
 _register(
     IdentityDescriptor(
         id="pentagonal-am",
-        kind="series-equality",
         statement=(
             "1/(q;q)oo * sum_{j=0..k-1} (-1)^j q^(j(3j+1)/2) (1-q^(2j+1)) = 1 + "
             "(-1)^(k-1) sum_{n>=1} q^(k(k-1)/2+(k+1)n) / (q;q)_n * qbin(n-1|k-1)"
         ),
         oracle="independent series constructions of both sides",
-        schema=_K_SERIES,
+        schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
         series_lhs=_pent_am_lhs,
         series_rhs=_pent_am_rhs,
-        truncation_note="summand minimal exponent k(k-1)/2+(k+1)n",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="thm-1-1",
-        kind="enumerative-equality",
         statement=(
             "(-1)^(k-1) sum_{j=0..k-1} (-1)^j (p(n-j(3j+1)/2) - p(n-j(3j+5)/2-1)) "
             "counts partitions of n with least non-part k and more parts above k "
             "than below"
         ),
         oracle="exhaustive partition enumeration vs alternating p(n) sums",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=30,
         enum_lhs=_thm11_lhs,
@@ -696,7 +663,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="gauss",
-        kind="series-equality",
         statement=(
             "1 + 2 sum_{j>=1} (-1)^j q^(j^2) = (q;q)oo / (-q;q)oo; equivalently "
             "pbar(n) + 2 sum_{j>=1} (-1)^j pbar(n-j^2) = 0 for n >= 1"
@@ -714,34 +680,31 @@ _register(
 _register(
     IdentityDescriptor(
         id="guo-zeng-truncation",
-        kind="series-equality",
         statement=(
             "(-q;q)oo/(q;q)oo (1 + 2 sum_{j=1..k} (-1)^j q^(j^2)) = 1 + (-1)^k "
             "sum_{n>=k+1} (-q;q)_k (-1;q)_{n-k} q^((k+1)n) / (q;q)_n * qbin(n-1|k)"
         ),
         oracle="independent series constructions of both sides",
-        schema=_K_SERIES,
+        schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
         series_lhs=_guo_zeng_lhs,
         series_rhs=_guo_zeng_rhs,
-        truncation_note="summand minimal exponent (k+1)n; sum while (k+1)n <= order",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="ineq-guo-zeng",
-        kind="inequality",
         statement=(
             "(-1)^k (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) >= 0 with strict "
             "inequality for n >= (k+1)^2"
         ),
         oracle="alternating pbar sums with sign and strictness scan",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=60,
-        ineq_values=_ineq_gz_values,
+        ineq_values=_thm13_lhs,
         strict_from=lambda p: (p["k"] + 1) ** 2,
     )
 )
@@ -749,33 +712,30 @@ _register(
 _register(
     IdentityDescriptor(
         id="am-2018-truncation",
-        kind="series-equality",
         statement=(
             "(-q;q)oo/(q;q)oo (1 + 2 sum_{j=1..k} (-1)^j q^(j^2)) = 1 + 2 (-1)^k "
             "(-q;q)_k/(q;q)_k sum_{j>=0} q^((k+1)(k+j+1)) (-q^(k+j+2);q)oo / "
             "(q^(k+j+1);q)oo"
         ),
         oracle="independent series constructions of both sides",
-        schema=_K_SERIES,
+        schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
         series_lhs=_guo_zeng_lhs,
         series_rhs=_am2018_rhs,
-        truncation_note="summand minimal exponent (k+1)(k+j+1)",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="thm-1-3",
-        kind="enumerative-equality",
         statement=(
             "(-1)^k (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) counts "
             "overpartitions of n whose smallest part value above k occurs at "
             "least k+1 times (overlined occurrences included)"
         ),
         oracle="exhaustive overpartition enumeration vs alternating pbar sums",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
         enum_lhs=_thm13_lhs,
@@ -786,7 +746,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="yao",
-        kind="series-equality",
         statement=(
             "sum_n sum_j (-1)^j Mbar_k(n - l j(3j-1)/2) q^n = 2 (q^l;q^l)oo / "
             "(q;q)oo / (q;q^2)oo * sum_{j>=0} q^((k+2j+1)^2) (1-q^(2k+4j+3))"
@@ -797,23 +756,21 @@ _register(
         default_order=25,
         series_lhs=_yao_lhs,
         series_rhs=_yao_rhs,
-        truncation_note="summand minimal exponent (k+2j+1)^2",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="ineq-conj-1-5",
-        kind="inequality",
         statement=(
             "(-1)^(k-1) (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) + "
             "pbar(n-k^2) >= 0 with strict inequality for n >= k^2"
         ),
         oracle="alternating pbar sums with sign and strictness scan",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=60,
-        ineq_values=_ineq_15_values,
+        ineq_values=_cor25b_lhs,
         strict_from=lambda p: p["k"] * p["k"],
     )
 )
@@ -821,49 +778,45 @@ _register(
 _register(
     IdentityDescriptor(
         id="ineq-xyz",
-        kind="inequality",
         statement=(
             "(-1)^(k-1) (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) + "
             "pbar(n-k(k+1)) >= 0"
         ),
         oracle="alternating pbar sums with sign scan",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=60,
-        ineq_values=_ineq_xyz_values,
+        ineq_values=_ineq_xyz_rows,
     )
 )
 
 _register(
     IdentityDescriptor(
         id="li-truncation",
-        kind="series-equality",
         statement=(
             "(-q;q)oo/(q;q)oo sum_{j=-k..k-1} (-1)^j q^(j^2) = 1 + (-1)^(k-1) "
             "(-q;q)_k/(q;q)_{k-1} sum_{j>=0} q^(k(k+j)) (-q^(k+j+1);q)oo / "
             "(q^(k+j+1);q)oo"
         ),
         oracle="independent series constructions of both sides",
-        schema=_K_SERIES,
+        schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
         series_lhs=_li_lhs,
         series_rhs=_li_rhs,
-        truncation_note="summand minimal exponent k(k+j)",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="thm-1-4",
-        kind="enumerative-equality",
         statement=(
             "(-1)^(k-1) sum_{j=-k..k-1} (-1)^j pbar(n-j^2) counts overpartitions "
             "of n in which after exempting an overlined k the smallest remaining "
             "part of value >= k is plain and its value occurs exactly k times"
         ),
         oracle="exhaustive overpartition enumeration vs alternating pbar sums",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
         enum_lhs=_thm14_lhs,
@@ -874,7 +827,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="ineq-m-k",
-        kind="inequality",
         statement=(
             "(-1)^min(|m| k) sum_{j=m..k} (-1)^j pbar(n-j^2) >= 0 for m <= k"
         ),
@@ -883,14 +835,13 @@ _register(
         param_ranges=(("m", -4, 4), ("k", -4, 4)),
         requires_m_le_k=True,
         default_n_max=60,
-        ineq_values=_ineq_mk_values,
+        ineq_values=_thm24_lhs,
     )
 )
 
 _register(
     IdentityDescriptor(
         id="op-split-2-1",
-        kind="enumerative-equality",
         statement="op_{2 1}(n) + opbar_{2 1}(n) = pbar(n)",
         oracle="mex-class split by enumeration vs overpartition counts",
         default_n_max=25,
@@ -902,7 +853,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="thm-2-2",
-        kind="enumerative-equality",
         statement="2 op21(n|0) = pbar(n)",
         oracle="mex-class enumeration vs overpartition counts",
         default_n_max=25,
@@ -914,7 +864,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="thm-2-3",
-        kind="enumerative-equality",
         statement="2 op21(n|1) = pbar(n)",
         oracle="mex-class enumeration vs overpartition counts",
         default_n_max=25,
@@ -926,7 +875,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="thm-2-4",
-        kind="enumerative-equality",
         statement=(
             "(-1)^min(|m| k) sum_{j=m..k} (-1)^j pbar(n-j^2) = op21(n|a) + "
             "(-1)^(m+k) op21(n|b+1) when mk > 0 and op21(n|a+1) + (-1)^(m+k) "
@@ -945,15 +893,14 @@ _register(
 _register(
     IdentityDescriptor(
         id="cor-2-5-first",
-        kind="enumerative-equality",
         statement=(
             "(-1)^k (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) = 2 op21(n|k+1)"
         ),
         oracle="mex-class enumeration vs alternating pbar sums",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
-        enum_lhs=_cor25a_lhs,
+        enum_lhs=_thm13_lhs,
         enum_rhs=_cor25a_rhs,
     )
 )
@@ -961,13 +908,12 @@ _register(
 _register(
     IdentityDescriptor(
         id="cor-2-5-second",
-        kind="enumerative-equality",
         statement=(
             "(-1)^(k-1) (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) + "
             "pbar(n-k^2) = op21(n|k) - op21(n|k+1)"
         ),
         oracle="mex-class enumeration vs alternating pbar sums",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
         enum_lhs=_cor25b_lhs,
@@ -978,48 +924,43 @@ _register(
 _register(
     IdentityDescriptor(
         id="gen-op",
-        kind="enumerative-equality",
         statement=(
             "sum_n op21(n|k+1) q^n = (-q;q)oo/(q;q)oo sum_{j>=0} "
             "q^((k+2j+1)^2) (1-q^(2k+4j+3))"
         ),
         oracle="mex-class enumeration vs series coefficients",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
         enum_lhs=_gen_op_lhs,
         enum_rhs=_gen_op_rhs,
-        truncation_note="summand minimal exponent (k+2j+1)^2",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="cor-2-6",
-        kind="series-equality",
         statement=(
             "(-q;q)oo/(q;q)oo (1 + 2 sum_{j=1..k} (-1)^j q^(j^2)) = 1 + 2 (-1)^k "
             "(-q;q)oo/(q;q)oo sum_{j>=0} q^((k+2j+1)^2) (1-q^(2k+4j+3))"
         ),
         oracle="independent series constructions of both sides",
-        schema=_K_SERIES,
+        schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
         series_lhs=_guo_zeng_lhs,
         series_rhs=_cor26_rhs,
-        truncation_note="summand minimal exponent (k+2j+1)^2",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="cor-2-7",
-        kind="enumerative-equality",
         statement=(
             "2 op21(n|k+1) = Mbar_k(n) and op21(n|k) - op21(n|k+1) = Nbar_k(n)"
         ),
         oracle="independent enumerations of both statistics",
-        schema=_K_ENUM,
+        schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
         enum_lhs=_cor27_lhs,
@@ -1030,14 +971,13 @@ _register(
 _register(
     IdentityDescriptor(
         id="cor-2-9",
-        kind="series-equality",
         statement=(
             "sum_n (Mbar_{k-1}(n) - Mbar_k(n)) q^n = 2 (-q;q)_k/(q;q)_{k-1} "
             "sum_{j>=0} q^(k(k+j)) (-q^(k+j+1);q)oo / (q^(k+j+1);q)oo"
         ),
         oracle="enumerated count differences and analytic form of the left "
         "side vs series construction of the right side",
-        schema=_K_SERIES,
+        schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
         default_n_max=25,
@@ -1045,14 +985,12 @@ _register(
         series_rhs=_cor29_rhs,
         enum_lhs=_cor29_enum_lhs,
         enum_rhs=_cor29_enum_rhs,
-        truncation_note="summand minimal exponent k(k+j)",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="euler-odd-distinct",
-        kind="series-equality",
         statement="1/(q;q^2)oo = (-q;q)oo",
         oracle="odd-step product inversion vs distinct-part product",
         default_order=200,
@@ -1064,7 +1002,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="lemma-4-1",
-        kind="enumerative-equality",
         statement="pbar(n-j^2) = op21(n|j) + op21(n|j+1)",
         oracle="mex-class enumeration vs overpartition counts",
         schema=(("j", 1, 16),),
@@ -1078,7 +1015,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="sec3-bijection",
-        kind="enumerative-equality",
         statement=(
             "dropping or spreading the smallest non-overlined part is a "
             "weight-1-decreasing bijection between the smallest-part-plain "
@@ -1095,7 +1031,6 @@ _register(
 _register(
     IdentityDescriptor(
         id="sec5-main",
-        kind="series-equality",
         statement=(
             "(-q;q)_{k-1}/(q;q)_{k-1} sum_j q^(k(k+j)) (-q^(k+j+1);q)oo/"
             "(q^(k+j);q)oo - (-q;q)_k/(q;q)_k sum_j q^((k+1)(k+j+1)) "
@@ -1103,31 +1038,28 @@ _register(
             "sum_j q^(k(k+j)) (-q^(k+j+1);q)oo/(q^(k+j+1);q)oo"
         ),
         oracle="independent series constructions of both sides",
-        schema=_K_SERIES,
+        schema=_K,
         param_ranges=(("k", 1, 10),),
         default_order=100,
         series_lhs=_sec5_main_lhs,
         series_rhs=_sec5_main_rhs,
-        truncation_note="summand minimal exponent k(k+j)",
     )
 )
 
 _register(
     IdentityDescriptor(
         id="sec5-reduced",
-        kind="series-equality",
         statement=(
             "(1-q^k) sum_j q^(k(k+j)) (-q^(k+j+1);q)oo/(q^(k+j);q)oo - (1+q^k) "
             "sum_j q^((k+1)(k+j+1)) (-q^(k+j+2);q)oo/(q^(k+j+1);q)oo = "
             "(1-q^(2k)) sum_j q^(k(k+j)) (-q^(k+j+1);q)oo/(q^(k+j+1);q)oo"
         ),
         oracle="independent series constructions of both sides",
-        schema=_K_SERIES,
+        schema=_K,
         param_ranges=(("k", 1, 10),),
         default_order=100,
         series_lhs=_sec5_red_lhs,
         series_rhs=_sec5_red_rhs,
-        truncation_note="summand minimal exponent k(k+j)",
     )
 )
 
@@ -1184,6 +1116,13 @@ def _series_check(
     return None, None
 
 
+def _apply_perturb(rows: list[tuple[int, ...]], perturb: Perturb) -> None:
+    """Shift the first component of the row at the perturbation index."""
+    if perturb is not None:
+        idx, delta = perturb
+        rows[idx - 1] = (rows[idx - 1][0] + delta,) + rows[idx - 1][1:]
+
+
 def _enum_check(
     desc: IdentityDescriptor, p: Mapping[str, int], n: int, perturb: Perturb
 ) -> Outcome:
@@ -1191,10 +1130,7 @@ def _enum_check(
     left row at the index."""
     lhs = desc.enum_lhs(p, n)
     rhs = desc.enum_rhs(p, n)
-    if perturb is not None:
-        idx, delta = perturb
-        row = lhs[idx - 1]
-        lhs[idx - 1] = (row[0] + delta,) + row[1:]
+    _apply_perturb(lhs, perturb)
     for w, (lrow, rrow) in enumerate(zip(lhs, rhs), start=1):
         for ci, (a, b) in enumerate(zip(lrow, rrow)):
             if a != b:
@@ -1209,10 +1145,9 @@ def _ineq_check(
     """Values for weights 1..n against 0, and against strictness past the
     descriptor's threshold; perturb shifts the value at the index."""
     values = desc.ineq_values(p, n)
-    if perturb is not None:
-        values[perturb[0] - 1] += perturb[1]
+    _apply_perturb(values, perturb)
     threshold = desc.strict_from(p) if desc.strict_from is not None else None
-    for w, v in enumerate(values, start=1):
+    for w, (v,) in enumerate(values, start=1):
         if v < 0:
             return (w, v, 0), "sign violation: value below 0"
         if threshold is not None and w >= threshold and v == 0:
@@ -1237,6 +1172,13 @@ _FORMS = {
 }
 
 
+def _check_bound(f: _Form, n: int | None) -> None:
+    if n is None or not f.low <= n <= MAX_ORDER:
+        raise BadParamsError(
+            f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {n}"
+        )
+
+
 def _verify(
     form: str,
     ident: str,
@@ -1253,10 +1195,7 @@ def _verify(
         raise BadParamsError(f"{ident} has no {form} form")
     p = _validate_params(desc, params)
     n = getattr(desc, f"default_{f.bound}") if bound is None else bound
-    if n is None or not f.low <= n <= MAX_ORDER:
-        raise BadParamsError(
-            f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {n}"
-        )
+    _check_bound(f, n)
     if perturb is not None and not f.low <= perturb[0] <= n:
         raise BadParamsError(
             f"perturbation index {perturb[0]} outside {f.low}..{n}"
@@ -1330,9 +1269,14 @@ def verify_identity(
 
     The bounds given choose the forms: order alone runs the series form,
     n_max alone the enumerative and inequality forms, both or neither every
-    form. An identity with none of the chosen forms yields no report.
+    form. An identity with none of the chosen forms yields no report, but
+    every bound given is checked against its forms' range first.
     """
     desc = get_identity(ident)
+    given = {"order": order, "n_max": n_max}
+    for f in _FORMS.values():
+        if given[f.bound] is not None:
+            _check_bound(f, given[f.bound])
     series_wanted = n_max is None or order is not None
     counts_wanted = order is None or n_max is not None
     reports = []
@@ -1384,15 +1328,23 @@ def run_default_suite(
     """Verify identities over their default parameter grids.
 
     Reports are merged deterministically, sorted by id then parameters then
-    compared range.
+    compared range. An override for a parameter that no selected identity
+    takes raises BadParamsError.
     """
-    selected = list(ids) if ids is not None else list(_REGISTRY)
+    selected = [get_identity(i) for i in (_REGISTRY if ids is None else ids)]
+    taken = {name for desc in selected for name, _, _ in desc.schema}
+    stray = sorted(set(overrides or ()) - taken)
+    if stray:
+        raise BadParamsError(
+            f"{selected[0].id} does not take parameter(s) {stray}"
+            if len(selected) == 1
+            else f"no selected identity takes parameter(s) {stray}"
+        )
     reports: list[VerificationReport] = []
-    for ident in selected:
-        desc = get_identity(ident)
+    for desc in selected:
         for params in expand_grid(desc, overrides):
             reports.extend(
-                verify_identity(ident, params, order=order, n_max=n_max)
+                verify_identity(desc.id, params, order=order, n_max=n_max)
             )
     reports.sort(key=lambda r: (r.id, r.params, r.compared))
     return reports

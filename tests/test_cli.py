@@ -133,7 +133,6 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     # register a deliberately false statement to drive the failure path
     bogus = identities.IdentityDescriptor(
         id="bogus-fail",
-        kind="enumerative-equality",
         statement="always wrong",
         oracle="none",
         default_n_max=5,
@@ -146,6 +145,28 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     row = out.splitlines()[1].split(",")
     assert row[3] == "fail"
     assert row[4:7] == ["1", "1", "0"]  # mismatch triple flattened
+
+
+def test_verify_csv_row_matches_json_record(capsys, monkeypatch):
+    # a failing two-display check fills every optional field of the record
+    bogus = identities.IdentityDescriptor(
+        id="bogus-display",
+        statement="always wrong",
+        oracle="none",
+        default_n_max=3,
+        enum_lhs=lambda p, n: [(0, 1)] * n,
+        enum_rhs=lambda p, n: [(0, 0)] * n,
+    )
+    monkeypatch.setitem(identities._REGISTRY, "bogus-display", bogus)
+    _, out, _ = run(capsys, "verify", "--id", "bogus-display")
+    rec = json.loads(out)[0]
+    _, out, _ = run(capsys, "verify", "--id", "bogus-display", "--format", "csv")
+    assert out.splitlines()[1].split(",") == [
+        "bogus-display", "", "n=1..3", "fail", "1", "1", "0", "0",
+        "always wrong", "display 2 of 2",
+    ]
+    assert rec["firstMismatch"] == [1, 1, 0]
+    assert rec["detail"] == "display 2 of 2"
 
 
 def test_verify_usage_errors(capsys):

@@ -6,6 +6,7 @@ registry shape, report schema, perturbation sensitivity plumbing, parameter
 validation, and a handful of coefficient-level oracles recomputed in-test.
 """
 
+import inspect
 import time
 
 import pytest
@@ -52,11 +53,6 @@ def test_registry_ids_exact_order():
 
 def test_every_descriptor_has_a_form_and_kind():
     for d in idn.list_identities():
-        assert d.kind in (
-            "series-equality",
-            "enumerative-equality",
-            "inequality",
-        )
         assert d.has_series or d.has_enum or d.has_inequality
         if d.has_series:
             assert d.series_rhs is not None and d.default_order is not None
@@ -155,7 +151,7 @@ def test_inequality_sign_and_strictness_are_distinct():
     # cancel the exact value at an n past the threshold: strictness trips
     values = idn.get_identity("ineq-guo-zeng").ineq_values({"k": 1}, 30)
     r = idn.verify_inequality(
-        "ineq-guo-zeng", {"k": 1}, 30, perturb=(10, -values[9])
+        "ineq-guo-zeng", {"k": 1}, 30, perturb=(10, -values[9][0])
     )
     assert r.status == "fail" and r.first_mismatch == (10, 0, 0)
     assert "strictness violation" in r.detail
@@ -166,7 +162,7 @@ def test_boundary_of_strict_threshold_is_tested_literally():
     desc = idn.get_identity("ineq-conj-1-5")
     assert desc.strict_from({"k": 3}) == 9
     values = desc.ineq_values({"k": 3}, 20)
-    r = idn.verify_inequality("ineq-conj-1-5", {"k": 3}, 20, perturb=(9, -values[8]))
+    r = idn.verify_inequality("ineq-conj-1-5", {"k": 3}, 20, perturb=(9, -values[8][0]))
     assert r.status == "fail" and "strictness" in r.detail
 
 
@@ -224,11 +220,9 @@ def _never_built(p, n):
 @pytest.mark.parametrize(
     "verify, builders",
     [
-        (idn.verify_enumerative, dict(kind="enumerative-equality",
-                                      enum_lhs=_never_built,
+        (idn.verify_enumerative, dict(enum_lhs=_never_built,
                                       enum_rhs=_never_built)),
-        (idn.verify_inequality, dict(kind="inequality",
-                                     ineq_values=_never_built)),
+        (idn.verify_inequality, dict(ineq_values=_never_built)),
     ],
     ids=["enum", "ineq"],
 )
@@ -282,6 +276,40 @@ def test_run_default_suite_subset_sorted():
         ("li-truncation", (("k", 2),)),
         ("li-truncation", (("k", 3),)),
     ]
+
+
+def test_bounds_are_checked_even_when_no_form_uses_them():
+    # thm-1-1 has no series form and euler-odd-distinct no counting form,
+    # so these bounds select no form, but an out-of-range bound still fails
+    with pytest.raises(idn.BadParamsError, match="order must be within"):
+        idn.verify_identity("thm-1-1", order=idn.MAX_ORDER + 1)
+    with pytest.raises(idn.BadParamsError, match="n_max must be within"):
+        idn.verify_identity("euler-odd-distinct", n_max=-3)
+
+
+def test_stray_override_is_rejected():
+    with pytest.raises(idn.BadParamsError) as exc:
+        idn.run_default_suite(["gauss"], overrides={"k": (1, 2)})
+    assert str(exc.value) == "gauss does not take parameter(s) ['k']"
+    with pytest.raises(idn.BadParamsError) as exc:
+        idn.run_default_suite(overrides={"zz": (1, 1)})
+    assert str(exc.value) == "no selected identity takes parameter(s) ['zz']"
+
+
+def test_every_side_builder_is_registered():
+    # a builder no descriptor points at is a duplicate or dead code
+    fields = ("series_lhs", "series_rhs", "enum_lhs", "enum_rhs", "ineq_values")
+    used = {getattr(d, f) for d in idn.list_identities() for f in fields}
+    builders = [
+        fn
+        for name, fn in inspect.getmembers(idn, inspect.isfunction)
+        if fn.__module__ == idn.__name__
+        and name != "_rows"
+        and name.endswith(("_lhs", "_rhs", "_rows"))
+    ]
+    assert len(builders) > 40
+    unused = sorted(fn.__name__ for fn in builders if fn not in used)
+    assert unused == []
 
 
 def test_report_jsonable_schema():
