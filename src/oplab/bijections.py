@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 
 from .overpartitions import (
     MEX_2_1,
     Overpartition,
     Part,
+    _checked_int,
     enumerate_overpartitions,
     overline_mex,
     pbar,
@@ -33,7 +35,6 @@ from .overpartitions import (
 
 __all__ = [
     "SetLabel",
-    "ABCClass",
     "BijectionTrace",
     "classify",
     "map_a_to_b",
@@ -54,14 +55,6 @@ class SetLabel(Enum):
 
 
 @dataclass(frozen=True)
-class ABCClass:
-    """Classification of an overpartition together with its weight context."""
-
-    label: SetLabel
-    weight: int
-
-
-@dataclass(frozen=True)
 class BijectionTrace:
     input: Overpartition
     output: Overpartition
@@ -77,7 +70,7 @@ class BijectionTrace:
         }
 
 
-def classify(pi: Overpartition, side: str) -> ABCClass:
+def classify(pi: Overpartition, side: str) -> SetLabel:
     """Classify pi for the weight-down bijection.
 
     side "A": label A when the smallest part exists and is not overlined,
@@ -89,17 +82,16 @@ def classify(pi: Overpartition, side: str) -> ABCClass:
     if side == "A":
         smallest = pi.smallest()
         ok = smallest is not None and not smallest.overlined
-        return ABCClass(SetLabel.A if ok else SetLabel.NONE, pi.weight)
+        return SetLabel.A if ok else SetLabel.NONE
     if side == "B":
         if not pi.has_overline(1):
-            return ABCClass(SetLabel.B, pi.weight)
+            return SetLabel.B
         bigger = [p for p in pi.parts if p.value >= 2]
         if not bigger:
-            return ABCClass(SetLabel.B, pi.weight)
+            return SetLabel.B
         threshold = 2 + pi.plain_count(1)  # compared as a plain part
         smallest_big = min(bigger, key=lambda p: p.rank)
-        label = SetLabel.B if smallest_big.rank >= 2 * threshold else SetLabel.C
-        return ABCClass(label, pi.weight)
+        return SetLabel.B if smallest_big.rank >= 2 * threshold else SetLabel.C
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
@@ -107,7 +99,7 @@ def map_a_to_b(pi: Overpartition) -> tuple[Overpartition, BijectionTrace]:
     """Send an overpartition with non-overlined smallest part t to weight-1
     less: delete t when t = 1, otherwise replace t by t-2 plain 1s and an
     overlined 1."""
-    if classify(pi, "A").label is not SetLabel.A:
+    if classify(pi, "A") is not SetLabel.A:
         raise ValueError("input must have a non-overlined smallest part")
     t = pi.parts[-1].value
     rest = pi.parts[:-1]
@@ -126,8 +118,7 @@ def map_b_to_a(lam: Overpartition) -> Overpartition:
     """Inverse of map_a_to_b. The case split is read off the presence of an
     overlined 1: absent means append a plain 1, present means gather the
     overlined 1 and the r plain 1s back into a plain part r+2."""
-    cls = classify(lam, "B")
-    if cls.label is SetLabel.C:
+    if classify(lam, "B") is SetLabel.C:
         raise ValueError("input lies in the complement class C")
     if not lam.has_overline(1):
         return Overpartition(lam.parts + (Part(1, False),))
@@ -139,8 +130,7 @@ def map_b_to_a(lam: Overpartition) -> Overpartition:
 
 def c_witness(n: int) -> Overpartition:
     """An explicit member of C(n-1) for n >= 4: (2bar, 1^(n-4), 1bar)."""
-    if n < 4:
-        raise ValueError("the complement class is empty below weight 3")
+    _checked_int(n, 4, inf, "the complement class is empty below weight 3")
     return Overpartition(
         (Part(2, True),) + (Part(1, False),) * (n - 4) + (Part(1, True),)
     )
@@ -150,8 +140,7 @@ def staircase_insert(
     mu: Overpartition, j: int
 ) -> tuple[Overpartition, BijectionTrace]:
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    _checked_int(j, 1, inf, "j must be >= 1")
     stairs = [Part(2 * i - 1, False) for i in range(1, j + 1)]
     out = Overpartition.of(*mu.parts, *stairs)
     return out, BijectionTrace(mu, out, "insert", j * j)
@@ -163,8 +152,7 @@ def staircase_remove(
     """Remove one plain copy of each of 1, 3, ..., 2j-1; the inverse of
     staircase_insert. Requires every odd value below 2j as a plain part,
     which is exactly the overline-mex >= 2j+1 precondition."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    _checked_int(j, 1, inf, "j must be >= 1")
     needed = [2 * i - 1 for i in range(1, j + 1)]
     parts = list(lam.parts)
     for v in needed:
@@ -181,24 +169,23 @@ def staircase_remove(
 
 # -- exhaustive checks used by the identity harness and the CLI -------------
 
-def check_weight_down(n: int, cap: int | None = None) -> dict:
+def check_weight_down(n: int) -> dict:
     """Exhaustively verify the weight-down bijection at weight n.
 
     Returns a dict of counts and flags: sizes of A(n), B(n-1), C(n-1), how
     many distinct images actually land in B(n-1), whether every round trip
     returns the original, and whether the witness behaves when n >= 4.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checked_int(n, 1, inf, "n must be >= 1")
     a_side = [
         pi
-        for pi in enumerate_overpartitions(n, cap)
-        if classify(pi, "A").label is SetLabel.A
+        for pi in enumerate_overpartitions(n)
+        if classify(pi, "A") is SetLabel.A
     ]
     b_set: set[Overpartition] = set()
     c_count = 0
-    for lam in enumerate_overpartitions(n - 1, cap):
-        if classify(lam, "B").label is SetLabel.B:
+    for lam in enumerate_overpartitions(n - 1):
+        if classify(lam, "B") is SetLabel.B:
             b_set.add(lam)
         else:
             c_count += 1
@@ -221,7 +208,7 @@ def check_weight_down(n: int, cap: int | None = None) -> dict:
     if n >= 4:
         w = c_witness(n)
         witness_ok = (
-            w.weight == n - 1 and classify(w, "B").label is SetLabel.C
+            w.weight == n - 1 and classify(w, "B") is SetLabel.C
         )
 
     return {
@@ -246,15 +233,15 @@ def check_weight_down(n: int, cap: int | None = None) -> dict:
     }
 
 
-def check_staircase(n: int, j: int, cap: int | None = None) -> dict:
+def check_staircase(n: int, j: int) -> dict:
     """Exhaustively verify the staircase bijection between overpartitions of
     n - j^2 and overpartitions of n with overline-mex at least 2j+1."""
-    if j < 1 or j * j > n:
-        raise ValueError("need 1 <= j and j^2 <= n")
-    source = enumerate_overpartitions(n - j * j, cap)
+    _checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
+    _checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
+    source = enumerate_overpartitions(n - j * j)
     target = {
         pi
-        for pi in enumerate_overpartitions(n, cap)
+        for pi in enumerate_overpartitions(n)
         if overline_mex(pi, MEX_2_1) >= 2 * j + 1
     }
     images: set[Overpartition] = set()

@@ -1,9 +1,11 @@
 """Command-line front end: verification runs, count tables, bijection demos.
 
 Exit codes: 0 when every requested check passes, 1 when any verification
-fails, 2 on usage errors (unknown id, malformed ranges, out-of-bounds
-parameters, --order or --n-max past MAX_ORDER, enumeration cap exceeded or
-OPLAB_ENUM_CAP malformed).
+fails, 2 on usage errors. Beyond argparse and the flag checks (--order and
+--n-max against MAX_ORDER, which flags a stat or bijection takes), the
+library rejects every input: main maps its UnknownIdentityError and
+BadParamsError (a value out of range or of the wrong type, the enumeration
+cap exceeded, OPLAB_ENUM_CAP malformed) to exit 2 in one place.
 
 Output is deterministic: identical invocations produce byte-identical
 bytes. Wall-clock timings are therefore reported as 0 unless --timings is
@@ -171,27 +173,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(
             f"--n-max must be within 1..{identities.MAX_ORDER}"
         )
-    try:
-        reports = identities.run_default_suite(
-            None if args.all else [args.id],
-            order=args.order,
-            n_max=args.n_max,
-            overrides=overrides,
-        )
-    except (
-        identities.UnknownIdentityError,
-        identities.BadParamsError,
-        op.EnumerationCapError,
-    ) as exc:
-        return _usage_error(str(exc))
+    reports = identities.run_default_suite(
+        None if args.all else [args.id],
+        order=args.order,
+        n_max=args.n_max,
+        overrides=overrides,
+    )
     if args.format == "csv":
         sys.stdout.write(_reports_csv(reports, args.timings))
     else:
         _emit_json([r.to_jsonable(include_timing=args.timings) for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 
-
-_STAT_FLOOR = {"op21": 0, "mbar": 0, "nbar": 1, "mk": 1}
 
 _STAT_FN = {
     "op21": op.op21,
@@ -206,31 +199,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return _usage_error(
             f"--n-max must be within 1..{identities.MAX_ORDER}"
         )
-    try:
-        if args.stat == "pbar":
-            if args.k is not None:
-                return _usage_error("--k does not apply to stat pbar")
-            rows = [(n, op.pbar(n)) for n in range(1, args.n_max + 1)]
-            header = "n,value"
-            json_rows = [{"n": n, "value": v} for n, v in rows]
-        else:
-            if args.k is None:
-                return _usage_error(f"stat {args.stat} requires --k")
-            k_lo, k_hi = args.k
-            if k_lo < _STAT_FLOOR[args.stat]:
-                return _usage_error(
-                    f"stat {args.stat} requires k >= {_STAT_FLOOR[args.stat]}"
-                )
-            fn = _STAT_FN[args.stat]
-            rows = [
-                (n, k, fn(n, k))
-                for n in range(1, args.n_max + 1)
-                for k in range(k_lo, k_hi + 1)
-            ]
-            header = "n,k,value"
-            json_rows = [{"n": n, "k": k, "value": v} for n, k, v in rows]
-    except op.EnumerationCapError as exc:
-        return _usage_error(str(exc))
+    if args.stat == "pbar":
+        if args.k is not None:
+            return _usage_error("--k does not apply to stat pbar")
+        rows = [(n, op.pbar(n)) for n in range(1, args.n_max + 1)]
+        header = "n,value"
+        json_rows = [{"n": n, "value": v} for n, v in rows]
+    else:
+        if args.k is None:
+            return _usage_error(f"stat {args.stat} requires --k")
+        k_lo, k_hi = args.k
+        fn = _STAT_FN[args.stat]
+        rows = [
+            (n, k, fn(n, k))
+            for n in range(1, args.n_max + 1)
+            for k in range(k_lo, k_hi + 1)
+        ]
+        header = "n,k,value"
+        json_rows = [{"n": n, "k": k, "value": v} for n, k, v in rows]
     if args.format == "csv":
         lines = [header] + [",".join(str(x) for x in row) for row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
@@ -258,7 +244,7 @@ def _section3_payload(n: int, trace: bool) -> dict:
     if trace:
         traces = []
         for pi in op.enumerate_overpartitions(n):
-            if bijections.classify(pi, "A").label is bijections.SetLabel.A:
+            if bijections.classify(pi, "A") is bijections.SetLabel.A:
                 _, tr = bijections.map_a_to_b(pi)
                 traces.append(tr.to_jsonable())
         payload["traces"] = traces
@@ -287,20 +273,13 @@ def _lemma41_payload(n: int, j: int, trace: bool) -> dict:
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        return _usage_error("--n must be >= 1")
-    try:
-        if args.which == "section3":
-            if args.j is not None:
-                return _usage_error("--j applies only to lemma41")
-            payload = _section3_payload(args.n, args.trace)
-        else:
-            j = 1 if args.j is None else args.j
-            if j < 1 or j * j > args.n:
-                return _usage_error(f"need 1 <= j and j^2 <= n, got j={j}")
-            payload = _lemma41_payload(args.n, j, args.trace)
-    except op.EnumerationCapError as exc:
-        return _usage_error(str(exc))
+    if args.which == "section3":
+        if args.j is not None:
+            return _usage_error("--j applies only to lemma41")
+        payload = _section3_payload(args.n, args.trace)
+    else:
+        j = 1 if args.j is None else args.j
+        payload = _lemma41_payload(args.n, j, args.trace)
     _emit_json(payload)
     if args.check and not payload["ok"]:
         return 1
@@ -314,19 +293,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2
-    if args.command != "list":
-        # every other command may enumerate; reject a bad cap setting up front
-        try:
-            op.enumeration_cap()
-        except ValueError as exc:
-            return _usage_error(str(exc))
     handlers = {
         "list": _cmd_list,
         "verify": _cmd_verify,
         "table": _cmd_table,
         "bijection": _cmd_bijection,
     }
-    return handlers[args.command](args)
+    try:
+        if args.command != "list":
+            # every other command may enumerate; reject a bad cap up front
+            op.enumeration_cap()
+        return handlers[args.command](args)
+    except (identities.UnknownIdentityError, op.BadParamsError) as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

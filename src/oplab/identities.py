@@ -36,6 +36,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 from . import bijections
 from . import overpartitions as op
 from . import series
+from .overpartitions import BadParamsError, _checked_int
 from .series import TruncatedSeries, _div_factor_into, _times_factor_into
 
 __all__ = [
@@ -66,10 +67,6 @@ Outcome = Tuple[Optional[Tuple[int, int, int]], Optional[str]]
 class UnknownIdentityError(KeyError):
     def __str__(self) -> str:  # KeyError would repr-quote the message
         return str(self.args[0]) if self.args else ""
-
-
-class BadParamsError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -255,21 +252,11 @@ def _mbar_gf(kappa: int, order: int) -> TruncatedSeries:
     return _large_tail(kappa, order).scale(2)
 
 
-def _gen_pentagonal_terms(ell: int, bound: int) -> list[tuple[int, int]]:
-    """(j, ell*j*(3j-1)/2) for all integers j with the exponent <= bound."""
-    out = [(0, 0)]
-    j = 1
-    while True:
-        g_pos = ell * j * (3 * j - 1) // 2
-        g_neg = ell * j * (3 * j + 1) // 2
-        if g_pos > bound and g_neg > bound:
-            break
-        if g_pos <= bound:
-            out.append((j, g_pos))
-        if g_neg <= bound:
-            out.append((-j, g_neg))
-        j += 1
-    return out
+def _op21_gf(k: int, order: int) -> TruncatedSeries:
+    """(-q;q)oo/(q;q)oo sum_{j>=0} q^((k+2j+1)^2) (1-q^(2k+4j+3)): the pbar
+    table times the odd-square theta tail, by gen-op the generating function
+    of op21(n|k+1)."""
+    return _gf(op._pbar_table, order) * _odd_square_theta(k, order)
 
 
 # -- series builders ----------------------------------------------------------
@@ -363,8 +350,7 @@ def _li_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _cor26_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    inner = _gf(op._pbar_table, order) * _odd_square_theta(k, order)
-    return series.one(order) + inner.scale(2 * _sign(k))
+    return series.one(order) + _op21_gf(k, order).scale(2 * _sign(k))
 
 
 def _cor29_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -406,20 +392,14 @@ def _euler_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _yao_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    """Built from enumerated counts: coefficient n is the alternating sum of
-    the repeated-first-large-part count over generalized pentagonal shifts
-    dilated by ell; weights below 1 contribute nothing."""
-    k, ell = p["k"], p["ell"]
-    terms = _gen_pentagonal_terms(ell, order)
-    c = [0] * (order + 1)
-    for n in range(1, order + 1):
-        total = 0
-        for j, g in terms:
-            m = n - g
-            if m >= 1:
-                total += _sign(j) * op.mbar(m, k)
-        c[n] = total
-    return TruncatedSeries(order, c)
+    """Built from enumerated counts: the repeated-first-large-part counts
+    (0 at weight 0) times Euler's pentagonal sum for (q^ell;q^ell)oo, so
+    coefficient n is their alternating sum over the dilated generalized
+    pentagonal shifts."""
+    k = p["k"]
+    counts = [0] + [op.mbar(m, k) for m in range(1, order + 1)]
+    pent = series.pentagonal_series(order, p["ell"])
+    return pent * TruncatedSeries(order, counts)
 
 
 def _yao_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -552,8 +532,7 @@ def _gen_op_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 
 def _gen_op_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    k = p["k"]
-    s = _gf(op._pbar_table, n_max) * _odd_square_theta(k, n_max)
+    s = _op21_gf(p["k"], n_max)
     return [(s.coeff(n),) for n in range(1, n_max + 1)]
 
 
@@ -1092,10 +1071,9 @@ def _validate_params(
         raise BadParamsError(f"{desc.id} requires parameter(s) {missing}")
     for name, lo, hi in desc.schema:
         v = given[name]
-        if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
-            raise BadParamsError(
-                f"{desc.id}: parameter {name}={v!r} outside {lo}..{hi}"
-            )
+        _checked_int(
+            v, lo, hi, f"{desc.id}: parameter {name}={v!r} outside {lo}..{hi}"
+        )
     if desc.requires_m_le_k and given["m"] > given["k"]:
         raise BadParamsError(f"{desc.id}: requires m <= k, got {given}")
     return given
@@ -1173,10 +1151,10 @@ _FORMS = {
 
 
 def _check_bound(f: _Form, n: int | None) -> None:
-    if n is None or not f.low <= n <= MAX_ORDER:
-        raise BadParamsError(
-            f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {n}"
-        )
+    _checked_int(
+        n, f.low, MAX_ORDER,
+        f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {n}",
+    )
 
 
 def _verify(
@@ -1196,9 +1174,13 @@ def _verify(
     p = _validate_params(desc, params)
     n = getattr(desc, f"default_{f.bound}") if bound is None else bound
     _check_bound(f, n)
-    if perturb is not None and not f.low <= perturb[0] <= n:
-        raise BadParamsError(
-            f"perturbation index {perturb[0]} outside {f.low}..{n}"
+    if perturb is not None:
+        idx, delta = perturb
+        _checked_int(
+            idx, f.low, n, f"perturbation index {idx} outside {f.low}..{n}"
+        )
+        _checked_int(
+            delta, -math.inf, math.inf, f"perturbation delta {delta!r} not an int"
         )
     t0 = perf_counter()
     mismatch, detail = f.check(desc, p, n, perturb)
@@ -1301,11 +1283,11 @@ def expand_grid(
         if overrides and name in overrides:
             lo, hi = overrides[name]
             b_lo, b_hi = bounds[name]
-            if lo > hi or lo < b_lo or hi > b_hi:
-                raise BadParamsError(
-                    f"{desc.id}: range {lo}..{hi} for {name} outside "
-                    f"{b_lo}..{b_hi}"
-                )
+            message = (
+                f"{desc.id}: range {lo}..{hi} for {name} outside {b_lo}..{b_hi}"
+            )
+            _checked_int(lo, b_lo, b_hi, message)
+            _checked_int(hi, lo, b_hi, message)  # an empty range fails too
         ranges.append((name, lo, hi))
     grids = []
     for combo in itertools.product(

@@ -11,12 +11,20 @@ its parts as a tuple sorted largest first in that order, so the final entry
 is the smallest part. Everything in this module is exact integer counting;
 generating-function coefficients are used only where enumeration would be
 wasteful (large-n counts), and tests pin the two routes against each other.
+
+Every caller-supplied integer (a weight, a k, a MexQuery field) goes
+through one check, _checked_int: an int, not a bool, within its range.
+A value that fails it, a weight above the enumeration cap and a malformed
+OPLAB_ENUM_CAP all raise BadParamsError, the package's one rejected-input
+error, which the identities layer re-exports and the CLI maps to exit 2.
+The cap is moved only through OPLAB_ENUM_CAP.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from math import inf
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -29,6 +37,7 @@ __all__ = [
     "Partition",
     "MexQuery",
     "MEX_2_1",
+    "BadParamsError",
     "EnumerationCapError",
     "DEFAULT_ENUMERATION_CAP",
     "ENUMERATION_CAP_ENV",
@@ -45,6 +54,19 @@ __all__ = [
     "nbar",
     "mk_stat",
 ]
+
+
+class BadParamsError(ValueError):
+    """A caller-supplied value was rejected: of the wrong type, out of its
+    range, past the enumeration cap, or a malformed OPLAB_ENUM_CAP."""
+
+
+def _checked_int(v: object, lo: float, hi: float, message: str) -> int:
+    """v when it is an int, not a bool, with lo <= v <= hi (an infinite bound
+    leaves that side open); otherwise BadParamsError(message)."""
+    if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
+        raise BadParamsError(message)
+    return v
 
 
 class Part(NamedTuple):
@@ -160,10 +182,11 @@ class MexQuery:
     residue: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if not (1 <= self.residue <= self.modulus):
-            raise ValueError("residue must satisfy 1 <= residue <= modulus")
+        _checked_int(self.modulus, 1, inf, "modulus must be >= 1")
+        _checked_int(
+            self.residue, 1, self.modulus,
+            "residue must satisfy 1 <= residue <= modulus",
+        )
 
 
 MEX_2_1 = MexQuery(2, 1)
@@ -172,13 +195,13 @@ DEFAULT_ENUMERATION_CAP = 30
 ENUMERATION_CAP_ENV = "OPLAB_ENUM_CAP"
 
 
-class EnumerationCapError(ValueError):
+class EnumerationCapError(BadParamsError):
     """Raised when an exhaustive enumeration is asked beyond the safety cap."""
 
     def __init__(self, n: int, cap: int) -> None:
         super().__init__(
             f"enumeration of weight {n} exceeds the cap {cap}; raise the cap "
-            f"explicitly or via the {ENUMERATION_CAP_ENV} environment variable"
+            f"via the {ENUMERATION_CAP_ENV} environment variable"
         )
         self.n = n
         self.cap = cap
@@ -187,7 +210,7 @@ class EnumerationCapError(ValueError):
 def enumeration_cap() -> int:
     """Active enumeration cap (environment override or the default 30).
 
-    Raises ValueError when the environment value is not a non-negative
+    Raises BadParamsError when the environment value is not a non-negative
     integer."""
     raw = os.environ.get(ENUMERATION_CAP_ENV)
     if raw is None:
@@ -198,15 +221,18 @@ def enumeration_cap() -> int:
             return cap
     except ValueError:
         pass
-    raise ValueError(
+    raise BadParamsError(
         f"{ENUMERATION_CAP_ENV} must be a non-negative integer, got {raw!r}"
     )
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
-        raise EnumerationCapError(n, limit)
+def _check_weight(n: int, lo: int, message: str) -> None:
+    """n is an int, not a bool, at least lo (else message) and within the
+    enumeration cap (else EnumerationCapError)."""
+    _checked_int(n, lo, inf, message)
+    cap = enumeration_cap()
+    if n > cap:
+        raise EnumerationCapError(n, cap)
 
 
 def _value_blocks(remaining: int, max_value: int):
@@ -235,17 +261,13 @@ def _overpartitions_of(n: int) -> tuple[Overpartition, ...]:
     return tuple(result)
 
 
-def enumerate_overpartitions(
-    n: int, cap: int | None = None
-) -> tuple[Overpartition, ...]:
+def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
     """All overpartitions of n in a fixed deterministic order.
 
     Exhaustive enumeration grows like the overpartition numbers themselves,
     so weights above the cap (default 30) are refused rather than attempted.
     """
-    if n < 0:
-        raise ValueError("weight must be >= 0")
-    _check_cap(n, cap)
+    _check_weight(n, 0, "weight must be >= 0")
     return _overpartitions_of(n)
 
 
@@ -259,11 +281,9 @@ def _partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(result)
 
 
-def enumerate_partitions(n: int, cap: int | None = None) -> tuple[Partition, ...]:
+def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All ordinary partitions of n, deterministically ordered."""
-    if n < 0:
-        raise ValueError("weight must be >= 0")
-    _check_cap(n, cap)
+    _check_weight(n, 0, "weight must be >= 0")
     return _partitions_of(n)
 
 
@@ -408,32 +428,25 @@ def _column(col: tuple[int, ...], k: int) -> int:
     return col[k] if k < len(col) else 0
 
 
-def op_class_counts(
-    n: int, query: MexQuery = MEX_2_1, cap: int | None = None
-) -> tuple[int, int]:
+def op_class_counts(n: int, query: MexQuery = MEX_2_1) -> tuple[int, int]:
     """Split pbar(n) by the residue of the overline-mex mod 2*modulus.
 
     The mex is always congruent to the residue mod the modulus, so mod twice
     the modulus it falls in one of exactly two classes; returns (low, high)
     where low counts mex = residue and high counts mex = residue + modulus.
     """
-    if n < 0:
-        raise ValueError("weight must be >= 0")
-    _check_cap(n, cap)
+    _check_weight(n, 0, "weight must be >= 0")
     two_a = 2 * query.modulus
     weights = _mex_weights(n, query)
     low = sum(w for m, w in weights if m % two_a == query.residue % two_a)
     return low, sum(w for _, w in weights) - low
 
 
-def op21(n: int, k: int, cap: int | None = None) -> int:
+def op21(n: int, k: int) -> int:
     """Count overpartitions of n whose overline-mex m (mod 2, residue 1)
     satisfies m >= 2k+1 and m = 2k+1 mod 4."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    _check_cap(n, cap)
+    _check_weight(n, 1, "n must be >= 1")
+    _checked_int(k, 0, inf, "op21 requires k >= 0")
     bound = 2 * k + 1
     target = bound % 4
     return sum(
@@ -441,36 +454,27 @@ def op21(n: int, k: int, cap: int | None = None) -> int:
     )
 
 
-def mbar(n: int, k: int, cap: int | None = None) -> int:
+def mbar(n: int, k: int) -> int:
     """Count overpartitions of n whose smallest part value above k exists and
     occurs at least k+1 times, overlined and plain occurrences together."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    _check_cap(n, cap)
+    _check_weight(n, 1, "n must be >= 1")
+    _checked_int(k, 0, inf, "mbar requires k >= 0")
     return _column(_shape_tables(n).mbar, k)
 
 
-def nbar(n: int, k: int, cap: int | None = None) -> int:
+def nbar(n: int, k: int) -> int:
     """Count overpartitions of n in which, after exempting an overlined k if
     present, the smallest remaining part of value >= k exists, is not
     overlined, and its value occurs exactly k times among the non-exempt
     parts."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_cap(n, cap)
+    _check_weight(n, 1, "n must be >= 1")
+    _checked_int(k, 1, inf, "nbar requires k >= 1")
     return _column(_shape_tables(n).nbar, k)
 
 
-def mk_stat(n: int, k: int, cap: int | None = None) -> int:
+def mk_stat(n: int, k: int) -> int:
     """Count ordinary partitions of n whose least non-part is exactly k and
     which have more parts above k than below k."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_cap(n, cap)
+    _check_weight(n, 1, "n must be >= 1")
+    _checked_int(k, 1, inf, "mk_stat requires k >= 1")
     return _column(_shape_tables(n).mk, k)

@@ -1,0 +1,104 @@
+"""One input contract: every caller-supplied integer is an int, not a bool,
+within its range, and every rejection is a BadParamsError.
+
+Each row names an entry point, a call taking the value under test and one
+int just outside that value's range; the call must reject that int, True
+and the float 2.0 alike.
+"""
+
+import pytest
+
+from oplab import bijections as bj
+from oplab import identities as idn
+from oplab import overpartitions as op
+from oplab.overpartitions import Overpartition
+
+_MU = Overpartition.of(3, 1)
+
+ENTRY_POINTS = {
+    "verify_series order": (lambda v: idn.verify_series("gauss", order=v), -1),
+    "verify_enumerative n_max": (
+        lambda v: idn.verify_enumerative("thm-2-2", n_max=v), 0
+    ),
+    "verify_inequality n_max": (
+        lambda v: idn.verify_inequality("ineq-xyz", {"k": 1}, n_max=v),
+        idn.MAX_ORDER + 1,
+    ),
+    "verify_identity order": (
+        lambda v: idn.verify_identity("gauss", order=v), idn.MAX_ORDER + 1
+    ),
+    "verify_identity n_max": (
+        lambda v: idn.verify_identity("euler-odd-distinct", n_max=v), 0
+    ),
+    "parameter k": (lambda v: idn.verify_series("li-truncation", {"k": v}), 0),
+    "perturbation index": (
+        lambda v: idn.verify_series("gauss", order=10, perturb=(v, 1)), 11
+    ),
+    "perturbation delta": (
+        lambda v: idn.verify_series("gauss", order=10, perturb=(3, v)), None
+    ),
+    "override range": (
+        lambda v: idn.run_default_suite(["li-truncation"], order=5,
+                                        overrides={"k": (v, v)}),
+        65,
+    ),
+    "expand_grid override high end": (
+        lambda v: idn.expand_grid(idn.get_identity("li-truncation"),
+                                  {"k": (2, v)}),
+        1,
+    ),
+    "MexQuery modulus": (lambda v: op.MexQuery(v, 1), 0),
+    "MexQuery residue": (lambda v: op.MexQuery(2, v), 3),
+    "enumerate_overpartitions": (op.enumerate_overpartitions, -1),
+    "enumerate_partitions": (op.enumerate_partitions, -1),
+    "op_class_counts": (op.op_class_counts, -1),
+    "op21 n": (lambda v: op.op21(v, 1), 0),
+    "op21 k": (lambda v: op.op21(5, v), -1),
+    "mbar n": (lambda v: op.mbar(v, 0), 0),
+    "mbar k": (lambda v: op.mbar(5, v), -1),
+    "nbar n": (lambda v: op.nbar(v, 1), 0),
+    "nbar k": (lambda v: op.nbar(5, v), 0),
+    "mk_stat n": (lambda v: op.mk_stat(v, 1), 0),
+    "mk_stat k": (lambda v: op.mk_stat(5, v), 0),
+    "check_weight_down": (bj.check_weight_down, 0),
+    "check_staircase n": (lambda v: bj.check_staircase(v, 1), 0),
+    "check_staircase j": (lambda v: bj.check_staircase(4, v), 3),
+    "staircase_insert": (lambda v: bj.staircase_insert(_MU, v), 0),
+    "staircase_remove": (lambda v: bj.staircase_remove(_MU, v), 0),
+    "c_witness": (bj.c_witness, 3),
+}
+
+CASES = [
+    pytest.param(call, value, id=f"{name}-{value!r}")
+    for name, (call, outside) in ENTRY_POINTS.items()
+    for value in (True, 2.0, outside)
+    if value is not None
+]
+
+
+@pytest.mark.parametrize("call, value", CASES)
+def test_entry_point_rejects_with_bad_params_error(call, value):
+    with pytest.raises(op.BadParamsError):
+        call(value)
+
+
+def test_one_rejection_error_class():
+    assert idn.BadParamsError is op.BadParamsError
+    assert issubclass(op.EnumerationCapError, op.BadParamsError)
+    assert issubclass(op.BadParamsError, ValueError)
+    with pytest.raises(op.BadParamsError) as exc:
+        op.mbar(op.DEFAULT_ENUMERATION_CAP + 1, 1)
+    assert type(exc.value) is op.EnumerationCapError
+
+
+def test_malformed_cap_is_a_bad_params_error(monkeypatch):
+    monkeypatch.setenv(op.ENUMERATION_CAP_ENV, "abc")
+    with pytest.raises(op.BadParamsError, match=op.ENUMERATION_CAP_ENV):
+        op.enumeration_cap()
+    with pytest.raises(op.BadParamsError, match=op.ENUMERATION_CAP_ENV):
+        op.op21(4, 1)
+
+
+def test_staircase_rejection_names_the_bound():
+    with pytest.raises(op.BadParamsError, match=r"j\^2 <= n"):
+        bj.check_staircase(3, 2)

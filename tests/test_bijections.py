@@ -1,11 +1,13 @@
 """Bijection layer: frozen small cases, exhaustive sweeps, trace audits."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oplab import bijections as bj
 from oplab import overpartitions as op
 from oplab.bijections import SetLabel
-from oplab.overpartitions import Overpartition
+from oplab.overpartitions import Overpartition, Part
 
 
 def _ov(*parts):
@@ -26,16 +28,16 @@ def test_classify_weight_3_split():
     }
     b, c = set(), set()
     for pi in op.enumerate_overpartitions(3):
-        label = bj.classify(pi, "B").label
+        label = bj.classify(pi, "B")
         (b if label is SetLabel.B else c).add(pi)
     assert b == expected_b
     assert c == {_ov((2, True), (1, True))}
 
 
 def test_classify_a_side():
-    assert bj.classify(_ov(3, 1), "A").label is SetLabel.A
-    assert bj.classify(_ov(3, (1, True)), "A").label is SetLabel.NONE
-    assert bj.classify(_ov(), "A").label is SetLabel.NONE
+    assert bj.classify(_ov(3, 1), "A") is SetLabel.A
+    assert bj.classify(_ov(3, (1, True)), "A") is SetLabel.NONE
+    assert bj.classify(_ov(), "A") is SetLabel.NONE
     with pytest.raises(ValueError):
         bj.classify(_ov(1), "X")
 
@@ -74,7 +76,7 @@ def test_c_witness():
     w = bj.c_witness(7)
     assert w == _ov((2, True), 1, 1, 1, (1, True))
     assert w.weight == 6
-    assert bj.classify(w, "B").label is SetLabel.C
+    assert bj.classify(w, "B") is SetLabel.C
     with pytest.raises(ValueError):
         bj.c_witness(3)
 
@@ -100,7 +102,7 @@ def test_trace_preserves_overlines_above_smallest():
     # and the spread case adds exactly the overlined 1
     for n in range(1, 11):
         for pi in op.enumerate_overpartitions(n):
-            if bj.classify(pi, "A").label is not SetLabel.A:
+            if bj.classify(pi, "A") is not SetLabel.A:
                 continue
             out, tr = bj.map_a_to_b(pi)
             before = {p.value for p in pi.parts if p.overlined}
@@ -161,3 +163,62 @@ def test_staircase_bijection_exhaustive():
 def test_check_weight_down_validation():
     with pytest.raises(ValueError):
         bj.check_weight_down(0)
+
+
+# -- properties past the enumeration cap ------------------------------------
+
+MAX_WEIGHT = 200
+
+# half the values are small, so overlined 1s and the gap condition around
+# them (classes B and C) come up often
+_BLOCKS = st.lists(
+    st.tuples(st.integers(1, 3) | st.integers(1, 60), st.integers(1, 6),
+              st.booleans()),
+    unique_by=lambda block: block[0],
+    max_size=14,
+)
+
+
+@st.composite
+def overpartitions(draw):
+    """A canonical overpartition built from (value, multiplicity, overline)
+    blocks, largest value first, dropping any block that would take the
+    weight past MAX_WEIGHT. An overlined block ends in its one overlined
+    copy, which sits just below the plain copies in the part order."""
+    parts, weight = [], 0
+    for value, count, overlined in sorted(draw(_BLOCKS), reverse=True):
+        if weight + value * count > MAX_WEIGHT:
+            continue
+        weight += value * count
+        parts += [Part(value, False)] * (count - 1) + [Part(value, overlined)]
+    return Overpartition(tuple(parts))
+
+
+@settings(deadline=None)
+@given(overpartitions())
+def test_weight_down_round_trip_past_the_cap(pi):
+    assume(bj.classify(pi, "A") is SetLabel.A)
+    lam, trace = bj.map_a_to_b(pi)
+    assert bj.classify(lam, "B") is SetLabel.B
+    assert lam.weight == pi.weight - 1 and trace.weight_delta == -1
+    assert bj.map_b_to_a(lam) == pi
+
+
+@settings(deadline=None)
+@given(overpartitions())
+def test_weight_down_inverse_round_trip_past_the_cap(lam):
+    assume(bj.classify(lam, "B") is SetLabel.B)
+    pi = bj.map_b_to_a(lam)
+    assert bj.classify(pi, "A") is SetLabel.A
+    assert pi.weight == lam.weight + 1
+    assert bj.map_a_to_b(pi)[0] == lam
+
+
+@settings(deadline=None)
+@given(overpartitions(), st.integers(1, 12))
+def test_staircase_round_trip_past_the_cap(mu, j):
+    lam, trace = bj.staircase_insert(mu, j)
+    assert lam.weight == mu.weight + j * j and trace.weight_delta == j * j
+    assert op.overline_mex(lam) >= 2 * j + 1
+    back, trace = bj.staircase_remove(lam, j)
+    assert back == mu and trace.weight_delta == -j * j

@@ -370,12 +370,25 @@ def test_tail_sum_empty_when_shift_exceeds_order():
     assert idn._tail_sum(10, 4, 3, 0).is_zero()
 
 
-def test_pentagonal_terms_generator():
-    terms = dict(idn._gen_pentagonal_terms(1, 15))
-    assert terms[0] == 0 and terms[1] == 1 and terms[-1] == 2
-    assert terms[2] == 5 and terms[-2] == 7 and terms[3] == 12
-    dil = dict(idn._gen_pentagonal_terms(3, 20))
-    assert dil[1] == 3 and dil[-1] == 6 and dil[2] == 15
+def ref_yao_lhs(k, ell, order):
+    """sum_j (-1)^j mbar(n - ell j(3j-1)/2, k) over every integer j, term by
+    term; weights below 1 contribute nothing."""
+    c = [0] * (order + 1)
+    for n in range(1, order + 1):
+        for j in range(-n, n + 1):  # |j| <= j(3j-1)/2, so no term is missed
+            m = n - ell * j * (3 * j - 1) // 2
+            if m >= 1:
+                c[n] += (-1) ** abs(j) * op.mbar(m, k)
+    return tuple(c)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 20])
+def test_yao_lhs_matches_termwise_pentagonal_sum(order):
+    desc = idn.get_identity("yao")
+    for k in range(1, 5):
+        for ell in range(1, 5):
+            got = desc.series_lhs({"k": k, "ell": ell}, order).coeffs
+            assert got == ref_yao_lhs(k, ell, order), (k, ell)
 
 
 # -- the summand recurrences against the summands built one by one ----------

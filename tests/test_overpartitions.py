@@ -217,10 +217,6 @@ def test_enumeration_cap_default():
         op.enumerate_partitions(31)
     with pytest.raises(EnumerationCapError):
         op.op21(31, 1)
-    # explicit cap argument overrides the default in both directions
-    with pytest.raises(EnumerationCapError):
-        op.enumerate_overpartitions(9, cap=8)
-    assert len(op.enumerate_overpartitions(8, cap=8)) == op.pbar(8)
 
 
 def test_enumeration_cap_env_override(monkeypatch):
