@@ -14,7 +14,9 @@ t >= 2 into t-2 plain 1s plus an overlined 1.
 
 The second inserts the odd staircase 1, 3, ..., 2j-1 as plain parts, adding
 weight j^2 and forcing the overline-mex (mod 2, residue 1) to at least
-2j+1; removal is its inverse.
+2j+1; removal is its inverse. Each check maps its source weight there and
+back, and tests every image for membership in the target class and the
+number of distinct images against a separate count of that class.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .overpartitions import (
     Part,
     _checked_int,
     enumerate_overpartitions,
+    op21,
     overline_mex,
     pbar,
 )
@@ -90,8 +93,8 @@ def classify(pi: Overpartition, side: str) -> SetLabel:
         if not bigger:
             return SetLabel.B
         threshold = 2 + pi.plain_count(1)  # compared as a plain part
-        smallest_big = min(bigger, key=lambda p: p.rank)
-        return SetLabel.B if smallest_big.rank >= 2 * threshold else SetLabel.C
+        # parts run largest first, so the last one of value >= 2 is smallest
+        return SetLabel.B if bigger[-1].rank >= 2 * threshold else SetLabel.C
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
@@ -141,8 +144,10 @@ def staircase_insert(
 ) -> tuple[Overpartition, BijectionTrace]:
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
     _checked_int(j, 1, inf, "j must be >= 1")
-    stairs = [Part(2 * i - 1, False) for i in range(1, j + 1)]
-    out = Overpartition.of(*mu.parts, *stairs)
+    stairs = tuple(Part(2 * i - 1, False) for i in range(j, 0, -1))
+    # both tuples run largest first, so the sort is one merge of two runs
+    parts = sorted(mu.parts + stairs, key=lambda p: p.rank, reverse=True)
+    out = Overpartition(tuple(parts))
     return out, BijectionTrace(mu, out, "insert", j * j)
 
 
@@ -172,9 +177,10 @@ def staircase_remove(
 def check_weight_down(n: int) -> dict:
     """Exhaustively verify the weight-down bijection at weight n.
 
-    Returns a dict of counts and flags: sizes of A(n), B(n-1), C(n-1), how
-    many distinct images actually land in B(n-1), whether every round trip
-    returns the original, and whether the witness behaves when n >= 4.
+    Returns a dict of counts and flags: sizes of A(n), B(n-1), C(n-1) (the
+    last two by classifying weight n-1), how many distinct images weigh n-1
+    and classify as B, whether every round trip returns the original, and
+    whether the witness behaves when n >= 4.
     """
     _checked_int(n, 1, inf, "n must be >= 1")
     a_side = [
@@ -182,28 +188,24 @@ def check_weight_down(n: int) -> dict:
         for pi in enumerate_overpartitions(n)
         if classify(pi, "A") is SetLabel.A
     ]
-    b_set: set[Overpartition] = set()
-    c_count = 0
-    for lam in enumerate_overpartitions(n - 1):
-        if classify(lam, "B") is SetLabel.B:
-            b_set.add(lam)
-        else:
-            c_count += 1
+    lower = enumerate_overpartitions(n - 1)
+    b_count = sum(1 for lam in lower if classify(lam, "B") is SetLabel.B)
+    c_count = len(lower) - b_count
 
     images: set[Overpartition] = set()
-    in_b = 0
     round_trip_ok = True
     weights_ok = True
     for pi in a_side:
         lam, trace = map_a_to_b(pi)
         if lam.weight != n - 1 or trace.weight_delta != -1:
             weights_ok = False
-        if lam not in images and lam in b_set:
-            in_b += 1
         images.add(lam)
         if map_b_to_a(lam) != pi:
             round_trip_ok = False
 
+    in_b = sum(
+        1 for lam in images if lam.weight == n - 1 and classify(lam, "B") is SetLabel.B
+    )
     witness_ok: bool | None = None
     if n >= 4:
         w = c_witness(n)
@@ -214,7 +216,7 @@ def check_weight_down(n: int) -> dict:
     return {
         "n": n,
         "a_count": len(a_side),
-        "b_count": len(b_set),
+        "b_count": b_count,
         "c_count": c_count,
         "images_in_b": in_b,
         "distinct_images": len(images),
@@ -223,7 +225,7 @@ def check_weight_down(n: int) -> dict:
         "witness_ok": witness_ok,
         "pbar_half": pbar(n) // 2 if pbar(n) % 2 == 0 else -1,
         "ok": (
-            len(a_side) == len(b_set) == in_b == pbar(n) // 2
+            len(a_side) == b_count == in_b == pbar(n) // 2
             and pbar(n) % 2 == 0
             and round_trip_ok
             and weights_ok
@@ -235,15 +237,13 @@ def check_weight_down(n: int) -> dict:
 
 def check_staircase(n: int, j: int) -> dict:
     """Exhaustively verify the staircase bijection between overpartitions of
-    n - j^2 and overpartitions of n with overline-mex at least 2j+1."""
+    n - j^2 and overpartitions of n with overline-mex at least 2j+1. Every
+    image must weigh n with mex >= 2j+1, and the distinct images must be as
+    many as the target's shape count op21(n, j) + op21(n, j + 1)."""
     _checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
     _checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
     source = enumerate_overpartitions(n - j * j)
-    target = {
-        pi
-        for pi in enumerate_overpartitions(n)
-        if overline_mex(pi, MEX_2_1) >= 2 * j + 1
-    }
+    target_count = op21(n, j) + op21(n, j + 1)
     images: set[Overpartition] = set()
     round_trip_ok = True
     for mu in source:
@@ -252,14 +252,15 @@ def check_staircase(n: int, j: int) -> dict:
         back, trace = staircase_remove(lam, j)
         if back != mu or trace.weight_delta != -j * j:
             round_trip_ok = False
+    matched = len(images) == target_count and all(
+        lam.weight == n and overline_mex(lam, MEX_2_1) >= 2 * j + 1 for lam in images
+    )
     return {
         "n": n,
         "j": j,
         "source_count": len(source),
-        "target_count": len(target),
-        "matched": images == target,
+        "target_count": target_count,
+        "matched": matched,
         "round_trip_ok": round_trip_ok,
-        "ok": images == target
-        and round_trip_ok
-        and len(images) == len(source),
+        "ok": matched and round_trip_ok and len(images) == len(source),
     }

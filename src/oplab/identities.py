@@ -145,16 +145,9 @@ def _sign(e: int) -> int:
     return 1 if e % 2 == 0 else -1
 
 
-def _alt_pbar_sq(n: int, k: int) -> int:
-    """pbar(n) + 2*sum_{j=1..k} (-1)^j pbar(n - j^2)."""
-    total = op.pbar(n)
-    for j in range(1, k + 1):
-        total += 2 * _sign(j) * op.pbar(n - j * j)
-    return total
-
-
 def _window_pbar_sq(n: int, m: int, k: int) -> int:
-    """sum_{j=m..k} (-1)^j pbar(n - j^2)."""
+    """sum_{j=m..k} (-1)^j pbar(n - j^2); the window -k..k is the symmetric
+    sum pbar(n) + 2*sum_{j=1..k} (-1)^j pbar(n - j^2)."""
     return sum(_sign(j) * op.pbar(n - j * j) for j in range(m, k + 1))
 
 
@@ -440,7 +433,9 @@ def _thm11_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 def _gauss_enum_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     # full alternating sum: j^2 <= n exhausts every nonzero term
-    return _rows(lambda n: (_alt_pbar_sq(n, math.isqrt(n)),), n_max)
+    return _rows(
+        lambda n: (_window_pbar_sq(n, -math.isqrt(n), math.isqrt(n)),), n_max
+    )
 
 
 def _gauss_enum_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -449,7 +444,7 @@ def _gauss_enum_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 def _thm13_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     k = p["k"]
-    return _rows(lambda n: (_sign(k) * _alt_pbar_sq(n, k),), n_max)
+    return _rows(lambda n: (_sign(k) * _window_pbar_sq(n, -k, k),), n_max)
 
 
 def _thm13_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -505,7 +500,8 @@ def _cor25a_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 def _cor25b_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     k = p["k"]
     return _rows(
-        lambda n: (_sign(k - 1) * _alt_pbar_sq(n, k) + op.pbar(n - k * k),), n_max
+        lambda n: (_sign(k - 1) * _window_pbar_sq(n, -k, k) + op.pbar(n - k * k),),
+        n_max,
     )
 
 
@@ -587,7 +583,9 @@ def _sec3_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 def _ineq_xyz_rows(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     k = p["k"]
     return _rows(
-        lambda n: (_sign(k - 1) * _alt_pbar_sq(n, k) + op.pbar(n - k * (k + 1)),),
+        lambda n: (
+            _sign(k - 1) * _window_pbar_sq(n, -k, k) + op.pbar(n - k * (k + 1)),
+        ),
         n_max,
     )
 

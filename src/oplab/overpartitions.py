@@ -12,9 +12,9 @@ is the smallest part. Everything in this module is exact integer counting;
 generating-function coefficients are used only where enumeration would be
 wasteful (large-n counts), and tests pin the two routes against each other.
 
-Every caller-supplied integer (a weight, a k, a MexQuery field) goes
-through one check, _checked_int: an int, not a bool, within its range.
-A value that fails it, a weight above the enumeration cap and a malformed
+Every caller-supplied integer (a weight, a k, a MexQuery field, a part
+value) must be an int, not a bool, within its range. A value that fails, a
+malformed part, a weight above the enumeration cap and a malformed
 OPLAB_ENUM_CAP all raise BadParamsError, the package's one rejected-input
 error, which the identities layer re-exports and the CLI maps to exit 2.
 The cap is moved only through OPLAB_ENUM_CAP.
@@ -27,7 +27,7 @@ import os
 from math import inf
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import series
 
@@ -85,44 +85,40 @@ class Part(NamedTuple):
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Overpartition:
     """Immutable overpartition; parts sorted largest first in the part order."""
 
     parts: tuple[Part, ...]
 
     def __post_init__(self) -> None:
-        seen_overlined: set[int] = set()
-        prev_rank: int | None = None
+        prev_value, prev_overlined = inf, False
         for p in self.parts:
             if not isinstance(p, Part):
-                raise ValueError("parts must be Part instances")
-            if p.value < 1:
-                raise ValueError(f"part values must be >= 1, got {p.value}")
-            if p.overlined:
-                if p.value in seen_overlined:
-                    raise ValueError(
-                        f"value {p.value} carries more than one overline"
+                raise BadParamsError("parts must be Part instances")
+            value, overlined = p
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadParamsError(f"part values must be ints, got {value!r}")
+            if value < 1:
+                raise BadParamsError(f"part values must be >= 1, got {value}")
+            if not isinstance(overlined, bool):
+                raise BadParamsError(f"overline flags must be bools, got {overlined!r}")
+            # each value drops, or repeats after a plain copy: sorted largest
+            # first, with one overline per value, on its last copy
+            if value > prev_value or (value == prev_value and prev_overlined):
+                if value == prev_value and overlined:
+                    raise BadParamsError(
+                        f"value {value} carries more than one overline"
                     )
-                seen_overlined.add(p.value)
-            if prev_rank is not None and p.rank > prev_rank:
-                raise ValueError("parts are not sorted largest first")
-            prev_rank = p.rank
+                raise BadParamsError("parts are not sorted largest first")
+            prev_value, prev_overlined = value, overlined
 
     @classmethod
     def of(cls, *parts: int | tuple[int, bool] | Part) -> "Overpartition":
-        """Convenience constructor; ints are plain parts, pairs set the flag."""
-        norm: list[Part] = []
-        for p in parts:
-            if isinstance(p, Part):
-                norm.append(p)
-            elif isinstance(p, int):
-                norm.append(Part(p, False))
-            else:
-                v, ov = p
-                norm.append(Part(v, bool(ov)))
-        norm.sort(key=lambda p: p.rank, reverse=True)
-        return cls(tuple(norm))
+        """Convenience constructor in any order; ints are plain parts, and
+        (value, overlined) pairs and Parts are taken as they are."""
+        norm = [Part(p, False) if isinstance(p, int) else Part(*p) for p in parts]
+        return cls(tuple(sorted(norm, key=lambda p: p.rank, reverse=True)))
 
     @property
     def weight(self) -> int:
@@ -158,12 +154,14 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prev: int | None = None
+        prev = inf
         for v in self.parts:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise BadParamsError(f"part values must be ints, got {v!r}")
             if v < 1:
-                raise ValueError(f"part values must be >= 1, got {v}")
-            if prev is not None and v > prev:
-                raise ValueError("parts are not sorted non-increasing")
+                raise BadParamsError(f"part values must be >= 1, got {v}")
+            if v > prev:
+                raise BadParamsError("parts are not sorted non-increasing")
             prev = v
 
     @property

@@ -160,6 +160,18 @@ def test_staircase_bijection_exhaustive():
         bj.check_staircase(3, 2)
 
 
+def test_staircase_target_count_matches_object_scan():
+    # check_staircase counts its target by shapes; the exhaustive scan of
+    # the enumerated weight-n objects stays the reference
+    for n in range(1, 21):
+        mex_values = [op.overline_mex(pi) for pi in op.enumerate_overpartitions(n)]
+        j = 1
+        while j * j <= n:
+            expected = sum(1 for m in mex_values if m >= 2 * j + 1)
+            assert bj.check_staircase(n, j)["target_count"] == expected, (n, j)
+            j += 1
+
+
 def test_check_weight_down_validation():
     with pytest.raises(ValueError):
         bj.check_weight_down(0)

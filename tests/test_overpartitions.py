@@ -75,6 +75,22 @@ def test_overpartition_validation():
         Overpartition((Part(0, False),))
     with pytest.raises(ValueError):
         Overpartition((1, 2))  # raw ints are not Parts
+    for parts in (
+        (Part(2.5, False),),  # a value must be an int
+        (Part(True, True),),  # ... and not a bool
+        (Part(2, False), Part(True, False)),
+        (Part(2, 1),),  # the overline flag must be a bool
+        (Part(2, True), Part(2, False)),  # plain copy after the overlined one
+        (Part(3, False), Part(2, True), Part(2, True)),  # doubled overline
+        (Part(1, False), Part(-1, False)),
+        (1, 2),
+    ):
+        with pytest.raises(op.BadParamsError):
+            Overpartition(parts)
+    with pytest.raises(op.BadParamsError, match="more than one overline"):
+        Overpartition((Part(1, True), Part(1, True)))
+    with pytest.raises(op.BadParamsError, match="not sorted"):
+        Overpartition((Part(1, True), Part(1, False)))
 
 
 def test_overpartition_accessors():
@@ -95,6 +111,9 @@ def test_partition_validation():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((0,))
+    for parts in ((2.5, 1), (True,), (3, False), (2, 3), (1, 0)):
+        with pytest.raises(op.BadParamsError):
+            Partition(parts)
 
 
 def test_enumeration_matches_gf_counts():
