@@ -24,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
+from operator import itemgetter
 
 from .overpartitions import (
     MEX_2_1,
+    BadParamsError,
     Overpartition,
     Part,
     _checked_int,
@@ -48,6 +50,9 @@ __all__ = [
     "check_weight_down",
     "check_staircase",
 ]
+
+
+_ONE_BAR = Part(1, True)
 
 
 class SetLabel(Enum):
@@ -87,15 +92,17 @@ def classify(pi: Overpartition, side: str) -> SetLabel:
         ok = smallest is not None and not smallest.overlined
         return SetLabel.A if ok else SetLabel.NONE
     if side == "B":
-        if not pi.has_overline(1):
+        # parts run largest first, so an overlined 1 is the last part and
+        # the r plain 1s come just before it
+        parts = pi.parts
+        if not parts or parts[-1] != _ONE_BAR:
             return SetLabel.B
-        bigger = [p for p in pi.parts if p.value >= 2]
-        if not bigger:
+        r = pi.plain_count(1)
+        if len(parts) <= r + 1:
             return SetLabel.B
-        threshold = 2 + pi.plain_count(1)  # compared as a plain part
-        # parts run largest first, so the last one of value >= 2 is smallest
-        return SetLabel.B if bigger[-1].rank >= 2 * threshold else SetLabel.C
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+        # the smallest part of value >= 2, against the plain part 2 + r
+        return SetLabel.B if parts[-r - 2].rank >= 2 * (2 + r) else SetLabel.C
+    raise BadParamsError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def map_a_to_b(pi: Overpartition) -> tuple[Overpartition, BijectionTrace]:
@@ -103,7 +110,7 @@ def map_a_to_b(pi: Overpartition) -> tuple[Overpartition, BijectionTrace]:
     less: delete t when t = 1, otherwise replace t by t-2 plain 1s and an
     overlined 1."""
     if classify(pi, "A") is not SetLabel.A:
-        raise ValueError("input must have a non-overlined smallest part")
+        raise BadParamsError("input must have a non-overlined smallest part")
     t = pi.parts[-1].value
     rest = pi.parts[:-1]
     if t == 1:
@@ -122,7 +129,7 @@ def map_b_to_a(lam: Overpartition) -> Overpartition:
     overlined 1: absent means append a plain 1, present means gather the
     overlined 1 and the r plain 1s back into a plain part r+2."""
     if classify(lam, "B") is SetLabel.C:
-        raise ValueError("input lies in the complement class C")
+        raise BadParamsError("input lies in the complement class C")
     if not lam.has_overline(1):
         return Overpartition(lam.parts + (Part(1, False),))
     r = lam.plain_count(1)
@@ -145,8 +152,10 @@ def staircase_insert(
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
     _checked_int(j, 1, inf, "j must be >= 1")
     stairs = tuple(Part(2 * i - 1, False) for i in range(j, 0, -1))
-    # both tuples run largest first, so the sort is one merge of two runs
-    parts = sorted(mu.parts + stairs, key=lambda p: p.rank, reverse=True)
+    # both tuples run largest first, so the sort is one merge of two runs;
+    # it is stable, so each plain stair lands before mu's copies of its
+    # value, and so before an overlined one
+    parts = sorted(stairs + mu.parts, key=itemgetter(0), reverse=True)
     out = Overpartition(tuple(parts))
     return out, BijectionTrace(mu, out, "insert", j * j)
 
@@ -164,7 +173,7 @@ def staircase_remove(
         try:
             parts.remove(Part(v, False))
         except ValueError:
-            raise ValueError(
+            raise BadParamsError(
                 f"missing plain part {v}: overline-mex precondition "
                 f">= {2 * j + 1} is violated"
             ) from None

@@ -125,14 +125,14 @@ class Overpartition:
         return sum(p.value for p in self.parts)
 
     def plain_count(self, value: int) -> int:
-        return sum(1 for p in self.parts if p.value == value and not p.overlined)
+        return self.parts.count(Part(value, False))
 
     def total_count(self, value: int) -> int:
         """Occurrences of a value counting overlined and plain together."""
-        return sum(1 for p in self.parts if p.value == value)
+        return self.plain_count(value) + self.has_overline(value)
 
     def has_overline(self, value: int) -> bool:
-        return any(p.value == value and p.overlined for p in self.parts)
+        return Part(value, True) in self.parts
 
     def plain_values(self) -> frozenset[int]:
         return frozenset(p.value for p in self.parts if not p.overlined)
@@ -244,19 +244,45 @@ def _value_blocks(remaining: int, max_value: int):
                 yield ((v, count),) + rest
 
 
+def _rank_walk(n: int, build, overlines: bool) -> tuple:
+    """build(parts) for every part sequence of weight n, in increasing
+    lexicographic order of the sequences' ranks (1bar=1, 1=2, 2bar=3, ...).
+
+    A depth-first walk tries each position's ranks upward. Ranks never rise
+    along a sequence (largest part first), and after an overlined part the
+    next rank is strictly smaller, as the overline marks a value's last
+    copy. With overlines False it walks the plain (even) ranks only and a
+    part is its value. Parts are shared: one instance per rank."""
+    values = [(r + 1) // 2 for r in range(2 * n + 1)]
+    parts = values
+    if overlines:
+        parts = [Part(v, r % 2 == 1) for r, v in enumerate(values)]
+    step = 1 if overlines else 2
+    stack: list = []
+    out: list = []
+
+    def walk(remaining: int, top: int) -> None:
+        if not remaining:
+            out.append(build(tuple(stack)))
+            return
+        # 1bar allows no part after it, so it is tried only as the last unit
+        lo = 1 if overlines and remaining == 1 else 2
+        for r in range(lo, min(top, 2 * remaining) + 1, step):
+            stack.append(parts[r])
+            # next ranks: up to r after a plain part, r - 1 after an overline
+            walk(remaining - values[r], r & -2)
+            stack.pop()
+
+    walk(n, 2 * n)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _overpartitions_of(n: int) -> tuple[Overpartition, ...]:
-    result: list[Overpartition] = []
-    for blocks in _value_blocks(n, n):
-        for flags in itertools.product((False, True), repeat=len(blocks)):
-            parts: list[Part] = []
-            for (v, count), overlined in zip(blocks, flags):
-                parts.extend([Part(v, False)] * (count - 1 if overlined else count))
-                if overlined:
-                    parts.append(Part(v, True))
-            result.append(Overpartition(tuple(parts)))
-    result.sort(key=lambda pi: tuple(p.rank for p in pi.parts))
-    return tuple(result)
+    # increasing lexicographic order of the rank sequences, largest part
+    # first: each part's rank is at most the one before it, and strictly
+    # less after an overlined part
+    return _rank_walk(n, Overpartition, overlines=True)
 
 
 def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
@@ -271,12 +297,8 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
 
 @lru_cache(maxsize=None)
 def _partitions_of(n: int) -> tuple[Partition, ...]:
-    result = [
-        Partition(tuple(v for v, count in blocks for _ in range(count)))
-        for blocks in _value_blocks(n, n)
-    ]
-    result.sort(key=lambda p: p.parts)
-    return tuple(result)
+    # increasing lexicographic order of the parts, largest first
+    return _rank_walk(n, Partition, overlines=False)
 
 
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:

@@ -193,11 +193,11 @@ def test_acceptance_7_bijection_suite():
                 problems.append(("staircase", n, j))
             j += 1
     dt = time.perf_counter() - t0
-    ok = not problems and dt < 10.0
+    ok = not problems and dt < 5.0
     _report(
         7,
         ok,
-        f"both maps exhaustive to n=20, problems {problems}, {dt:.1f}s < 10s",
+        f"both maps exhaustive to n=20, problems {problems}, {dt:.1f}s < 5s",
     )
 
 

@@ -99,6 +99,25 @@ def test_malformed_cap_is_a_bad_params_error(monkeypatch):
         op.op21(4, 1)
 
 
+# an object outside a map's domain, or an unknown side, is rejected the same way
+REJECTED_OBJECTS = {
+    "map_a_to_b overlined smallest": lambda: bj.map_a_to_b(
+        Overpartition.of(3, (1, True))
+    ),
+    "map_b_to_a complement class": lambda: bj.map_b_to_a(bj.c_witness(5)),
+    "staircase_remove missing stair": lambda: bj.staircase_remove(
+        Overpartition.of(3, 2), 2
+    ),
+    "classify side": lambda: bj.classify(_MU, "C"),
+}
+
+
+@pytest.mark.parametrize("call", REJECTED_OBJECTS.values(), ids=REJECTED_OBJECTS)
+def test_rejected_object_raises_bad_params_error(call):
+    with pytest.raises(op.BadParamsError):
+        call()
+
+
 def test_staircase_rejection_names_the_bound():
     with pytest.raises(op.BadParamsError, match=r"j\^2 <= n"):
         bj.check_staircase(3, 2)

@@ -400,3 +400,20 @@ def test_verify_all_output_is_golden(capsys, fmt):
     code, out, err = run(capsys, "verify", "--all", "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[fmt]
+
+
+# sha256 of `oplab bijection ... --trace` stdout; the traces list every
+# source object, so this pins the enumeration order as well
+GOLDEN_TRACE_SHA256 = {
+    ("--which", "section3", "--n", "12"):
+        "60863e23dc6e5345a1529d2defad6602e47ae7d92da97d4a3ad8524a9a83f205",
+    ("--which", "lemma41", "--n", "12", "--j", "2"):
+        "38d49b61ae55ac6a48a22f802b03b18ef547f8b493804b95811b244549c60dca",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_TRACE_SHA256), ids=" ".join)
+def test_bijection_trace_output_is_golden(capsys, args):
+    code, out, err = run(capsys, "bijection", *args, "--trace")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TRACE_SHA256[args]

@@ -128,6 +128,20 @@ def test_enumeration_is_deterministic_and_distinct():
     assert ops == op.enumerate_overpartitions(6)
 
 
+def test_enumeration_order_is_pinned():
+    # the walk emits objects already sorted: by the rank sequence, largest
+    # part first, for overpartitions, and by the parts for partitions
+    for n in range(21):
+        ops = op.enumerate_overpartitions(n)
+        assert len(set(ops)) == len(ops) == op.pbar(n), n
+        assert list(ops) == sorted(
+            ops, key=lambda pi: tuple(p.rank for p in pi.parts)
+        ), n
+        ps = op.enumerate_partitions(n)
+        assert len(set(ps)) == len(ps) == op.partition_count(n), n
+        assert list(ps) == sorted(ps, key=lambda p: p.parts), n
+
+
 def test_pbar_frozen_values():
     assert tuple(op.pbar(n) for n in range(len(PBAR_LOW))) == PBAR_LOW
     assert op.pbar(-3) == 0
