@@ -172,6 +172,7 @@ def _accumulate(acc: list[int], c: Sequence[int], shift: int) -> None:
     acc[shift:] = map(add, acc[shift:], c)
 
 
+@lru_cache(maxsize=64)
 def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeries:
     """sum_{m>=m_lo} q^(coef*m) * (-q^(m+1);q)oo / (q^(m+denom_off);q)oo.
 
@@ -179,6 +180,13 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     minimal exponent). Successive ratios differ by one factor on each side,
     so they are produced by a downward recurrence in O(order) per term:
     R(m) = R(m+1) * (1 + q^(m+1)) / (1 - q^(m+denom_off)).
+
+    Each sum is built once per process and kept, keyed by the exact order,
+    in a bounded cache (64 entries of at most order+1 coefficients). The
+    cached series is shared by every caller, so callers copy before they
+    mutate: _times_neg_poch and _div_qpoch start from list(s.coeffs), and
+    times_factor returns a new series. Identities may share a sum, but no
+    identity reads the same one on both sides.
     """
     m_hi = order // coef
     if m_hi < m_lo:

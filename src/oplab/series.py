@@ -127,8 +127,8 @@ class TruncatedSeries:
             raise ValueError("shift exponent must be >= 0")
         n = self._order
         out = [0] * (n + 1)
-        for i in range(n - exponent + 1):
-            out[i + exponent] = self._coeffs[i]
+        if exponent <= n:  # past the order the slice would extend out
+            out[exponent:] = self._coeffs[: n + 1 - exponent]
         return TruncatedSeries(n, out)
 
     def times_factor(self, exponent: int, sign: int = 1) -> "TruncatedSeries":
@@ -202,8 +202,7 @@ class TruncatedSeries:
                 f"up to order {order} (needs {top})"
             )
         out = [0] * (order + 1)
-        for m in range(top + 1):
-            out[ell * m] = self._coeffs[m]
+        out[: ell * top + 1 : ell] = self._coeffs[: top + 1]
         return TruncatedSeries(order, out)
 
     # -- misc ---------------------------------------------------------------

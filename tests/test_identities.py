@@ -370,6 +370,99 @@ def test_tail_sum_empty_when_shift_exceeds_order():
     assert idn._tail_sum(10, 4, 3, 0).is_zero()
 
 
+def ref_tail_sum(order, m_lo, coef, denom_off):
+    """sum_{m>=m_lo} q^(coef*m) (-q^(m+1);q)oo / (q^(m+denom_off);q)oo, one
+    expanded ratio per term and no cache."""
+    acc = series.zero(order)
+    for m in range(m_lo, order // coef + 1):
+        acc = acc + series.poch_ratio(m + 1, m + denom_off, order).shift(coef * m)
+    return acc
+
+
+# the (m_lo, coef, denom_off) keys the builders read for k = 1..4:
+# _large_tail(k-1) and _large_tail(k) read (k, k, 0) and (k+1, k+1, 0),
+# _li_tail(k) reads (k, k, 1)
+TAIL_KEYS = sorted(
+    {(k, k, 0) for k in range(1, 6)} | {(k, k, 1) for k in range(1, 5)}
+)
+TAIL_ORDERS = (0, 1, 2, 17, 150)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["low-first", "high-first"])
+def test_tail_sum_matches_reference_in_either_call_order(reverse):
+    # one sweep reads each order low to high and each key d=0 before d=1,
+    # the other the reverse, so a cache key that dropped the order or the
+    # denominator offset would hand back a series built for another key
+    idn._tail_sum.cache_clear()
+    orders = TAIL_ORDERS[::-1] if reverse else TAIL_ORDERS
+    keys = TAIL_KEYS[::-1] if reverse else TAIL_KEYS
+    for order in orders:
+        for key in keys:
+            want = ref_tail_sum(order, *key)
+            assert idn._tail_sum(order, *key) == want, (order, key)
+            hits = idn._tail_sum.cache_info().hits
+            assert idn._tail_sum(order, *key) == want, (order, key)
+            assert idn._tail_sum.cache_info().hits == hits + 1
+
+
+def test_cached_tail_sums_survive_their_callers():
+    # sec5-reduced multiplies cached sums by factors on both sides; a
+    # caller that mutated a cached result would change the second build
+    idn._tail_sum.cache_clear()
+    desc = idn.get_identity("sec5-reduced")
+    for k in range(1, 5):
+        first = (desc.series_lhs({"k": k}, 150), desc.series_rhs({"k": k}, 150))
+        cached = {key: idn._tail_sum(150, *key).coeffs for key in TAIL_KEYS}
+        second = (desc.series_lhs({"k": k}, 150), desc.series_rhs({"k": k}, 150))
+        assert first[0].coeffs == second[0].coeffs, k
+        assert first[1].coeffs == second[1].coeffs, k
+        for key, coeffs in cached.items():
+            assert idn._tail_sum(150, *key).coeffs == coeffs, (k, key)
+
+
+def test_tail_sum_cache_is_bounded():
+    # a library loop over orders must not grow the cache without limit
+    for order in range(201):
+        idn._tail_sum(order, 4, 4, 1)
+    assert idn._tail_sum.cache_info().currsize <= 64
+
+
+def _tail_keys_read(monkeypatch, build, p, n):
+    """The (m_lo, coef, denom_off) keys of every tail sum build(p, n) reads."""
+    keys = set()
+    real = idn._tail_sum
+
+    def recorder(order, m_lo, coef, denom_off):
+        keys.add((m_lo, coef, denom_off))
+        return real(order, m_lo, coef, denom_off)
+
+    with monkeypatch.context() as m:
+        m.setattr(idn, "_tail_sum", recorder)
+        build(p, n)
+    return keys
+
+
+def test_no_identity_reads_one_tail_sum_on_both_sides(monkeypatch):
+    # the tail cache may share a sum between identities, never between the
+    # two sides of one: that would make them agree by construction
+    both_sides = set()
+    for desc in idn.list_identities():
+        forms = []
+        if desc.has_series:
+            forms.append((desc.series_lhs, desc.series_rhs, desc.default_order))
+        if desc.has_enum:
+            forms.append((desc.enum_lhs, desc.enum_rhs, desc.default_n_max))
+        for lhs, rhs, n in forms:
+            for p in idn.expand_grid(desc):
+                left = _tail_keys_read(monkeypatch, lhs, p, n)
+                right = _tail_keys_read(monkeypatch, rhs, p, n)
+                assert not left & right, (desc.id, p, left & right)
+                if left and right:
+                    both_sides.add(desc.id)
+    # the recorder sees the reads: these read tail sums on both sides
+    assert both_sides == {"cor-2-9", "sec5-main", "sec5-reduced"}
+
+
 def ref_yao_lhs(k, ell, order):
     """sum_j (-1)^j mbar(n - ell j(3j-1)/2, k) over every integer j, term by
     term; weights below 1 contribute nothing."""
@@ -455,8 +548,22 @@ def test_series_identity_at_max_order_within_budget(ident):
     # every series builder is O(order^2); yao's lhs is enumeration, which
     # the enumeration cap bounds far below MAX_ORDER
     params = idn.expand_grid(idn.get_identity(ident))[0]
+    # cold tail sums, as one `oplab verify --id X --order 2000` pays them
+    idn._tail_sum.cache_clear()
     t0 = time.perf_counter()
     r = idn.verify_series(ident, params, idn.MAX_ORDER)
     dt = time.perf_counter() - t0
     assert r.passed, r.first_mismatch
     assert dt < 5.0, f"{ident} took {dt:.1f}s at order {idn.MAX_ORDER}"
+
+
+def test_series_set_at_max_order_within_budget():
+    # the whole set in one process builds each tail sum once
+    idn._tail_sum.cache_clear()
+    t0 = time.perf_counter()
+    for ident in SERIES_AT_MAX_ORDER:
+        params = idn.expand_grid(idn.get_identity(ident))[0]
+        r = idn.verify_series(ident, params, idn.MAX_ORDER)
+        assert r.passed, (ident, r.first_mismatch)
+    dt = time.perf_counter() - t0
+    assert dt < 4.0, f"the series set took {dt:.1f}s at order {idn.MAX_ORDER}"

@@ -91,7 +91,10 @@ def test_mul_truncates_cauchy_product():
 def test_shift():
     f = s.make(4, (1, 2, 3))
     assert f.shift(2).coeffs == (0, 0, 1, 2, 3)
-    assert f.shift(5).is_zero()
+    assert f.shift(4).coeffs == (0, 0, 0, 0, 1)
+    # past the order nothing is left, and the series keeps its order
+    assert f.shift(5).coeffs == (0, 0, 0, 0, 0)
+    assert f.shift(7).coeffs == (0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         f.shift(-1)
 
