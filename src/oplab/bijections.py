@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import inf
 from operator import itemgetter
 
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 
+_ONE = Part(1, False)
 _ONE_BAR = Part(1, True)
 
 
@@ -119,7 +121,7 @@ def map_a_to_b(pi: Overpartition) -> tuple[Overpartition, BijectionTrace]:
     else:
         # rest consists of parts >= t in the part order, so appending the
         # 1-block keeps the largest-first sorting
-        out = Overpartition(rest + (Part(1, False),) * (t - 2) + (Part(1, True),))
+        out = Overpartition(rest + (_ONE,) * (t - 2) + (_ONE_BAR,))
         tag = "t>=2"
     return out, BijectionTrace(pi, out, tag, -1)
 
@@ -131,7 +133,7 @@ def map_b_to_a(lam: Overpartition) -> Overpartition:
     if classify(lam, "B") is SetLabel.C:
         raise BadParamsError("input lies in the complement class C")
     if not lam.has_overline(1):
-        return Overpartition(lam.parts + (Part(1, False),))
+        return Overpartition(lam.parts + (_ONE,))
     r = lam.plain_count(1)
     kept = tuple(p for p in lam.parts if p.value != 1)
     # the gap condition guarantees every kept part is >= the new part r+2
@@ -146,16 +148,21 @@ def c_witness(n: int) -> Overpartition:
     )
 
 
+@lru_cache(maxsize=64)
+def _stairs(j: int) -> tuple[Part, ...]:
+    """The plain parts 2j-1, ..., 3, 1, largest first."""
+    return tuple(Part(2 * i - 1, False) for i in range(j, 0, -1))
+
+
 def staircase_insert(
     mu: Overpartition, j: int
 ) -> tuple[Overpartition, BijectionTrace]:
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
     _checked_int(j, 1, inf, "j must be >= 1")
-    stairs = tuple(Part(2 * i - 1, False) for i in range(j, 0, -1))
     # both tuples run largest first, so the sort is one merge of two runs;
     # it is stable, so each plain stair lands before mu's copies of its
     # value, and so before an overlined one
-    parts = sorted(stairs + mu.parts, key=itemgetter(0), reverse=True)
+    parts = sorted(_stairs(j) + mu.parts, key=itemgetter(0), reverse=True)
     out = Overpartition(tuple(parts))
     return out, BijectionTrace(mu, out, "insert", j * j)
 
@@ -167,14 +174,14 @@ def staircase_remove(
     staircase_insert. Requires every odd value below 2j as a plain part,
     which is exactly the overline-mex >= 2j+1 precondition."""
     _checked_int(j, 1, inf, "j must be >= 1")
-    needed = [2 * i - 1 for i in range(1, j + 1)]
     parts = list(lam.parts)
-    for v in needed:
+    # smallest stair first, so a failure names the smallest missing value
+    for stair in reversed(_stairs(j)):
         try:
-            parts.remove(Part(v, False))
+            parts.remove(stair)
         except ValueError:
             raise BadParamsError(
-                f"missing plain part {v}: overline-mex precondition "
+                f"missing plain part {stair.value}: overline-mex precondition "
                 f">= {2 * j + 1} is violated"
             ) from None
     out = Overpartition(tuple(parts))

@@ -157,12 +157,12 @@ def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
     return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _qq_inf(order: int) -> TruncatedSeries:
     return series.qproduct(1, 1, 1, None, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _negq_inf(order: int) -> TruncatedSeries:
     return series.qproduct(-1, 1, 1, None, order)
 

@@ -27,6 +27,7 @@ import os
 from math import inf
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import series
@@ -85,6 +86,20 @@ class Part(NamedTuple):
         return text
 
 
+def _check_part(p: object) -> None:
+    """Raise BadParamsError unless p is a Part (or a subclass) whose value is
+    an int >= 1, not a bool, and whose overline flag is a bool."""
+    if not isinstance(p, Part):
+        raise BadParamsError("parts must be Part instances")
+    value, overlined = p
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadParamsError(f"part values must be ints, got {value!r}")
+    if value < 1:
+        raise BadParamsError(f"part values must be >= 1, got {value}")
+    if not isinstance(overlined, bool):
+        raise BadParamsError(f"overline flags must be bools, got {overlined!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Overpartition:
     """Immutable overpartition; parts sorted largest first in the part order."""
@@ -94,15 +109,18 @@ class Overpartition:
     def __post_init__(self) -> None:
         prev_value, prev_overlined = inf, False
         for p in self.parts:
-            if not isinstance(p, Part):
-                raise BadParamsError("parts must be Part instances")
-            value, overlined = p
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise BadParamsError(f"part values must be ints, got {value!r}")
-            if value < 1:
-                raise BadParamsError(f"part values must be >= 1, got {value}")
-            if not isinstance(overlined, bool):
-                raise BadParamsError(f"overline flags must be bools, got {overlined!r}")
+            # one exact-type test accepts the common part; anything else,
+            # subclasses included, takes the full checks
+            if p.__class__ is Part:
+                value, overlined = p
+                if not (
+                    value.__class__ is int and value >= 1
+                    and overlined.__class__ is bool
+                ):
+                    _check_part(p)
+            else:
+                _check_part(p)
+                value, overlined = p
             # each value drops, or repeats after a plain copy: sorted largest
             # first, with one overline per value, on its last copy
             if value > prev_value or (value == prev_value and prev_overlined):
@@ -122,7 +140,7 @@ class Overpartition:
 
     @property
     def weight(self) -> int:
-        return sum(p.value for p in self.parts)
+        return sum(map(itemgetter(0), self.parts))
 
     def plain_count(self, value: int) -> int:
         return self.parts.count(Part(value, False))
@@ -233,15 +251,35 @@ def _check_weight(n: int, lo: int, message: str) -> None:
         raise EnumerationCapError(n, cap)
 
 
-def _value_blocks(remaining: int, max_value: int):
-    """Yield ((value, count), ...) with values strictly decreasing."""
-    if remaining == 0:
+def _value_blocks(n: int):
+    """Yield every partition shape of n once, as ((value, count), ...) with
+    values strictly decreasing, starting from ((n, 1),).
+
+    An iterative walk in multiplicity form (Nijenhuis and Wilf's NEXPAR;
+    Zoghbi and Stojmenovic's ZS1): one list of blocks per walk, and each
+    step strips the 1s, takes one copy off the smallest part v >= 2 and
+    refills the freed weight with as many parts v - 1 as fit plus one
+    remainder part, so a step touches only the last few blocks."""
+    if n == 0:
         yield ()
         return
-    for v in range(min(remaining, max_value), 0, -1):
-        for count in range(1, remaining // v + 1):
-            for rest in _value_blocks(remaining - count * v, v - 1):
-                yield ((v, count),) + rest
+    blocks = [(n, 1)]
+    while True:
+        yield tuple(blocks)
+        freed = 0
+        if blocks[-1][0] == 1:
+            freed = blocks.pop()[1]
+            if not blocks:
+                return
+        v, c = blocks[-1]
+        if c > 1:
+            blocks[-1] = (v, c - 1)
+        else:
+            blocks.pop()
+        count, rest = divmod(freed + v, v - 1)
+        blocks.append((v - 1, count))
+        if rest:
+            blocks.append((rest, 1))
 
 
 def _rank_walk(n: int, build, overlines: bool) -> tuple:
@@ -346,9 +384,10 @@ def overline_mex(pi: Overpartition, query: MexQuery = MEX_2_1) -> int:
     """Smallest positive integer congruent to residue mod modulus that does
     not occur as a non-overlined part of pi. Overlined parts never block a
     candidate."""
-    present = pi.plain_values()
+    parts = pi.parts
     candidate = query.residue
-    while candidate in present:
+    # the bare pair equals Part(candidate, False) and skips building a Part
+    while (candidate, False) in parts:
         candidate += query.modulus
     return candidate
 
@@ -385,7 +424,7 @@ def _shape_tables(n: int) -> _ShapeTables:
     mbar_diff = [0] * (n + 2)
     nbar_col = [0] * (n + 2)
     mk_col = [0] * (n + 2)
-    for blocks in _value_blocks(n, n):
+    for blocks in _value_blocks(n):
         blocks = blocks[::-1]  # values increasing
         weight = 1 << len(blocks)
         half = weight >> 1
@@ -428,7 +467,7 @@ def _shape_tables(n: int) -> _ShapeTables:
 def _mex_weights(n: int, query: MexQuery) -> tuple[tuple[int, int], ...]:
     """(mex, number of overpartitions of n with that overline-mex) pairs."""
     weights: dict[int, int] = {}
-    for blocks in _value_blocks(n, n):
+    for blocks in _value_blocks(n):
         counts = dict(blocks)
         weight = 1 << len(blocks)
         candidate = query.residue

@@ -136,6 +136,10 @@ def test_staircase_remove_frozen():
     assert tr.weight_delta == -4
     with pytest.raises(ValueError, match="overline-mex"):
         bj.staircase_remove(_ov(3, (1, True)), 1)
+    # stairs are removed smallest first: with 1 and 3 both missing, the
+    # message names 1
+    with pytest.raises(ValueError, match="missing plain part 1:"):
+        bj.staircase_remove(_ov(2), 2)
     with pytest.raises(ValueError):
         bj.staircase_insert(_ov(1), 0)
 

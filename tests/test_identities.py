@@ -405,6 +405,15 @@ def test_tail_sum_matches_reference_in_either_call_order(reverse):
             assert idn._tail_sum.cache_info().hits == hits + 1
 
 
+def test_product_caches_stay_bounded_over_orders():
+    # a library loop over orders must not keep one product per order
+    desc = idn.get_identity("gauss")
+    for order in range(0, 301):
+        assert desc.series_rhs({}, order) == desc.series_lhs({}, order), order
+    for cache in (idn._qq_inf, idn._negq_inf):
+        assert cache.cache_info().currsize <= 64
+
+
 def test_cached_tail_sums_survive_their_callers():
     # sec5-reduced multiplies cached sums by factors on both sides; a
     # caller that mutated a cached result would change the second build

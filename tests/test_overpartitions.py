@@ -7,6 +7,8 @@ coefficients, and the shape-weighted statistic tables against direct scans
 of the enumerated objects.
 """
 
+import itertools
+
 import pytest
 
 from oplab import overpartitions as op
@@ -91,6 +93,45 @@ def test_overpartition_validation():
         Overpartition((Part(1, True), Part(1, True)))
     with pytest.raises(op.BadParamsError, match="not sorted"):
         Overpartition((Part(1, True), Part(1, False)))
+
+
+class _Int(int):
+    pass
+
+
+class _Part(Part):
+    pass
+
+
+def test_overpartition_accepts_subclasses():
+    # an int subclass value and a Part subclass fail the exact-type accept
+    # test but pass the full checks
+    pi = Overpartition((Part(_Int(3), False), _Part(2, True), Part(1, False)))
+    assert pi.weight == 6
+    assert pi == Overpartition.of(3, (2, True), 1)
+    assert Overpartition((_Part(_Int(2), False),)).weight == 2
+
+
+# each input breaks one rule, after a valid leading part that the accept
+# test passes, and must raise today's message for that rule
+SINGLE_FAULTS = {
+    "not a Part": ((Part(5, False), (3, False)), r"^parts must be Part instances$"),
+    "int not a Part": ((Part(5, False), 3), r"^parts must be Part instances$"),
+    "non-int value": ((Part(5, False), Part(2.5, False)), r"^part values must be ints, got 2\.5$"),
+    "bool value": ((Part(5, False), Part(True, False)), r"^part values must be ints, got True$"),
+    "value below 1": ((Part(5, False), Part(0, False)), r"^part values must be >= 1, got 0$"),
+    "negative subclass value": ((Part(5, False), _Part(_Int(-1), False)), r"^part values must be >= 1, got -1$"),
+    "non-bool flag": ((Part(5, False), Part(2, 1)), r"^overline flags must be bools, got 1$"),
+    "unsorted": ((Part(5, False), Part(6, False)), r"^parts are not sorted largest first$"),
+    "plain after overline": ((Part(5, True), Part(5, False)), r"^parts are not sorted largest first$"),
+    "doubled overline": ((Part(5, True), Part(5, True)), r"^value 5 carries more than one overline$"),
+}
+
+
+@pytest.mark.parametrize("parts, message", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS)
+def test_overpartition_single_fault_messages(parts, message):
+    with pytest.raises(op.BadParamsError, match=message):
+        Overpartition(parts)
 
 
 def test_overpartition_accessors():
@@ -355,3 +396,47 @@ def test_op_class_counts_match_object_scans(query):
         assert split == _ref_op_class_counts(n, query), (n, query)
         # pinned to enumeration, not to the generating function
         assert sum(split) == len(op.enumerate_overpartitions(n)), (n, query)
+
+
+# -- reference walk: the shapes each table is summed over -------------------
+#
+# The library walks partition shapes iteratively. This recursive generator,
+# the walk it replaced, enumerates the same shapes in another order and is
+# kept as the reference for the walk and for the tables built over it.
+
+WALK_N_MAX = 30
+
+
+def _ref_value_blocks(remaining, max_value):
+    if remaining == 0:
+        yield ()
+        return
+    for v in range(min(remaining, max_value), 0, -1):
+        for count in range(1, remaining // v + 1):
+            for rest in _ref_value_blocks(remaining - count * v, v - 1):
+                yield ((v, count),) + rest
+
+
+@pytest.mark.parametrize("n", range(0, WALK_N_MAX + 1))
+def test_shape_walk_matches_recursive_reference(n):
+    # one shape past the expected count, so a walk that never ends fails
+    shapes = list(itertools.islice(op._value_blocks(n), op.partition_count(n) + 1))
+    assert len(shapes) == len(set(shapes)) == op.partition_count(n)
+    assert sorted(shapes) == sorted(_ref_value_blocks(n, n))
+    for blocks in shapes:
+        values = [v for v, _ in blocks]
+        assert values == sorted(set(values), reverse=True)
+        assert all(c >= 1 for _, c in blocks)
+        assert sum(v * c for v, c in blocks) == n
+
+
+@pytest.mark.parametrize("n", range(REF_N_MAX + 1, WALK_N_MAX + 1))
+def test_tables_match_reference_walk_tables(n, monkeypatch):
+    # past the object scans' reach, the tables must equal the ones the
+    # reference walk builds; __wrapped__ rebuilds without the caches
+    tables = op._shape_tables.__wrapped__(n)
+    queries = (op.MEX_2_1, MexQuery(3, 2))
+    weights = [op._mex_weights.__wrapped__(n, q) for q in queries]
+    monkeypatch.setattr(op, "_value_blocks", lambda m: _ref_value_blocks(m, m))
+    assert tables == op._shape_tables.__wrapped__(n)
+    assert weights == [op._mex_weights.__wrapped__(n, q) for q in queries]
