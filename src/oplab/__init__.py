@@ -10,9 +10,7 @@ harness). The cli module wires them to a command line.
 
 from .series import (
     TruncatedSeries,
-    gauss_binomial,
     gauss_theta,
-    make,
     monomial,
     one,
     overpartition_gf,
@@ -32,9 +30,7 @@ from .overpartitions import (
     MEX_2_1,
     Overpartition,
     Part,
-    Partition,
     enumerate_overpartitions,
-    enumerate_partitions,
     enumeration_cap,
     mbar,
     mk_stat,
@@ -43,7 +39,6 @@ from .overpartitions import (
     op_class_counts,
     overline_mex,
     partition_count,
-    partition_mex,
     pbar,
 )
 from .bijections import (
@@ -79,12 +74,10 @@ __all__ = [
     "__version__",
     # series
     "TruncatedSeries",
-    "make",
     "zero",
     "one",
     "monomial",
     "qproduct",
-    "gauss_binomial",
     "pentagonal_series",
     "theta_partial",
     "gauss_theta",
@@ -94,7 +87,6 @@ __all__ = [
     # overpartitions
     "Part",
     "Overpartition",
-    "Partition",
     "MexQuery",
     "MEX_2_1",
     "BadParamsError",
@@ -103,11 +95,9 @@ __all__ = [
     "ENUMERATION_CAP_ENV",
     "enumeration_cap",
     "enumerate_overpartitions",
-    "enumerate_partitions",
     "pbar",
     "partition_count",
     "overline_mex",
-    "partition_mex",
     "op_class_counts",
     "op21",
     "mbar",

@@ -1163,6 +1163,14 @@ def _check_bound(f: _Form, n: int | None) -> None:
     )
 
 
+def _check_given_bounds(order: int | None, n_max: int | None) -> None:
+    """Check each bound that is given against its forms' range."""
+    given = {"order": order, "n_max": n_max}
+    for f in _FORMS.values():
+        if given[f.bound] is not None:
+            _check_bound(f, given[f.bound])
+
+
 def _verify(
     form: str,
     ident: str,
@@ -1261,10 +1269,7 @@ def verify_identity(
     every bound given is checked against its forms' range first.
     """
     desc = get_identity(ident)
-    given = {"order": order, "n_max": n_max}
-    for f in _FORMS.values():
-        if given[f.bound] is not None:
-            _check_bound(f, given[f.bound])
+    _check_given_bounds(order, n_max)
     series_wanted = n_max is None or order is not None
     counts_wanted = order is None or n_max is not None
     reports = []
@@ -1316,8 +1321,9 @@ def run_default_suite(
     """Verify identities over their default parameter grids.
 
     Reports are merged deterministically, sorted by id then parameters then
-    compared range. An override for a parameter that no selected identity
-    takes raises BadParamsError.
+    compared range. A bound outside its range, or an override for a
+    parameter that no selected identity takes, raises BadParamsError even
+    when the grid is empty.
     """
     selected = [get_identity(i) for i in (_REGISTRY if ids is None else ids)]
     taken = {name for desc in selected for name, _, _ in desc.schema}
@@ -1328,6 +1334,7 @@ def run_default_suite(
             if len(selected) == 1
             else f"no selected identity takes parameter(s) {stray}"
         )
+    _check_given_bounds(order, n_max)
     reports: list[VerificationReport] = []
     for desc in selected:
         for params in expand_grid(desc, overrides):

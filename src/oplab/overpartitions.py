@@ -1,4 +1,4 @@
-"""Overpartitions, partitions, and their minimal-excludant statistics.
+"""Overpartitions, their enumeration, and their minimal-excludant statistics.
 
 An overpartition is a partition in which the last occurrence of a value may
 carry an overline. Parts are totally ordered with each overlined value just
@@ -16,7 +16,8 @@ Every caller-supplied integer (a weight, a k, a MexQuery field, a part
 value) must be an int, not a bool, within its range. A value that fails, a
 malformed part, a weight above the enumeration cap and a malformed
 OPLAB_ENUM_CAP all raise BadParamsError, the package's one rejected-input
-error, which the identities layer re-exports and the CLI maps to exit 2.
+error, which the series layer defines, this layer and the identities layer
+re-export, and the CLI maps to exit 2.
 The cap is moved only through OPLAB_ENUM_CAP.
 """
 
@@ -31,11 +32,11 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import series
+from .series import BadParamsError, _checked_int
 
 __all__ = [
     "Part",
     "Overpartition",
-    "Partition",
     "MexQuery",
     "MEX_2_1",
     "BadParamsError",
@@ -44,30 +45,15 @@ __all__ = [
     "ENUMERATION_CAP_ENV",
     "enumeration_cap",
     "enumerate_overpartitions",
-    "enumerate_partitions",
     "pbar",
     "partition_count",
     "overline_mex",
-    "partition_mex",
     "op_class_counts",
     "op21",
     "mbar",
     "nbar",
     "mk_stat",
 ]
-
-
-class BadParamsError(ValueError):
-    """A caller-supplied value was rejected: of the wrong type, out of its
-    range, past the enumeration cap, or a malformed OPLAB_ENUM_CAP."""
-
-
-def _checked_int(v: object, lo: float, hi: float, message: str) -> int:
-    """v when it is an int, not a bool, with lo <= v <= hi (an infinite bound
-    leaves that side open); otherwise BadParamsError(message)."""
-    if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
-        raise BadParamsError(message)
-    return v
 
 
 class Part(NamedTuple):
@@ -131,13 +117,6 @@ class Overpartition:
                 raise BadParamsError("parts are not sorted largest first")
             prev_value, prev_overlined = value, overlined
 
-    @classmethod
-    def of(cls, *parts: int | tuple[int, bool] | Part) -> "Overpartition":
-        """Convenience constructor in any order; ints are plain parts, and
-        (value, overlined) pairs and Parts are taken as they are."""
-        norm = [Part(p, False) if isinstance(p, int) else Part(*p) for p in parts]
-        return cls(tuple(sorted(norm, key=lambda p: p.rank, reverse=True)))
-
     @property
     def weight(self) -> int:
         return sum(map(itemgetter(0), self.parts))
@@ -145,15 +124,8 @@ class Overpartition:
     def plain_count(self, value: int) -> int:
         return self.parts.count(Part(value, False))
 
-    def total_count(self, value: int) -> int:
-        """Occurrences of a value counting overlined and plain together."""
-        return self.plain_count(value) + self.has_overline(value)
-
     def has_overline(self, value: int) -> bool:
         return Part(value, True) in self.parts
-
-    def plain_values(self) -> frozenset[int]:
-        return frozenset(p.value for p in self.parts if not p.overlined)
 
     def smallest(self) -> Part | None:
         return self.parts[-1] if self.parts else None
@@ -163,31 +135,6 @@ class Overpartition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordinary partition; parts sorted non-increasing."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = inf
-        for v in self.parts:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise BadParamsError(f"part values must be ints, got {v!r}")
-            if v < 1:
-                raise BadParamsError(f"part values must be >= 1, got {v}")
-            if v > prev:
-                raise BadParamsError("parts are not sorted non-increasing")
-            prev = v
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(v) for v in self.parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -282,30 +229,27 @@ def _value_blocks(n: int):
             blocks.append((rest, 1))
 
 
-def _rank_walk(n: int, build, overlines: bool) -> tuple:
-    """build(parts) for every part sequence of weight n, in increasing
-    lexicographic order of the sequences' ranks (1bar=1, 1=2, 2bar=3, ...).
+@lru_cache(maxsize=None)
+def _overpartitions_of(n: int) -> tuple[Overpartition, ...]:
+    """Every overpartition of n, in increasing lexicographic order of its
+    part ranks (1bar=1, 1=2, 2bar=3, ...), largest part first.
 
     A depth-first walk tries each position's ranks upward. Ranks never rise
-    along a sequence (largest part first), and after an overlined part the
-    next rank is strictly smaller, as the overline marks a value's last
-    copy. With overlines False it walks the plain (even) ranks only and a
-    part is its value. Parts are shared: one instance per rank."""
+    along a sequence, and after an overlined part the next rank is strictly
+    smaller, as the overline marks a value's last copy. Parts are shared:
+    one instance per rank."""
     values = [(r + 1) // 2 for r in range(2 * n + 1)]
-    parts = values
-    if overlines:
-        parts = [Part(v, r % 2 == 1) for r, v in enumerate(values)]
-    step = 1 if overlines else 2
-    stack: list = []
-    out: list = []
+    parts = [Part(v, r % 2 == 1) for r, v in enumerate(values)]
+    stack: list[Part] = []
+    out: list[Overpartition] = []
 
     def walk(remaining: int, top: int) -> None:
         if not remaining:
-            out.append(build(tuple(stack)))
+            out.append(Overpartition(tuple(stack)))
             return
         # 1bar allows no part after it, so it is tried only as the last unit
-        lo = 1 if overlines and remaining == 1 else 2
-        for r in range(lo, min(top, 2 * remaining) + 1, step):
+        lo = 1 if remaining == 1 else 2
+        for r in range(lo, min(top, 2 * remaining) + 1):
             stack.append(parts[r])
             # next ranks: up to r after a plain part, r - 1 after an overline
             walk(remaining - values[r], r & -2)
@@ -313,14 +257,6 @@ def _rank_walk(n: int, build, overlines: bool) -> tuple:
 
     walk(n, 2 * n)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _overpartitions_of(n: int) -> tuple[Overpartition, ...]:
-    # increasing lexicographic order of the rank sequences, largest part
-    # first: each part's rank is at most the one before it, and strictly
-    # less after an overlined part
-    return _rank_walk(n, Overpartition, overlines=True)
 
 
 def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
@@ -331,18 +267,6 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
     """
     _check_weight(n, 0, "weight must be >= 0")
     return _overpartitions_of(n)
-
-
-@lru_cache(maxsize=None)
-def _partitions_of(n: int) -> tuple[Partition, ...]:
-    # increasing lexicographic order of the parts, largest first
-    return _rank_walk(n, Partition, overlines=False)
-
-
-def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All ordinary partitions of n, deterministically ordered."""
-    _check_weight(n, 0, "weight must be >= 0")
-    return _partitions_of(n)
 
 
 # -- counting via generating functions --------------------------------------
@@ -389,15 +313,6 @@ def overline_mex(pi: Overpartition, query: MexQuery = MEX_2_1) -> int:
     # the bare pair equals Part(candidate, False) and skips building a Part
     while (candidate, False) in parts:
         candidate += query.modulus
-    return candidate
-
-
-def partition_mex(p: Partition) -> int:
-    """Smallest positive integer that is not a part."""
-    present = set(p.parts)
-    candidate = 1
-    while candidate in present:
-        candidate += 1
     return candidate
 
 

@@ -4,34 +4,35 @@ Everything here is exact. Coefficients are Python ints, truncation is a hard
 cutoff at a fixed order, and no operation ever reads or writes an exponent
 beyond that order. On top of the core arithmetic the module provides the
 q-series building blocks used by the identity checkers: q-Pochhammer
-products (qproduct: finite, infinite, dilated, any step), Gaussian binomial
-polynomials, pentagonal and theta sums, and the partition and
-overpartition generating functions.
+products (qproduct: finite, infinite, dilated, any step), pentagonal and
+theta sums, and the partition and overpartition generating functions.
 
 Conventions:
 
 * a series of order N holds coefficients for q^0 .. q^N inclusive;
 * binary operations require both operands to have the same order;
-* changing the order is always an explicit step (truncate, dilate);
+* changing the order is always an explicit step (dilate);
 * an infinite product or sum is truncated by dropping every factor or term
   whose minimal exponent exceeds the order, which is exact mod q^(N+1).
+
+Every rejected input raises BadParamsError, the package's one rejected-input
+error, defined here in the bottom layer and re-exported by the layers above.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from math import isqrt
+from math import inf, isqrt
 from operator import add, mul, sub
 from typing import Sequence
 
 __all__ = [
+    "BadParamsError",
     "TruncatedSeries",
-    "make",
     "zero",
     "one",
     "monomial",
     "qproduct",
-    "gauss_binomial",
     "pentagonal_series",
     "theta_partial",
     "gauss_theta",
@@ -39,6 +40,19 @@ __all__ = [
     "overpartition_gf",
     "poch_ratio",
 ]
+
+
+class BadParamsError(ValueError):
+    """A caller-supplied value was rejected: of the wrong type, out of its
+    range, past the enumeration cap, or a malformed OPLAB_ENUM_CAP."""
+
+
+def _checked_int(v: object, lo: float, hi: float, message: str) -> int:
+    """v when it is an int, not a bool, with lo <= v <= hi (an infinite bound
+    leaves that side open); otherwise BadParamsError(message)."""
+    if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
+        raise BadParamsError(message)
+    return v
 
 
 class TruncatedSeries:
@@ -51,10 +65,9 @@ class TruncatedSeries:
     __slots__ = ("_order", "_coeffs")
 
     def __init__(self, order: int, coeffs: Sequence[int] = ()) -> None:
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
         if len(coeffs) > order + 1:
-            raise ValueError(
+            raise BadParamsError(
                 f"{len(coeffs)} coefficients exceed order {order} (max {order + 1})"
             )
         full = list(coeffs) + [0] * (order + 1 - len(coeffs))
@@ -86,7 +99,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
         if self._order != other._order:
-            raise ValueError(
+            raise BadParamsError(
                 f"order mismatch: {self._order} vs {other._order}"
             )
 
@@ -121,22 +134,11 @@ class TruncatedSeries:
                 out[i:] = map(add, out[i:], map(ai.__mul__, b[: n + 1 - i]))
         return TruncatedSeries(n, out)
 
-    def shift(self, exponent: int) -> "TruncatedSeries":
-        """Multiply by q^exponent, dropping anything pushed past the order."""
-        if exponent < 0:
-            raise ValueError("shift exponent must be >= 0")
-        n = self._order
-        out = [0] * (n + 1)
-        if exponent <= n:  # past the order the slice would extend out
-            out[exponent:] = self._coeffs[: n + 1 - exponent]
-        return TruncatedSeries(n, out)
-
     def times_factor(self, exponent: int, sign: int = 1) -> "TruncatedSeries":
         """Multiply by the single factor (1 - sign*q^exponent) in O(order) time."""
         if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if exponent < 0:
-            raise ValueError("factor exponent must be >= 0")
+            raise BadParamsError("sign must be +1 or -1")
+        _checked_int(exponent, 0, inf, "factor exponent must be >= 0")
         out = list(self._coeffs)
         _times_factor_into(out, exponent, sign)
         return TruncatedSeries(self._order, out)
@@ -148,9 +150,10 @@ class TruncatedSeries:
         q^(order+1); the exponent-zero factor is not a unit and is rejected.
         """
         if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if exponent <= 0:
-            raise ValueError("can only divide by factors with exponent >= 1")
+            raise BadParamsError("sign must be +1 or -1")
+        _checked_int(
+            exponent, 1, inf, "can only divide by factors with exponent >= 1"
+        )
         out = list(self._coeffs)
         _div_factor_into(out, exponent, sign)
         return TruncatedSeries(self._order, out)
@@ -166,7 +169,7 @@ class TruncatedSeries:
         a = self._coeffs
         c0 = a[0]
         if c0 not in (1, -1):
-            raise ValueError(
+            raise BadParamsError(
                 f"constant term must be +1 or -1 to invert, got {c0}"
             )
         n = self._order
@@ -176,16 +179,6 @@ class TruncatedSeries:
             b.append(-c0 * sum(map(mul, b, rev[n - m :])))
         return TruncatedSeries(n, b)
 
-    def truncate(self, new_order: int) -> "TruncatedSeries":
-        """Re-truncate to a lower (or equal) order. Extension would fabricate
-        coefficients that were never computed, so it is not allowed."""
-        if new_order > self._order:
-            raise ValueError(
-                f"cannot extend order {self._order} to {new_order}: "
-                "coefficients beyond the truncation are unknown"
-            )
-        return TruncatedSeries(new_order, self._coeffs[: new_order + 1])
-
     def dilate(self, ell: int, order: int) -> "TruncatedSeries":
         """Substitute q -> q^ell by re-indexing coefficients onto a series of
         the given order, dropping exponents that land past it.
@@ -193,11 +186,10 @@ class TruncatedSeries:
         The source must be known through exponent order//ell, otherwise the
         result would be missing coefficients it claims to have.
         """
-        if ell < 1:
-            raise ValueError("dilation must be >= 1")
+        _checked_int(ell, 1, inf, "dilation must be >= 1")
         top = order // ell
         if self._order < top:
-            raise ValueError(
+            raise BadParamsError(
                 f"source order {self._order} too small to dilate by {ell} "
                 f"up to order {order} (needs {top})"
             )
@@ -206,9 +198,6 @@ class TruncatedSeries:
         return TruncatedSeries(order, out)
 
     # -- misc ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -273,11 +262,6 @@ def _div_factor_into(c: list[int], exponent: int, sign: int) -> None:
             c[lo:hi] = map(add, c[lo:hi], c[lo - exponent : lo])
 
 
-def make(order: int, coeffs: Sequence[int] = ()) -> TruncatedSeries:
-    """Build a series from low-order coefficients, zero padded up to order."""
-    return TruncatedSeries(order, coeffs)
-
-
 def zero(order: int) -> TruncatedSeries:
     return TruncatedSeries(order)
 
@@ -287,8 +271,7 @@ def one(order: int) -> TruncatedSeries:
 
 
 def monomial(order: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
-    if exponent < 0 or exponent > order:
-        raise ValueError(f"exponent {exponent} outside 0..{order}")
+    _checked_int(exponent, 0, order, f"exponent {exponent} outside 0..{order}")
     c = [0] * (order + 1)
     c[exponent] = coeff
     return TruncatedSeries(order, c)
@@ -308,13 +291,13 @@ def qproduct(
     congruent to 1 and the product is complete mod q^(order+1).
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if start < 0 or step < 1:
-        raise ValueError("need start >= 0 and step >= 1")
-    if length is not None and length < 0:
-        raise ValueError("length must be >= 0 or None")
+        raise BadParamsError("sign must be +1 or -1")
+    _checked_int(start, 0, inf, "need start >= 0 and step >= 1")
+    _checked_int(step, 1, inf, "need start >= 0 and step >= 1")
+    if length is not None:
+        _checked_int(length, 0, inf, "length must be >= 0 or None")
     if sign == 1 and start == 0 and length is None:
-        raise ValueError("infinite product with a (1 - q^0) factor is zero")
+        raise BadParamsError("infinite product with a (1 - q^0) factor is zero")
     c = [1] + [0] * order
     i = 0
     while length is None or i < length:
@@ -323,23 +306,6 @@ def qproduct(
             break
         _times_factor_into(c, e, sign)
         i += 1
-    return TruncatedSeries(order, c)
-
-
-def gauss_binomial(m: int, n: int, order: int) -> TruncatedSeries:
-    """Gaussian binomial coefficient as a truncated series.
-
-    Defined as (q;q)_m / ((q;q)_n (q;q)_{m-n}); zero when n < 0 or m < n.
-    The full object is a polynomial of degree n*(m-n) with nonnegative
-    coefficients; truncation at any order commutes with the division.
-    """
-    if n < 0 or m < n:
-        return zero(order)
-    c = list(qproduct(1, 1, 1, m, order).coeffs)
-    for i in range(1, min(n, order) + 1):
-        _div_factor_into(c, i, 1)
-    for i in range(1, min(m - n, order) + 1):
-        _div_factor_into(c, i, 1)
     return TruncatedSeries(order, c)
 
 
@@ -381,8 +347,8 @@ def gauss_theta(k: int | None, order: int) -> TruncatedSeries:
     """1 + 2*sum_{j=1..k} (-1)^j q^(j^2); k None takes the full theta sum."""
     if k is None:
         k = isqrt(order)
-    elif k < 0:
-        raise ValueError("k must be >= 0 or None for the full sum")
+    else:
+        _checked_int(k, 0, inf, "k must be >= 0 or None for the full sum")
     return theta_partial(-k, k, order)
 
 
@@ -404,8 +370,8 @@ def overpartition_gf(order: int) -> TruncatedSeries:
 
 def poch_ratio(numer_start: int, denom_start: int, order: int) -> TruncatedSeries:
     """(-q^numer_start;q)oo / (q^denom_start;q)oo mod q^(order+1)."""
-    if numer_start < 1 or denom_start < 1:
-        raise ValueError("both start exponents must be >= 1")
+    _checked_int(numer_start, 1, inf, "both start exponents must be >= 1")
+    _checked_int(denom_start, 1, inf, "both start exponents must be >= 1")
     c = list(qproduct(-1, numer_start, 1, None, order).coeffs)
     for e in range(denom_start, order + 1):
         _div_factor_into(c, e, 1)

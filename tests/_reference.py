@@ -1,0 +1,28 @@
+"""Reference oracles that only the tests use: the shortest direct
+definitions of things the package does not provide itself."""
+
+from oplab import series
+from oplab.overpartitions import Overpartition, Part
+from oplab.series import TruncatedSeries
+
+
+def shift(f, e):
+    """f times q^e, dropping what lands past the order."""
+    return TruncatedSeries(f.order, ((0,) * e + f.coeffs)[: f.order + 1])
+
+
+def gauss_binomial(m, n, order):
+    """[m, n]_q = (q;q)_m / ((q;q)_n (q;q)_{m-n}); zero unless 0 <= n <= m."""
+    if n < 0 or m < n:
+        return series.zero(order)
+    f = series.qproduct(1, 1, 1, m, order)
+    for i in [*range(1, n + 1), *range(1, m - n + 1)]:
+        f = f.div_factor(i)
+    return f
+
+
+def of(*parts):
+    """An Overpartition from parts in any order: an int is a plain part, a
+    (value, overlined) pair or a Part is taken as it is."""
+    norm = [Part(p, False) if isinstance(p, int) else Part(*p) for p in parts]
+    return Overpartition(tuple(sorted(norm, key=lambda p: p.rank, reverse=True)))

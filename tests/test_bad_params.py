@@ -11,9 +11,12 @@ import pytest
 from oplab import bijections as bj
 from oplab import identities as idn
 from oplab import overpartitions as op
-from oplab.overpartitions import Overpartition
+from oplab import series
 
-_MU = Overpartition.of(3, 1)
+from _reference import of
+
+_MU = of(3, 1)
+_EMPTY_GRID = {"m": (3, 3), "k": (1, 1)}  # m > k: thm-2-4 takes no set
 
 ENTRY_POINTS = {
     "verify_series order": (lambda v: idn.verify_series("gauss", order=v), -1),
@@ -42,6 +45,16 @@ ENTRY_POINTS = {
                                         overrides={"k": (v, v)}),
         65,
     ),
+    "run_default_suite empty grid order": (
+        lambda v: idn.run_default_suite(["thm-2-4"], order=v,
+                                        overrides=_EMPTY_GRID),
+        idn.MAX_ORDER + 1,
+    ),
+    "run_default_suite empty grid n_max": (
+        lambda v: idn.run_default_suite(["thm-2-4"], n_max=v,
+                                        overrides=_EMPTY_GRID),
+        0,
+    ),
     "expand_grid override high end": (
         lambda v: idn.expand_grid(idn.get_identity("li-truncation"),
                                   {"k": (2, v)}),
@@ -50,7 +63,6 @@ ENTRY_POINTS = {
     "MexQuery modulus": (lambda v: op.MexQuery(v, 1), 0),
     "MexQuery residue": (lambda v: op.MexQuery(2, v), 3),
     "enumerate_overpartitions": (op.enumerate_overpartitions, -1),
-    "enumerate_partitions": (op.enumerate_partitions, -1),
     "op_class_counts": (op.op_class_counts, -1),
     "op21 n": (lambda v: op.op21(v, 1), 0),
     "op21 k": (lambda v: op.op21(5, v), -1),
@@ -66,6 +78,11 @@ ENTRY_POINTS = {
     "staircase_insert": (lambda v: bj.staircase_insert(_MU, v), 0),
     "staircase_remove": (lambda v: bj.staircase_remove(_MU, v), 0),
     "c_witness": (bj.c_witness, 3),
+    "TruncatedSeries order": (series.TruncatedSeries, -1),
+    "monomial exponent": (lambda v: series.monomial(5, v), 6),
+    "qproduct start": (lambda v: series.qproduct(1, v, 1, None, 5), -1),
+    "dilate ell": (lambda v: series.one(3).dilate(v, 3), 0),
+    "poch_ratio start": (lambda v: series.poch_ratio(v, 1, 10), 0),
 }
 
 CASES = [
@@ -83,7 +100,7 @@ def test_entry_point_rejects_with_bad_params_error(call, value):
 
 
 def test_one_rejection_error_class():
-    assert idn.BadParamsError is op.BadParamsError
+    assert idn.BadParamsError is op.BadParamsError is series.BadParamsError
     assert issubclass(op.EnumerationCapError, op.BadParamsError)
     assert issubclass(op.BadParamsError, ValueError)
     with pytest.raises(op.BadParamsError) as exc:
@@ -102,11 +119,11 @@ def test_malformed_cap_is_a_bad_params_error(monkeypatch):
 # an object outside a map's domain, or an unknown side, is rejected the same way
 REJECTED_OBJECTS = {
     "map_a_to_b overlined smallest": lambda: bj.map_a_to_b(
-        Overpartition.of(3, (1, True))
+        of(3, (1, True))
     ),
     "map_b_to_a complement class": lambda: bj.map_b_to_a(bj.c_witness(5)),
     "staircase_remove missing stair": lambda: bj.staircase_remove(
-        Overpartition.of(3, 2), 2
+        of(3, 2), 2
     ),
     "classify side": lambda: bj.classify(_MU, "C"),
 }

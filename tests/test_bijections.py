@@ -9,9 +9,7 @@ from oplab import overpartitions as op
 from oplab.bijections import SetLabel
 from oplab.overpartitions import Overpartition, Part
 
-
-def _ov(*parts):
-    return Overpartition.of(*parts)
+from _reference import of as _ov
 
 
 def test_classify_weight_3_split():

@@ -379,12 +379,48 @@ def test_python_dash_m_oplab_runs_the_cli():
     ]
 
 
+# the public surface, written out so that every export is a visible decision
+PUBLIC_NAMES = {
+    "__version__",
+    # series
+    "TruncatedSeries", "zero", "one", "monomial", "qproduct",
+    "pentagonal_series", "theta_partial", "gauss_theta", "partition_gf",
+    "overpartition_gf", "poch_ratio",
+    # overpartitions
+    "Part", "Overpartition", "MexQuery", "MEX_2_1", "BadParamsError",
+    "EnumerationCapError", "DEFAULT_ENUMERATION_CAP", "ENUMERATION_CAP_ENV",
+    "enumeration_cap", "enumerate_overpartitions", "pbar", "partition_count",
+    "overline_mex", "op_class_counts", "op21", "mbar", "nbar", "mk_stat",
+    # bijections
+    "SetLabel", "BijectionTrace", "classify", "map_a_to_b", "map_b_to_a",
+    "c_witness", "staircase_insert", "staircase_remove", "check_weight_down",
+    "check_staircase",
+    # identities
+    "IdentityDescriptor", "VerificationReport", "UnknownIdentityError",
+    "MAX_ORDER", "list_identities", "get_identity", "expand_grid",
+    "verify_series", "verify_enumerative", "verify_inequality",
+    "verify_identity", "run_default_suite",
+}
+
+
 def test_package_exports_are_the_modules_exports():
     from oplab import bijections, overpartitions, series
     modules = (series, overpartitions, bijections, identities)
     union = set().union(*(m.__all__ for m in modules))
     assert set(oplab.__all__) - {"__version__"} == union
     assert all(hasattr(oplab, name) for name in oplab.__all__)
+    assert len(oplab.__all__) == len(set(oplab.__all__))
+    assert set(oplab.__all__) == PUBLIC_NAMES
+
+
+def test_readme_library_use_runs():
+    # the python block under "## Library use" is executed as written
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 # sha256 of `oplab verify --all` stdout; any change to a verdict, a

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from oplab import series as s
 from oplab.series import TruncatedSeries
 
+from _reference import gauss_binomial, shift
+
 # hand-checked low-order expansions
 QQ_INF_7 = (1, -1, -1, 0, 0, 1, 0, 1)
 NEGQ_INF_4 = (1, 1, 1, 2, 2)
@@ -40,7 +42,7 @@ def test_leading_minus_one_factor_gives_two():
 
 
 def test_make_and_coeff():
-    f = s.make(4, (3, 0, -2))
+    f = TruncatedSeries(4, (3, 0, -2))
     assert f.order == 4
     assert f.coeffs == (3, 0, -2, 0, 0)
     assert f.coeff(2) == -2
@@ -57,24 +59,24 @@ def test_series_is_immutable():
 
 
 def test_too_many_coefficients_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         TruncatedSeries(1, (1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         TruncatedSeries(-1)
 
 
 def test_binary_ops_require_equal_orders():
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.one(3) + s.one(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.one(3) * s.one(4)
     with pytest.raises(TypeError):
         s.one(3) + 1
 
 
 def test_add_sub_neg_scale():
-    f = s.make(3, (1, 2, 3, 4))
-    g = s.make(3, (4, 3, 2, 1))
+    f = TruncatedSeries(3, (1, 2, 3, 4))
+    g = TruncatedSeries(3, (4, 3, 2, 1))
     assert (f + g).coeffs == (5, 5, 5, 5)
     assert (f - g).coeffs == (-3, -1, 1, 3)
     assert (-f).coeffs == (-1, -2, -3, -4)
@@ -82,47 +84,36 @@ def test_add_sub_neg_scale():
 
 
 def test_mul_truncates_cauchy_product():
-    f = s.make(3, (1, 1))  # 1 + q
+    f = TruncatedSeries(3, (1, 1))  # 1 + q
     assert (f * f).coeffs == (1, 2, 1, 0)
     g = s.monomial(3, 2)
-    assert (g * g).is_zero()  # q^4 is beyond the order
-
-
-def test_shift():
-    f = s.make(4, (1, 2, 3))
-    assert f.shift(2).coeffs == (0, 0, 1, 2, 3)
-    assert f.shift(4).coeffs == (0, 0, 0, 0, 1)
-    # past the order nothing is left, and the series keeps its order
-    assert f.shift(5).coeffs == (0, 0, 0, 0, 0)
-    assert f.shift(7).coeffs == (0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        f.shift(-1)
+    assert g * g == s.zero(3)  # q^4 is beyond the order
 
 
 def test_times_and_div_factor_invert_each_other():
-    f = s.make(20, tuple(range(1, 22)))
+    f = TruncatedSeries(20, tuple(range(1, 22)))
     for e, sign in ((1, 1), (3, -1), (7, 1), (20, -1)):
         assert f.times_factor(e, sign).div_factor(e, sign) == f
         assert f.div_factor(e, sign).times_factor(e, sign) == f
 
 
 def test_times_factor_exponent_zero_is_scaling():
-    f = s.make(3, (1, 1, 1, 1))
-    assert f.times_factor(0, 1).is_zero()  # times (1 - q^0) = 0
+    f = TruncatedSeries(3, (1, 1, 1, 1))
+    assert f.times_factor(0, 1) == s.zero(3)  # times (1 - q^0) = 0
     assert f.times_factor(0, -1).coeffs == (2, 2, 2, 2)
 
 
 def test_div_factor_rejects_non_units():
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.one(3).div_factor(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.one(3).times_factor(2, 5)
 
 
 def test_invert_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        s.make(3, (2, 1)).invert()
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
+        TruncatedSeries(3, (2, 1)).invert()
+    with pytest.raises(s.BadParamsError):
         s.zero(3).invert()
 
 
@@ -133,33 +124,25 @@ def test_invert_round_trip_high_order():
     assert g.invert().invert() == g
 
 
-def test_truncate_shrinks_only():
-    f = s.make(6, (1, 2, 3, 4, 5, 6, 7))
-    assert f.truncate(3).coeffs == (1, 2, 3, 4)
-    assert f.truncate(6) == f
-    with pytest.raises(ValueError):
-        f.truncate(7)
-
-
 def test_dilate():
-    f = s.make(3, (1, 2, 3, 4))
+    f = TruncatedSeries(3, (1, 2, 3, 4))
     assert f.dilate(2, 7).coeffs == (1, 0, 2, 0, 3, 0, 4, 0)
     # source must know everything up to order//ell
-    with pytest.raises(ValueError):
-        s.make(2, (1, 2, 3)).dilate(2, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
+        TruncatedSeries(2, (1, 2, 3)).dilate(2, 7)
+    with pytest.raises(s.BadParamsError):
         f.dilate(0, 3)
 
 
 def test_equality_and_hash():
-    assert s.make(3, (1, 2)) == s.make(3, (1, 2, 0, 0))
-    assert s.make(3, (1, 2)) != s.make(4, (1, 2))
+    assert TruncatedSeries(3, (1, 2)) == TruncatedSeries(3, (1, 2, 0, 0))
+    assert TruncatedSeries(3, (1, 2)) != TruncatedSeries(4, (1, 2))
     assert hash(s.one(5)) == hash(s.one(5))
     assert s.one(3) != 1
 
 
 def test_repr_shows_leading_terms():
-    text = repr(s.make(5, (1, -1, 0, 2)))
+    text = repr(TruncatedSeries(5, (1, -1, 0, 2)))
     assert "q" in text and "2*q^3" in text
 
 
@@ -187,31 +170,31 @@ def test_pochhammer_with_dilation_reindexes():
 
 
 def test_qproduct_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.qproduct(0, 1, 1, None, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.qproduct(1, -1, 1, None, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.qproduct(1, 1, 0, None, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.qproduct(1, 0, 1, None, 5)
     assert s.qproduct(1, 1, 1, 0, 5) == s.one(5)  # empty product
 
 
 def test_gauss_binomial_frozen_values():
-    assert s.gauss_binomial(2, 1, 6).coeffs[:3] == (1, 1, 0)
-    assert s.gauss_binomial(4, 2, 6).coeffs == (1, 1, 2, 1, 1, 0, 0)
-    assert s.gauss_binomial(1, 3, 6).is_zero()
-    assert s.gauss_binomial(3, -1, 6).is_zero()
-    assert s.gauss_binomial(5, 0, 6) == s.one(6)
-    assert s.gauss_binomial(5, 5, 6) == s.one(6)
+    assert gauss_binomial(2, 1, 6).coeffs[:3] == (1, 1, 0)
+    assert gauss_binomial(4, 2, 6).coeffs == (1, 1, 2, 1, 1, 0, 0)
+    assert gauss_binomial(1, 3, 6) == s.zero(6)
+    assert gauss_binomial(3, -1, 6) == s.zero(6)
+    assert gauss_binomial(5, 0, 6) == s.one(6)
+    assert gauss_binomial(5, 5, 6) == s.one(6)
 
 
 def test_gauss_binomial_degree_and_positivity():
     for m in range(0, 13):
         for n in range(0, m + 1):
             deg = n * (m - n)
-            poly = s.gauss_binomial(m, n, deg + 5)
+            poly = gauss_binomial(m, n, deg + 5)
             cs = poly.coeffs
             assert all(c >= 0 for c in cs)
             assert cs[deg] != 0 or deg == 0
@@ -225,16 +208,16 @@ def test_gauss_binomial_pascal_recurrence():
     order = 100
     for m in range(1, 21):
         for n in range(0, m + 1):
-            lhs = s.gauss_binomial(m, n, order)
-            rhs = s.gauss_binomial(m - 1, n - 1, order) + s.gauss_binomial(
-                m - 1, n, order
-            ).shift(n)
+            lhs = gauss_binomial(m, n, order)
+            rhs = gauss_binomial(m - 1, n - 1, order) + shift(
+                gauss_binomial(m - 1, n, order), n
+            )
             assert lhs == rhs, (m, n)
 
 
 def test_gauss_binomial_truncation_commutes():
-    full = s.gauss_binomial(12, 5, 40)
-    assert s.gauss_binomial(12, 5, 9) == full.truncate(9)
+    full = gauss_binomial(12, 5, 40)
+    assert gauss_binomial(12, 5, 9) == TruncatedSeries(9, full.coeffs[:10])
 
 
 def test_theta_partial_and_gauss_theta():
@@ -245,7 +228,7 @@ def test_theta_partial_and_gauss_theta():
     for e in range(26):
         assert t.coeff(e) == expected.get(e, 0)
     assert s.gauss_theta(2, 30) == s.theta_partial(-2, 2, 30)
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.gauss_theta(-1, 10)
 
 
@@ -262,15 +245,15 @@ def test_poch_ratio_is_quotient():
     numer = s.qproduct(-1, 3, 1, None, 60)
     denom = s.qproduct(1, 2, 1, None, 60)
     assert r * denom == numer
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.poch_ratio(0, 1, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.poch_ratio(1, 0, 10)
 
 
 def test_monomial_bounds():
     assert s.monomial(5, 5, -3).coeff(5) == -3
-    with pytest.raises(ValueError):
+    with pytest.raises(s.BadParamsError):
         s.monomial(5, 6)
 
 
@@ -333,12 +316,12 @@ def test_factor_kernel_matches_index_loops(order):
     for e in _kernel_exponents(order):
         for sign in (1, -1):
             c = _random_coeffs(rng, order)
-            f = s.make(order, c)
+            f = TruncatedSeries(order, c)
             assert list(f.times_factor(e, sign).coeffs) == ref_times_factor(c, e, sign)
             assert list(f.div_factor(e, sign).coeffs) == ref_div_factor(c, e, sign)
     c = _random_coeffs(rng, order)
     for sign in (1, -1):
-        assert list(s.make(order, c).times_factor(0, sign).coeffs) == (
+        assert list(TruncatedSeries(order, c).times_factor(0, sign).coeffs) == (
             ref_times_factor(c, 0, sign)
         )
 
@@ -349,12 +332,12 @@ def test_mul_and_invert_match_index_loops(order, density):
     rng = random.Random(1000 * order + int(100 * density))
     a = _random_coeffs(rng, order, density)
     b = _random_coeffs(rng, order)
-    fa, fb = s.make(order, a), s.make(order, b)
+    fa, fb = TruncatedSeries(order, a), TruncatedSeries(order, b)
     assert list((fa * fb).coeffs) == ref_mul(a, b)
     assert list((fb * fa).coeffs) == ref_mul(a, b)
     for c0 in (1, -1):
         u = [c0] + a[1:]
-        assert list(s.make(order, u).invert().coeffs) == ref_invert(u)
+        assert list(TruncatedSeries(order, u).invert().coeffs) == ref_invert(u)
 
 
 _ORDERS = st.integers(min_value=0, max_value=60)
@@ -364,7 +347,7 @@ def _series_of(order, first=st.integers(-(10**12), 10**12)):
     rest = st.lists(
         st.integers(-(10**12), 10**12), min_size=order, max_size=order
     )
-    return st.tuples(first, rest).map(lambda t: s.make(order, [t[0]] + t[1]))
+    return st.tuples(first, rest).map(lambda t: TruncatedSeries(order, [t[0]] + t[1]))
 
 
 @settings(deadline=None)
@@ -391,7 +374,7 @@ def test_series_times_its_inverse_is_one(f):
             _series_of(n),
             st.dictionaries(
                 st.integers(0, n), st.integers(-(10**6), 10**6), max_size=3
-            ).map(lambda d: s.make(n, [d.get(i, 0) for i in range(n + 1)])),
+            ).map(lambda d: TruncatedSeries(n, [d.get(i, 0) for i in range(n + 1)])),
         )
     )
 )
@@ -419,9 +402,10 @@ def test_mul_is_associative_and_distributes_over_add(triple):
 def test_dilate_and_truncate_commute(f, ell, data):
     order = data.draw(st.integers(0, ell * f.order + ell - 1), label="order")
     new_order = data.draw(st.integers(0, order), label="new_order")
-    assert f.dilate(ell, order).truncate(new_order) == (
-        f.truncate(new_order // ell).dilate(ell, new_order)
-    )
+    top = new_order // ell
+    assert TruncatedSeries(
+        new_order, f.dilate(ell, order).coeffs[: new_order + 1]
+    ) == TruncatedSeries(top, f.coeffs[: top + 1]).dilate(ell, new_order)
 
 
 @settings(deadline=None)
@@ -432,12 +416,12 @@ def test_dilate_and_truncate_commute(f, ell, data):
 )
 def test_gauss_binomial_q_pascal(m, n, order):
     # [m, n] = [m-1, n-1] + q^n [m-1, n] = q^(m-n) [m-1, n-1] + [m-1, n]
-    whole = s.gauss_binomial(m, n, order)
-    left = s.gauss_binomial(m - 1, n - 1, order)
-    right = s.gauss_binomial(m - 1, n, order)
-    assert whole == left + right.shift(n)
+    whole = gauss_binomial(m, n, order)
+    left = gauss_binomial(m - 1, n - 1, order)
+    right = gauss_binomial(m - 1, n, order)
+    assert whole == left + shift(right, n)
     if n <= m:
-        assert whole == left.shift(m - n) + right
+        assert whole == shift(left, m - n) + right
 
 
 @settings(deadline=None)
