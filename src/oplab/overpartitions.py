@@ -327,11 +327,16 @@ def overline_mex(pi: Overpartition, query: MexQuery = MEX_2_1) -> int:
 
 
 class _ShapeTables(NamedTuple):
-    """Counts for one weight n, indexed by k; a k past the end counts 0."""
+    """Counts for one weight n, all filled by one pass over its shapes.
+
+    mbar, nbar and mk are indexed by k, and mex[m] counts the
+    overpartitions of n whose overline-mex (mod 2, residue 1) is m. An
+    index past the end counts 0."""
 
     mbar: tuple[int, ...]
     nbar: tuple[int, ...]
     mk: tuple[int, ...]
+    mex: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -339,15 +344,21 @@ def _shape_tables(n: int) -> _ShapeTables:
     mbar_diff = [0] * (n + 2)
     nbar_col = [0] * (n + 2)
     mk_col = [0] * (n + 2)
+    # the overline-mex 2j + 1 needs 1, 3, ..., 2j - 1: j^2 <= n, 2j + 1 <= n + 3
+    mex_col = [0] * (n + 4)
     for blocks in _value_blocks(n):
-        blocks = blocks[::-1]  # values increasing
         weight = 1 << len(blocks)
         half = weight >> 1
-        prev = 0
-        for i, (v, c) in enumerate(blocks):
+        prev = prev_c = 0
+        parts = below = 0
+        gap = 1  # least value missing so far: the mex of the plain values
+        odd = 1  # least odd value not yet seen present as a plain part
+        odd_weight = weight
+        for v, c in reversed(blocks):  # values increasing
+            parts += c
             # mbar: for prev <= k < v the smallest value above k is v, which
             # occurs c times whatever the flags, so k <= c - 1 qualifies
-            top = min(v, c)
+            top = v if v < c else c
             if top > prev:
                 mbar_diff[prev] += weight
                 mbar_diff[top] -= weight
@@ -356,64 +367,47 @@ def _shape_tables(n: int) -> _ShapeTables:
             if prev < c < v:
                 nbar_col[c] += half
             # nbar, k == v: v plain needs c == k; v overlined with c >= 2 is
-            # exempt once, leaving c - 1 == k plain copies; v overlined with
-            # c == 1 is exempt entirely, so the next block decides and must
-            # be plain with k copies
+            # exempt once, leaving c - 1 == k plain copies
             if c == v or c - 1 == v:
                 nbar_col[v] += half
-            if c == 1 and i + 1 < len(blocks) and blocks[i + 1][1] == v:
-                nbar_col[v] += half >> 1
-            prev = v
-        # mk: values 1..mex-1 are the first blocks, the rest lie above mex
-        mex, below = 1, 0
-        for v, c in blocks:
-            if v != mex:
-                break
-            mex += 1
-            below += c
-        if sum(c for _, c in blocks) - below > below:
-            mk_col[mex] += 1
+            # nbar, k == prev overlined with one copy: it is exempt entirely,
+            # so this block decides and must be plain with k copies
+            if prev_c == 1 and c == prev:
+                nbar_col[prev] += half >> 1
+            # mk: values 1..gap-1 are the first blocks, the rest lie above gap
+            if v == gap:
+                gap += 1
+                below += c
+            # overline-mex: a value occurring twice or more is always plain; a
+            # single copy is plain in half the assignments, and in the other
+            # half the mex is v
+            if v == odd:
+                if c == 1:
+                    odd_weight >>= 1
+                    mex_col[v] += odd_weight
+                odd += 2
+            prev, prev_c = v, c
+        if parts - below > below:
+            mk_col[gap] += 1
+        mex_col[odd] += odd_weight
     return _ShapeTables(
-        tuple(itertools.accumulate(mbar_diff)), tuple(nbar_col), tuple(mk_col)
+        tuple(itertools.accumulate(mbar_diff)), tuple(nbar_col), tuple(mk_col),
+        tuple(mex_col),
     )
-
-
-@lru_cache(maxsize=None)
-def _mex_weights(n: int, query: MexQuery) -> tuple[tuple[int, int], ...]:
-    """(mex, number of overpartitions of n with that overline-mex) pairs."""
-    weights: dict[int, int] = {}
-    for blocks in _value_blocks(n):
-        counts = dict(blocks)
-        weight = 1 << len(blocks)
-        candidate = query.residue
-        # a value occurring twice or more is always present as a plain part;
-        # a single occurrence is plain in half the assignments, and in the
-        # other half the walk stops at it
-        while candidate in counts:
-            if counts[candidate] == 1:
-                weight >>= 1
-                weights[candidate] = weights.get(candidate, 0) + weight
-            candidate += query.modulus
-        weights[candidate] = weights.get(candidate, 0) + weight
-    return tuple(sorted(weights.items()))
 
 
 def _column(col: tuple[int, ...], k: int) -> int:
     return col[k] if k < len(col) else 0
 
 
-def op_class_counts(n: int, query: MexQuery = MEX_2_1) -> tuple[int, int]:
-    """Split pbar(n) by the residue of the overline-mex mod 2*modulus.
+def op_class_counts(n: int) -> tuple[int, int]:
+    """Split pbar(n) by the overline-mex (mod 2, residue 1) mod 4: returns
+    (low, high), where low counts mex = 1 mod 4 and high mex = 3 mod 4.
 
-    The mex is always congruent to the residue mod the modulus, so mod twice
-    the modulus it falls in one of exactly two classes; returns (low, high)
-    where low counts mex = residue and high counts mex = residue + modulus.
-    """
+    Both are sums over the mex column of the shape table that op21 reads."""
     _check_weight(n, 0, "weight must be >= 0")
-    two_a = 2 * query.modulus
-    weights = _mex_weights(n, query)
-    low = sum(w for m, w in weights if m % two_a == query.residue % two_a)
-    return low, sum(w for _, w in weights) - low
+    mex = _shape_tables(n).mex
+    return sum(mex[1::4]), sum(mex[3::4])
 
 
 def op21(n: int, k: int) -> int:
@@ -421,11 +415,7 @@ def op21(n: int, k: int) -> int:
     satisfies m >= 2k+1 and m = 2k+1 mod 4."""
     _check_weight(n, 1, "n must be >= 1")
     _checked_int(k, 0, inf, "op21 requires k >= 0")
-    bound = 2 * k + 1
-    target = bound % 4
-    return sum(
-        w for m, w in _mex_weights(n, MEX_2_1) if m >= bound and m % 4 == target
-    )
+    return sum(_shape_tables(n).mex[2 * k + 1 :: 4])
 
 
 def mbar(n: int, k: int) -> int:

@@ -55,6 +55,12 @@ def _checked_int(v: object, lo: float, hi: float, message: str) -> int:
     return v
 
 
+def _checked_sign(sign: object) -> None:
+    """Raise BadParamsError unless sign is the int 1 or -1 (not a bool)."""
+    if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+        raise BadParamsError("sign must be +1 or -1")
+
+
 class TruncatedSeries:
     """Integer power series truncated (inclusively) at a fixed order.
 
@@ -71,6 +77,9 @@ class TruncatedSeries:
                 f"{len(coeffs)} coefficients exceed order {order} (max {order + 1})"
             )
         full = list(coeffs) + [0] * (order + 1 - len(coeffs))
+        for t in set(map(type, full)) - {int}:
+            if not issubclass(t, int) or issubclass(t, bool):
+                raise BadParamsError(f"coefficients must be ints, got {t.__name__}")
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_coeffs", tuple(full))
 
@@ -136,8 +145,7 @@ class TruncatedSeries:
 
     def times_factor(self, exponent: int, sign: int = 1) -> "TruncatedSeries":
         """Multiply by the single factor (1 - sign*q^exponent) in O(order) time."""
-        if sign not in (1, -1):
-            raise BadParamsError("sign must be +1 or -1")
+        _checked_sign(sign)
         _checked_int(exponent, 0, inf, "factor exponent must be >= 0")
         out = list(self._coeffs)
         _times_factor_into(out, exponent, sign)
@@ -149,8 +157,7 @@ class TruncatedSeries:
         Division by a unit (exponent >= 1) is always well defined mod
         q^(order+1); the exponent-zero factor is not a unit and is rejected.
         """
-        if sign not in (1, -1):
-            raise BadParamsError("sign must be +1 or -1")
+        _checked_sign(sign)
         _checked_int(
             exponent, 1, inf, "can only divide by factors with exponent >= 1"
         )
@@ -290,8 +297,7 @@ def qproduct(
     increasing, so once one exceeds the order every remaining factor is
     congruent to 1 and the product is complete mod q^(order+1).
     """
-    if sign not in (1, -1):
-        raise BadParamsError("sign must be +1 or -1")
+    _checked_sign(sign)
     _checked_int(start, 0, inf, "need start >= 0 and step >= 1")
     _checked_int(step, 1, inf, "need start >= 0 and step >= 1")
     if length is not None:

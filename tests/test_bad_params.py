@@ -2,8 +2,9 @@
 within its range, and every rejection is a BadParamsError.
 
 Each row names an entry point, a call taking the value under test and one
-int just outside that value's range; the call must reject that int, True
-and the float 2.0 alike.
+int just outside that value's range (None where every int is in range, as
+for a coefficient); the call must reject that int, True and the float 2.0
+alike.
 """
 
 import pytest
@@ -79,8 +80,14 @@ ENTRY_POINTS = {
     "staircase_remove": (lambda v: bj.staircase_remove(_MU, v), 0),
     "c_witness": (bj.c_witness, 3),
     "TruncatedSeries order": (series.TruncatedSeries, -1),
+    "TruncatedSeries coefficient": (lambda v: series.TruncatedSeries(3, (1, v)),
+                                    None),
     "monomial exponent": (lambda v: series.monomial(5, v), 6),
+    "monomial coefficient": (lambda v: series.monomial(3, 1, v), None),
     "qproduct start": (lambda v: series.qproduct(1, v, 1, None, 5), -1),
+    "qproduct sign": (lambda v: series.qproduct(v, 1, 1, 3, 5), 0),
+    "times_factor sign": (lambda v: series.one(3).times_factor(1, v), 0),
+    "div_factor sign": (lambda v: series.one(3).div_factor(1, v), 0),
     "dilate ell": (lambda v: series.one(3).dilate(v, 3), 0),
     "poch_ratio start": (lambda v: series.poch_ratio(v, 1, 10), 0),
 }

@@ -304,12 +304,9 @@ def test_negative_weight_rejected():
 REF_N_MAX = 20
 
 
-def _ref_op_class_counts(n, query):
+def _ref_op_class_counts(n):
     ops = op.enumerate_overpartitions(n)
-    two_a = 2 * query.modulus
-    low = sum(
-        1 for pi in ops if op.overline_mex(pi, query) % two_a == query.residue % two_a
-    )
+    low = sum(1 for pi in ops if op.overline_mex(pi) % 4 == 1)
     return low, len(ops) - low
 
 
@@ -370,15 +367,30 @@ def test_shape_tables_match_object_scans(n):
         assert op.mk_stat(n, k) == _ref_mk_stat(plain_values, k), ("mk_stat", n, k)
 
 
-@pytest.mark.parametrize(
-    "query", [MexQuery(2, 1), MexQuery(1, 1), MexQuery(3, 2), MexQuery(4, 4)]
-)
-def test_op_class_counts_match_object_scans(query):
+def test_op_class_counts_match_object_scans():
+    assert op.op_class_counts(0) == (1, 0)
     for n in range(0, REF_N_MAX + 1):
-        split = op.op_class_counts(n, query)
-        assert split == _ref_op_class_counts(n, query), (n, query)
+        split = op.op_class_counts(n)
+        assert split == _ref_op_class_counts(n), n
         # pinned to enumeration, not to the generating function
-        assert sum(split) == len(op.enumerate_overpartitions(n)), (n, query)
+        assert sum(split) == len(op.enumerate_overpartitions(n)), n
+
+
+def test_one_shape_walk_per_weight(monkeypatch):
+    walks = []
+    walk = op._value_blocks
+
+    def counted(n):
+        walks.append(n)
+        return walk(n)
+
+    monkeypatch.setattr(op, "_value_blocks", counted)
+    op._shape_tables.cache_clear()
+    n = 12
+    for stat in (op.op21, op.mbar, op.nbar, op.mk_stat):
+        stat(n, 1)
+    op.op_class_counts(n)
+    assert walks == [n]
 
 
 # -- reference walk: the shapes each table is summed over -------------------
@@ -418,8 +430,5 @@ def test_tables_match_reference_walk_tables(n, monkeypatch):
     # past the object scans' reach, the tables must equal the ones the
     # reference walk builds; __wrapped__ rebuilds without the caches
     tables = op._shape_tables.__wrapped__(n)
-    queries = (op.MEX_2_1, MexQuery(3, 2))
-    weights = [op._mex_weights.__wrapped__(n, q) for q in queries]
     monkeypatch.setattr(op, "_value_blocks", lambda m: _ref_value_blocks(m, m))
     assert tables == op._shape_tables.__wrapped__(n)
-    assert weights == [op._mex_weights.__wrapped__(n, q) for q in queries]
