@@ -1,16 +1,16 @@
 """Constructive weight bijections on overpartitions.
 
-Two maps live here, each with an explicit inverse and a trace record so a
-run can be audited part by part.
+Two maps live here, each with an explicit inverse. Every map returns just
+its image; `oplab bijection --trace` builds the per-object records.
 
 The first is a weight-1-decreasing bijection. Its domain A(n) holds the
-overpartitions of n whose smallest part is not overlined; its image B(n-1)
-holds the overpartitions of n-1 that satisfy a gap condition around an
-overlined 1: if 1bar is present, the smallest part of value >= 2 must be at
-least as large (in the part order) as the plain value 2 + r, where r counts
-the non-overlined 1s. Overpartitions of n-1 outside B form the complement
-class C. The map deletes a smallest part 1, or spreads a smallest part
-t >= 2 into t-2 plain 1s plus an overlined 1.
+overpartitions of n whose smallest part is not overlined (in_a); its image
+B(n-1) holds the overpartitions of n-1 that satisfy a gap condition around
+an overlined 1 (in_b): if 1bar is present, the smallest part of value >= 2
+must be at least as large (in the part order) as the plain value 2 + r,
+where r counts the non-overlined 1s. Overpartitions of n-1 outside B form
+the complement class C. The map deletes a smallest part 1, or spreads a
+smallest part t >= 2 into t-2 plain 1s plus an overlined 1.
 
 The second inserts the odd staircase 1, 3, ..., 2j-1 as plain parts, adding
 weight j^2 and forcing the overline-mex (mod 2, residue 1) to at least
@@ -21,8 +21,6 @@ number of distinct images against a separate count of that class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import inf
 from operator import itemgetter
@@ -40,9 +38,8 @@ from .overpartitions import (
 )
 
 __all__ = [
-    "SetLabel",
-    "BijectionTrace",
-    "classify",
+    "in_a",
+    "in_b",
     "map_a_to_b",
     "map_b_to_a",
     "c_witness",
@@ -57,80 +54,47 @@ _ONE = Part(1, False)
 _ONE_BAR = Part(1, True)
 
 
-class SetLabel(Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    NONE = "NONE"
+def in_a(pi: Overpartition) -> bool:
+    """Whether pi is in A: its smallest part exists and is not overlined."""
+    smallest = pi.smallest()
+    return smallest is not None and not smallest.overlined
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
-    input: Overpartition
-    output: Overpartition
-    case_tag: str  # "t=1" | "t>=2" | "insert" | "remove"
-    weight_delta: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "input": self.input.to_jsonable(),
-            "output": self.output.to_jsonable(),
-            "case": self.case_tag,
-            "weightDelta": self.weight_delta,
-        }
-
-
-def classify(pi: Overpartition, side: str) -> SetLabel:
-    """Classify pi for the weight-down bijection.
-
-    side "A": label A when the smallest part exists and is not overlined,
-    NONE otherwise. side "B": label B or C by the gap condition; the empty
-    overpartition and anything without an overlined 1 are in B, and when
-    1bar is present the smallest part of value >= 2 (if any) must be >= the
-    plain part 2 + r in the part order, r = number of non-overlined 1s.
-    """
-    if side == "A":
-        smallest = pi.smallest()
-        ok = smallest is not None and not smallest.overlined
-        return SetLabel.A if ok else SetLabel.NONE
-    if side == "B":
-        # parts run largest first, so an overlined 1 is the last part and
-        # the r plain 1s come just before it
-        parts = pi.parts
-        if not parts or parts[-1] != _ONE_BAR:
-            return SetLabel.B
-        r = pi.plain_count(1)
-        if len(parts) <= r + 1:
-            return SetLabel.B
-        # the smallest part of value >= 2, against the plain part 2 + r
-        return SetLabel.B if parts[-r - 2].rank >= 2 * (2 + r) else SetLabel.C
-    raise BadParamsError(f"side must be 'A' or 'B', got {side!r}")
+def in_b(lam: Overpartition) -> bool:
+    """Whether lam is in B rather than the complement class C. The empty
+    overpartition and anything without an overlined 1 are in B; when 1bar
+    is present the smallest part of value >= 2 (if any) must be >= the
+    plain part 2 + r in the part order, r = number of non-overlined 1s."""
+    # parts run largest first, so an overlined 1 is the last part and the
+    # r plain 1s come just before it
+    parts = lam.parts
+    if not parts or parts[-1] != _ONE_BAR:
+        return True
+    r = lam.plain_count(1)
+    # the smallest part of value >= 2, against the plain part 2 + r
+    return len(parts) <= r + 1 or parts[-r - 2].rank >= 2 * (2 + r)
 
 
-def map_a_to_b(pi: Overpartition) -> tuple[Overpartition, BijectionTrace]:
+def map_a_to_b(pi: Overpartition) -> Overpartition:
     """Send an overpartition with non-overlined smallest part t to weight-1
     less: delete t when t = 1, otherwise replace t by t-2 plain 1s and an
     overlined 1."""
-    if classify(pi, "A") is not SetLabel.A:
+    if not in_a(pi):
         raise BadParamsError("input must have a non-overlined smallest part")
     t = pi.parts[-1].value
     rest = pi.parts[:-1]
     if t == 1:
-        out = Overpartition(rest)
-        tag = "t=1"
-    else:
-        # rest consists of parts >= t in the part order, so appending the
-        # 1-block keeps the largest-first sorting
-        out = Overpartition(rest + (_ONE,) * (t - 2) + (_ONE_BAR,))
-        tag = "t>=2"
-    return out, BijectionTrace(pi, out, tag, -1)
+        return Overpartition(rest)
+    # rest consists of parts >= t in the part order, so appending the
+    # 1-block keeps the largest-first sorting
+    return Overpartition(rest + (_ONE,) * (t - 2) + (_ONE_BAR,))
 
 
 def map_b_to_a(lam: Overpartition) -> Overpartition:
     """Inverse of map_a_to_b. The case split is read off the presence of an
     overlined 1: absent means append a plain 1, present means gather the
     overlined 1 and the r plain 1s back into a plain part r+2."""
-    if classify(lam, "B") is SetLabel.C:
+    if not in_b(lam):
         raise BadParamsError("input lies in the complement class C")
     if not lam.has_overline(1):
         return Overpartition(lam.parts + (_ONE,))
@@ -154,22 +118,17 @@ def _stairs(j: int) -> tuple[Part, ...]:
     return tuple(Part(2 * i - 1, False) for i in range(j, 0, -1))
 
 
-def staircase_insert(
-    mu: Overpartition, j: int
-) -> tuple[Overpartition, BijectionTrace]:
+def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
     _checked_int(j, 1, inf, "j must be >= 1")
     # both tuples run largest first, so the sort is one merge of two runs;
     # it is stable, so each plain stair lands before mu's copies of its
     # value, and so before an overlined one
     parts = sorted(_stairs(j) + mu.parts, key=itemgetter(0), reverse=True)
-    out = Overpartition(tuple(parts))
-    return out, BijectionTrace(mu, out, "insert", j * j)
+    return Overpartition(tuple(parts))
 
 
-def staircase_remove(
-    lam: Overpartition, j: int
-) -> tuple[Overpartition, BijectionTrace]:
+def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
     """Remove one plain copy of each of 1, 3, ..., 2j-1; the inverse of
     staircase_insert. Requires every odd value below 2j as a plain part,
     which is exactly the overline-mex >= 2j+1 precondition."""
@@ -184,8 +143,7 @@ def staircase_remove(
                 f"missing plain part {stair.value}: overline-mex precondition "
                 f">= {2 * j + 1} is violated"
             ) from None
-    out = Overpartition(tuple(parts))
-    return out, BijectionTrace(lam, out, "remove", -j * j)
+    return Overpartition(tuple(parts))
 
 
 # -- exhaustive checks used by the identity harness and the CLI -------------
@@ -194,54 +152,47 @@ def check_weight_down(n: int) -> dict:
     """Exhaustively verify the weight-down bijection at weight n.
 
     Returns a dict of counts and flags: sizes of A(n), B(n-1), C(n-1) (the
-    last two by classifying weight n-1), how many distinct images weigh n-1
-    and classify as B, whether every round trip returns the original, and
-    whether the witness behaves when n >= 4.
+    last two by testing weight n-1 with in_b), how many distinct images
+    weigh n-1 and lie in B, whether every image weighs n-1, whether every
+    round trip returns the original, and whether the witness behaves when
+    n >= 4.
     """
     _checked_int(n, 1, inf, "n must be >= 1")
-    a_side = [
-        pi
-        for pi in enumerate_overpartitions(n)
-        if classify(pi, "A") is SetLabel.A
-    ]
+    a_side = [pi for pi in enumerate_overpartitions(n) if in_a(pi)]
     lower = enumerate_overpartitions(n - 1)
-    b_count = sum(1 for lam in lower if classify(lam, "B") is SetLabel.B)
+    b_count = sum(map(in_b, lower))
     c_count = len(lower) - b_count
 
     images: set[Overpartition] = set()
     round_trip_ok = True
     weights_ok = True
     for pi in a_side:
-        lam, trace = map_a_to_b(pi)
-        if lam.weight != n - 1 or trace.weight_delta != -1:
+        lam = map_a_to_b(pi)
+        if lam.weight != n - 1:
             weights_ok = False
         images.add(lam)
         if map_b_to_a(lam) != pi:
             round_trip_ok = False
 
-    in_b = sum(
-        1 for lam in images if lam.weight == n - 1 and classify(lam, "B") is SetLabel.B
-    )
+    images_in_b = sum(1 for lam in images if lam.weight == n - 1 and in_b(lam))
     witness_ok: bool | None = None
     if n >= 4:
         w = c_witness(n)
-        witness_ok = (
-            w.weight == n - 1 and classify(w, "B") is SetLabel.C
-        )
+        witness_ok = w.weight == n - 1 and not in_b(w)
 
     return {
         "n": n,
         "a_count": len(a_side),
         "b_count": b_count,
         "c_count": c_count,
-        "images_in_b": in_b,
+        "images_in_b": images_in_b,
         "distinct_images": len(images),
         "round_trip_ok": round_trip_ok,
         "weights_ok": weights_ok,
         "witness_ok": witness_ok,
         "pbar_half": pbar(n) // 2 if pbar(n) % 2 == 0 else -1,
         "ok": (
-            len(a_side) == b_count == in_b == pbar(n) // 2
+            len(a_side) == b_count == images_in_b == pbar(n) // 2
             and pbar(n) % 2 == 0
             and round_trip_ok
             and weights_ok
@@ -263,10 +214,9 @@ def check_staircase(n: int, j: int) -> dict:
     images: set[Overpartition] = set()
     round_trip_ok = True
     for mu in source:
-        lam, _ = staircase_insert(mu, j)
+        lam = staircase_insert(mu, j)
         images.add(lam)
-        back, trace = staircase_remove(lam, j)
-        if back != mu or trace.weight_delta != -j * j:
+        if staircase_remove(lam, j) != mu:
             round_trip_ok = False
     matched = len(images) == target_count and all(
         lam.weight == n and overline_mex(lam, MEX_2_1) >= 2 * j + 1 for lam in images

@@ -225,6 +225,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace(source: op.Overpartition, image: op.Overpartition, case: str) -> dict:
+    """The --trace record of one mapped object; the weight change is
+    measured, not taken from the map."""
+    return {
+        "input": source.to_jsonable(),
+        "output": image.to_jsonable(),
+        "case": case,
+        "weightDelta": image.weight - source.weight,
+    }
+
+
 def _section3_payload(n: int, trace: bool) -> dict:
     summary = bijections.check_weight_down(n)
     payload = {
@@ -242,12 +253,12 @@ def _section3_payload(n: int, trace: bool) -> dict:
         "ok": summary["ok"],
     }
     if trace:
-        traces = []
-        for pi in op.enumerate_overpartitions(n):
-            if bijections.classify(pi, "A") is bijections.SetLabel.A:
-                _, tr = bijections.map_a_to_b(pi)
-                traces.append(tr.to_jsonable())
-        payload["traces"] = traces
+        payload["traces"] = [
+            _trace(pi, bijections.map_a_to_b(pi),
+                   "t=1" if pi.smallest().value == 1 else "t>=2")
+            for pi in op.enumerate_overpartitions(n)
+            if bijections.in_a(pi)
+        ]
     return payload
 
 
@@ -264,11 +275,10 @@ def _lemma41_payload(n: int, j: int, trace: bool) -> dict:
         "ok": summary["ok"],
     }
     if trace:
-        traces = []
-        for mu in op.enumerate_overpartitions(n - j * j):
-            _, tr = bijections.staircase_insert(mu, j)
-            traces.append(tr.to_jsonable())
-        payload["traces"] = traces
+        payload["traces"] = [
+            _trace(mu, bijections.staircase_insert(mu, j), "insert")
+            for mu in op.enumerate_overpartitions(n - j * j)
+        ]
     return payload
 
 

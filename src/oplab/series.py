@@ -72,11 +72,17 @@ class TruncatedSeries:
 
     def __init__(self, order: int, coeffs: Sequence[int] = ()) -> None:
         _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
-        if len(coeffs) > order + 1:
+        try:
+            size = len(coeffs)
+        except TypeError:
             raise BadParamsError(
-                f"{len(coeffs)} coefficients exceed order {order} (max {order + 1})"
+                f"coefficients must be a sequence, got {type(coeffs).__name__}"
+            ) from None
+        if size > order + 1:
+            raise BadParamsError(
+                f"{size} coefficients exceed order {order} (max {order + 1})"
             )
-        full = list(coeffs) + [0] * (order + 1 - len(coeffs))
+        full = list(coeffs) + [0] * (order + 1 - size)
         for t in set(map(type, full)) - {int}:
             if not issubclass(t, int) or issubclass(t, bool):
                 raise BadParamsError(f"coefficients must be ints, got {t.__name__}")

@@ -82,6 +82,7 @@ ENTRY_POINTS = {
     "TruncatedSeries order": (series.TruncatedSeries, -1),
     "TruncatedSeries coefficient": (lambda v: series.TruncatedSeries(3, (1, v)),
                                     None),
+    "TruncatedSeries coefficients": (lambda v: series.TruncatedSeries(3, v), 5),
     "monomial exponent": (lambda v: series.monomial(5, v), 6),
     "monomial coefficient": (lambda v: series.monomial(3, 1, v), None),
     "qproduct start": (lambda v: series.qproduct(1, v, 1, None, 5), -1),
@@ -123,7 +124,8 @@ def test_malformed_cap_is_a_bad_params_error(monkeypatch):
         op.op21(4, 1)
 
 
-# an object outside a map's domain, or an unknown side, is rejected the same way
+# an object outside a map's domain, or coefficients that are not a sequence,
+# are rejected the same way
 REJECTED_OBJECTS = {
     "map_a_to_b overlined smallest": lambda: bj.map_a_to_b(
         of(3, (1, True))
@@ -132,7 +134,10 @@ REJECTED_OBJECTS = {
     "staircase_remove missing stair": lambda: bj.staircase_remove(
         of(3, 2), 2
     ),
-    "classify side": lambda: bj.classify(_MU, "C"),
+    "TruncatedSeries coefficients None": lambda: series.TruncatedSeries(3, None),
+    "TruncatedSeries coefficients generator": lambda: series.TruncatedSeries(
+        3, (x for x in [1])
+    ),
 }
 
 

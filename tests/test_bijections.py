@@ -1,4 +1,4 @@
-"""Bijection layer: frozen small cases, exhaustive sweeps, trace audits."""
+"""Bijection layer: frozen small cases, exhaustive sweeps, failing checks."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from oplab import bijections as bj
 from oplab import overpartitions as op
-from oplab.bijections import SetLabel
 from oplab.overpartitions import Overpartition, Part
 
 from _reference import of as _ov
@@ -26,28 +25,21 @@ def test_classify_weight_3_split():
     }
     b, c = set(), set()
     for pi in op.enumerate_overpartitions(3):
-        label = bj.classify(pi, "B")
-        (b if label is SetLabel.B else c).add(pi)
+        (b if bj.in_b(pi) else c).add(pi)
     assert b == expected_b
     assert c == {_ov((2, True), (1, True))}
 
 
 def test_classify_a_side():
-    assert bj.classify(_ov(3, 1), "A") is SetLabel.A
-    assert bj.classify(_ov(3, (1, True)), "A") is SetLabel.NONE
-    assert bj.classify(_ov(), "A") is SetLabel.NONE
-    with pytest.raises(ValueError):
-        bj.classify(_ov(1), "X")
+    assert bj.in_a(_ov(3, 1)) is True
+    assert bj.in_a(_ov(3, (1, True))) is False
+    assert bj.in_a(_ov()) is False
 
 
 def test_map_a_to_b_frozen_cases():
-    out, tr = bj.map_a_to_b(_ov(3, 1))
-    assert out == _ov(3) and tr.case_tag == "t=1" and tr.weight_delta == -1
-    out, tr = bj.map_a_to_b(_ov(2, 2))
-    assert out == _ov(2, (1, True)) and tr.case_tag == "t>=2"
-    out, tr = bj.map_a_to_b(_ov(4))
-    assert out == _ov(1, 1, (1, True))
-    assert tr.input == _ov(4) and tr.output == out
+    assert bj.map_a_to_b(_ov(3, 1)) == _ov(3)
+    assert bj.map_a_to_b(_ov(2, 2)) == _ov(2, (1, True))
+    assert bj.map_a_to_b(_ov(4)) == _ov(1, 1, (1, True))
 
 
 def test_map_a_to_b_rejects_overlined_smallest():
@@ -74,7 +66,7 @@ def test_c_witness():
     w = bj.c_witness(7)
     assert w == _ov((2, True), 1, 1, 1, (1, True))
     assert w.weight == 6
-    assert bj.classify(w, "B") is SetLabel.C
+    assert bj.in_b(w) is False
     with pytest.raises(ValueError):
         bj.c_witness(3)
 
@@ -100,38 +92,24 @@ def test_trace_preserves_overlines_above_smallest():
     # and the spread case adds exactly the overlined 1
     for n in range(1, 11):
         for pi in op.enumerate_overpartitions(n):
-            if bj.classify(pi, "A") is not SetLabel.A:
+            if not bj.in_a(pi):
                 continue
-            out, tr = bj.map_a_to_b(pi)
+            out = bj.map_a_to_b(pi)
             before = {p.value for p in pi.parts if p.overlined}
             after = {p.value for p in out.parts if p.overlined}
-            if tr.case_tag == "t=1":
+            if pi.smallest().value == 1:
                 assert after == before
             else:
                 assert after == before | {1}
-            assert tr.weight_delta == -1
             assert out.weight == n - 1
 
 
-def test_trace_jsonable_shape():
-    _, tr = bj.map_a_to_b(_ov(2, 2))
-    blob = tr.to_jsonable()
-    assert set(blob) == {"input", "output", "case", "weightDelta"}
-    assert blob["input"] == [[2, False], [2, False]]
-    assert blob["output"] == [[2, False], [1, True]]
-    assert blob["weightDelta"] == -1
-
-
 def test_staircase_insert_frozen():
-    out, tr = bj.staircase_insert(_ov((2, True), 1), 2)
-    assert out == _ov(3, (2, True), 1, 1)
-    assert tr.case_tag == "insert" and tr.weight_delta == 4
+    assert bj.staircase_insert(_ov((2, True), 1), 2) == _ov(3, (2, True), 1, 1)
 
 
 def test_staircase_remove_frozen():
-    out, tr = bj.staircase_remove(_ov(3, 1), 2)
-    assert out == _ov()
-    assert tr.weight_delta == -4
+    assert bj.staircase_remove(_ov(3, 1), 2) == _ov()
     with pytest.raises(ValueError, match="overline-mex"):
         bj.staircase_remove(_ov(3, (1, True)), 1)
     # stairs are removed smallest first: with 1 and 3 both missing, the
@@ -146,7 +124,7 @@ def test_staircase_forces_mex():
     for n in range(1, 13):
         for mu in op.enumerate_overpartitions(n):
             for j in (1, 2):
-                lam, _ = bj.staircase_insert(mu, j)
+                lam = bj.staircase_insert(mu, j)
                 assert op.overline_mex(lam) >= 2 * j + 1
 
 
@@ -177,6 +155,22 @@ def test_staircase_target_count_matches_object_scan():
 def test_check_weight_down_validation():
     with pytest.raises(ValueError):
         bj.check_weight_down(0)
+
+
+def test_check_weight_down_catches_a_wrong_weight(monkeypatch):
+    # the identity map keeps weight n instead of going down to n-1
+    monkeypatch.setattr(bj, "map_a_to_b", lambda pi: pi)
+    result = bj.check_weight_down(6)
+    assert result["weights_ok"] is False
+    assert result["ok"] is False
+
+
+def test_check_staircase_catches_a_broken_round_trip(monkeypatch):
+    # a removal that leaves the stairs in returns the image, not the source
+    monkeypatch.setattr(bj, "staircase_remove", lambda lam, j: lam)
+    result = bj.check_staircase(6, 2)
+    assert result["round_trip_ok"] is False
+    assert result["ok"] is False
 
 
 # -- properties past the enumeration cap ------------------------------------
@@ -211,28 +205,27 @@ def overpartitions(draw):
 @settings(deadline=None)
 @given(overpartitions())
 def test_weight_down_round_trip_past_the_cap(pi):
-    assume(bj.classify(pi, "A") is SetLabel.A)
-    lam, trace = bj.map_a_to_b(pi)
-    assert bj.classify(lam, "B") is SetLabel.B
-    assert lam.weight == pi.weight - 1 and trace.weight_delta == -1
+    assume(bj.in_a(pi))
+    lam = bj.map_a_to_b(pi)
+    assert bj.in_b(lam)
+    assert lam.weight == pi.weight - 1
     assert bj.map_b_to_a(lam) == pi
 
 
 @settings(deadline=None)
 @given(overpartitions())
 def test_weight_down_inverse_round_trip_past_the_cap(lam):
-    assume(bj.classify(lam, "B") is SetLabel.B)
+    assume(bj.in_b(lam))
     pi = bj.map_b_to_a(lam)
-    assert bj.classify(pi, "A") is SetLabel.A
+    assert bj.in_a(pi)
     assert pi.weight == lam.weight + 1
-    assert bj.map_a_to_b(pi)[0] == lam
+    assert bj.map_a_to_b(pi) == lam
 
 
 @settings(deadline=None)
 @given(overpartitions(), st.integers(1, 12))
 def test_staircase_round_trip_past_the_cap(mu, j):
-    lam, trace = bj.staircase_insert(mu, j)
-    assert lam.weight == mu.weight + j * j and trace.weight_delta == j * j
+    lam = bj.staircase_insert(mu, j)
+    assert lam.weight == mu.weight + j * j
     assert op.overline_mex(lam) >= 2 * j + 1
-    back, trace = bj.staircase_remove(lam, j)
-    assert back == mu and trace.weight_delta == -j * j
+    assert bj.staircase_remove(lam, j) == mu

@@ -326,6 +326,20 @@ def test_bijection_section3_trace(capsys):
     assert all(t["weightDelta"] == -1 for t in traces)
 
 
+def test_trace_jsonable_shape(capsys):
+    code, out, _ = run(capsys, "bijection", "--which", "section3", "--n", "4",
+                       "--trace")
+    assert code == 0
+    # the record of (2, 2), mapped to (2, 1bar)
+    blob = next(t for t in json.loads(out)["traces"]
+                if t["input"] == [[2, False], [2, False]])
+    assert set(blob) == {"input", "output", "case", "weightDelta"}
+    assert blob["input"] == [[2, False], [2, False]]
+    assert blob["output"] == [[2, False], [1, True]]
+    assert blob["case"] == "t>=2"
+    assert blob["weightDelta"] == -1
+
+
 def test_bijection_lemma41(capsys):
     code, out, _ = run(capsys, "bijection", "--which", "lemma41", "--n", "10",
                        "--j", "2", "--check", "--trace")
@@ -335,6 +349,7 @@ def test_bijection_lemma41(capsys):
     assert payload["matched"] is True and payload["ok"] is True
     assert len(payload["traces"]) == op.pbar(6)
     assert all(t["case"] == "insert" for t in payload["traces"])
+    assert all(t["weightDelta"] == 4 for t in payload["traces"])
     # j defaults to 1
     code, out, _ = run(capsys, "bijection", "--which", "lemma41", "--n", "5")
     assert code == 0 and json.loads(out)["j"] == 1
@@ -392,8 +407,8 @@ PUBLIC_NAMES = {
     "enumeration_cap", "enumerate_overpartitions", "pbar", "partition_count",
     "overline_mex", "op_class_counts", "op21", "mbar", "nbar", "mk_stat",
     # bijections
-    "SetLabel", "BijectionTrace", "classify", "map_a_to_b", "map_b_to_a",
-    "c_witness", "staircase_insert", "staircase_remove", "check_weight_down",
+    "in_a", "in_b", "map_a_to_b", "map_b_to_a", "c_witness",
+    "staircase_insert", "staircase_remove", "check_weight_down",
     "check_staircase",
     # identities
     "IdentityDescriptor", "VerificationReport", "UnknownIdentityError",
