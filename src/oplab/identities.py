@@ -152,19 +152,15 @@ def _window_pbar_sq(n: int, m: int, k: int) -> int:
 
 
 def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
-    """A generating function read from its one cache in overpartitions
-    (op._pbar_table or op._p_table), truncated to the order."""
+    """A generating function or product read from its one cache in
+    overpartitions (op._pbar_table, op._p_table, op._qq_table or
+    op._negq_table), truncated to the order.
+
+    The table is built once per power-of-two table order and shared by
+    every caller, so no identity reads the same table on both sides: the
+    other side is always built independently (a theta sum, an inverted
+    product, a recurrence, a tail sum or a shape count)."""
     return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
-
-
-@lru_cache(maxsize=64)
-def _qq_inf(order: int) -> TruncatedSeries:
-    return series.qproduct(1, 1, 1, None, order)
-
-
-@lru_cache(maxsize=64)
-def _negq_inf(order: int) -> TruncatedSeries:
-    return series.qproduct(-1, 1, 1, None, order)
 
 
 def _accumulate(acc: list[int], c: Sequence[int], shift: int) -> None:
@@ -303,7 +299,7 @@ def _gauss_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _gauss_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    return _qq_inf(order) * _negq_inf(order).invert()
+    return _gf(op._qq_table, order) * _gf(op._negq_table, order).invert()
 
 
 def _guo_zeng_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -389,7 +385,7 @@ def _euler_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _euler_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    return _negq_inf(order)
+    return _gf(op._negq_table, order)
 
 
 def _yao_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:

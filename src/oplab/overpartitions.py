@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import series
-from .series import BadParamsError, _checked_int
+from .series import BadParamsError, _checked_int, _div_factor_into
 
 __all__ = [
     "Part",
@@ -271,9 +271,28 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
 
 # -- counting via generating functions --------------------------------------
 
+# One cache per generating function, each keyed by a power-of-two table
+# order (_table_order), so every caller below that order shares one entry.
+
+@lru_cache(maxsize=None)
+def _qq_table(order: int) -> tuple[int, ...]:
+    """(q;q)oo mod q^(order+1)."""
+    return series.qproduct(1, 1, 1, None, order).coeffs
+
+
+@lru_cache(maxsize=None)
+def _negq_table(order: int) -> tuple[int, ...]:
+    """(-q;q)oo mod q^(order+1)."""
+    return series.qproduct(-1, 1, 1, None, order).coeffs
+
+
 @lru_cache(maxsize=None)
 def _pbar_table(order: int) -> tuple[int, ...]:
-    return series.overpartition_gf(order).coeffs
+    """(-q;q)oo/(q;q)oo: the cached (-q;q)oo divided by each factor of (q;q)oo."""
+    c = list(_negq_table(order))
+    for i in range(1, order + 1):
+        _div_factor_into(c, i, 1)
+    return tuple(c)
 
 
 @lru_cache(maxsize=None)

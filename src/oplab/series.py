@@ -5,7 +5,7 @@ cutoff at a fixed order, and no operation ever reads or writes an exponent
 beyond that order. On top of the core arithmetic the module provides the
 q-series building blocks used by the identity checkers: q-Pochhammer
 products (qproduct: finite, infinite, dilated, any step), pentagonal and
-theta sums, and the partition and overpartition generating functions.
+theta sums, and the partition generating function.
 
 Conventions:
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import inf, isqrt
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Sequence
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "theta_partial",
     "gauss_theta",
     "partition_gf",
-    "overpartition_gf",
     "poch_ratio",
 ]
 
@@ -70,14 +69,13 @@ class TruncatedSeries:
 
     __slots__ = ("_order", "_coeffs")
 
-    def __init__(self, order: int, coeffs: Sequence[int] = ()) -> None:
+    def __init__(self, order: int, coeffs: list[int] | tuple[int, ...] = ()) -> None:
         _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
-        try:
-            size = len(coeffs)
-        except TypeError:
+        if not isinstance(coeffs, (list, tuple)):
             raise BadParamsError(
-                f"coefficients must be a sequence, got {type(coeffs).__name__}"
-            ) from None
+                f"coefficients must be a list or tuple, got {type(coeffs).__name__}"
+            )
+        size = len(coeffs)
         if size > order + 1:
             raise BadParamsError(
                 f"{size} coefficients exceed order {order} (max {order + 1})"
@@ -175,9 +173,12 @@ class TruncatedSeries:
         """Multiplicative inverse mod q^(order+1).
 
         Requires constant term +1 or -1 so that the inverse keeps integer
-        coefficients. Uses the standard recurrence: with a0*b0 = 1 and
-        sum_{i<=m} a_i b_{m-i} = 0 for m >= 1, each b_m is determined by the
-        earlier ones.
+        coefficients. Newton iteration: b = 1/a0 = a0 is exact mod q, and if
+        b is exact mod q^h then b*(2 - a*b) is exact mod q^(2h). As
+        a*b = 1 + q^h*e mod q^(2h), that step keeps b and appends the
+        coefficients of -b*e, so each step is two _packed_product calls:
+        a few big-integer multiplications in place of the O(order^2)
+        coefficient loop.
         """
         a = self._coeffs
         c0 = a[0]
@@ -185,12 +186,14 @@ class TruncatedSeries:
             raise BadParamsError(
                 f"constant term must be +1 or -1 to invert, got {c0}"
             )
-        n = self._order
-        rev = a[:0:-1]  # a_n .. a_1, so rev[n-m:] is a_m .. a_1
+        size = self._order + 1
         b = [c0]
-        for m in range(1, n + 1):
-            b.append(-c0 * sum(map(mul, b, rev[n - m :])))
-        return TruncatedSeries(n, b)
+        while len(b) < size:
+            h = len(b)
+            k = min(2 * h, size)
+            e = _packed_product(a[:k], b, k)[h:]
+            b += [-x for x in _packed_product(b[: k - h], e, k - h)]
+        return TruncatedSeries(self._order, b)
 
     def dilate(self, ell: int, order: int) -> "TruncatedSeries":
         """Substitute q -> q^ell by re-indexing coefficients onto a series of
@@ -273,6 +276,51 @@ def _div_factor_into(c: list[int], exponent: int, sign: int) -> None:
         for lo in range(exponent, n, exponent):
             hi = lo + exponent
             c[lo:hi] = map(add, c[lo:hi], c[lo - exponent : lo])
+
+
+def _packed_product(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
+    """The first count coefficients of the product of the polynomials a and
+    b, exact, by Kronecker substitution.
+
+    Each operand is packed into one int, coefficient i in slot i of w bits,
+    the two ints are multiplied once, and the slots of the result are read
+    back as balanced digits. A product coefficient is a sum of at most
+    m = min(len(a), len(b)) terms, each below 2^bits(max|a|) *
+    2^bits(max|b|) in size, so it lies strictly inside +-2^(w-1) once w is
+    that bit count plus bits(m) plus one sign bit. That makes every slot
+    exact whatever the operands hold; w is rounded up to whole bytes so
+    that packing and reading are bytes conversions.
+    """
+    width = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    nbytes = (width + 7) // 8
+    w = 8 * nbytes
+    half = 1 << (w - 1)
+    # slots of ones: the per-slot borrow of the two's-complement packing
+    # and the balancing offset of the read are both multiples of it
+    ones = int.from_bytes(
+        (b"\x01" + bytes(nbytes - 1)) * max(len(a), len(b), count), "little"
+    )
+
+    def pack(c: Sequence[int]) -> int:
+        raw = int.from_bytes(
+            b"".join([x.to_bytes(nbytes, "little", signed=True) for x in c]),
+            "little",
+        )
+        # a negative slot holds x + 2^w: take back the 2^w it carries up
+        return raw - (((raw >> (w - 1)) & ones) << w)
+
+    top = w * count
+    low = (pack(a) * pack(b) + (ones << (w - 1))) & ((1 << top) - 1)
+    buf = memoryview(low.to_bytes(top // 8, "little"))
+    return [
+        int.from_bytes(buf[i : i + nbytes], "little") - half
+        for i in range(0, top // 8, nbytes)
+    ]
 
 
 def zero(order: int) -> TruncatedSeries:
@@ -367,14 +415,6 @@ def gauss_theta(k: int | None, order: int) -> TruncatedSeries:
 def partition_gf(order: int) -> TruncatedSeries:
     """1/(q;q)oo, the partition generating function."""
     c = [1] + [0] * order
-    for i in range(1, order + 1):
-        _div_factor_into(c, i, 1)
-    return TruncatedSeries(order, c)
-
-
-def overpartition_gf(order: int) -> TruncatedSeries:
-    """(-q;q)oo/(q;q)oo, the overpartition generating function."""
-    c = list(qproduct(-1, 1, 1, None, order).coeffs)
     for i in range(1, order + 1):
         _div_factor_into(c, i, 1)
     return TruncatedSeries(order, c)

@@ -11,6 +11,14 @@ def shift(f, e):
     return TruncatedSeries(f.order, ((0,) * e + f.coeffs)[: f.order + 1])
 
 
+def overpartition_gf(order):
+    """(-q;q)oo/(q;q)oo from its two products, one factor at a time."""
+    f = series.qproduct(-1, 1, 1, None, order)
+    for i in range(1, order + 1):
+        f = f.div_factor(i)
+    return f
+
+
 def gauss_binomial(m, n, order):
     """[m, n]_q = (q;q)_m / ((q;q)_n (q;q)_{m-n}); zero unless 0 <= n <= m."""
     if n < 0 or m < n:

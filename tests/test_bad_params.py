@@ -138,6 +138,13 @@ REJECTED_OBJECTS = {
     "TruncatedSeries coefficients generator": lambda: series.TruncatedSeries(
         3, (x for x in [1])
     ),
+    # sized but not a list or tuple: once coerced to keys, set order or zero
+    "TruncatedSeries coefficients dict": lambda: series.TruncatedSeries(
+        3, {5: 0, 7: 1}
+    ),
+    "TruncatedSeries coefficients set": lambda: series.TruncatedSeries(3, {2, 1}),
+    "TruncatedSeries coefficients str": lambda: series.TruncatedSeries(3, ""),
+    "TruncatedSeries coefficients bytes": lambda: series.TruncatedSeries(3, b""),
 }
 
 

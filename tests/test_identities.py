@@ -15,7 +15,7 @@ from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab import series
 
-from _reference import gauss_binomial, shift
+from _reference import gauss_binomial, overpartition_gf, shift
 
 EXPECTED_IDS = [
     "pentagonal-am",
@@ -331,7 +331,7 @@ def test_repeated_part_gf_matches_overpartition_gf_at_k_zero():
     # with threshold 0 every nonempty overpartition qualifies, so the
     # generating function is the overpartition gf minus its constant term
     built = idn._mbar_gf(0, 40)
-    whole = series.overpartition_gf(40) - series.one(40)
+    whole = overpartition_gf(40) - series.one(40)
     assert built == whole
 
 
@@ -410,12 +410,36 @@ def test_tail_sum_matches_reference_in_either_call_order(reverse):
 
 
 def test_product_caches_stay_bounded_over_orders():
-    # a library loop over orders must not keep one product per order
+    # a library loop over orders must not keep one product per order: the
+    # tables are keyed by power-of-two table order, 64 .. 512 here
     desc = idn.get_identity("gauss")
+    for cache in (op._qq_table, op._negq_table):
+        cache.cache_clear()
     for order in range(0, 301):
         assert desc.series_rhs({}, order) == desc.series_lhs({}, order), order
-    for cache in (idn._qq_inf, idn._negq_inf):
-        assert cache.cache_info().currsize <= 64
+    for cache in (op._qq_table, op._negq_table):
+        assert cache.cache_info().currsize <= 4
+
+
+def test_negq_product_built_once_for_its_readers(monkeypatch):
+    # gauss and euler-odd-distinct read (-q;q)oo directly, am-2018 through
+    # the pbar table; one process builds it once for all three
+    for cache in (op._negq_table, op._pbar_table):
+        cache.cache_clear()
+    calls = []
+    qproduct = series.qproduct
+
+    def counted(sign, start, step, length, order):
+        if (sign, start, step, length) == (-1, 1, 1, None):
+            calls.append(order)
+        return qproduct(sign, start, step, length, order)
+
+    monkeypatch.setattr(series, "qproduct", counted)
+    for ident in ("gauss", "euler-odd-distinct", "am-2018-truncation"):
+        params = idn.expand_grid(idn.get_identity(ident))[0]
+        r = idn.verify_series(ident, params, idn.MAX_ORDER)
+        assert r.passed, (ident, r.first_mismatch)
+    assert calls == [op._table_order(idn.MAX_ORDER)]
 
 
 def test_cached_tail_sums_survive_their_callers():
@@ -561,8 +585,11 @@ def test_series_identity_at_max_order_within_budget(ident):
     # every series builder is O(order^2); yao's lhs is enumeration, which
     # the enumeration cap bounds far below MAX_ORDER
     params = idn.expand_grid(idn.get_identity(ident))[0]
-    # cold tail sums, as one `oplab verify --id X --order 2000` pays them
-    idn._tail_sum.cache_clear()
+    # cold tail sums and tables, as one `oplab verify --id X --order 2000`
+    # pays them
+    for cache in (idn._tail_sum, op._pbar_table, op._p_table, op._qq_table,
+                  op._negq_table):
+        cache.cache_clear()
     t0 = time.perf_counter()
     r = idn.verify_series(ident, params, idn.MAX_ORDER)
     dt = time.perf_counter() - t0
@@ -579,4 +606,4 @@ def test_series_set_at_max_order_within_budget():
         r = idn.verify_series(ident, params, idn.MAX_ORDER)
         assert r.passed, (ident, r.first_mismatch)
     dt = time.perf_counter() - t0
-    assert dt < 4.0, f"the series set took {dt:.1f}s at order {idn.MAX_ORDER}"
+    assert dt < 3.0, f"the series set took {dt:.1f}s at order {idn.MAX_ORDER}"

@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oplab import overpartitions as op
 from oplab import series as s
 from oplab.series import TruncatedSeries
 
@@ -33,7 +34,8 @@ def test_partition_gf_matches_inverse_of_product():
 
 
 def test_overpartition_gf_low_order():
-    assert s.overpartition_gf(8).coeffs == OVERPARTITIONS_8
+    assert op._pbar_table(64)[:9] == OVERPARTITIONS_8
+    assert tuple(map(op.pbar, range(9))) == OVERPARTITIONS_8
 
 
 def test_leading_minus_one_factor_gives_two():
@@ -326,7 +328,7 @@ def test_factor_kernel_matches_index_loops(order):
         )
 
 
-@pytest.mark.parametrize("order", [0, 1, 5, 30, 120])
+@pytest.mark.parametrize("order", [0, 1, 5, 30, 63, 64, 65, 120, 500])
 @pytest.mark.parametrize("density", [1.0, 0.5, 0.05])
 def test_mul_and_invert_match_index_loops(order, density):
     rng = random.Random(1000 * order + int(100 * density))
@@ -338,6 +340,55 @@ def test_mul_and_invert_match_index_loops(order, density):
     for c0 in (1, -1):
         u = [c0] + a[1:]
         assert list(TruncatedSeries(order, u).invert().coeffs) == ref_invert(u)
+
+
+def test_invert_of_qq_matches_partition_table_at_max_order():
+    # two independent routes to 1/(q;q)oo: Newton inversion over packed
+    # products, and the partition table built by dividing out each factor
+    order = 2000
+    inverse = s.qproduct(1, 1, 1, None, order).invert()
+    assert inverse.coeffs == op._p_table(op._table_order(order))[: order + 1]
+
+
+# Slot widths whose bit counts, summed with the length term, land on and
+# next to a byte boundary: all-maximal operands of these widths make the
+# product coefficients reach the top of the slot the width bound allows.
+_PACK_WIDTHS = (7, 8, 63, 64, 200)
+_PACK_LENGTHS = st.sampled_from((1, 2, 3, 4, 127, 128, 255, 256)) | st.integers(1, 40)
+
+
+@st.composite
+def _packed_operand(draw):
+    w = draw(st.sampled_from(_PACK_WIDTHS))
+    n = draw(_PACK_LENGTHS)
+    top = 2**w - 1
+    signs = draw(
+        st.sampled_from(((1,) * n, (-1,) * n))
+        | st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    )
+    return [sign * top for sign in signs]
+
+
+def _padded(c, count):
+    return (list(c) + [0] * count)[:count]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.tuples(_packed_operand(), _packed_operand()), st.data())
+# both operands at the width and length where dropping the sign bit or the
+# length term from the slot width would let a coefficient overflow its slot
+@example(([255] * 255, [255] * 255), None)
+@example(([-255] * 255, [255] * 255), None)
+@example(([127] * 3, [-(2**63 - 1)] * 3), None)
+@example(([127] * 2, [255] * 2), None)
+@example(([2**200 - 1] * 255, [-(2**200 - 1)] * 255), None)
+def test_packed_product_matches_index_loop(pair, data):
+    a, b = pair
+    top = len(a) + len(b) - 1
+    count = top if data is None else data.draw(st.integers(1, top))
+    want = ref_mul(_padded(a, count), _padded(b, count))
+    assert s._packed_product(a, b, count) == want
+    assert s._packed_product(b, a, count) == want
 
 
 _ORDERS = st.integers(min_value=0, max_value=60)
