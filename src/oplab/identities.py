@@ -37,7 +37,12 @@ from . import bijections
 from . import overpartitions as op
 from . import series
 from .overpartitions import BadParamsError, _checked_int
-from .series import TruncatedSeries, _div_factor_into, _times_factor_into
+from .series import (
+    TruncatedSeries,
+    _div_factor_into,
+    _packed_product,
+    _times_factor_into,
+)
 
 __all__ = [
     "IdentityDescriptor",
@@ -156,10 +161,12 @@ def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
     overpartitions (op._pbar_table, op._p_table, op._qq_table or
     op._negq_table), truncated to the order.
 
-    The table is built once per power-of-two table order and shared by
-    every caller, so no identity reads the same table on both sides: the
-    other side is always built independently (a theta sum, an inverted
-    product, a recurrence, a tail sum or a shape count)."""
+    The table is built once per power-of-two table order, from Euler's
+    pentagonal sums and Newton inverses (op._p_table by factor division),
+    and shared by every caller, so no identity reads the same table on both
+    sides: the other side is always built independently (a theta sum, an
+    inverted product, a recurrence, a tail sum headed by 1/theta or a shape
+    count)."""
     return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
 
 
@@ -170,12 +177,22 @@ def _accumulate(acc: list[int], c: Sequence[int], shift: int) -> None:
 
 @lru_cache(maxsize=64)
 def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeries:
-    """sum_{m>=m_lo} q^(coef*m) * (-q^(m+1);q)oo / (q^(m+denom_off);q)oo.
+    """sum_{m>=m_lo} q^(coef*m) * R(m) with
+    R(m) = (-q^(m+1);q)oo / (q^(m+denom_off);q)oo.
 
     Terms stop once the shift coef*m passes the order (the summand's
     minimal exponent). Successive ratios differ by one factor on each side,
-    so they are produced by a downward recurrence in O(order) per term:
-    R(m) = R(m+1) * (1 + q^(m+1)) / (1 - q^(m+denom_off)).
+    R(m+1) = R(m) * (1 - q^(m+denom_off)) / (1 + q^(m+1)), so the sum is
+    q^(coef*m_lo) * R(m_lo) * U(m_lo) with the truncated Horner scheme
+    U(m) = 1 + q^coef * (1 - q^(m+denom_off)) / (1 + q^(m+1)) * U(m+1).
+    U(m) is only needed to length order - coef*m + 1, so it grows by coef
+    coefficients per step, from 1 padded to that length at the last term.
+    The head R(m_lo) is the overpartition generating function, taken as
+    the Newton inverse of the full theta sum (by Gauss, theta =
+    (q;q)oo/(-q;q)oo), times (q;q)_{m_lo+denom_off-1} and divided by
+    (-q;q)_{m_lo}; one packed product joins head and U(m_lo). The head
+    reads no product table, so a side built from a tail sum shares nothing
+    with a side that reads _pbar_table.
 
     Each sum is built once per process and kept, keyed by the exact order,
     in a bounded cache (64 entries of at most order+1 coefficients). The
@@ -187,14 +204,20 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     m_hi = order // coef
     if m_hi < m_lo:
         return series.zero(order)
-    ratio = list(series.poch_ratio(m_hi + 1, m_hi + denom_off, order).coeffs)
-    acc = [0] * (order + 1)
-    _accumulate(acc, ratio, coef * m_hi)
+    size = order - coef * m_lo + 1
+    u = [1] + [0] * (order - coef * m_hi)
     for m in range(m_hi - 1, m_lo - 1, -1):
-        _times_factor_into(ratio, m + 1, -1)
-        _div_factor_into(ratio, m + denom_off, 1)
-        _accumulate(acc, ratio, coef * m)
-    return TruncatedSeries(order, acc)
+        _times_factor_into(u, m + denom_off, 1)
+        _div_factor_into(u, m + 1, -1)
+        u = [1] + [0] * (coef - 1) + u
+    head = list(series.gauss_theta(None, size - 1).invert().coeffs)
+    for i in range(1, m_lo + denom_off):
+        _times_factor_into(head, i, 1)
+    for i in range(1, m_lo + 1):
+        _div_factor_into(head, i, -1)
+    return TruncatedSeries(
+        order, [0] * (coef * m_lo) + _packed_product(head, u, size)
+    )
 
 
 def _odd_square_theta(k: int, order: int) -> TruncatedSeries:

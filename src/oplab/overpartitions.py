@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import series
-from .series import BadParamsError, _checked_int, _div_factor_into
+from .series import BadParamsError, _checked_int
 
 __all__ = [
     "Part",
@@ -273,26 +273,28 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
 
 # One cache per generating function, each keyed by a power-of-two table
 # order (_table_order), so every caller below that order shares one entry.
+# The three product tables are built from Euler's pentagonal sums, which
+# have O(sqrt(order)) terms, and one Newton inverse each: every product has
+# a sparse operand, so none sweeps the full length once per factor.
 
 @lru_cache(maxsize=None)
 def _qq_table(order: int) -> tuple[int, ...]:
-    """(q;q)oo mod q^(order+1)."""
-    return series.qproduct(1, 1, 1, None, order).coeffs
+    """(q;q)oo mod q^(order+1), by Euler's pentagonal number theorem."""
+    return series.pentagonal_series(order).coeffs
 
 
 @lru_cache(maxsize=None)
 def _negq_table(order: int) -> tuple[int, ...]:
-    """(-q;q)oo mod q^(order+1)."""
-    return series.qproduct(-1, 1, 1, None, order).coeffs
+    """(-q;q)oo = (q^2;q^2)oo/(q;q)oo mod q^(order+1)."""
+    p = series.pentagonal_series(order)
+    return (series.pentagonal_series(order, 2) * p.invert()).coeffs
 
 
 @lru_cache(maxsize=None)
 def _pbar_table(order: int) -> tuple[int, ...]:
-    """(-q;q)oo/(q;q)oo: the cached (-q;q)oo divided by each factor of (q;q)oo."""
-    c = list(_negq_table(order))
-    for i in range(1, order + 1):
-        _div_factor_into(c, i, 1)
-    return tuple(c)
+    """(-q;q)oo/(q;q)oo = (q^2;q^2)oo/(q;q)oo^2 mod q^(order+1)."""
+    p = series.pentagonal_series(order)
+    return (series.pentagonal_series(order, 2) * (p * p).invert()).coeffs
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,6 @@ __all__ = [
     "theta_partial",
     "gauss_theta",
     "partition_gf",
-    "poch_ratio",
 ]
 
 
@@ -417,14 +416,4 @@ def partition_gf(order: int) -> TruncatedSeries:
     c = [1] + [0] * order
     for i in range(1, order + 1):
         _div_factor_into(c, i, 1)
-    return TruncatedSeries(order, c)
-
-
-def poch_ratio(numer_start: int, denom_start: int, order: int) -> TruncatedSeries:
-    """(-q^numer_start;q)oo / (q^denom_start;q)oo mod q^(order+1)."""
-    _checked_int(numer_start, 1, inf, "both start exponents must be >= 1")
-    _checked_int(denom_start, 1, inf, "both start exponents must be >= 1")
-    c = list(qproduct(-1, numer_start, 1, None, order).coeffs)
-    for e in range(denom_start, order + 1):
-        _div_factor_into(c, e, 1)
     return TruncatedSeries(order, c)

@@ -19,6 +19,14 @@ def overpartition_gf(order):
     return f
 
 
+def poch_ratio(numer_start, denom_start, order):
+    """(-q^numer_start;q)oo / (q^denom_start;q)oo, one factor at a time."""
+    f = series.qproduct(-1, numer_start, 1, None, order)
+    for e in range(denom_start, order + 1):
+        f = f.div_factor(e)
+    return f
+
+
 def gauss_binomial(m, n, order):
     """[m, n]_q = (q;q)_m / ((q;q)_n (q;q)_{m-n}); zero unless 0 <= n <= m."""
     if n < 0 or m < n:

@@ -90,7 +90,6 @@ ENTRY_POINTS = {
     "times_factor sign": (lambda v: series.one(3).times_factor(1, v), 0),
     "div_factor sign": (lambda v: series.one(3).div_factor(1, v), 0),
     "dilate ell": (lambda v: series.one(3).dilate(v, 3), 0),
-    "poch_ratio start": (lambda v: series.poch_ratio(v, 1, 10), 0),
 }
 
 CASES = [

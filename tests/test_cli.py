@@ -400,7 +400,6 @@ PUBLIC_NAMES = {
     # series
     "TruncatedSeries", "zero", "one", "monomial", "qproduct",
     "pentagonal_series", "theta_partial", "gauss_theta", "partition_gf",
-    "poch_ratio",
     # overpartitions
     "Part", "Overpartition", "MexQuery", "MEX_2_1", "BadParamsError",
     "EnumerationCapError", "DEFAULT_ENUMERATION_CAP", "ENUMERATION_CAP_ENV",
