@@ -42,6 +42,7 @@ from .series import (
     _div_factor_into,
     _packed_product,
     _times_factor_into,
+    _times_ratio,
 )
 
 __all__ = [
@@ -165,14 +166,29 @@ def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
     pentagonal sums and Newton inverses (op._p_table by factor division),
     and shared by every caller, so no identity reads the same table on both
     sides: the other side is always built independently (a theta sum, an
-    inverted product, a recurrence, a tail sum headed by 1/theta or a shape
-    count)."""
+    inverted product, a recurrence, a shape count, or a tail sum headed by
+    _theta_inverse_table, the second route to the overpartition generating
+    function)."""
     return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
 
 
 def _accumulate(acc: list[int], c: Sequence[int], shift: int) -> None:
     """acc += q^shift * c, dropping what lands past the end of acc."""
     acc[shift:] = map(add, acc[shift:], c)
+
+
+@lru_cache(maxsize=None)
+def _theta_inverse_table(order: int) -> tuple[int, ...]:
+    """1/theta mod q^(order+1) for the full theta sum, by Newton inversion;
+    by Gauss, theta = (q;q)oo/(-q;q)oo, so this is the overpartition
+    generating function.
+
+    It is the second route to that function: it reads no product table, so
+    a side built from a tail sum shares nothing with a side that reads
+    op._pbar_table. Like the tables, it is built once per power-of-two
+    table order (op._table_order) and sliced by each reader.
+    """
+    return series.gauss_theta(None, order).invert().coeffs
 
 
 @lru_cache(maxsize=64)
@@ -186,10 +202,11 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     q^(coef*m_lo) * R(m_lo) * U(m_lo) with the truncated Horner scheme
     U(m) = 1 + q^coef * (1 - q^(m+denom_off)) / (1 + q^(m+1)) * U(m+1).
     U(m) is only needed to length order - coef*m + 1, so it grows by coef
-    coefficients per step, from 1 padded to that length at the last term.
-    The head R(m_lo) is the overpartition generating function, taken as
-    the Newton inverse of the full theta sum (by Gauss, theta =
-    (q;q)oo/(-q;q)oo), times (q;q)_{m_lo+denom_off-1} and divided by
+    coefficients per step, from 1 padded to that length at the last term;
+    each step is one fused pass (series._times_ratio) and the shift.
+    The head R(m_lo) is the overpartition generating function, sliced from
+    _theta_inverse_table (the Newton inverse of the full theta sum, built
+    once per table order), times (q;q)_{m_lo+denom_off-1} and divided by
     (-q;q)_{m_lo}; one packed product joins head and U(m_lo). The head
     reads no product table, so a side built from a tail sum shares nothing
     with a side that reads _pbar_table.
@@ -206,11 +223,10 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
         return series.zero(order)
     size = order - coef * m_lo + 1
     u = [1] + [0] * (order - coef * m_hi)
+    shift = [1] + [0] * (coef - 1)
     for m in range(m_hi - 1, m_lo - 1, -1):
-        _times_factor_into(u, m + denom_off, 1)
-        _div_factor_into(u, m + 1, -1)
-        u = [1] + [0] * (coef - 1) + u
-    head = list(series.gauss_theta(None, size - 1).invert().coeffs)
+        u = shift + _times_ratio(u, m + denom_off, m + 1)
+    head = list(_theta_inverse_table(op._table_order(size - 1))[:size])
     for i in range(1, m_lo + denom_off):
         _times_factor_into(head, i, 1)
     for i in range(1, m_lo + 1):
@@ -1306,7 +1322,10 @@ def expand_grid(
     overrides: Mapping[str, tuple[int, int]] | None = None,
 ) -> list[dict[str, int]]:
     """Parameter sets for one identity: its default ranges, with any override
-    ranges substituted, expanded one set per value combination."""
+    ranges substituted, expanded one set per value combination.
+
+    Sets with m > k are dropped where the identity requires m <= k; ranges
+    that leave no set at all raise BadParamsError."""
     ranges = []
     bounds = {name: (lo, hi) for name, lo, hi in desc.schema}
     for name, lo, hi in desc.param_ranges:
@@ -1327,6 +1346,10 @@ def expand_grid(
         if desc.requires_m_le_k and params["m"] > params["k"]:
             continue
         grids.append(params)
+    if not grids:
+        raise BadParamsError(
+            f"{desc.id}: no parameter set in the given ranges has m <= k"
+        )
     return grids
 
 
@@ -1340,9 +1363,10 @@ def run_default_suite(
     """Verify identities over their default parameter grids.
 
     Reports are merged deterministically, sorted by id then parameters then
-    compared range. A bound outside its range, or an override for a
-    parameter that no selected identity takes, raises BadParamsError even
-    when the grid is empty.
+    compared range. A bound outside its range, an override for a
+    parameter that no selected identity takes, or overrides that leave a
+    selected identity with no parameter set raise BadParamsError before
+    any check runs.
     """
     selected = [get_identity(i) for i in (_REGISTRY if ids is None else ids)]
     taken = {name for desc in selected for name, _, _ in desc.schema}
@@ -1354,11 +1378,12 @@ def run_default_suite(
             else f"no selected identity takes parameter(s) {stray}"
         )
     _check_given_bounds(order, n_max)
+    grids = [(desc.id, expand_grid(desc, overrides)) for desc in selected]
     reports: list[VerificationReport] = []
-    for desc in selected:
-        for params in expand_grid(desc, overrides):
+    for ident, grid in grids:
+        for params in grid:
             reports.extend(
-                verify_identity(desc.id, params, order=order, n_max=n_max)
+                verify_identity(ident, params, order=order, n_max=n_max)
             )
     reports.sort(key=lambda r: (r.id, r.params, r.compared))
     return reports

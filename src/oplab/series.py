@@ -277,6 +277,25 @@ def _div_factor_into(c: list[int], exponent: int, sign: int) -> None:
             c[lo:hi] = map(add, c[lo:hi], c[lo - exponent : lo])
 
 
+def _times_ratio(c: list[int], a: int, b: int) -> list[int]:
+    """c * (1 - q^a) / (1 + q^b) mod q^len(c) as a new list, for a, b >= 1.
+
+    One blockwise pass of y[i] = c[i] - c[i-a] - y[i-b]. Below
+    s = max(a, b) a term whose index is negative drops out; from s on,
+    each block of b coefficients reads the input and the block before it.
+    """
+    n = len(c)
+    s = max(a, b)
+    y = c[:s]
+    y[a:] = map(sub, y[a:], c)
+    for lo in range(b, min(s, n), b):
+        y[lo : lo + b] = map(sub, y[lo : lo + b], y[lo - b : lo])
+    for lo in range(s, n, b):
+        y += map(sub, map(sub, c[lo : lo + b], c[lo - a : lo - a + b]),
+                 y[lo - b : lo])
+    return y
+
+
 def _packed_product(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
     """The first count coefficients of the product of the polynomials a and
     b, exact, by Kronecker substitution.

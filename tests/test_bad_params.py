@@ -56,6 +56,11 @@ ENTRY_POINTS = {
                                         overrides=_EMPTY_GRID),
         0,
     ),
+    "run_default_suite override leaving no set": (
+        lambda v: idn.run_default_suite(["thm-2-4"], n_max=5,
+                                        overrides={"m": (3, 3), "k": (v, v)}),
+        2,
+    ),
     "expand_grid override high end": (
         lambda v: idn.expand_grid(idn.get_identity("li-truncation"),
                                   {"k": (2, v)}),
@@ -156,3 +161,12 @@ def test_rejected_object_raises_bad_params_error(call):
 def test_staircase_rejection_names_the_bound():
     with pytest.raises(op.BadParamsError, match=r"j\^2 <= n"):
         bj.check_staircase(3, 2)
+
+
+def test_bound_is_checked_before_the_grid():
+    # an empty grid is rejected too, but a bad bound is named first
+    with pytest.raises(op.BadParamsError, match="order"):
+        idn.run_default_suite(["thm-2-4"], order=idn.MAX_ORDER + 1,
+                              overrides=_EMPTY_GRID)
+    with pytest.raises(op.BadParamsError, match="no parameter set"):
+        idn.run_default_suite(["thm-2-4"], order=5, overrides=_EMPTY_GRID)

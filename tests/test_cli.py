@@ -186,6 +186,17 @@ def test_verify_usage_errors(capsys):
     assert code == 2  # neither --id nor --all
 
 
+def test_verify_override_leaving_no_parameter_set(capsys):
+    # thm-2-4 requires m <= k, so --m 5 --k 3 selects nothing to check
+    code, out, err = run(capsys, "verify", "--id", "thm-2-4", "--m", "5",
+                         "--k", "3")
+    assert code == 2 and out == ""
+    assert "thm-2-4" in err and "no parameter set" in err
+    code, out, _ = run(capsys, "verify", "--id", "thm-2-4", "--m", "3",
+                       "--k", "3", "--n-max", "5")
+    assert code == 0 and len(json.loads(out)) == 1
+
+
 def test_table_pbar_csv_frozen(capsys):
     code, out, _ = run(capsys, "table", "--stat", "pbar", "--n-max", "4",
                        "--format", "csv")

@@ -428,12 +428,14 @@ def test_product_caches_stay_bounded_over_orders():
     # a library loop over orders must not keep one product per order: the
     # tables are keyed by power-of-two table order, 64 .. 512 here
     desc = idn.get_identity("gauss")
-    for cache in (op._qq_table, op._negq_table):
+    caches = (op._qq_table, op._negq_table, idn._theta_inverse_table)
+    for cache in caches:
         cache.cache_clear()
     for order in range(0, 301):
         assert desc.series_rhs({}, order) == desc.series_lhs({}, order), order
-    for cache in (op._qq_table, op._negq_table):
-        assert cache.cache_info().currsize <= 4
+        idn._tail_sum.__wrapped__(order, 4, 4, 1)
+    for cache in caches:
+        assert cache.cache_info().currsize <= 4, cache
 
 
 def test_negq_product_built_once_for_its_readers():
@@ -456,6 +458,27 @@ def test_product_tables_match_their_factor_products():
     assert op._qq_table(order) == series.qproduct(1, 1, 1, None, order).coeffs
     assert op._negq_table(order) == series.qproduct(-1, 1, 1, None, order).coeffs
     assert op._pbar_table(order) == overpartition_gf(order).coeffs
+
+
+def test_theta_inverse_table_matches_pbar_table():
+    # two routes to the overpartition generating function: the Newton
+    # inverse of the theta sum that heads every tail sum, and the
+    # pentagonal table the other sides read
+    order = op._table_order(idn.MAX_ORDER)
+    assert idn._theta_inverse_table(order) == op._pbar_table(order)
+
+
+def test_theta_inverse_built_once_for_tail_sums():
+    # cor-2-9, sec5-main and li-truncation build three cold tail sums at
+    # MAX_ORDER; their heads all slice one theta inverse
+    idn._tail_sum.cache_clear()
+    idn._theta_inverse_table.cache_clear()
+    for ident in ("cor-2-9", "sec5-main", "li-truncation"):
+        params = idn.expand_grid(idn.get_identity(ident))[0]
+        r = idn.verify_series(ident, params, idn.MAX_ORDER)
+        assert r.passed, (ident, r.first_mismatch)
+    assert idn._tail_sum.cache_info().misses == 3
+    assert idn._theta_inverse_table.cache_info().misses == 1
 
 
 def test_cached_tail_sums_survive_their_callers():
@@ -603,8 +626,8 @@ def test_series_identity_at_max_order_within_budget(ident):
     params = idn.expand_grid(idn.get_identity(ident))[0]
     # cold tail sums and tables, as one `oplab verify --id X --order 2000`
     # pays them
-    for cache in (idn._tail_sum, op._pbar_table, op._p_table, op._qq_table,
-                  op._negq_table):
+    for cache in (idn._tail_sum, idn._theta_inverse_table, op._pbar_table,
+                  op._p_table, op._qq_table, op._negq_table):
         cache.cache_clear()
     t0 = time.perf_counter()
     r = idn.verify_series(ident, params, idn.MAX_ORDER)

@@ -410,6 +410,26 @@ def test_div_factor_undoes_times_factor(f, e, sign):
 
 
 @settings(deadline=None)
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=60),
+    st.integers(1, 70),
+    st.integers(1, 70),
+)
+@example([3, -1, 4, 1, -5], 5, 2)  # a >= len
+@example([3, -1, 4, 1, -5], 2, 7)  # b >= len
+@example([2, 7, -1, 8, 2, -8, 1, 8], 5, 2)  # b < a, a past the first block
+@example([2, 7, -1, 8, 2, -8, 1, 8], 3, 1)  # b = 1
+@example([], 1, 1)
+@example([9], 1, 1)
+def test_times_ratio_matches_factor_then_division(c, a, b):
+    # the fused Horner step against the two one-factor passes it replaces
+    want = list(c)
+    s._times_factor_into(want, a, 1)
+    s._div_factor_into(want, b, -1)
+    assert s._times_ratio(list(c), a, b) == want
+
+
+@settings(deadline=None)
 @given(_ORDERS.flatmap(lambda n: _series_of(n, st.sampled_from((1, -1)))))
 def test_series_times_its_inverse_is_one(f):
     assert f * f.invert() == s.one(f.order)
