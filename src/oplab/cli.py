@@ -4,8 +4,8 @@ Exit codes: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage errors. Beyond argparse and the flag checks (--order and
 --n-max against MAX_ORDER, which flags a stat or bijection takes), the
 library rejects every input: main maps its UnknownIdentityError and
-BadParamsError (a value out of range or of the wrong type, the enumeration
-cap exceeded, OPLAB_ENUM_CAP malformed) to exit 2 in one place.
+BadParamsError (a value out of range or of the wrong type, a weight or
+bound past its ceiling) to exit 2 in one place.
 
 Output is deterministic: identical invocations produce byte-identical
 bytes. Wall-clock timings are therefore reported as 0 unless --timings is
@@ -209,6 +209,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.k is None:
             return _usage_error(f"stat {args.stat} requires --k")
         k_lo, k_hi = args.k
+        # past the shape ceiling, fail before any weight is counted
+        op._check_weight(args.n_max, 1, "--n-max must be >= 1")
         fn = _STAT_FN[args.stat]
         rows = [
             (n, k, fn(n, k))
@@ -310,9 +312,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bijection": _cmd_bijection,
     }
     try:
-        if args.command != "list":
-            # every other command may enumerate; reject a bad cap up front
-            op.enumeration_cap()
         return handlers[args.command](args)
     except (identities.UnknownIdentityError, op.BadParamsError) as exc:
         return _usage_error(str(exc))

@@ -36,7 +36,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 from . import bijections
 from . import overpartitions as op
 from . import series
-from .overpartitions import BadParamsError, _checked_int
+from .overpartitions import OBJECT_CEILING, SHAPE_CEILING, BadParamsError, _checked_int
 from .series import (
     TruncatedSeries,
     _div_factor_into,
@@ -83,6 +83,8 @@ class IdentityDescriptor:
     inequality forms. Series builders map (params, order) to a
     TruncatedSeries; the others map (params, n_max) to one row per
     n = 1..n_max, and the rows of ineq_values are 1-tuples (v,).
+    ceiling, when set, is the highest bound of every form of the identity,
+    in place of the default ceiling of the form's kind (_FORMS).
     """
 
     id: str
@@ -100,6 +102,7 @@ class IdentityDescriptor:
     enum_rhs: RowsBuilder | None = None
     ineq_values: RowsBuilder | None = None
     strict_from: Callable[[Mapping[str, int]], int] | None = None
+    ceiling: int | None = None
 
     @property
     def has_series(self) -> bool:
@@ -690,6 +693,7 @@ _register(
         oracle="theta sum vs product quotient; alternating pbar sums vs zero",
         default_order=200,
         default_n_max=25,
+        ceiling=MAX_ORDER,  # reads pbar, not a shape count
         series_lhs=_gauss_lhs,
         series_rhs=_gauss_rhs,
         enum_lhs=_gauss_enum_lhs,
@@ -774,6 +778,7 @@ _register(
         schema=(("k", 1, 64), ("ell", 1, 16)),
         param_ranges=(("k", 1, 3), ("ell", 1, 3)),
         default_order=25,
+        ceiling=SHAPE_CEILING,  # its lhs reads the shape-counted mbar
         series_lhs=_yao_lhs,
         series_rhs=_yao_rhs,
     )
@@ -1043,6 +1048,7 @@ _register(
         ),
         oracle="exhaustive classification and mapping of both classes",
         default_n_max=20,
+        ceiling=OBJECT_CEILING,  # maps materialised overpartitions
         enum_lhs=_sec3_lhs,
         enum_rhs=_sec3_rhs,
     )
@@ -1182,28 +1188,51 @@ class _Form(NamedTuple):
     bound: str  # name of the bound; the descriptor default is default_<bound>
     compared: str  # report label, formatted with the bound
     check: Callable[..., Outcome]
+    ceiling: int  # highest allowed bound, unless the descriptor sets one
 
 
+# series and inequality forms read tables and series only; enumerative forms
+# count over shapes, so they stop at the shape ceiling
 _FORMS = {
-    "series": _Form("series_lhs", 0, "order", "order={}", _series_check),
-    "enumerative": _Form("enum_lhs", 1, "n_max", "n=1..{}", _enum_check),
-    "inequality": _Form("ineq_values", 1, "n_max", "n=1..{}", _ineq_check),
+    "series": _Form("series_lhs", 0, "order", "order={}", _series_check, MAX_ORDER),
+    "enumerative": _Form("enum_lhs", 1, "n_max", "n=1..{}", _enum_check, SHAPE_CEILING),
+    "inequality": _Form("ineq_values", 1, "n_max", "n=1..{}", _ineq_check, MAX_ORDER),
 }
 
 
-def _check_bound(f: _Form, n: int | None) -> None:
-    _checked_int(
-        n, f.low, MAX_ORDER,
-        f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {n}",
-    )
+def _checked_bound(desc: IdentityDescriptor, form: str, bound: int | None) -> int:
+    """The bound of one form, or the descriptor's default, checked against
+    the form's ceiling."""
+    f = _FORMS[form]
+    n = getattr(desc, f"default_{f.bound}") if bound is None else bound
+    ceiling = f.ceiling if desc.ceiling is None else desc.ceiling
+    message = f"{desc.id}: {f.bound} must be within {f.low}..{ceiling}, got {n}"
+    return _checked_int(n, f.low, ceiling, message)
 
 
-def _check_given_bounds(order: int | None, n_max: int | None) -> None:
-    """Check each bound that is given against its forms' range."""
+def _checked_forms(
+    desc: IdentityDescriptor, order: int | None, n_max: int | None
+) -> list[tuple[str, int | None]]:
+    """(form, bound) for every form of desc that the bounds select, in
+    _FORMS order: order alone selects the series form, n_max alone the
+    enumerative and inequality forms, both or neither every form.
+
+    Each bound given must be within its forms' range even when no form
+    uses it, and each selected form's bound within its ceiling."""
     given = {"order": order, "n_max": n_max}
-    for f in _FORMS.values():
-        if given[f.bound] is not None:
-            _check_bound(f, given[f.bound])
+    neither = order is None and n_max is None
+    forms = []
+    for form, f in _FORMS.items():
+        bound = given[f.bound]
+        if bound is not None:
+            _checked_int(
+                bound, f.low, MAX_ORDER,
+                f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {bound}",
+            )
+        if getattr(desc, f.attr) is not None and (bound is not None or neither):
+            _checked_bound(desc, form, bound)
+            forms.append((form, bound))
+    return forms
 
 
 def _verify(
@@ -1221,8 +1250,7 @@ def _verify(
     if getattr(desc, f.attr) is None:
         raise BadParamsError(f"{ident} has no {form} form")
     p = _validate_params(desc, params)
-    n = getattr(desc, f"default_{f.bound}") if bound is None else bound
-    _check_bound(f, n)
+    n = _checked_bound(desc, form, bound)
     if perturb is not None:
         idx, delta = perturb
         _checked_int(
@@ -1301,20 +1329,15 @@ def verify_identity(
     The bounds given choose the forms: order alone runs the series form,
     n_max alone the enumerative and inequality forms, both or neither every
     form. An identity with none of the chosen forms yields no report, but
-    every bound given is checked against its forms' range first.
+    every bound given is checked against its forms' range, and every chosen
+    form's bound against its ceiling, before any form runs.
     """
     desc = get_identity(ident)
-    _check_given_bounds(order, n_max)
-    series_wanted = n_max is None or order is not None
-    counts_wanted = order is None or n_max is not None
-    reports = []
-    if series_wanted and desc.has_series:
-        reports.append(verify_series(ident, params, order))
-    if counts_wanted and desc.has_enum:
-        reports.append(verify_enumerative(ident, params, n_max))
-    if counts_wanted and desc.has_inequality:
-        reports.append(verify_inequality(ident, params, n_max))
-    return reports
+    # looked up per call, so wrappers set on this module see every check
+    verify = {"series": verify_series, "enumerative": verify_enumerative,
+              "inequality": verify_inequality}
+    return [verify[form](ident, params, bound)
+            for form, bound in _checked_forms(desc, order, n_max)]
 
 
 def expand_grid(
@@ -1363,10 +1386,10 @@ def run_default_suite(
     """Verify identities over their default parameter grids.
 
     Reports are merged deterministically, sorted by id then parameters then
-    compared range. A bound outside its range, an override for a
-    parameter that no selected identity takes, or overrides that leave a
-    selected identity with no parameter set raise BadParamsError before
-    any check runs.
+    compared range. A bound outside its range or past the ceiling of a
+    form it selects, an override for a parameter that no selected identity
+    takes, or overrides that leave a selected identity with no parameter
+    set raise BadParamsError before any check runs.
     """
     selected = [get_identity(i) for i in (_REGISTRY if ids is None else ids)]
     taken = {name for desc in selected for name, _, _ in desc.schema}
@@ -1377,7 +1400,8 @@ def run_default_suite(
             if len(selected) == 1
             else f"no selected identity takes parameter(s) {stray}"
         )
-    _check_given_bounds(order, n_max)
+    for desc in selected:
+        _checked_forms(desc, order, n_max)
     grids = [(desc.id, expand_grid(desc, overrides)) for desc in selected]
     reports: list[VerificationReport] = []
     for ident, grid in grids:

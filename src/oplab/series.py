@@ -42,7 +42,7 @@ __all__ = [
 
 class BadParamsError(ValueError):
     """A caller-supplied value was rejected: of the wrong type, out of its
-    range, past the enumeration cap, or a malformed OPLAB_ENUM_CAP."""
+    range, or a weight or bound past its ceiling."""
 
 
 def _checked_int(v: object, lo: float, hi: float, message: str) -> int:
@@ -131,6 +131,7 @@ class TruncatedSeries:
         return TruncatedSeries(self._order, [-a for a in self._coeffs])
 
     def scale(self, c: int) -> "TruncatedSeries":
+        _checked_int(c, -inf, inf, "scale factor must be an int")
         return TruncatedSeries(self._order, [c * a for a in self._coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -202,6 +203,7 @@ class TruncatedSeries:
         result would be missing coefficients it claims to have.
         """
         _checked_int(ell, 1, inf, "dilation must be >= 1")
+        _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
         top = order // ell
         if self._order < top:
             raise BadParamsError(
@@ -350,6 +352,7 @@ def one(order: int) -> TruncatedSeries:
 
 
 def monomial(order: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
     _checked_int(exponent, 0, order, f"exponent {exponent} outside 0..{order}")
     c = [0] * (order + 1)
     c[exponent] = coeff
@@ -372,6 +375,7 @@ def qproduct(
     _checked_sign(sign)
     _checked_int(start, 0, inf, "need start >= 0 and step >= 1")
     _checked_int(step, 1, inf, "need start >= 0 and step >= 1")
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
     if length is not None:
         _checked_int(length, 0, inf, "length must be >= 0 or None")
     if sign == 1 and start == 0 and length is None:
@@ -394,6 +398,8 @@ def pentagonal_series(order: int, dilation: int = 1) -> TruncatedSeries:
     sum_{j>=0} (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1)); terms whose minimal
     exponent exceeds the order are omitted.
     """
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
+    _checked_int(dilation, 1, inf, "dilation must be >= 1")
     base_order = order // dilation
     c = [0] * (base_order + 1)
     j = 0
@@ -413,6 +419,9 @@ def pentagonal_series(order: int, dilation: int = 1) -> TruncatedSeries:
 
 def theta_partial(j_lo: int, j_hi: int, order: int) -> TruncatedSeries:
     """sum_{j=j_lo..j_hi} (-1)^j q^(j^2), dropping terms with j^2 > order."""
+    _checked_int(j_lo, -inf, inf, "theta sum bounds must be ints")
+    _checked_int(j_hi, -inf, inf, "theta sum bounds must be ints")
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
     c = [0] * (order + 1)
     for j in range(j_lo, j_hi + 1):
         e = j * j
@@ -423,6 +432,7 @@ def theta_partial(j_lo: int, j_hi: int, order: int) -> TruncatedSeries:
 
 def gauss_theta(k: int | None, order: int) -> TruncatedSeries:
     """1 + 2*sum_{j=1..k} (-1)^j q^(j^2); k None takes the full theta sum."""
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
     if k is None:
         k = isqrt(order)
     else:
@@ -432,6 +442,7 @@ def gauss_theta(k: int | None, order: int) -> TruncatedSeries:
 
 def partition_gf(order: int) -> TruncatedSeries:
     """1/(q;q)oo, the partition generating function."""
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
     c = [1] + [0] * order
     for i in range(1, order + 1):
         _div_factor_into(c, i, 1)

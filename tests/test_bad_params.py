@@ -95,6 +95,19 @@ ENTRY_POINTS = {
     "times_factor sign": (lambda v: series.one(3).times_factor(1, v), 0),
     "div_factor sign": (lambda v: series.one(3).div_factor(1, v), 0),
     "dilate ell": (lambda v: series.one(3).dilate(v, 3), 0),
+    "dilate order": (lambda v: series.one(3).dilate(1, v), -1),
+    "scale factor": (lambda v: series.one(3).scale(v), None),
+    "monomial order": (lambda v: series.monomial(v, 1), -1),
+    "qproduct order": (lambda v: series.qproduct(1, 1, 1, None, v), -1),
+    "pentagonal_series order": (series.pentagonal_series, -1),
+    "pentagonal_series dilation": (
+        lambda v: series.pentagonal_series(10, v), 0
+    ),
+    "theta_partial j_lo": (lambda v: series.theta_partial(v, 2, 10), None),
+    "theta_partial j_hi": (lambda v: series.theta_partial(0, v, 10), None),
+    "theta_partial order": (lambda v: series.theta_partial(0, 2, v), -1),
+    "gauss_theta order": (lambda v: series.gauss_theta(None, v), -1),
+    "partition_gf order": (series.partition_gf, -1),
 }
 
 CASES = [
@@ -116,16 +129,8 @@ def test_one_rejection_error_class():
     assert issubclass(op.EnumerationCapError, op.BadParamsError)
     assert issubclass(op.BadParamsError, ValueError)
     with pytest.raises(op.BadParamsError) as exc:
-        op.mbar(op.DEFAULT_ENUMERATION_CAP + 1, 1)
+        op.mbar(op.SHAPE_CEILING + 1, 1)
     assert type(exc.value) is op.EnumerationCapError
-
-
-def test_malformed_cap_is_a_bad_params_error(monkeypatch):
-    monkeypatch.setenv(op.ENUMERATION_CAP_ENV, "abc")
-    with pytest.raises(op.BadParamsError, match=op.ENUMERATION_CAP_ENV):
-        op.enumeration_cap()
-    with pytest.raises(op.BadParamsError, match=op.ENUMERATION_CAP_ENV):
-        op.op21(4, 1)
 
 
 # an object outside a map's domain, or coefficients that are not a sequence,

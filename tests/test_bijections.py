@@ -173,7 +173,7 @@ def test_check_staircase_catches_a_broken_round_trip(monkeypatch):
     assert result["ok"] is False
 
 
-# -- properties past the enumeration cap ------------------------------------
+# -- properties past the object ceiling ------------------------------------
 
 MAX_WEIGHT = 200
 

@@ -247,29 +247,39 @@ def test_table_usage_errors(capsys):
     assert code == 2
 
 
-def test_table_respects_enumeration_cap(capsys, monkeypatch):
-    monkeypatch.setenv(op.ENUMERATION_CAP_ENV, "5")
-    code, _, err = run(capsys, "table", "--stat", "op21", "--k", "1",
-                       "--n-max", "6", "--format", "csv")
-    assert code == 2 and "cap" in err
+def test_table_respects_enumeration_cap(capsys):
+    # a weight past the shape ceiling fails before any weight is counted
+    tables = op._shape_tables.cache_info()
+    code, out, err = run(capsys, "table", "--stat", "mbar", "--k", "1",
+                         "--n-max", str(op.SHAPE_CEILING + 1))
+    assert (code, out) == (2, "") and "ceiling 50" in err
+    assert op._shape_tables.cache_info() == tables
+    # the shape counts reach past the object ceiling
     code, out, _ = run(capsys, "table", "--stat", "op21", "--k", "1",
-                       "--n-max", "5", "--format", "csv")
-    assert code == 0 and out.splitlines()[-1] == f"5,1,{op.op21(5, 1)}"
+                       "--n-max", "31", "--format", "csv")
+    assert code == 0 and out.splitlines()[-1] == f"31,1,{op.op21(31, 1)}"
 
 
-@pytest.mark.parametrize("cap", ["abc", "-1"])
+def test_retired_cap_variable_is_ignored(capsys, monkeypatch):
+    argv = ("verify", "--id", "thm-2-2", "--n-max", "5")
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("OPLAB_ENUM_CAP", "abc")
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, ceiling",
     [
-        ["verify", "--id", "thm-2-2", "--n-max", "5"],
-        ["table", "--stat", "mbar", "--k", "1", "--n-max", "5"],
-        ["bijection", "--which", "section3", "--n", "4"],
+        (["verify", "--id", "thm-2-2", "--n-max", "51"], 50),
+        (["table", "--stat", "mbar", "--k", "1", "--n-max", "51"], 50),
+        (["bijection", "--which", "section3", "--n", "31"], 30),
     ],
     ids=["verify", "table", "bijection"],
 )
-def test_malformed_enumeration_cap_is_a_usage_error(argv, cap):
+def test_weight_past_the_ceiling_is_a_usage_error(argv, ceiling):
     # run as a real process so an escaping exception would show its traceback
-    env = dict(os.environ, **{op.ENUMERATION_CAP_ENV: cap})
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oplab.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "oplab.cli", *argv],
@@ -278,7 +288,7 @@ def test_malformed_enumeration_cap_is_a_usage_error(argv, cap):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 and op.ENUMERATION_CAP_ENV in proc.stderr
+    assert proc.stderr.count("\n") == 1 and str(ceiling) in proc.stderr
 
 
 _TOO_FAR = str(identities.MAX_ORDER + 1)
@@ -364,6 +374,10 @@ def test_bijection_lemma41(capsys):
     # j defaults to 1
     code, out, _ = run(capsys, "bijection", "--which", "lemma41", "--n", "5")
     assert code == 0 and json.loads(out)["j"] == 1
+    # source weight 24 is enumerated; the target weight 40 is shape-counted
+    code, out, _ = run(capsys, "bijection", "--which", "lemma41", "--n", "40",
+                       "--j", "4", "--check")
+    assert code == 0 and json.loads(out)["sourceCount"] == op.pbar(24)
 
 
 def test_bijection_usage_errors(capsys):
@@ -375,8 +389,8 @@ def test_bijection_usage_errors(capsys):
     assert code == 2  # j^2 > n
     code, _, _ = run(capsys, "bijection", "--which", "lemma41", "--n", "0")
     assert code == 2
-    code, _, err = run(capsys, "bijection", "--which", "section3", "--n", "40")
-    assert code == 2 and "cap" in err
+    code, _, err = run(capsys, "bijection", "--which", "section3", "--n", "31")
+    assert code == 2 and "ceiling 30" in err
 
 
 def test_help_exits_zero(capsys):
@@ -413,8 +427,8 @@ PUBLIC_NAMES = {
     "pentagonal_series", "theta_partial", "gauss_theta", "partition_gf",
     # overpartitions
     "Part", "Overpartition", "MexQuery", "MEX_2_1", "BadParamsError",
-    "EnumerationCapError", "DEFAULT_ENUMERATION_CAP", "ENUMERATION_CAP_ENV",
-    "enumeration_cap", "enumerate_overpartitions", "pbar", "partition_count",
+    "EnumerationCapError", "OBJECT_CEILING", "SHAPE_CEILING",
+    "enumerate_overpartitions", "pbar", "partition_count",
     "overline_mex", "op_class_counts", "op21", "mbar", "nbar", "mk_stat",
     # bijections
     "in_a", "in_b", "map_a_to_b", "map_b_to_a", "c_witness",

@@ -6,6 +6,7 @@ registry shape, report schema, perturbation sensitivity plumbing, parameter
 validation, and a handful of coefficient-level oracles recomputed in-test.
 """
 
+import dataclasses
 import inspect
 import time
 
@@ -621,8 +622,8 @@ SERIES_AT_MAX_ORDER = [
 
 @pytest.mark.parametrize("ident", SERIES_AT_MAX_ORDER)
 def test_series_identity_at_max_order_within_budget(ident):
-    # every series builder is O(order^2); yao's lhs is enumeration, which
-    # the enumeration cap bounds far below MAX_ORDER
+    # every series builder is O(order^2); yao's lhs is counted over shapes,
+    # so the shape ceiling bounds it far below MAX_ORDER
     params = idn.expand_grid(idn.get_identity(ident))[0]
     # cold tail sums and tables, as one `oplab verify --id X --order 2000`
     # pays them
@@ -646,3 +647,95 @@ def test_series_set_at_max_order_within_budget():
         assert r.passed, (ident, r.first_mismatch)
     dt = time.perf_counter() - t0
     assert dt < 2.5, f"the series set took {dt:.1f}s at order {idn.MAX_ORDER}"
+
+
+# -- ceilings -------------------------------------------------------------------
+
+# each form's highest bound is its kind's ceiling, except for three forms
+KIND_CEILINGS = {
+    "series": idn.MAX_ORDER,
+    "enumerative": op.SHAPE_CEILING,
+    "inequality": idn.MAX_ORDER,
+}
+CEILING_EXCEPTIONS = {
+    ("gauss", "enumerative"): idn.MAX_ORDER,  # reads pbar only
+    ("yao", "series"): op.SHAPE_CEILING,  # its lhs reads mbar
+    ("sec3-bijection", "enumerative"): op.OBJECT_CEILING,  # maps objects
+}
+FORM_CEILINGS = [
+    pytest.param(
+        desc.id, form,
+        CEILING_EXCEPTIONS.get((desc.id, form), KIND_CEILINGS[form]),
+        id=f"{desc.id}-{form}",
+    )
+    for desc in idn.list_identities()
+    for form, f in idn._FORMS.items()
+    if getattr(desc, f.attr) is not None
+]
+VERIFIERS = {
+    "series": idn.verify_series,
+    "enumerative": idn.verify_enumerative,
+    "inequality": idn.verify_inequality,
+}
+BUILDERS = ("series_lhs", "series_rhs", "enum_lhs", "enum_rhs", "ineq_values")
+
+
+def _never_built_registry(monkeypatch):
+    for desc in idn.list_identities():
+        sides = {a: _never_built for a in BUILDERS if getattr(desc, a)}
+        monkeypatch.setitem(
+            idn._REGISTRY, desc.id, dataclasses.replace(desc, **sides)
+        )
+
+
+def _caches():
+    return [
+        cache.cache_info()
+        for cache in (op._shape_tables, op._overpartitions_of, idn._sec3_data,
+                      idn._tail_sum)
+    ]
+
+
+@pytest.fixture(scope="session")
+def shape_tables_to_the_ceiling():
+    # every shape-counted form at its ceiling reads these; fill them once
+    for n in range(op.SHAPE_CEILING + 1):
+        op._shape_tables(n)
+
+
+@pytest.mark.parametrize("ident, form, ceiling", FORM_CEILINGS)
+def test_every_form_passes_at_its_ceiling_and_rejects_one_more(
+    ident, form, ceiling, shape_tables_to_the_ceiling, monkeypatch
+):
+    params = idn.expand_grid(idn.get_identity(ident))[0]
+    r = VERIFIERS[form](ident, params, ceiling)
+    assert r.passed, r.first_mismatch
+    # one more is rejected, naming the ceiling, before either side is built
+    _never_built_registry(monkeypatch)
+    caches = _caches()
+    bound = idn._FORMS[form].bound
+    for call in (
+        lambda: VERIFIERS[form](ident, params, ceiling + 1),
+        lambda: idn.run_default_suite([ident], **{bound: ceiling + 1}),
+    ):
+        with pytest.raises(idn.BadParamsError, match=rf"\.\.{ceiling}\b"):
+            call()
+    assert _caches() == caches
+    # release the objects enumerated up to the object ceiling
+    op._overpartitions_of.cache_clear()
+    idn._sec3_data.cache_clear()
+
+
+def test_suite_checks_every_ceiling_before_any_check_runs(monkeypatch):
+    # series forms registered before yao would run first without the
+    # up-front pass
+    _never_built_registry(monkeypatch)
+    for kwargs, message in [
+        ({"order": 51}, "yao: order must be within 0..50, got 51"),
+        ({"n_max": 51}, "thm-1-1: n_max must be within 1..50, got 51"),
+        ({"ids": ["gauss", "sec3-bijection"], "n_max": 31},
+         "sec3-bijection: n_max must be within 1..30, got 31"),
+    ]:
+        with pytest.raises(idn.BadParamsError) as exc:
+            idn.run_default_suite(**kwargs)
+        assert str(exc.value) == message

@@ -269,24 +269,22 @@ def test_mk_stat_frozen():
         op.mk_stat(3, 0)
 
 
-def test_enumeration_cap_default():
-    with pytest.raises(EnumerationCapError) as exc:
+def test_enumeration_ceilings():
+    assert (op.OBJECT_CEILING, op.SHAPE_CEILING) == (30, 50)
+    caches = op._overpartitions_of.cache_info(), op._shape_tables.cache_info()
+    with pytest.raises(EnumerationCapError, match="weight 31 .* ceiling 30$"):
         op.enumerate_overpartitions(31)
-    assert exc.value.n == 31 and exc.value.cap == 30
-    with pytest.raises(EnumerationCapError):
-        op.op21(31, 1)
-
-
-def test_enumeration_cap_env_override(monkeypatch):
-    monkeypatch.setenv(op.ENUMERATION_CAP_ENV, "6")
-    assert op.enumeration_cap() == 6
-    with pytest.raises(EnumerationCapError):
-        op.enumerate_overpartitions(7)
-    assert len(op.enumerate_overpartitions(6)) == op.pbar(6)
-    for bad in ("not-a-number", "-1"):
-        monkeypatch.setenv(op.ENUMERATION_CAP_ENV, bad)
-        with pytest.raises(ValueError):
-            op.enumeration_cap()
+    for stat in (op.op21, op.mbar, op.nbar, op.mk_stat):
+        with pytest.raises(EnumerationCapError, match="weight 51 .* ceiling 50$"):
+            stat(51, 1)
+    with pytest.raises(EnumerationCapError, match="ceiling 50$"):
+        op.op_class_counts(51)
+    # rejected before anything is built
+    assert (
+        op._overpartitions_of.cache_info(), op._shape_tables.cache_info()
+    ) == caches
+    # the shape counts reach past the object ceiling
+    assert sum(op.op_class_counts(31)) == op.pbar(31)
 
 
 def test_negative_weight_rejected():
