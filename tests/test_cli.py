@@ -268,6 +268,7 @@ def test_retired_cap_variable_is_ignored(capsys, monkeypatch):
     assert expected[0] == 0
 
 
+@pytest.mark.parametrize("cap", ["abc", "-1"])
 @pytest.mark.parametrize(
     "argv, ceiling",
     [
@@ -277,9 +278,12 @@ def test_retired_cap_variable_is_ignored(capsys, monkeypatch):
     ],
     ids=["verify", "table", "bijection"],
 )
-def test_weight_past_the_ceiling_is_a_usage_error(argv, ceiling):
-    # run as a real process so an escaping exception would show its traceback
-    env = dict(os.environ)
+def test_malformed_enumeration_cap_is_a_usage_error(argv, ceiling, cap):
+    # the retired OPLAB_ENUM_CAP, even malformed, is not read: the one usage
+    # error is the weight past its fixed ceiling, and the message names that
+    # ceiling, not the variable; run as a real process so an escaping
+    # exception would show its traceback
+    env = dict(os.environ, OPLAB_ENUM_CAP=cap)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oplab.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "oplab.cli", *argv],
@@ -289,6 +293,7 @@ def test_weight_past_the_ceiling_is_a_usage_error(argv, ceiling):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and str(ceiling) in proc.stderr
+    assert "OPLAB_ENUM_CAP" not in proc.stderr
 
 
 _TOO_FAR = str(identities.MAX_ORDER + 1)
