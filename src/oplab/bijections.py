@@ -67,12 +67,11 @@ def in_b(lam: Overpartition) -> bool:
     plain part 2 + r in the part order, r = number of non-overlined 1s."""
     # parts run largest first, so an overlined 1 is the last part and the
     # r plain 1s come just before it
-    parts = lam.parts
-    if not parts or parts[-1] != _ONE_BAR:
+    if not lam or lam[-1] != _ONE_BAR:
         return True
-    r = lam.plain_count(1)
+    r = lam.count(_ONE)
     # the smallest part of value >= 2, against the plain part 2 + r
-    return len(parts) <= r + 1 or parts[-r - 2].rank >= 2 * (2 + r)
+    return len(lam) <= r + 1 or lam[-r - 2].rank >= 2 * (2 + r)
 
 
 def map_a_to_b(pi: Overpartition) -> Overpartition:
@@ -81,8 +80,8 @@ def map_a_to_b(pi: Overpartition) -> Overpartition:
     overlined 1."""
     if not in_a(pi):
         raise BadParamsError("input must have a non-overlined smallest part")
-    t = pi.parts[-1].value
-    rest = pi.parts[:-1]
+    t = pi[-1].value
+    rest = pi[:-1]
     if t == 1:
         return Overpartition(rest)
     # rest consists of parts >= t in the part order, so appending the
@@ -96,12 +95,13 @@ def map_b_to_a(lam: Overpartition) -> Overpartition:
     overlined 1 and the r plain 1s back into a plain part r+2."""
     if not in_b(lam):
         raise BadParamsError("input lies in the complement class C")
-    if not lam.has_overline(1):
-        return Overpartition(lam.parts + (_ONE,))
-    r = lam.plain_count(1)
-    kept = tuple(p for p in lam.parts if p.value != 1)
-    # the gap condition guarantees every kept part is >= the new part r+2
-    return Overpartition(kept + (Part(r + 2, False),))
+    # as in in_b, an overlined 1 can only be the last part
+    if not lam or lam[-1] != _ONE_BAR:
+        return Overpartition(lam + (_ONE,))
+    r = lam.count(_ONE)
+    # the r plain 1s and the overlined 1 are the last r + 1 parts; the gap
+    # condition guarantees every kept part is >= the new part r+2
+    return Overpartition(lam[:-r - 1] + (Part(r + 2, False),))
 
 
 def c_witness(n: int) -> Overpartition:
@@ -124,8 +124,9 @@ def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
     # both tuples run largest first, so the sort is one merge of two runs;
     # it is stable, so each plain stair lands before mu's copies of its
     # value, and so before an overlined one
-    parts = sorted(_stairs(j) + mu.parts, key=itemgetter(0), reverse=True)
-    return Overpartition(tuple(parts))
+    return Overpartition(
+        sorted(_stairs(j) + mu, key=itemgetter(0), reverse=True)
+    )
 
 
 def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
@@ -133,7 +134,7 @@ def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
     staircase_insert. Requires every odd value below 2j as a plain part,
     which is exactly the overline-mex >= 2j+1 precondition."""
     _checked_int(j, 1, inf, "j must be >= 1")
-    parts = list(lam.parts)
+    parts = list(lam)
     # smallest stair first, so a failure names the smallest missing value
     for stair in reversed(_stairs(j)):
         try:
@@ -143,7 +144,7 @@ def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
                 f"missing plain part {stair.value}: overline-mex precondition "
                 f">= {2 * j + 1} is violated"
             ) from None
-    return Overpartition(tuple(parts))
+    return Overpartition(parts)
 
 
 # -- exhaustive checks used by the identity harness and the CLI -------------

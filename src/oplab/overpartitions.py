@@ -6,8 +6,8 @@ below its plain twin:
 
     1bar < 1 < 2bar < 2 < 3bar < 3 < ...
 
-Internally a part is a (value, overlined) pair and an overpartition stores
-its parts as a tuple sorted largest first in that order, so the final entry
+Internally a part is a (value, overlined) pair and an overpartition is the
+tuple of its parts, sorted largest first in that order, so the final entry
 is the smallest part. Everything in this module is exact integer counting;
 generating-function coefficients are used only where enumeration would be
 wasteful (large-n counts), and tests pin the two routes against each other.
@@ -84,15 +84,28 @@ def _check_part(p: object) -> None:
         raise BadParamsError(f"overline flags must be bools, got {overlined!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Overpartition:
-    """Immutable overpartition; parts sorted largest first in the part order."""
+class Overpartition(tuple):
+    """Immutable overpartition: the tuple of its parts, sorted largest first
+    in the part order, one object per overpartition.
 
-    parts: tuple[Part, ...]
+    Any iterable of parts is taken; the constructor copies it into the tuple
+    once and validates every part. Equality, hashing and `<` are the
+    tuple's, so an Overpartition equals the plain tuple of the same parts,
+    and `<` follows tuple order (the parts as (value, overlined) pairs, as
+    for Part), not the part order."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, parts):
+        try:
+            self = tuple.__new__(cls, parts)
+        except TypeError:
+            raise BadParamsError(
+                "parts must be an iterable of Part instances, "
+                f"got {type(parts).__name__}"
+            ) from None
         prev_value, prev_overlined = inf, False
-        for p in self.parts:
+        for p in self:
             # one exact-type test accepts the common part; anything else,
             # subclasses included, takes the full checks
             if p.__class__ is Part:
@@ -114,25 +127,36 @@ class Overpartition:
                     )
                 raise BadParamsError("parts are not sorted largest first")
             prev_value, prev_overlined = value, overlined
+        return self
+
+    @property
+    def parts(self) -> tuple[Part, ...]:
+        """The parts, largest first: the overpartition itself."""
+        return self
 
     @property
     def weight(self) -> int:
-        return sum(map(itemgetter(0), self.parts))
+        return sum(map(itemgetter(0), self))
 
     def plain_count(self, value: int) -> int:
-        return self.parts.count(Part(value, False))
+        _checked_int(value, -inf, inf, "value must be an int, not a bool")
+        return self.count(Part(value, False))
 
     def has_overline(self, value: int) -> bool:
-        return Part(value, True) in self.parts
+        _checked_int(value, -inf, inf, "value must be an int, not a bool")
+        return Part(value, True) in self
 
     def smallest(self) -> Part | None:
-        return self.parts[-1] if self.parts else None
+        return self[-1] if self else None
 
     def to_jsonable(self) -> list[list[int | bool]]:
-        return [[p.value, p.overlined] for p in self.parts]
+        return [[p.value, p.overlined] for p in self]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(parts={tuple.__repr__(self)})"
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(str(p) for p in self) + ")"
 
 
 @dataclass(frozen=True)
@@ -154,7 +178,7 @@ MEX_2_1 = MexQuery(2, 1)
 
 # Exhaustive counting grows with the weight, so each counting route stops at
 # a fixed ceiling, measured with Python 3.11.7 on 2 cores (host speed varies
-# about 2x between runs): check_weight_down(30) takes 0.9-2.2 s and 63 MB,
+# about 2x between runs): check_weight_down(30) takes 2.0-2.2 s and 51 MB,
 # and filling every shape table up to n = 50 takes 1.4-2.8 s (n = 60: 7 s).
 OBJECT_CEILING = 30  # materialised overpartitions
 SHAPE_CEILING = 50  # statistics counted over partition shapes
@@ -219,7 +243,7 @@ def _overpartitions_of(n: int) -> tuple[Overpartition, ...]:
 
     def walk(remaining: int, top: int) -> None:
         if not remaining:
-            out.append(Overpartition(tuple(stack)))
+            out.append(Overpartition(stack))
             return
         # 1bar allows no part after it, so it is tried only as the last unit
         lo = 1 if remaining == 1 else 2

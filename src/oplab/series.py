@@ -98,7 +98,13 @@ class TruncatedSeries:
         return self._coeffs
 
     def coeff(self, exponent: int) -> int:
-        """Coefficient of q^exponent; exponents beyond the order are not knowable."""
+        """Coefficient of q^exponent; exponents beyond the order are not knowable.
+
+        A non-int or bool exponent raises BadParamsError; an int outside
+        0..order raises IndexError."""
+        _checked_int(
+            exponent, -inf, inf, f"exponent must be an int, got {exponent!r}"
+        )
         if exponent < 0 or exponent > self._order:
             raise IndexError(
                 f"exponent {exponent} outside truncation range 0..{self._order}"

@@ -108,6 +108,13 @@ def test_staircase_insert_frozen():
     assert bj.staircase_insert(_ov((2, True), 1), 2) == _ov(3, (2, True), 1, 1)
 
 
+def test_staircase_insert_accepts_a_list_built_object():
+    # a list of parts gives the same object as a tuple, so the maps take it
+    pi = Overpartition([Part(2, False)])
+    assert bj.staircase_insert(pi, 1) == _ov(2, 1)
+    assert bj.staircase_remove(bj.staircase_insert(pi, 2), 2) == pi
+
+
 def test_staircase_remove_frozen():
     assert bj.staircase_remove(_ov(3, 1), 2) == _ov()
     with pytest.raises(ValueError, match="overline-mex"):

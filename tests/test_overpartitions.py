@@ -134,6 +134,43 @@ def test_overpartition_single_fault_messages(parts, message):
         Overpartition(parts)
 
 
+def test_overpartition_from_any_iterable():
+    # a list, a generator or an iterator gives the same immutable, hashable
+    # object as a tuple: the parts are copied once, so the source list can
+    # change afterwards and a used-up iterator still leaves its parts
+    parts = [Part(2, False), Part(1, True)]
+    want = Overpartition(tuple(parts))
+    from_list = Overpartition(parts)
+    parts.append(Part(5, False))
+    for pi in (from_list, Overpartition(iter(want)), Overpartition(p for p in want)):
+        assert pi == want and hash(pi) == hash(want) and pi.weight == 3
+        assert type(pi.parts) is Overpartition and pi.parts is pi
+        assert not hasattr(pi.parts, "append")
+    assert len({from_list, want}) == 1
+    with pytest.raises(AttributeError):
+        from_list.parts = ()
+
+
+def test_overpartition_rejects_a_non_iterable():
+    for parts in (5, None, Part):
+        with pytest.raises(op.BadParamsError, match="iterable of Part instances"):
+            Overpartition(parts)
+
+
+def test_overpartition_is_the_tuple_of_its_parts():
+    # equality and hashing are the tuple's, and < is tuple order on
+    # (value, overlined) pairs, not the part order
+    pi = of(3, (1, True))
+    assert pi == (Part(3, False), Part(1, True)) and pi == ((3, False), (1, True))
+    assert hash(pi) == hash(((3, False), (1, True)))
+    assert of(1) < of((1, True)) and of(1).weight == of((1, True)).weight
+    assert repr(pi) == (
+        "Overpartition(parts=(Part(value=3, overlined=False), "
+        "Part(value=1, overlined=True)))"
+    )
+    assert repr(of()) == "Overpartition(parts=())"
+
+
 def test_overpartition_accessors():
     pi = of(3, 2, 2, (2, True), (1, True))
     assert pi.plain_count(2) == 2
@@ -142,6 +179,11 @@ def test_overpartition_accessors():
     assert pi.smallest() == Part(1, True)
     assert of().smallest() is None
     assert pi.to_jsonable()[0] == [3, False]
+    for value in (True, 1.0, "1"):
+        with pytest.raises(op.BadParamsError, match="must be an int"):
+            pi.plain_count(value)
+        with pytest.raises(op.BadParamsError, match="must be an int"):
+            pi.has_overline(value)
 
 
 def _plain_only(n):

@@ -52,6 +52,10 @@ def test_make_and_coeff():
         f.coeff(5)
     with pytest.raises(IndexError):
         f.coeff(-1)
+    # a bool or non-int exponent is a rejected parameter, not an index
+    for exponent in (True, 2.0):
+        with pytest.raises(s.BadParamsError, match="exponent must be an int"):
+            f.coeff(exponent)
 
 
 def test_series_is_immutable():
