@@ -165,14 +165,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for name in ("k", "m", "ell", "j")
         if (value := getattr(args, name)) is not None
     }
-    if args.order is not None and not 0 <= args.order <= identities.MAX_ORDER:
-        return _usage_error(
-            f"--order must be within 0..{identities.MAX_ORDER}"
-        )
-    if args.n_max is not None and not 1 <= args.n_max <= identities.MAX_ORDER:
-        return _usage_error(
-            f"--n-max must be within 1..{identities.MAX_ORDER}"
-        )
     reports = identities.run_default_suite(
         None if args.all else [args.id],
         order=args.order,

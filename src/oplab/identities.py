@@ -40,6 +40,7 @@ from .overpartitions import OBJECT_CEILING, SHAPE_CEILING, BadParamsError, _chec
 from .series import (
     TruncatedSeries,
     _div_factor_into,
+    _div_sparse,
     _packed_product,
     _times_factor_into,
     _times_ratio,
@@ -166,12 +167,12 @@ def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
     op._negq_table), truncated to the order.
 
     The table is built once per power-of-two table order, from Euler's
-    pentagonal sums and Newton inverses (op._p_table by factor division),
-    and shared by every caller, so no identity reads the same table on both
-    sides: the other side is always built independently (a theta sum, an
-    inverted product, a recurrence, a shape count, or a tail sum headed by
-    _theta_inverse_table, the second route to the overpartition generating
-    function)."""
+    pentagonal sums and sparse long division by them (op._p_table by
+    factor division), and shared by every caller, so no identity reads the
+    same table on both sides: the other side is always built independently
+    (a theta sum, an inverted product, a recurrence, a shape count, or a
+    tail sum headed by _theta_inverse_table, the second route to the
+    overpartition generating function)."""
     return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
 
 
@@ -182,16 +183,18 @@ def _accumulate(acc: list[int], c: Sequence[int], shift: int) -> None:
 
 @lru_cache(maxsize=None)
 def _theta_inverse_table(order: int) -> tuple[int, ...]:
-    """1/theta mod q^(order+1) for the full theta sum, by Newton inversion;
-    by Gauss, theta = (q;q)oo/(-q;q)oo, so this is the overpartition
-    generating function.
+    """1/theta mod q^(order+1) for the full theta sum, by long division over
+    its O(sqrt(order)) nonzero terms (series._div_sparse); by Gauss,
+    theta = (q;q)oo/(-q;q)oo, so this is the overpartition generating
+    function.
 
     It is the second route to that function: it reads no product table, so
     a side built from a tail sum shares nothing with a side that reads
     op._pbar_table. Like the tables, it is built once per power-of-two
     table order (op._table_order) and sliced by each reader.
     """
-    return series.gauss_theta(None, order).invert().coeffs
+    unit = [1] + [0] * order
+    return tuple(_div_sparse(unit, series.gauss_theta(None, order).coeffs))
 
 
 @lru_cache(maxsize=64)
@@ -208,8 +211,8 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     coefficients per step, from 1 padded to that length at the last term;
     each step is one fused pass (series._times_ratio) and the shift.
     The head R(m_lo) is the overpartition generating function, sliced from
-    _theta_inverse_table (the Newton inverse of the full theta sum, built
-    once per table order), times (q;q)_{m_lo+denom_off-1} and divided by
+    _theta_inverse_table (1 divided by the full theta sum, built once per
+    table order), times (q;q)_{m_lo+denom_off-1} and divided by
     (-q;q)_{m_lo}; one packed product joins head and U(m_lo). The head
     reads no product table, so a side built from a tail sum shares nothing
     with a side that reads _pbar_table.

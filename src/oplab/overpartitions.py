@@ -271,9 +271,11 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
 
 # One cache per generating function, each keyed by a power-of-two table
 # order (_table_order), so every caller below that order shares one entry.
-# The three product tables are built from Euler's pentagonal sums, which
-# have O(sqrt(order)) terms, and one Newton inverse each: every product has
-# a sparse operand, so none sweeps the full length once per factor.
+# The three product tables come from Euler's pentagonal sums alone, which
+# have O(sqrt(order)) terms: (q;q)oo is one, and the other two divide the
+# dilated sum (q^2;q^2)oo by (q;q)oo by long division over its few nonzero
+# terms (series._div_sparse), so no table sweeps the full length once per
+# factor or multiplies two dense series.
 
 @lru_cache(maxsize=None)
 def _qq_table(order: int) -> tuple[int, ...]:
@@ -283,16 +285,19 @@ def _qq_table(order: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _negq_table(order: int) -> tuple[int, ...]:
-    """(-q;q)oo = (q^2;q^2)oo/(q;q)oo mod q^(order+1)."""
-    p = series.pentagonal_series(order)
-    return (series.pentagonal_series(order, 2) * p.invert()).coeffs
+    """(-q;q)oo = (q^2;q^2)oo/(q;q)oo mod q^(order+1), one sparse division."""
+    p = series.pentagonal_series(order).coeffs
+    p2 = series.pentagonal_series(order, 2).coeffs
+    return tuple(series._div_sparse(p2, p))
 
 
 @lru_cache(maxsize=None)
 def _pbar_table(order: int) -> tuple[int, ...]:
-    """(-q;q)oo/(q;q)oo = (q^2;q^2)oo/(q;q)oo^2 mod q^(order+1)."""
-    p = series.pentagonal_series(order)
-    return (series.pentagonal_series(order, 2) * (p * p).invert()).coeffs
+    """(-q;q)oo/(q;q)oo = (q^2;q^2)oo/(q;q)oo/(q;q)oo mod q^(order+1), two
+    sparse divisions of the pentagonal sums (it does not read _negq_table)."""
+    p = series.pentagonal_series(order).coeffs
+    p2 = series.pentagonal_series(order, 2).coeffs
+    return tuple(series._div_sparse(series._div_sparse(p2, p), p))
 
 
 @lru_cache(maxsize=None)
@@ -308,14 +313,22 @@ def _table_order(n: int) -> int:
 
 
 def pbar(n: int) -> int:
-    """Number of overpartitions of n; pbar(0) = 1 and pbar(n) = 0 for n < 0."""
+    """Number of overpartitions of n; pbar(0) = 1 and pbar(n) = 0 for n < 0.
+
+    A bool or non-int n raises BadParamsError."""
+    if n.__class__ is not int:  # one exact-type test accepts the common case
+        _checked_int(n, -inf, inf, f"n must be an int, got {n!r}")
     if n < 0:
         return 0
     return _pbar_table(_table_order(n))[n]
 
 
 def partition_count(n: int) -> int:
-    """Number of ordinary partitions of n; 1 at n = 0 and 0 for n < 0."""
+    """Number of ordinary partitions of n; 1 at n = 0 and 0 for n < 0.
+
+    A bool or non-int n raises BadParamsError."""
+    if n.__class__ is not int:
+        _checked_int(n, -inf, inf, f"n must be an int, got {n!r}")
     if n < 0:
         return 0
     return _p_table(_table_order(n))[n]

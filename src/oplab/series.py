@@ -285,6 +285,42 @@ def _div_factor_into(c: list[int], exponent: int, sign: int) -> None:
             c[lo:hi] = map(add, c[lo:hi], c[lo - exponent : lo])
 
 
+def _div_sparse(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num/den mod q^len(num) as a new list, for den with constant term +1
+    or -1 and few nonzero terms (a pentagonal or theta sum).
+
+    Long division, c[n] = den[0] * (num[n] - sum_{e>=1} den[e] * c[n-e]),
+    with the sum over den's nonzero terms only, so a divisor with
+    O(sqrt(order)) terms touches each coefficient O(sqrt(order)) times.
+    The terms are grouped by value (+-1 in a pentagonal sum, +-2 in a theta
+    sum): each group is a plain sum of earlier coefficients and costs one
+    multiply per coefficient.
+    """
+    d0 = den[0]
+    if d0 not in (1, -1):
+        raise BadParamsError(
+            f"constant term must be +1 or -1 to divide, got {d0}"
+        )
+    size = len(num)
+    terms = [(e, d) for e, d in enumerate(den[:size]) if e and d]
+    c = list(num)
+    groups: dict[int, list[int]] = {}  # value -> exponents e <= n so far
+    k = 0
+    for n in range(size):
+        if k < len(terms) and terms[k][0] <= n:
+            e, d = terms[k]
+            groups.setdefault(d, []).append(e)
+            k += 1
+        acc = c[n]
+        for d, exps in groups.items():
+            t = 0
+            for e in exps:
+                t += c[n - e]
+            acc -= d * t
+        c[n] = d0 * acc
+    return c
+
+
 def _times_ratio(c: list[int], a: int, b: int) -> list[int]:
     """c * (1 - q^a) / (1 + q^b) mod q^len(c) as a new list, for a, b >= 1.
 

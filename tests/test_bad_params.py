@@ -68,6 +68,8 @@ ENTRY_POINTS = {
     ),
     "MexQuery modulus": (lambda v: op.MexQuery(v, 1), 0),
     "MexQuery residue": (lambda v: op.MexQuery(2, v), 3),
+    "pbar": (op.pbar, None),
+    "partition_count": (op.partition_count, None),
     "enumerate_overpartitions": (op.enumerate_overpartitions, -1),
     "op_class_counts": (op.op_class_counts, -1),
     "op21 n": (lambda v: op.op21(v, 1), 0),

@@ -453,8 +453,8 @@ def test_negq_product_built_once_for_its_readers():
 
 
 def test_product_tables_match_their_factor_products():
-    # the tables come from pentagonal sums and Newton inverses; the
-    # factor-by-factor products they replaced are the oracle
+    # the tables come from pentagonal sums and sparse long division by
+    # them; the factor-by-factor products they replaced are the oracle
     order = op._table_order(idn.MAX_ORDER)
     assert op._qq_table(order) == series.qproduct(1, 1, 1, None, order).coeffs
     assert op._negq_table(order) == series.qproduct(-1, 1, 1, None, order).coeffs
@@ -462,9 +462,9 @@ def test_product_tables_match_their_factor_products():
 
 
 def test_theta_inverse_table_matches_pbar_table():
-    # two routes to the overpartition generating function: the Newton
-    # inverse of the theta sum that heads every tail sum, and the
-    # pentagonal table the other sides read
+    # two routes to the overpartition generating function: 1 divided by
+    # the theta sum, which heads every tail sum, and the pentagonal table
+    # the other sides read
     order = op._table_order(idn.MAX_ORDER)
     assert idn._theta_inverse_table(order) == op._pbar_table(order)
 

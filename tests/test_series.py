@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab import series as s
 from oplab.series import TruncatedSeries
@@ -431,6 +432,49 @@ def test_times_ratio_matches_factor_then_division(c, a, b):
     s._times_factor_into(want, a, 1)
     s._div_factor_into(want, b, -1)
     assert s._times_ratio(list(c), a, b) == want
+
+
+_DIV_VALUES = st.sampled_from((1, -1, 2, -2)) | st.integers(-(2**70), 2**70)
+
+# a divisor tail of a few nonzero terms, as in a pentagonal or theta sum,
+# or of any coefficients at all
+_DIVISOR_TAILS = st.dictionaries(
+    st.integers(1, 70), _DIV_VALUES, max_size=6
+).map(lambda d: [d.get(e, 0) for e in range(1, max(d, default=0) + 1)]) | (
+    st.lists(_DIV_VALUES, max_size=70)
+)
+
+
+@pytest.mark.parametrize("c0", [1, -1])
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=61),
+    _DIVISOR_TAILS,
+)
+@example([1] + [0] * 9, [-2, 0, 0, 2, 0, 0, 0, 0, -2])  # 1/theta
+@example([5, 0, 0, 1], [0, 0, 0, 7])  # first term at the last index
+@example([3, 1, 4], [2, 0, 0, 0, 0, 9])  # divisor longer than the quotient
+def test_div_sparse_matches_index_loop(c0, num, tail):
+    den = [c0] + tail
+    padded = _padded(den, len(num))
+    want = ref_mul(num, ref_invert(padded))
+    assert s._div_sparse(num, den) == want
+    assert s._div_sparse(tuple(num), tuple(den)) == want
+
+
+@pytest.mark.parametrize("c0", [0, 2, -2, 3])
+def test_div_sparse_requires_unit_constant_term(c0):
+    with pytest.raises(s.BadParamsError, match="constant term"):
+        s._div_sparse([1, 2, 3], [c0, 1])
+
+
+def test_theta_inverse_table_matches_newton_inverse():
+    # the sparse division that builds the table and Newton inversion over
+    # packed products, checked against each other at the table order
+    order = op._table_order(idn.MAX_ORDER)
+    assert idn._theta_inverse_table(order) == (
+        s.gauss_theta(None, order).invert().coeffs
+    )
 
 
 @settings(deadline=None)
