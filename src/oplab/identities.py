@@ -41,7 +41,6 @@ from .series import (
     TruncatedSeries,
     _div_factor_into,
     _div_sparse,
-    _packed_product,
     _times_factor_into,
     _times_ratio,
 )
@@ -170,31 +169,14 @@ def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
     pentagonal sums and sparse long division by them (op._p_table by
     factor division), and shared by every caller, so no identity reads the
     same table on both sides: the other side is always built independently
-    (a theta sum, an inverted product, a recurrence, a shape count, or a
-    tail sum headed by _theta_inverse_table, the second route to the
-    overpartition generating function)."""
+    (a theta sum, a product divided out factor by factor, a recurrence, a
+    shape count, or a tail sum, which divides by the theta sum itself)."""
     return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
 
 
 def _accumulate(acc: list[int], c: Sequence[int], shift: int) -> None:
     """acc += q^shift * c, dropping what lands past the end of acc."""
     acc[shift:] = map(add, acc[shift:], c)
-
-
-@lru_cache(maxsize=None)
-def _theta_inverse_table(order: int) -> tuple[int, ...]:
-    """1/theta mod q^(order+1) for the full theta sum, by long division over
-    its O(sqrt(order)) nonzero terms (series._div_sparse); by Gauss,
-    theta = (q;q)oo/(-q;q)oo, so this is the overpartition generating
-    function.
-
-    It is the second route to that function: it reads no product table, so
-    a side built from a tail sum shares nothing with a side that reads
-    op._pbar_table. Like the tables, it is built once per power-of-two
-    table order (op._table_order) and sliced by each reader.
-    """
-    unit = [1] + [0] * order
-    return tuple(_div_sparse(unit, series.gauss_theta(None, order).coeffs))
 
 
 @lru_cache(maxsize=64)
@@ -210,10 +192,11 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     U(m) is only needed to length order - coef*m + 1, so it grows by coef
     coefficients per step, from 1 padded to that length at the last term;
     each step is one fused pass (series._times_ratio) and the shift.
-    The head R(m_lo) is the overpartition generating function, sliced from
-    _theta_inverse_table (1 divided by the full theta sum, built once per
-    table order), times (q;q)_{m_lo+denom_off-1} and divided by
-    (-q;q)_{m_lo}; one packed product joins head and U(m_lo). The head
+    The head R(m_lo) is the overpartition generating function times
+    (q;q)_{m_lo+denom_off-1} and divided by (-q;q)_{m_lo}. Its finite
+    factors are applied to U(m_lo) one at a time, and the overpartition
+    generating function is 1/theta by Gauss, so the sum ends with one
+    sparse long division by the full theta sum (series._div_sparse). It
     reads no product table, so a side built from a tail sum shares nothing
     with a side that reads _pbar_table.
 
@@ -232,14 +215,12 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     shift = [1] + [0] * (coef - 1)
     for m in range(m_hi - 1, m_lo - 1, -1):
         u = shift + _times_ratio(u, m + denom_off, m + 1)
-    head = list(_theta_inverse_table(op._table_order(size - 1))[:size])
     for i in range(1, m_lo + denom_off):
-        _times_factor_into(head, i, 1)
+        _times_factor_into(u, i, 1)
     for i in range(1, m_lo + 1):
-        _div_factor_into(head, i, -1)
-    return TruncatedSeries(
-        order, [0] * (coef * m_lo) + _packed_product(head, u, size)
-    )
+        _div_factor_into(u, i, -1)
+    theta = series.gauss_theta(None, size - 1).coeffs
+    return TruncatedSeries(order, [0] * (coef * m_lo) + _div_sparse(u, theta))
 
 
 def _odd_square_theta(k: int, order: int) -> TruncatedSeries:
@@ -344,7 +325,12 @@ def _gauss_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _gauss_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    return _gf(op._qq_table, order) * _gf(op._negq_table, order).invert()
+    """(q;q)oo/(-q;q)oo = (q;q)oo^2/(q^2;q^2)oo by Euler: the (q;q)oo table
+    squared, then one sparse long division by the dilated pentagonal sum.
+    It reads neither the (-q;q)oo table nor the theta sum."""
+    qq = _gf(op._qq_table, order)
+    q2q2 = series.pentagonal_series(order, 2).coeffs
+    return TruncatedSeries(order, _div_sparse((qq * qq).coeffs, q2q2))
 
 
 def _guo_zeng_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -426,7 +412,13 @@ def _sec5_red_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _euler_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    return series.qproduct(1, 1, 2, None, order).invert()
+    """1/(q;q^2)oo, the product over odd parts, divided out one factor at a
+    time. The rhs is (q^2;q^2)oo/(q;q)oo, so this side reads no pentagonal
+    sum and no product table."""
+    c = [1] + [0] * order
+    for e in range(1, order + 1, 2):
+        _div_factor_into(c, e, 1)
+    return TruncatedSeries(order, c)
 
 
 def _euler_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:

@@ -429,7 +429,7 @@ def test_product_caches_stay_bounded_over_orders():
     # a library loop over orders must not keep one product per order: the
     # tables are keyed by power-of-two table order, 64 .. 512 here
     desc = idn.get_identity("gauss")
-    caches = (op._qq_table, op._negq_table, idn._theta_inverse_table)
+    caches = (op._qq_table, op._negq_table)
     for cache in caches:
         cache.cache_clear()
     for order in range(0, 301):
@@ -440,8 +440,8 @@ def test_product_caches_stay_bounded_over_orders():
 
 
 def test_negq_product_built_once_for_its_readers():
-    # gauss and euler-odd-distinct read (-q;q)oo, am-2018 the pbar table;
-    # one process builds each table once for all three
+    # euler-odd-distinct reads (-q;q)oo, am-2018 the pbar table and gauss
+    # the (q;q)oo table; one process builds each table once for all three
     for cache in (op._negq_table, op._pbar_table):
         cache.cache_clear()
     for ident in ("gauss", "euler-odd-distinct", "am-2018-truncation"):
@@ -461,25 +461,98 @@ def test_product_tables_match_their_factor_products():
     assert op._pbar_table(order) == overpartition_gf(order).coeffs
 
 
-def test_theta_inverse_table_matches_pbar_table():
+def test_gauss_and_euler_sides_match_their_inverted_products():
+    # the routes the two sides replaced, inverting a product by Newton
+    for order in [*range(131), idn.MAX_ORDER]:
+        qq = idn._gf(op._qq_table, order)
+        negq = idn._gf(op._negq_table, order)
+        assert idn._gauss_rhs({}, order) == qq * negq.invert(), order
+        odd = series.qproduct(1, 1, 2, None, order)
+        assert idn._euler_lhs({}, order) == odd.invert(), order
+
+
+PRODUCT_TABLES = (op._pbar_table, op._qq_table, op._negq_table)
+
+
+# identities imports _div_sparse by name, so both bindings are wrapped
+ROUTE_HELPERS = (
+    (series, "pentagonal_series"), (series, "gauss_theta"),
+    (series, "_div_sparse"), (idn, "_div_sparse"),
+    (op, "_qq_table"), (op, "_negq_table"),
+)
+
+
+def _calls_made(monkeypatch, build, order):
+    """The names among ROUTE_HELPERS that build({}, order) calls."""
+    called = set()
+    with monkeypatch.context() as m:
+        for module, name in ROUTE_HELPERS:
+            key = f"{module.__name__.rpartition('.')[2]}.{name}"
+
+            def counted(*args, _real=getattr(module, name), _key=key):
+                called.add(_key)
+                return _real(*args)
+
+            m.setattr(module, name, counted)
+        build({}, order)
+    return called
+
+
+def test_series_sides_keep_their_own_routes(monkeypatch):
+    # euler-odd-distinct's rhs is (q^2;q^2)oo/(q;q)oo, so an lhs that read a
+    # pentagonal sum, a sparse division or the (-q;q)oo table could agree
+    # with it by construction; gauss's lhs is the theta sum; a tail sum
+    # divides by theta and reads no product table
+    order = idn.MAX_ORDER
+    assert _calls_made(monkeypatch, idn._euler_lhs, order) == set()
+    called = _calls_made(monkeypatch, idn._gauss_rhs, order)
+    assert "series.gauss_theta" not in called
+    # the wrappers see the calls the rhs does make
+    assert {"series.pentagonal_series", "identities._div_sparse"} <= called
+    for cache in PRODUCT_TABLES:
+        cache.cache_clear()
+    idn._tail_sum.__wrapped__(order, 1, 1, 0)
+    assert [c.cache_info().misses for c in PRODUCT_TABLES] == [0, 0, 0]
+
+
+def test_theta_inverse_matches_pbar_table():
     # two routes to the overpartition generating function: 1 divided by
-    # the theta sum, which heads every tail sum, and the pentagonal table
+    # the theta sum, which ends every tail sum, and the pentagonal table
     # the other sides read
     order = op._table_order(idn.MAX_ORDER)
-    assert idn._theta_inverse_table(order) == op._pbar_table(order)
+    unit = [1] + [0] * order
+    inverse = series._div_sparse(unit, series.gauss_theta(None, order).coeffs)
+    assert tuple(inverse) == op._pbar_table(order)
 
 
-def test_theta_inverse_built_once_for_tail_sums():
+def _table_reads():
+    infos = [c.cache_info() for c in PRODUCT_TABLES]
+    return sum(i.hits + i.misses for i in infos)
+
+
+def test_tail_sums_read_no_product_table(monkeypatch):
     # cor-2-9, sec5-main and li-truncation build three cold tail sums at
-    # MAX_ORDER; their heads all slice one theta inverse
+    # MAX_ORDER; each divides by the theta sum itself, so none of them
+    # reads a product table (li-truncation's lhs reads the pbar table)
     idn._tail_sum.cache_clear()
-    idn._theta_inverse_table.cache_clear()
+    for cache in PRODUCT_TABLES:
+        cache.cache_clear()
+    real = idn._tail_sum
+    reads = []
+
+    def counted(*args):
+        before = _table_reads()
+        out = real(*args)
+        reads.append(_table_reads() - before)
+        return out
+
+    monkeypatch.setattr(idn, "_tail_sum", counted)
     for ident in ("cor-2-9", "sec5-main", "li-truncation"):
         params = idn.expand_grid(idn.get_identity(ident))[0]
         r = idn.verify_series(ident, params, idn.MAX_ORDER)
         assert r.passed, (ident, r.first_mismatch)
-    assert idn._tail_sum.cache_info().misses == 3
-    assert idn._theta_inverse_table.cache_info().misses == 1
+    assert real.cache_info().misses == 3
+    assert reads and not any(reads), reads
 
 
 def test_cached_tail_sums_survive_their_callers():
@@ -627,8 +700,8 @@ def test_series_identity_at_max_order_within_budget(ident):
     params = idn.expand_grid(idn.get_identity(ident))[0]
     # cold tail sums and tables, as one `oplab verify --id X --order 2000`
     # pays them
-    for cache in (idn._tail_sum, idn._theta_inverse_table, op._pbar_table,
-                  op._p_table, op._qq_table, op._negq_table):
+    for cache in (idn._tail_sum, op._pbar_table, op._p_table, op._qq_table,
+                  op._negq_table):
         cache.cache_clear()
     t0 = time.perf_counter()
     r = idn.verify_series(ident, params, idn.MAX_ORDER)

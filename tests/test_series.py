@@ -468,13 +468,13 @@ def test_div_sparse_requires_unit_constant_term(c0):
         s._div_sparse([1, 2, 3], [c0, 1])
 
 
-def test_theta_inverse_table_matches_newton_inverse():
-    # the sparse division that builds the table and Newton inversion over
-    # packed products, checked against each other at the table order
+def test_theta_inverse_matches_newton_inverse():
+    # the sparse division that ends every tail sum and Newton inversion
+    # over packed products, checked against each other at the table order
     order = op._table_order(idn.MAX_ORDER)
-    assert idn._theta_inverse_table(order) == (
-        s.gauss_theta(None, order).invert().coeffs
-    )
+    theta = s.gauss_theta(None, order)
+    unit = [1] + [0] * order
+    assert tuple(s._div_sparse(unit, theta.coeffs)) == theta.invert().coeffs
 
 
 @settings(deadline=None)
