@@ -2,10 +2,10 @@
 
 Exit codes: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage errors. Beyond argparse and the flag checks (--order and
---n-max against MAX_ORDER, which flags a stat or bijection takes), the
-library rejects every input: main maps its UnknownIdentityError and
-BadParamsError (a value out of range or of the wrong type, a weight or
-bound past its ceiling) to exit 2 in one place.
+--n-max against MAX_ORDER, a table's --k against 64, which flags a stat or
+bijection takes), the library rejects every input: main maps its
+UnknownIdentityError and BadParamsError (a value out of range or of the
+wrong type, a weight or bound past its ceiling) to exit 2 in one place.
 
 Output is deterministic: identical invocations produce byte-identical
 bytes. Wall-clock timings are therefore reported as 0 unless --timings is
@@ -201,6 +201,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.k is None:
             return _usage_error(f"stat {args.stat} requires --k")
         k_lo, k_hi = args.k
+        # every row is built before any is printed: bound them first
+        if k_hi > identities._K_MAX:
+            return _usage_error(
+                f"--k must end at or below {identities._K_MAX}, got {k_hi}"
+            )
         # past the shape ceiling, fail before any weight is counted
         op._check_weight(args.n_max, 1, "--n-max must be >= 1")
         fn = _STAT_FN[args.stat]

@@ -166,11 +166,11 @@ def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
     op._negq_table), truncated to the order.
 
     The table is built once per power-of-two table order, from Euler's
-    pentagonal sums and sparse long division by them (op._p_table by
-    factor division), and shared by every caller, so no identity reads the
-    same table on both sides: the other side is always built independently
-    (a theta sum, a product divided out factor by factor, a recurrence, a
-    shape count, or a tail sum, which divides by the theta sum itself)."""
+    pentagonal sums and sparse long division by them, and shared by every
+    caller, so no identity reads the same table on both sides: the other
+    side is always built independently (a theta sum, a product divided out
+    factor by factor, a recurrence, a shape count, or a tail sum, which
+    divides by the theta sum itself)."""
     return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
 
 
@@ -642,8 +642,9 @@ def _register(desc: IdentityDescriptor) -> None:
     _REGISTRY[desc.id] = desc
 
 
-_K = (("k", 1, 64),)
-_MK = (("m", -64, 64), ("k", -64, 64))
+_K_MAX = 64  # the largest |k| (and |m|) a parameter range may reach
+_K = (("k", 1, _K_MAX),)
+_MK = (("m", -_K_MAX, _K_MAX), ("k", -_K_MAX, _K_MAX))
 
 _register(
     IdentityDescriptor(

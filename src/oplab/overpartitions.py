@@ -271,8 +271,8 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
 
 # One cache per generating function, each keyed by a power-of-two table
 # order (_table_order), so every caller below that order shares one entry.
-# The three product tables come from Euler's pentagonal sums alone, which
-# have O(sqrt(order)) terms: (q;q)oo is one, and the other two divide the
+# The four tables come from Euler's pentagonal sums alone, which have
+# O(sqrt(order)) terms: (q;q)oo is one, and the other three divide 1 or the
 # dilated sum (q^2;q^2)oo by (q;q)oo by long division over its few nonzero
 # terms (series._div_sparse), so no table sweeps the full length once per
 # factor or multiplies two dense series.
@@ -302,7 +302,10 @@ def _pbar_table(order: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _p_table(order: int) -> tuple[int, ...]:
-    return series.partition_gf(order).coeffs
+    """1/(q;q)oo mod q^(order+1), one sparse division of 1 by the pentagonal
+    sum."""
+    p = series.pentagonal_series(order).coeffs
+    return tuple(series._div_sparse([1] + [0] * order, p))
 
 
 def _table_order(n: int) -> int:

@@ -4,8 +4,10 @@ Everything here is exact. Coefficients are Python ints, truncation is a hard
 cutoff at a fixed order, and no operation ever reads or writes an exponent
 beyond that order. On top of the core arithmetic the module provides the
 q-series building blocks used by the identity checkers: q-Pochhammer
-products (qproduct: finite, infinite, dilated, any step), pentagonal and
-theta sums, and the partition generating function.
+products (qproduct: finite, infinite, dilated, any step), and pentagonal
+and theta sums. Dividing one whole series by another has one kernel,
+_div_sparse: long division over the divisor's nonzero terms only, so it is
+fast for a pentagonal or theta sum; invert divides 1 by it.
 
 Conventions:
 
@@ -36,7 +38,6 @@ __all__ = [
     "pentagonal_series",
     "theta_partial",
     "gauss_theta",
-    "partition_gf",
 ]
 
 
@@ -176,30 +177,13 @@ class TruncatedSeries:
         return TruncatedSeries(self._order, out)
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse mod q^(order+1).
+        """Multiplicative inverse mod q^(order+1), by long division of 1.
 
         Requires constant term +1 or -1 so that the inverse keeps integer
-        coefficients. Newton iteration: b = 1/a0 = a0 is exact mod q, and if
-        b is exact mod q^h then b*(2 - a*b) is exact mod q^(2h). As
-        a*b = 1 + q^h*e mod q^(2h), that step keeps b and appends the
-        coefficients of -b*e, so each step is two _packed_product calls:
-        a few big-integer multiplications in place of the O(order^2)
-        coefficient loop.
-        """
-        a = self._coeffs
-        c0 = a[0]
-        if c0 not in (1, -1):
-            raise BadParamsError(
-                f"constant term must be +1 or -1 to invert, got {c0}"
-            )
-        size = self._order + 1
-        b = [c0]
-        while len(b) < size:
-            h = len(b)
-            k = min(2 * h, size)
-            e = _packed_product(a[:k], b, k)[h:]
-            b += [-x for x in _packed_product(b[: k - h], e, k - h)]
-        return TruncatedSeries(self._order, b)
+        coefficients."""
+        return TruncatedSeries(
+            self._order, _div_sparse([1] + [0] * self._order, self._coeffs)
+        )
 
     def dilate(self, ell: int, order: int) -> "TruncatedSeries":
         """Substitute q -> q^ell by re-indexing coefficients onto a series of
@@ -287,7 +271,7 @@ def _div_factor_into(c: list[int], exponent: int, sign: int) -> None:
 
 def _div_sparse(num: Sequence[int], den: Sequence[int]) -> list[int]:
     """num/den mod q^len(num) as a new list, for den with constant term +1
-    or -1 and few nonzero terms (a pentagonal or theta sum).
+    or -1; fast when den has few nonzero terms (a pentagonal or theta sum).
 
     Long division, c[n] = den[0] * (num[n] - sum_{e>=1} den[e] * c[n-e]),
     with the sum over den's nonzero terms only, so a divisor with
@@ -338,51 +322,6 @@ def _times_ratio(c: list[int], a: int, b: int) -> list[int]:
         y += map(sub, map(sub, c[lo : lo + b], c[lo - a : lo - a + b]),
                  y[lo - b : lo])
     return y
-
-
-def _packed_product(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
-    """The first count coefficients of the product of the polynomials a and
-    b, exact, by Kronecker substitution.
-
-    Each operand is packed into one int, coefficient i in slot i of w bits,
-    the two ints are multiplied once, and the slots of the result are read
-    back as balanced digits. A product coefficient is a sum of at most
-    m = min(len(a), len(b)) terms, each below 2^bits(max|a|) *
-    2^bits(max|b|) in size, so it lies strictly inside +-2^(w-1) once w is
-    that bit count plus bits(m) plus one sign bit. That makes every slot
-    exact whatever the operands hold; w is rounded up to whole bytes so
-    that packing and reading are bytes conversions.
-    """
-    width = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    nbytes = (width + 7) // 8
-    w = 8 * nbytes
-    half = 1 << (w - 1)
-    # slots of ones: the per-slot borrow of the two's-complement packing
-    # and the balancing offset of the read are both multiples of it
-    ones = int.from_bytes(
-        (b"\x01" + bytes(nbytes - 1)) * max(len(a), len(b), count), "little"
-    )
-
-    def pack(c: Sequence[int]) -> int:
-        raw = int.from_bytes(
-            b"".join([x.to_bytes(nbytes, "little", signed=True) for x in c]),
-            "little",
-        )
-        # a negative slot holds x + 2^w: take back the 2^w it carries up
-        return raw - (((raw >> (w - 1)) & ones) << w)
-
-    top = w * count
-    low = (pack(a) * pack(b) + (ones << (w - 1))) & ((1 << top) - 1)
-    buf = memoryview(low.to_bytes(top // 8, "little"))
-    return [
-        int.from_bytes(buf[i : i + nbytes], "little") - half
-        for i in range(0, top // 8, nbytes)
-    ]
 
 
 def zero(order: int) -> TruncatedSeries:
@@ -464,11 +403,10 @@ def theta_partial(j_lo: int, j_hi: int, order: int) -> TruncatedSeries:
     _checked_int(j_lo, -inf, inf, "theta sum bounds must be ints")
     _checked_int(j_hi, -inf, inf, "theta sum bounds must be ints")
     _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
+    root = isqrt(order)  # the terms past it have j^2 > order
     c = [0] * (order + 1)
-    for j in range(j_lo, j_hi + 1):
-        e = j * j
-        if e <= order:
-            c[e] += 1 if j % 2 == 0 else -1
+    for j in range(max(j_lo, -root), min(j_hi, root) + 1):
+        c[j * j] += 1 if j % 2 == 0 else -1
     return TruncatedSeries(order, c)
 
 
@@ -481,11 +419,3 @@ def gauss_theta(k: int | None, order: int) -> TruncatedSeries:
         _checked_int(k, 0, inf, "k must be >= 0 or None for the full sum")
     return theta_partial(-k, k, order)
 
-
-def partition_gf(order: int) -> TruncatedSeries:
-    """1/(q;q)oo, the partition generating function."""
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
-    c = [1] + [0] * order
-    for i in range(1, order + 1):
-        _div_factor_into(c, i, 1)
-    return TruncatedSeries(order, c)

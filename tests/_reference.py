@@ -11,20 +11,37 @@ def shift(f, e):
     return TruncatedSeries(f.order, ((0,) * e + f.coeffs)[: f.order + 1])
 
 
+def div_product(f, start, step, sign=1):
+    """f / prod_{i>=0} (1 - sign*q^(start + step*i)), one factor at a time."""
+    for e in range(start, f.order + 1, step):
+        f = f.div_factor(e, sign)
+    return f
+
+
+def partition_gf(order):
+    """1/(q;q)oo, one factor at a time."""
+    return div_product(series.one(order), 1, 1)
+
+
+def ref_invert(a):
+    """1/a for a coefficient list with constant term +1 or -1, by the
+    coefficient-at-a-time recurrence."""
+    n = len(a) - 1
+    b = [a[0]] + [0] * n
+    for m in range(1, n + 1):
+        b[m] = -a[0] * sum(a[i] * b[m - i] for i in range(1, m + 1))
+    return b
+
+
 def overpartition_gf(order):
     """(-q;q)oo/(q;q)oo from its two products, one factor at a time."""
-    f = series.qproduct(-1, 1, 1, None, order)
-    for i in range(1, order + 1):
-        f = f.div_factor(i)
-    return f
+    return div_product(series.qproduct(-1, 1, 1, None, order), 1, 1)
 
 
 def poch_ratio(numer_start, denom_start, order):
     """(-q^numer_start;q)oo / (q^denom_start;q)oo, one factor at a time."""
-    f = series.qproduct(-1, numer_start, 1, None, order)
-    for e in range(denom_start, order + 1):
-        f = f.div_factor(e)
-    return f
+    return div_product(series.qproduct(-1, numer_start, 1, None, order),
+                       denom_start, 1)
 
 
 def gauss_binomial(m, n, order):

@@ -109,7 +109,6 @@ ENTRY_POINTS = {
     "theta_partial j_hi": (lambda v: series.theta_partial(0, v, 10), None),
     "theta_partial order": (lambda v: series.theta_partial(0, 2, v), -1),
     "gauss_theta order": (lambda v: series.gauss_theta(None, v), -1),
-    "partition_gf order": (series.partition_gf, -1),
 }
 
 CASES = [

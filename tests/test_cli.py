@@ -245,6 +245,16 @@ def test_table_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "table", "--stat", "pbar", "--n-max", "0")
     assert code == 2
+    # every row is built before any is printed, so a wide k range is
+    # refused before the first one
+    tables = op._shape_tables.cache_info()
+    code, out, err = run(capsys, "table", "--stat", "op21",
+                         "--k", "0..1000000000", "--n-max", "25")
+    assert (code, out) == (2, "") and "--k must end at or below 64" in err
+    assert op._shape_tables.cache_info() == tables
+    code, out, _ = run(capsys, "table", "--stat", "nbar", "--k", "64",
+                       "--n-max", "2", "--format", "csv")
+    assert code == 0 and out.splitlines()[-1] == f"2,64,{op.nbar(2, 64)}"
 
 
 def test_table_respects_enumeration_cap(capsys):
@@ -435,7 +445,7 @@ PUBLIC_NAMES = {
     "__version__",
     # series
     "TruncatedSeries", "zero", "one", "monomial", "qproduct",
-    "pentagonal_series", "theta_partial", "gauss_theta", "partition_gf",
+    "pentagonal_series", "theta_partial", "gauss_theta",
     # overpartitions
     "Part", "Overpartition", "MexQuery", "MEX_2_1", "BadParamsError",
     "EnumerationCapError", "OBJECT_CEILING", "SHAPE_CEILING",

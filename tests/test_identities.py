@@ -18,7 +18,10 @@ from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab import series
 
-from _reference import gauss_binomial, overpartition_gf, poch_ratio, shift
+from _reference import (
+    div_product, gauss_binomial, overpartition_gf, partition_gf, poch_ratio,
+    ref_invert, shift,
+)
 
 EXPECTED_IDS = [
     "pentagonal-am",
@@ -459,31 +462,39 @@ def test_product_tables_match_their_factor_products():
     assert op._qq_table(order) == series.qproduct(1, 1, 1, None, order).coeffs
     assert op._negq_table(order) == series.qproduct(-1, 1, 1, None, order).coeffs
     assert op._pbar_table(order) == overpartition_gf(order).coeffs
+    assert op._p_table(order) == partition_gf(order).coeffs
 
 
 def test_gauss_and_euler_sides_match_their_inverted_products():
-    # the routes the two sides replaced, inverting a product by Newton
-    for order in [*range(131), idn.MAX_ORDER]:
-        qq = idn._gf(op._qq_table, order)
-        negq = idn._gf(op._negq_table, order)
-        assert idn._gauss_rhs({}, order) == qq * negq.invert(), order
+    # two routes that share nothing with the sparse division: the
+    # coefficient recurrence where it is cheap, factor division at the top
+    for order in range(131):
+        qq = series.qproduct(1, 1, 1, None, order)
+        negq = series.qproduct(-1, 1, 1, None, order)
         odd = series.qproduct(1, 1, 2, None, order)
-        assert idn._euler_lhs({}, order) == odd.invert(), order
+        want = qq * series.TruncatedSeries(order, ref_invert(negq.coeffs))
+        assert idn._gauss_rhs({}, order) == want, order
+        want = series.TruncatedSeries(order, ref_invert(odd.coeffs))
+        assert idn._euler_lhs({}, order) == want, order
+    order = idn.MAX_ORDER
+    qq = series.qproduct(1, 1, 1, None, order)
+    assert idn._gauss_rhs({}, order) == div_product(qq, 1, 1, -1)
+    assert idn._euler_lhs({}, order) == div_product(series.one(order), 1, 2)
 
 
-PRODUCT_TABLES = (op._pbar_table, op._qq_table, op._negq_table)
+PRODUCT_TABLES = (op._pbar_table, op._qq_table, op._negq_table, op._p_table)
 
 
 # identities imports _div_sparse by name, so both bindings are wrapped
 ROUTE_HELPERS = (
     (series, "pentagonal_series"), (series, "gauss_theta"),
     (series, "_div_sparse"), (idn, "_div_sparse"),
-    (op, "_qq_table"), (op, "_negq_table"),
+    (op, "_qq_table"), (op, "_negq_table"), (op, "_p_table"),
 )
 
 
-def _calls_made(monkeypatch, build, order):
-    """The names among ROUTE_HELPERS that build({}, order) calls."""
+def _calls_made(monkeypatch, build, order, params=()):
+    """The names among ROUTE_HELPERS that build(params, order) calls."""
     called = set()
     with monkeypatch.context() as m:
         for module, name in ROUTE_HELPERS:
@@ -494,7 +505,7 @@ def _calls_made(monkeypatch, build, order):
                 return _real(*args)
 
             m.setattr(module, name, counted)
-        build({}, order)
+        build(dict(params), order)
     return called
 
 
@@ -509,10 +520,13 @@ def test_series_sides_keep_their_own_routes(monkeypatch):
     assert "series.gauss_theta" not in called
     # the wrappers see the calls the rhs does make
     assert {"series.pentagonal_series", "identities._div_sparse"} <= called
+    # pentagonal-am's lhs reads the partition table, a sparse division by
+    # the pentagonal sum; its rhs is a recurrence of factor divisions
+    assert _calls_made(monkeypatch, idn._pent_am_rhs, order, {"k": 1}) == set()
     for cache in PRODUCT_TABLES:
         cache.cache_clear()
     idn._tail_sum.__wrapped__(order, 1, 1, 0)
-    assert [c.cache_info().misses for c in PRODUCT_TABLES] == [0, 0, 0]
+    assert [c.cache_info().misses for c in PRODUCT_TABLES] == [0, 0, 0, 0]
 
 
 def test_theta_inverse_matches_pbar_table():

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab import series as s
 from oplab.series import TruncatedSeries
 
-from _reference import gauss_binomial, poch_ratio, shift
+from _reference import gauss_binomial, partition_gf, poch_ratio, ref_invert, shift
 
 # hand-checked low-order expansions
 QQ_INF_7 = (1, -1, -1, 0, 0, 1, 0, 1)
@@ -30,7 +29,7 @@ def test_negq_infinite_product_low_order():
 
 
 def test_partition_gf_matches_inverse_of_product():
-    assert s.partition_gf(5).coeffs == PARTITIONS_5
+    assert partition_gf(5).coeffs == PARTITIONS_5
     assert s.qproduct(1, 1, 1, None, 5).invert().coeffs == PARTITIONS_5
 
 
@@ -235,6 +234,11 @@ def test_theta_partial_and_gauss_theta():
     for e in range(26):
         assert t.coeff(e) == expected.get(e, 0)
     assert s.gauss_theta(2, 30) == s.theta_partial(-2, 2, 30)
+    # a window past sqrt(order) adds nothing, and costs nothing to skip
+    assert s.gauss_theta(10**12, 5) == s.gauss_theta(None, 5)
+    assert s.theta_partial(-(10**12), 10**12, 30) == s.gauss_theta(None, 30)
+    assert s.theta_partial(-(10**12), 2, 30) == s.theta_partial(-5, 2, 30)
+    assert s.theta_partial(6, 10**12, 30) == s.zero(30)
     with pytest.raises(s.BadParamsError):
         s.gauss_theta(-1, 10)
 
@@ -291,14 +295,6 @@ def ref_mul(a, b):
     return out
 
 
-def ref_invert(a):
-    n = len(a) - 1
-    b = [a[0]] + [0] * n
-    for m in range(1, n + 1):
-        b[m] = -a[0] * sum(a[i] * b[m - i] for i in range(1, m + 1))
-    return b
-
-
 def _random_coeffs(rng, order, density=1.0, bits=40):
     return [
         rng.randint(-(2**bits), 2**bits) if rng.random() < density else 0
@@ -344,53 +340,8 @@ def test_mul_and_invert_match_index_loops(order, density):
         assert list(TruncatedSeries(order, u).invert().coeffs) == ref_invert(u)
 
 
-def test_invert_of_qq_matches_partition_table_at_max_order():
-    # two independent routes to 1/(q;q)oo: Newton inversion over packed
-    # products, and the partition table built by dividing out each factor
-    order = 2000
-    inverse = s.qproduct(1, 1, 1, None, order).invert()
-    assert inverse.coeffs == op._p_table(op._table_order(order))[: order + 1]
-
-
-# Slot widths whose bit counts, summed with the length term, land on and
-# next to a byte boundary: all-maximal operands of these widths make the
-# product coefficients reach the top of the slot the width bound allows.
-_PACK_WIDTHS = (7, 8, 63, 64, 200)
-_PACK_LENGTHS = st.sampled_from((1, 2, 3, 4, 127, 128, 255, 256)) | st.integers(1, 40)
-
-
-@st.composite
-def _packed_operand(draw):
-    w = draw(st.sampled_from(_PACK_WIDTHS))
-    n = draw(_PACK_LENGTHS)
-    top = 2**w - 1
-    signs = draw(
-        st.sampled_from(((1,) * n, (-1,) * n))
-        | st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
-    )
-    return [sign * top for sign in signs]
-
-
 def _padded(c, count):
     return (list(c) + [0] * count)[:count]
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.tuples(_packed_operand(), _packed_operand()), st.data())
-# both operands at the width and length where dropping the sign bit or the
-# length term from the slot width would let a coefficient overflow its slot
-@example(([255] * 255, [255] * 255), None)
-@example(([-255] * 255, [255] * 255), None)
-@example(([127] * 3, [-(2**63 - 1)] * 3), None)
-@example(([127] * 2, [255] * 2), None)
-@example(([2**200 - 1] * 255, [-(2**200 - 1)] * 255), None)
-def test_packed_product_matches_index_loop(pair, data):
-    a, b = pair
-    top = len(a) + len(b) - 1
-    count = top if data is None else data.draw(st.integers(1, top))
-    want = ref_mul(_padded(a, count), _padded(b, count))
-    assert s._packed_product(a, b, count) == want
-    assert s._packed_product(b, a, count) == want
 
 
 _ORDERS = st.integers(min_value=0, max_value=60)
@@ -466,15 +417,6 @@ def test_div_sparse_matches_index_loop(c0, num, tail):
 def test_div_sparse_requires_unit_constant_term(c0):
     with pytest.raises(s.BadParamsError, match="constant term"):
         s._div_sparse([1, 2, 3], [c0, 1])
-
-
-def test_theta_inverse_matches_newton_inverse():
-    # the sparse division that ends every tail sum and Newton inversion
-    # over packed products, checked against each other at the table order
-    order = op._table_order(idn.MAX_ORDER)
-    theta = s.gauss_theta(None, order)
-    unit = [1] + [0] * order
-    assert tuple(s._div_sparse(unit, theta.coeffs)) == theta.invert().coeffs
 
 
 @settings(deadline=None)
