@@ -340,6 +340,14 @@ def test_mul_and_invert_match_index_loops(order, density):
         assert list(TruncatedSeries(order, u).invert().coeffs) == ref_invert(u)
 
 
+def test_invert_of_qq_matches_partition_table_at_max_order():
+    # 1/(q;q)oo twice: invert of the factor-built product, and the partition
+    # table built by dividing by the pentagonal sum
+    order = 2000
+    inverse = s.qproduct(1, 1, 1, None, order).invert()
+    assert inverse.coeffs == op._p_table(op._table_order(order))[: order + 1]
+
+
 def _padded(c, count):
     return (list(c) + [0] * count)[:count]
 
