@@ -17,7 +17,8 @@ verify passes its flags through to identities.run_default_suite, which
 owns the form selection: --order alone runs series forms, --n-max alone
 enumerative and inequality forms, both flags (or neither) every registered
 form, and rejects a range flag that names no parameter of a selected
-identity. The command itself checks only the flag bounds.
+identity and a bound that selects no form of any. The command itself
+checks only the flag bounds.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 from time import perf_counter
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -174,9 +173,24 @@ def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
     return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
 
 
-def _accumulate(acc: list[int], c: Sequence[int], shift: int) -> None:
-    """acc += q^shift * c, dropping what lands past the end of acc."""
-    acc[shift:] = map(add, acc[shift:], c)
+def _horner_sum(order: int, first: int, step: int, n_lo: int,
+                ratio: Callable[[list[int], int], list[int]]) -> list[int] | None:
+    """U(n_lo) for sum_{n>=n_lo} q^(first+step*(n-n_lo)) * T(n) whose summands
+    differ by a few single factors, T(n+1) = T(n) * r(n): the sum is
+    q^first * T(n_lo) * U(n_lo) with the truncated Horner scheme
+    U(n) = 1 + q^step * r(n) * U(n+1), ratio(u, n) giving u * r(n) at u's
+    length (in place or not). U(n) is kept only to the length its shift
+    leaves visible: 1 padded to that length at the last term, step more
+    coefficients per step, down to order - first + 1. None means no term is
+    visible (first > order); the caller applies the head T(n_lo)."""
+    if first > order:
+        return None
+    n_hi = n_lo + (order - first) // step
+    u = [1] + [0] * (order - first - step * (n_hi - n_lo))
+    pad = [1] + [0] * (step - 1)
+    for n in range(n_hi - 1, n_lo - 1, -1):
+        u = pad + ratio(u, n)
+    return u
 
 
 @lru_cache(maxsize=64)
@@ -184,14 +198,10 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     """sum_{m>=m_lo} q^(coef*m) * R(m) with
     R(m) = (-q^(m+1);q)oo / (q^(m+denom_off);q)oo.
 
-    Terms stop once the shift coef*m passes the order (the summand's
-    minimal exponent). Successive ratios differ by one factor on each side,
+    Successive ratios differ by one factor on each side,
     R(m+1) = R(m) * (1 - q^(m+denom_off)) / (1 + q^(m+1)), so the sum is
-    q^(coef*m_lo) * R(m_lo) * U(m_lo) with the truncated Horner scheme
-    U(m) = 1 + q^coef * (1 - q^(m+denom_off)) / (1 + q^(m+1)) * U(m+1).
-    U(m) is only needed to length order - coef*m + 1, so it grows by coef
-    coefficients per step, from 1 padded to that length at the last term;
-    each step is one fused pass (series._times_ratio) and the shift.
+    q^(coef*m_lo) * R(m_lo) * U(m_lo) by _horner_sum, each step one fused
+    pass (series._times_ratio).
     The head R(m_lo) is the overpartition generating function times
     (q;q)_{m_lo+denom_off-1} and divided by (-q;q)_{m_lo}. Its finite
     factors are applied to U(m_lo) one at a time, and the overpartition
@@ -207,19 +217,15 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     times_factor returns a new series. Identities may share a sum, but no
     identity reads the same one on both sides.
     """
-    m_hi = order // coef
-    if m_hi < m_lo:
+    u = _horner_sum(order, coef * m_lo, coef, m_lo,
+                    lambda u, m: _times_ratio(u, m + denom_off, m + 1))
+    if u is None:
         return series.zero(order)
-    size = order - coef * m_lo + 1
-    u = [1] + [0] * (order - coef * m_hi)
-    shift = [1] + [0] * (coef - 1)
-    for m in range(m_hi - 1, m_lo - 1, -1):
-        u = shift + _times_ratio(u, m + denom_off, m + 1)
     for i in range(1, m_lo + denom_off):
         _times_factor_into(u, i, 1)
     for i in range(1, m_lo + 1):
         _div_factor_into(u, i, -1)
-    theta = series.gauss_theta(None, size - 1).coeffs
+    theta = series.gauss_theta(None, len(u) - 1).coeffs
     return TruncatedSeries(order, [0] * (coef * m_lo) + _div_sparse(u, theta))
 
 
@@ -299,25 +305,24 @@ def _pent_am_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _pent_am_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    """Summands T(n) = qbin(n-1|k-1)/(q;q)_n vanish below n = k and start at
-    T(k) = 1/(q;q)_k. Successive ones differ by three factors,
-    T(n+1) = T(n) (1-q^n) / ((1-q^(n-k+1)) (1-q^(n+1))), and each is kept
-    only to the order its shift leaves visible."""
+    """Summands T(n) = qbin(n-1|k-1)/(q;q)_n at q^(k(k-1)/2+(k+1)n) vanish
+    below n = k. Successive ones differ by three factors, so the sum is the
+    Horner scheme U(n) = 1 + q^(k+1) (1-q^n) / ((1-q^(n-k+1)) (1-q^(n+1)))
+    U(n+1), with the head T(k) = 1/(q;q)_k applied once at the end."""
     k = p["k"]
-    base = k * (k - 1) // 2
-    acc = [0] * (order + 1)
-    n = k
-    term = list(_div_qpoch(series.one(order), k).coeffs)
-    while base + (k + 1) * n <= order:
-        shift = base + (k + 1) * n
-        del term[order - shift + 1 :]
-        if n > k:
-            _times_factor_into(term, n - 1, 1)
-            _div_factor_into(term, n - k, 1)
-            _div_factor_into(term, n, 1)
-        _accumulate(acc, term, shift)
-        n += 1
-    return series.one(order) + TruncatedSeries(order, acc).scale(_sign(k - 1))
+
+    def ratio(u: list[int], n: int) -> list[int]:
+        _times_factor_into(u, n, 1)
+        _div_factor_into(u, n - k + 1, 1)
+        _div_factor_into(u, n + 1, 1)
+        return u
+
+    first = k * (k - 1) // 2 + (k + 1) * k
+    u = _horner_sum(order, first, k + 1, k, ratio)
+    if u is None:
+        return series.one(order)
+    tail = _div_qpoch(TruncatedSeries(order, [0] * first + u), k)
+    return series.one(order) + tail.scale(_sign(k - 1))
 
 
 def _gauss_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -338,27 +343,27 @@ def _guo_zeng_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _guo_zeng_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    """Summands T(n) = (-q;q)_k (-1;q)_{n-k} qbin(n-1|k)/(q;q)_n start at
-    T(k+1) = (-1;q)_{k+1}/(q;q)_{k+1}, since (-1;q)_{k+1} = 2(-q;q)_k.
-    Successive ones differ by four factors,
-    T(n+1) = T(n) (1-q^n)(1+q^(n-k)) / ((1-q^(n-k))(1-q^(n+1))), and each
-    is kept only to the order its shift leaves visible."""
+    """Summands T(n) = (-q;q)_k (-1;q)_{n-k} qbin(n-1|k)/(q;q)_n at q^((k+1)n)
+    start at n = k+1. Successive ones differ by four factors, so the sum is
+    the Horner scheme
+    U(n) = 1 + q^(k+1) (1-q^n)(1+q^(n-k)) / ((1-q^(n-k))(1-q^(n+1))) U(n+1),
+    with the head T(k+1) = (-1;q)_{k+1}/(q;q)_{k+1} = 2(-q;q)_k/(q;q)_{k+1}
+    applied once at the end."""
     k = p["k"]
-    acc = [0] * (order + 1)
-    n = k + 1
-    term = _div_qpoch(series.qproduct(-1, 0, 1, k + 1, order), k + 1)
-    term = list(term.coeffs)
-    while (k + 1) * n <= order:
-        shift = (k + 1) * n
-        del term[order - shift + 1 :]
-        if n > k + 1:
-            _times_factor_into(term, n - 1, 1)
-            _times_factor_into(term, n - 1 - k, -1)
-            _div_factor_into(term, n - 1 - k, 1)
-            _div_factor_into(term, n, 1)
-        _accumulate(acc, term, shift)
-        n += 1
-    return series.one(order) + TruncatedSeries(order, acc).scale(_sign(k))
+
+    def ratio(u: list[int], n: int) -> list[int]:
+        _times_factor_into(u, n, 1)
+        _times_factor_into(u, n - k, -1)
+        _div_factor_into(u, n - k, 1)
+        _div_factor_into(u, n + 1, 1)
+        return u
+
+    first = (k + 1) * (k + 1)
+    u = _horner_sum(order, first, k + 1, k + 1, ratio)
+    if u is None:
+        return series.one(order)
+    tail = _times_neg_poch(TruncatedSeries(order, [0] * first + u), k)
+    return series.one(order) + _div_qpoch(tail, k + 1).scale(2 * _sign(k))
 
 
 def _am2018_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -1384,8 +1389,9 @@ def run_default_suite(
     Reports are merged deterministically, sorted by id then parameters then
     compared range. A bound outside its range or past the ceiling of a
     form it selects, an override for a parameter that no selected identity
-    takes, or overrides that leave a selected identity with no parameter
-    set raise BadParamsError before any check runs.
+    takes, overrides that leave a selected identity with no parameter set,
+    or a bound that selects no form of any selected identity raise
+    BadParamsError before any check runs.
     """
     selected = [get_identity(i) for i in (_REGISTRY if ids is None else ids)]
     taken = {name for desc in selected for name, _, _ in desc.schema}
@@ -1396,9 +1402,12 @@ def run_default_suite(
             if len(selected) == 1
             else f"no selected identity takes parameter(s) {stray}"
         )
-    for desc in selected:
-        _checked_forms(desc, order, n_max)
+    chosen = [_checked_forms(desc, order, n_max) for desc in selected]
     grids = [(desc.id, expand_grid(desc, overrides)) for desc in selected]
+    if selected and not any(chosen):
+        # every identity has a form, so only one bound alone selects none
+        form = "series" if n_max is None else "enumerative or inequality"
+        raise BadParamsError(f"{', '.join(d.id for d in selected)}: no {form} form")
     reports: list[VerificationReport] = []
     for ident, grid in grids:
         for params in grid:

@@ -63,11 +63,18 @@ def test_verify_no_bounds_runs_all_forms(capsys):
     assert [r["range"] for r in json.loads(out)] == ["n=1..25", "order=100"]
 
 
-def test_verify_mismatched_form_yields_empty_list(capsys):
-    # thm-2-2 has no series form, so an --order-only run has nothing to do
-    code, out, _ = run(capsys, "verify", "--id", "thm-2-2", "--order", "50")
-    assert code == 0
-    assert json.loads(out) == []
+def test_verify_mismatched_form_exits_2(capsys):
+    # thm-2-2 has no series form and pentagonal-am no counting form, so a
+    # run with only the other bound would check nothing; it is rejected
+    for argv, message in [
+        (("--id", "thm-2-2", "--order", "50"), "thm-2-2: no series form"),
+        (("--id", "pentagonal-am", "--n-max", "5"),
+         "pentagonal-am: no enumerative or inequality form"),
+    ]:
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "verify", *argv, "--format", fmt)
+            assert code == 2 and out == "", argv
+            assert err.strip().splitlines() == [f"oplab: error: {message}"]
 
 
 def test_verify_range_expansion_csv(capsys):

@@ -521,10 +521,12 @@ def test_series_sides_keep_their_own_routes(monkeypatch):
     # the wrappers see the calls the rhs does make
     assert {"series.pentagonal_series", "identities._div_sparse"} <= called
     # pentagonal-am's lhs reads the partition table, a sparse division by
-    # the pentagonal sum; its rhs is a recurrence of factor divisions
-    assert _calls_made(monkeypatch, idn._pent_am_rhs, order, {"k": 1}) == set()
+    # the pentagonal sum, and guo-zeng-truncation's lhs the theta sum and
+    # the pbar table; each rhs is a Horner scheme of one-factor steps
     for cache in PRODUCT_TABLES:
         cache.cache_clear()
+    for build in (idn._pent_am_rhs, idn._guo_zeng_rhs):
+        assert _calls_made(monkeypatch, build, order, {"k": 1}) == set(), build
     idn._tail_sum.__wrapped__(order, 1, 1, 0)
     assert [c.cache_info().misses for c in PRODUCT_TABLES] == [0, 0, 0, 0]
 
@@ -680,7 +682,7 @@ def ref_guo_zeng_rhs(k, order):
     return series.one(order) + acc.scale((-1) ** k)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 5, 17, 150])
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 17, 63, 64, 65, 150])
 def test_summand_recurrences_match_summands_built_from_scratch(order):
     pent = idn.get_identity("pentagonal-am").series_rhs
     guo = idn.get_identity("guo-zeng-truncation").series_rhs
@@ -700,6 +702,14 @@ def test_summand_recurrences_include_empty_sums():
             assert idn.get_identity("guo-zeng-truncation").series_rhs(
                 {"k": k}, order
             ) == series.one(order)
+    # k=2 starts at q^7 and q^9: the first summand exactly fits, and one
+    # order below it the sum is empty
+    pent = idn.get_identity("pentagonal-am").series_rhs
+    guo = idn.get_identity("guo-zeng-truncation").series_rhs
+    for order in (7, 6):
+        assert pent({"k": 2}, order) == ref_pent_am_rhs(2, order), order
+    for order in (9, 8):
+        assert guo({"k": 2}, order) == ref_guo_zeng_rhs(2, order), order
 
 
 SERIES_AT_MAX_ORDER = [
@@ -822,6 +832,12 @@ def test_suite_checks_every_ceiling_before_any_check_runs(monkeypatch):
         ({"n_max": 51}, "thm-1-1: n_max must be within 1..50, got 51"),
         ({"ids": ["gauss", "sec3-bijection"], "n_max": 31},
          "sec3-bijection: n_max must be within 1..30, got 31"),
+        # a bound that selects no form of any selected id checks nothing
+        ({"ids": ["thm-2-2"], "order": 50}, "thm-2-2: no series form"),
+        ({"ids": ["thm-2-2", "thm-1-1"], "order": 50},
+         "thm-2-2, thm-1-1: no series form"),
+        ({"ids": ["pentagonal-am"], "n_max": 5},
+         "pentagonal-am: no enumerative or inequality form"),
     ]:
         with pytest.raises(idn.BadParamsError) as exc:
             idn.run_default_suite(**kwargs)
