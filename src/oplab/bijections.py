@@ -14,9 +14,11 @@ smallest part t >= 2 into t-2 plain 1s plus an overlined 1.
 
 The second inserts the odd staircase 1, 3, ..., 2j-1 as plain parts, adding
 weight j^2 and forcing the overline-mex (mod 2, residue 1) to at least
-2j+1; removal is its inverse. Each check maps its source weight there and
-back, and tests every image for membership in the target class and the
-number of distinct images against a separate count of that class.
+2j+1; removal is its inverse. Each check walks its source weight once,
+keeping only counters and flags: it tests every image for membership in
+the target class, maps each member back, and compares the source size with
+a separate count of that class. A map with a left inverse is injective, so
+the round trip stands in for a set of distinct images.
 """
 
 from __future__ import annotations
@@ -153,29 +155,32 @@ def check_weight_down(n: int) -> dict:
     """Exhaustively verify the weight-down bijection at weight n.
 
     Returns a dict of counts and flags: sizes of A(n), B(n-1), C(n-1) (the
-    last two by testing weight n-1 with in_b), how many distinct images
-    weigh n-1 and lie in B, whether every image weighs n-1, whether every
-    round trip returns the original, and whether the witness behaves when
-    n >= 4.
+    last two by testing weight n-1 with in_b), how many images weigh n-1
+    and lie in B, whether every image weighs n-1, whether every image lies
+    in B and maps back to the original, and whether the witness behaves
+    when n >= 4. An image outside B fails the round trip. A passing round
+    trip makes the map injective, so distinct_images is a_count then, and
+    None when the round trip fails.
     """
     _checked_int(n, 1, inf, "n must be >= 1")
-    a_side = [pi for pi in enumerate_overpartitions(n) if in_a(pi)]
     lower = enumerate_overpartitions(n - 1)
     b_count = sum(map(in_b, lower))
     c_count = len(lower) - b_count
 
-    images: set[Overpartition] = set()
-    round_trip_ok = True
-    weights_ok = True
-    for pi in a_side:
+    a_count = images_in_b = 0
+    round_trip_ok = weights_ok = True
+    for pi in filter(in_a, enumerate_overpartitions(n)):
+        a_count += 1
         lam = map_a_to_b(pi)
         if lam.weight != n - 1:
             weights_ok = False
-        images.add(lam)
+        if not in_b(lam):
+            round_trip_ok = False  # outside the domain of map_b_to_a
+            continue
+        images_in_b += lam.weight == n - 1
         if map_b_to_a(lam) != pi:
             round_trip_ok = False
 
-    images_in_b = sum(1 for lam in images if lam.weight == n - 1 and in_b(lam))
     witness_ok: bool | None = None
     if n >= 4:
         w = c_witness(n)
@@ -183,17 +188,17 @@ def check_weight_down(n: int) -> dict:
 
     return {
         "n": n,
-        "a_count": len(a_side),
+        "a_count": a_count,
         "b_count": b_count,
         "c_count": c_count,
         "images_in_b": images_in_b,
-        "distinct_images": len(images),
+        "distinct_images": a_count if round_trip_ok else None,
         "round_trip_ok": round_trip_ok,
         "weights_ok": weights_ok,
         "witness_ok": witness_ok,
         "pbar_half": pbar(n) // 2 if pbar(n) % 2 == 0 else -1,
         "ok": (
-            len(a_side) == b_count == images_in_b == pbar(n) // 2
+            a_count == b_count == images_in_b == pbar(n) // 2
             and pbar(n) % 2 == 0
             and round_trip_ok
             and weights_ok
@@ -205,23 +210,23 @@ def check_weight_down(n: int) -> dict:
 
 def check_staircase(n: int, j: int) -> dict:
     """Exhaustively verify the staircase bijection between overpartitions of
-    n - j^2 and overpartitions of n with overline-mex at least 2j+1. Every
-    image must weigh n with mex >= 2j+1, and the distinct images must be as
-    many as the target's shape count op21(n, j) + op21(n, j + 1)."""
+    n - j^2 and overpartitions of n with overline-mex at least 2j+1. It is
+    matched when every image weighs n with mex >= 2j+1 and the source is as
+    large as the target's shape count op21(n, j) + op21(n, j + 1); each
+    image in the target must map back to its source, which makes the map
+    injective."""
     _checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
     _checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
     source = enumerate_overpartitions(n - j * j)
     target_count = op21(n, j) + op21(n, j + 1)
-    images: set[Overpartition] = set()
-    round_trip_ok = True
+    in_target = round_trip_ok = True
     for mu in source:
         lam = staircase_insert(mu, j)
-        images.add(lam)
-        if staircase_remove(lam, j) != mu:
+        if lam.weight != n or overline_mex(lam, MEX_2_1) < 2 * j + 1:
+            in_target = False
+        elif staircase_remove(lam, j) != mu:
             round_trip_ok = False
-    matched = len(images) == target_count and all(
-        lam.weight == n and overline_mex(lam, MEX_2_1) >= 2 * j + 1 for lam in images
-    )
+    matched = in_target and len(source) == target_count
     return {
         "n": n,
         "j": j,
@@ -229,5 +234,5 @@ def check_staircase(n: int, j: int) -> dict:
         "target_count": target_count,
         "matched": matched,
         "round_trip_ok": round_trip_ok,
-        "ok": matched and round_trip_ok and len(images) == len(source),
+        "ok": matched and round_trip_ok,
     }

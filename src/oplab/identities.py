@@ -598,14 +598,9 @@ def _lemma41_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     return _rows(lambda n: (op.op21(n, j) + op.op21(n, j + 1),), n_max)
 
 
-@lru_cache(maxsize=None)
-def _sec3_data(n: int) -> dict:
-    return bijections.check_weight_down(n)
-
-
 def _sec3_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     def row(n: int) -> tuple[int, ...]:
-        d = _sec3_data(n)
+        d = bijections.check_weight_down(n)
         if n <= 3:
             c_comp = d["c_count"]
         else:
@@ -618,8 +613,9 @@ def _sec3_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 def _sec3_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     def row(n: int) -> tuple[int, ...]:
-        d = _sec3_data(n)
-        return (d["pbar_half"], d["b_count"], 1, 0 if n <= 3 else 1)
+        half = op.pbar(n) // 2 if op.pbar(n) % 2 == 0 else -1
+        b_count = sum(map(bijections.in_b, op.enumerate_overpartitions(n - 1)))
+        return (half, b_count, 1, 0 if n <= 3 else 1)
 
     return _rows(row, n_max)
 
@@ -1387,13 +1383,15 @@ def run_default_suite(
     """Verify identities over their default parameter grids.
 
     Reports are merged deterministically, sorted by id then parameters then
-    compared range. A bound outside its range or past the ceiling of a
-    form it selects, an override for a parameter that no selected identity
-    takes, overrides that leave a selected identity with no parameter set,
-    or a bound that selects no form of any selected identity raise
-    BadParamsError before any check runs.
+    compared range. An empty selection, a bound outside its range or past
+    the ceiling of a form it selects, an override for a parameter that no
+    selected identity takes, overrides that leave a selected identity with
+    no parameter set, or a bound that selects no form of any selected
+    identity raise BadParamsError before any check runs.
     """
     selected = [get_identity(i) for i in (_REGISTRY if ids is None else ids)]
+    if not selected:
+        raise BadParamsError("no identity selected")
     taken = {name for desc in selected for name, _, _ in desc.schema}
     stray = sorted(set(overrides or ()) - taken)
     if stray:
@@ -1404,7 +1402,7 @@ def run_default_suite(
         )
     chosen = [_checked_forms(desc, order, n_max) for desc in selected]
     grids = [(desc.id, expand_grid(desc, overrides)) for desc in selected]
-    if selected and not any(chosen):
+    if not any(chosen):
         # every identity has a form, so only one bound alone selects none
         form = "series" if n_max is None else "enumerative or inequality"
         raise BadParamsError(f"{', '.join(d.id for d in selected)}: no {form} form")

@@ -178,7 +178,7 @@ MEX_2_1 = MexQuery(2, 1)
 
 # Exhaustive counting grows with the weight, so each counting route stops at
 # a fixed ceiling, measured with Python 3.11.7 on 2 cores (host speed varies
-# about 2x between runs): check_weight_down(30) takes 2.0-2.2 s and 51 MB,
+# about 2x between runs): check_weight_down(30) takes 1.6-1.8 s and 43 MB,
 # and filling every shape table up to n = 50 takes 1.4-2.8 s (n = 60: 7 s).
 OBJECT_CEILING = 30  # materialised overpartitions
 SHAPE_CEILING = 50  # statistics counted over partition shapes

@@ -1,10 +1,13 @@
 """Bijection layer: frozen small cases, exhaustive sweeps, failing checks."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oplab import bijections as bj
+from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab.overpartitions import Overpartition, Part
 
@@ -165,19 +168,66 @@ def test_check_weight_down_validation():
 
 
 def test_check_weight_down_catches_a_wrong_weight(monkeypatch):
-    # the identity map keeps weight n instead of going down to n-1
-    monkeypatch.setattr(bj, "map_a_to_b", lambda pi: pi)
-    result = bj.check_weight_down(6)
-    assert result["weights_ok"] is False
-    assert result["ok"] is False
+    for mutant, flag in [
+        # the identity map keeps weight n instead of going down to n-1
+        (lambda pi: pi, "weights_ok"),
+        # an image in the complement class C is reported, not raised
+        (lambda pi: bj.c_witness(pi.weight), "round_trip_ok"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(bj, "map_a_to_b", mutant)
+            result = bj.check_weight_down(6)
+        assert result[flag] is False
+        assert result["ok"] is False
 
 
 def test_check_staircase_catches_a_broken_round_trip(monkeypatch):
-    # a removal that leaves the stairs in returns the image, not the source
-    monkeypatch.setattr(bj, "staircase_remove", lambda lam, j: lam)
-    result = bj.check_staircase(6, 2)
+    for name, mutant, flag in [
+        # a removal that leaves the stairs in returns the image, not the source
+        ("staircase_remove", lambda lam, j: lam, "round_trip_ok"),
+        # an insertion that adds nothing leaves every image outside the target
+        ("staircase_insert", lambda mu, j: mu, "matched"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(bj, name, mutant)
+            result = bj.check_staircase(6, 2)
+        assert result[flag] is False
+        assert result["ok"] is False
+
+
+def _merge_smallest(pi):
+    # keeps the weight but sends both (3) and (1,1,1) to (1,1)
+    return Overpartition(pi[:-1] + (Part(1, False),) * (pi[-1].value - 1))
+
+
+def test_check_weight_down_catches_a_map_that_is_not_injective(monkeypatch):
+    monkeypatch.setattr(bj, "map_a_to_b", _merge_smallest)
+    result = bj.check_weight_down(6)
+    assert result["weights_ok"] is True
     assert result["round_trip_ok"] is False
+    assert result["distinct_images"] is None
     assert result["ok"] is False
+    r = idn.verify_enumerative("sec3-bijection", None, 8)
+    assert not r.passed
+    # at n = 2 both objects of A map to (1): each side counts two images,
+    # and the bijectivity display is the first to differ
+    assert r.first_mismatch == (2, 0, 1)
+    assert r.detail == "display 3 of 4"
+
+
+def test_checks_keep_no_objects():
+    # the checks hold counters only; what they allocate does not grow with
+    # the number of objects they map (pbar(20) = 7336)
+    for check, args in [(bj.check_weight_down, (20,)),
+                        (bj.check_staircase, (20, 1))]:
+        check(*args)  # enumerates and fills the shape tables once
+        tracemalloc.start()
+        try:
+            check(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (check.__name__, peak)
 
 
 # -- properties past the object ceiling ------------------------------------

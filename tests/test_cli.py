@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import oplab
-from oplab import cli, identities
+from oplab import bijections, cli, identities
 from oplab import overpartitions as op
 
 
@@ -419,6 +419,36 @@ def test_bijection_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "bijection", "--which", "section3", "--n", "31")
     assert code == 2 and "ceiling 30" in err
+
+
+_REAL_MAP_A_TO_B = bijections.map_a_to_b
+
+
+def _into_complement(pi):
+    # below weight 4 the complement class is empty and has no witness
+    if pi.weight < 4:
+        return _REAL_MAP_A_TO_B(pi)
+    return bijections.c_witness(pi.weight)
+
+
+@pytest.mark.parametrize("name, mutant, argv", [
+    ("map_a_to_b", _into_complement,
+     ("verify", "--id", "sec3-bijection", "--n-max", "8")),
+    ("map_a_to_b", _into_complement,
+     ("bijection", "--which", "section3", "--n", "8", "--check")),
+    ("staircase_insert", lambda mu, j: mu,
+     ("bijection", "--which", "lemma41", "--n", "6", "--j", "1", "--check")),
+], ids=["verify-section3", "bijection-section3", "bijection-lemma41"])
+def test_a_faulty_map_is_a_failed_check(capsys, monkeypatch, name, mutant, argv):
+    # a map whose images leave the target fails the check (exit 1); it is
+    # not a rejected invocation (exit 2)
+    monkeypatch.setattr(bijections, name, mutant)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    if argv[0] == "verify":
+        assert json.loads(out)[0]["status"] == "fail"
+    else:
+        assert json.loads(out)["ok"] is False
 
 
 def test_help_exits_zero(capsys):

@@ -788,8 +788,7 @@ def _never_built_registry(monkeypatch):
 def _caches():
     return [
         cache.cache_info()
-        for cache in (op._shape_tables, op._overpartitions_of, idn._sec3_data,
-                      idn._tail_sum)
+        for cache in (op._shape_tables, op._overpartitions_of, idn._tail_sum)
     ]
 
 
@@ -820,7 +819,6 @@ def test_every_form_passes_at_its_ceiling_and_rejects_one_more(
     assert _caches() == caches
     # release the objects enumerated up to the object ceiling
     op._overpartitions_of.cache_clear()
-    idn._sec3_data.cache_clear()
 
 
 def test_suite_checks_every_ceiling_before_any_check_runs(monkeypatch):
@@ -838,6 +836,8 @@ def test_suite_checks_every_ceiling_before_any_check_runs(monkeypatch):
          "thm-2-2, thm-1-1: no series form"),
         ({"ids": ["pentagonal-am"], "n_max": 5},
          "pentagonal-am: no enumerative or inequality form"),
+        # an empty selection checks nothing either
+        ({"ids": []}, "no identity selected"),
     ]:
         with pytest.raises(idn.BadParamsError) as exc:
             idn.run_default_suite(**kwargs)
