@@ -19,6 +19,11 @@ keeping only counters and flags: it tests every image for membership in
 the target class, maps each member back, and compares the source size with
 a separate count of that class. A map with a left inverse is injective, so
 the round trip stands in for a set of distinct images.
+
+Each inverse has a tuple-level core that the public map wraps in its guard
+and the validating Overpartition constructor. The checks compare the
+core's plain tuple with the (already valid) source, so an equal tuple is
+valid too and each mapped object is built and validated once, as its image.
 """
 
 from __future__ import annotations
@@ -29,9 +34,11 @@ from operator import itemgetter
 
 from .overpartitions import (
     MEX_2_1,
+    OBJECT_CEILING,
     BadParamsError,
     Overpartition,
     Part,
+    _check_weight,
     _checked_int,
     enumerate_overpartitions,
     op21,
@@ -97,13 +104,19 @@ def map_b_to_a(lam: Overpartition) -> Overpartition:
     overlined 1 and the r plain 1s back into a plain part r+2."""
     if not in_b(lam):
         raise BadParamsError("input lies in the complement class C")
+    return Overpartition(_b_to_a_parts(lam))
+
+
+def _b_to_a_parts(lam: Overpartition) -> tuple[Part, ...]:
+    """The parts of map_b_to_a(lam) as a plain tuple, for lam in B; neither
+    the class nor the result is checked."""
     # as in in_b, an overlined 1 can only be the last part
     if not lam or lam[-1] != _ONE_BAR:
-        return Overpartition(lam + (_ONE,))
+        return lam + (_ONE,)
     r = lam.count(_ONE)
     # the r plain 1s and the overlined 1 are the last r + 1 parts; the gap
     # condition guarantees every kept part is >= the new part r+2
-    return Overpartition(lam[:-r - 1] + (Part(r + 2, False),))
+    return lam[:-r - 1] + (Part(r + 2, False),)
 
 
 def c_witness(n: int) -> Overpartition:
@@ -136,6 +149,12 @@ def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
     staircase_insert. Requires every odd value below 2j as a plain part,
     which is exactly the overline-mex >= 2j+1 precondition."""
     _checked_int(j, 1, inf, "j must be >= 1")
+    return Overpartition(_remove_stairs(lam, j))
+
+
+def _remove_stairs(lam: Overpartition, j: int) -> tuple[Part, ...]:
+    """The parts of staircase_remove(lam, j) as a plain tuple; j is not
+    checked and the result is not validated. A missing stair raises."""
     parts = list(lam)
     # smallest stair first, so a failure names the smallest missing value
     for stair in reversed(_stairs(j)):
@@ -146,7 +165,7 @@ def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
                 f"missing plain part {stair.value}: overline-mex precondition "
                 f">= {2 * j + 1} is violated"
             ) from None
-    return Overpartition(parts)
+    return tuple(parts)
 
 
 # -- exhaustive checks used by the identity harness and the CLI -------------
@@ -158,11 +177,14 @@ def check_weight_down(n: int) -> dict:
     last two by testing weight n-1 with in_b), how many images weigh n-1
     and lie in B, whether every image weighs n-1, whether every image lies
     in B and maps back to the original, and whether the witness behaves
-    when n >= 4. An image outside B fails the round trip. A passing round
-    trip makes the map injective, so distinct_images is a_count then, and
-    None when the round trip fails.
+    when n >= 4. An image outside B fails the round trip, which compares
+    the inverse's core tuple with the source, so only the image is built as
+    an Overpartition. A passing round trip makes the map injective, so
+    distinct_images is a_count then, and None when the round trip fails.
+    Weight n past OBJECT_CEILING raises before anything is enumerated.
     """
-    _checked_int(n, 1, inf, "n must be >= 1")
+    # n - 1 < n, so this one test bounds both enumerated weights
+    _check_weight(n, 1, "n must be >= 1", OBJECT_CEILING)
     lower = enumerate_overpartitions(n - 1)
     b_count = sum(map(in_b, lower))
     c_count = len(lower) - b_count
@@ -172,13 +194,14 @@ def check_weight_down(n: int) -> dict:
     for pi in filter(in_a, enumerate_overpartitions(n)):
         a_count += 1
         lam = map_a_to_b(pi)
-        if lam.weight != n - 1:
+        on_weight = lam.weight == n - 1
+        if not on_weight:
             weights_ok = False
         if not in_b(lam):
             round_trip_ok = False  # outside the domain of map_b_to_a
             continue
-        images_in_b += lam.weight == n - 1
-        if map_b_to_a(lam) != pi:
+        images_in_b += on_weight
+        if _b_to_a_parts(lam) != pi:
             round_trip_ok = False
 
     witness_ok: bool | None = None
@@ -214,9 +237,14 @@ def check_staircase(n: int, j: int) -> dict:
     matched when every image weighs n with mex >= 2j+1 and the source is as
     large as the target's shape count op21(n, j) + op21(n, j + 1); each
     image in the target must map back to its source, which makes the map
-    injective."""
+    injective. The round trip compares the removal core's tuple with the
+    source, so only the image is built as an Overpartition. Every bound is
+    checked before anything is enumerated: n - j^2 against OBJECT_CEILING,
+    then n against the shape ceiling."""
     _checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
     _checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
+    _check_weight(n - j * j, 0, "weight must be >= 0", OBJECT_CEILING)
+    _check_weight(n, 1, "n must be >= 1")
     source = enumerate_overpartitions(n - j * j)
     target_count = op21(n, j) + op21(n, j + 1)
     in_target = round_trip_ok = True
@@ -224,7 +252,7 @@ def check_staircase(n: int, j: int) -> dict:
         lam = staircase_insert(mu, j)
         if lam.weight != n or overline_mex(lam, MEX_2_1) < 2 * j + 1:
             in_target = False
-        elif staircase_remove(lam, j) != mu:
+        elif _remove_stairs(lam, j) != mu:
             round_trip_ok = False
     matched = in_target and len(source) == target_count
     return {

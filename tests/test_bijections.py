@@ -168,14 +168,16 @@ def test_check_weight_down_validation():
 
 
 def test_check_weight_down_catches_a_wrong_weight(monkeypatch):
-    for mutant, flag in [
+    for name, mutant, flag in [
         # the identity map keeps weight n instead of going down to n-1
-        (lambda pi: pi, "weights_ok"),
+        ("map_a_to_b", lambda pi: pi, "weights_ok"),
         # an image in the complement class C is reported, not raised
-        (lambda pi: bj.c_witness(pi.weight), "round_trip_ok"),
+        ("map_a_to_b", lambda pi: bj.c_witness(pi.weight), "round_trip_ok"),
+        # an inverse core that returns the image, not the source
+        ("_b_to_a_parts", lambda lam: lam, "round_trip_ok"),
     ]:
         with monkeypatch.context() as m:
-            m.setattr(bj, "map_a_to_b", mutant)
+            m.setattr(bj, name, mutant)
             result = bj.check_weight_down(6)
         assert result[flag] is False
         assert result["ok"] is False
@@ -184,7 +186,7 @@ def test_check_weight_down_catches_a_wrong_weight(monkeypatch):
 def test_check_staircase_catches_a_broken_round_trip(monkeypatch):
     for name, mutant, flag in [
         # a removal that leaves the stairs in returns the image, not the source
-        ("staircase_remove", lambda lam, j: lam, "round_trip_ok"),
+        ("_remove_stairs", lambda lam, j: lam, "round_trip_ok"),
         # an insertion that adds nothing leaves every image outside the target
         ("staircase_insert", lambda mu, j: mu, "matched"),
     ]:
@@ -193,6 +195,72 @@ def test_check_staircase_catches_a_broken_round_trip(monkeypatch):
             result = bj.check_staircase(6, 2)
         assert result[flag] is False
         assert result["ok"] is False
+
+
+def test_an_unsorted_inverse_core_fails_the_round_trip_without_raising(
+    monkeypatch,
+):
+    # the checks compare the core's tuple with the source and never build
+    # an Overpartition from it, so an invalid result is a failed round trip
+    for name, check, args in [("_b_to_a_parts", bj.check_weight_down, (6,)),
+                              ("_remove_stairs", bj.check_staircase, (6, 1))]:
+        core = getattr(bj, name)
+        with monkeypatch.context() as m:
+            m.setattr(bj, name, lambda *a, core=core: core(*a)[::-1])
+            result = check(*args)
+        assert result["round_trip_ok"] is False, name
+        assert result["ok"] is False
+
+
+def test_public_inverses_wrap_their_cores():
+    for n in range(13):
+        for lam in op.enumerate_overpartitions(n):
+            if bj.in_b(lam):
+                core = bj._b_to_a_parts(lam)
+                assert type(core) is tuple
+                assert bj.map_b_to_a(lam) == Overpartition(core)
+            for j in range(1, 4):
+                if op.overline_mex(lam) >= 2 * j + 1:
+                    core = bj._remove_stairs(lam, j)
+                    assert type(core) is tuple
+                    assert bj.staircase_remove(lam, j) == Overpartition(core)
+
+
+def test_checks_build_one_object_per_source_object(monkeypatch):
+    class Counting(Overpartition):
+        __slots__ = ()
+        built = 0
+
+        def __new__(cls, parts):
+            Counting.built += 1
+            return super().__new__(cls, parts)
+
+    for check, args, key, extra in [
+        # check_weight_down also builds its C witness (n >= 4)
+        (bj.check_weight_down, (12,), "a_count", 1),
+        (bj.check_staircase, (12, 1), "source_count", 0),
+    ]:
+        check(*args)  # warm the enumeration and the shape tables
+        with monkeypatch.context() as m:
+            m.setattr(bj, "Overpartition", Counting)
+            Counting.built = 0
+            result = check(*args)
+        assert result["ok"], result
+        assert Counting.built == result[key] + extra, check.__name__
+
+
+def test_checks_reject_a_weight_past_its_ceiling_before_enumerating():
+    caches = op._overpartitions_of.cache_info(), op._shape_tables.cache_info()
+    with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
+        bj.check_weight_down(31)
+    # the source weight 28 is in range, the target weight is not
+    with pytest.raises(op.EnumerationCapError, match="weight 64 .* ceiling 50$"):
+        bj.check_staircase(64, 6)
+    with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
+        bj.check_staircase(32, 1)
+    assert (
+        op._overpartitions_of.cache_info(), op._shape_tables.cache_info()
+    ) == caches
 
 
 def _merge_smallest(pi):
@@ -267,6 +335,7 @@ def test_weight_down_round_trip_past_the_cap(pi):
     assert bj.in_b(lam)
     assert lam.weight == pi.weight - 1
     assert bj.map_b_to_a(lam) == pi
+    assert bj._b_to_a_parts(lam) == pi
 
 
 @settings(deadline=None)
@@ -274,6 +343,7 @@ def test_weight_down_round_trip_past_the_cap(pi):
 def test_weight_down_inverse_round_trip_past_the_cap(lam):
     assume(bj.in_b(lam))
     pi = bj.map_b_to_a(lam)
+    assert bj._b_to_a_parts(lam) == pi
     assert bj.in_a(pi)
     assert pi.weight == lam.weight + 1
     assert bj.map_a_to_b(pi) == lam
@@ -286,3 +356,4 @@ def test_staircase_round_trip_past_the_cap(mu, j):
     assert lam.weight == mu.weight + j * j
     assert op.overline_mex(lam) >= 2 * j + 1
     assert bj.staircase_remove(lam, j) == mu
+    assert bj._remove_stairs(lam, j) == mu
