@@ -13,11 +13,11 @@ the complement class C. The map deletes a smallest part 1, or spreads a
 smallest part t >= 2 into t-2 plain 1s plus an overlined 1.
 
 The second inserts the odd staircase 1, 3, ..., 2j-1 as plain parts, adding
-weight j^2 and forcing the overline-mex (mod 2, residue 1) to at least
-2j+1; removal is its inverse. Each check walks its source weight once,
-keeping only counters and flags: it tests every image for membership in
-the target class, maps each member back, and compares the source size with
-a separate count of that class. A map with a left inverse is injective, so
+weight j^2 and forcing the overline-mex to at least 2j+1; removal is its
+inverse. Each check walks its source weight once, keeping only counters
+and flags: it tests every image for membership in the target class, maps
+each member back, and compares the source size with a separate count of
+that class. A map with a left inverse is injective, so
 the round trip stands in for a set of distinct images.
 
 Each inverse has a tuple-level core that the public map wraps in its guard
@@ -33,7 +33,6 @@ from math import inf
 from operator import itemgetter
 
 from .overpartitions import (
-    MEX_2_1,
     OBJECT_CEILING,
     BadParamsError,
     Overpartition,
@@ -250,7 +249,7 @@ def check_staircase(n: int, j: int) -> dict:
     in_target = round_trip_ok = True
     for mu in source:
         lam = staircase_insert(mu, j)
-        if lam.weight != n or overline_mex(lam, MEX_2_1) < 2 * j + 1:
+        if lam.weight != n or overline_mex(lam) < 2 * j + 1:
             in_target = False
         elif _remove_stairs(lam, j) != mu:
             round_trip_ok = False

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
@@ -102,18 +103,6 @@ class IdentityDescriptor:
     ineq_values: RowsBuilder | None = None
     strict_from: Callable[[Mapping[str, int]], int] | None = None
     ceiling: int | None = None
-
-    @property
-    def has_series(self) -> bool:
-        return self.series_lhs is not None
-
-    @property
-    def has_enum(self) -> bool:
-        return self.enum_lhs is not None
-
-    @property
-    def has_inequality(self) -> bool:
-        return self.ineq_values is not None
 
 
 @dataclass(frozen=True)
@@ -1123,6 +1112,13 @@ def _validate_params(
     return given
 
 
+def _checked_pair(v: object, message: str) -> tuple:
+    """v when it is a tuple or list of two items, else BadParamsError."""
+    if not isinstance(v, (tuple, list)) or len(v) != 2:
+        raise BadParamsError(message)
+    return v
+
+
 def _series_check(
     desc: IdentityDescriptor, p: Mapping[str, int], n: int, perturb: Perturb
 ) -> Outcome:
@@ -1249,7 +1245,7 @@ def _verify(
     p = _validate_params(desc, params)
     n = _checked_bound(desc, form, bound)
     if perturb is not None:
-        idx, delta = perturb
+        idx, delta = _checked_pair(perturb, "perturb must be an (index, delta) pair")
         _checked_int(
             idx, f.low, n, f"perturbation index {idx} outside {f.low}..{n}"
         )
@@ -1350,7 +1346,9 @@ def expand_grid(
     bounds = {name: (lo, hi) for name, lo, hi in desc.schema}
     for name, lo, hi in desc.param_ranges:
         if overrides and name in overrides:
-            lo, hi = overrides[name]
+            lo, hi = _checked_pair(
+                overrides[name], f"{desc.id}: range for {name} must be a (lo, hi) pair"
+            )
             b_lo, b_hi = bounds[name]
             message = (
                 f"{desc.id}: range {lo}..{hi} for {name} outside {b_lo}..{b_hi}"
@@ -1383,13 +1381,18 @@ def run_default_suite(
     """Verify identities over their default parameter grids.
 
     Reports are merged deterministically, sorted by id then parameters then
-    compared range. An empty selection, a bound outside its range or past
-    the ceiling of a form it selects, an override for a parameter that no
-    selected identity takes, overrides that leave a selected identity with
-    no parameter set, or a bound that selects no form of any selected
-    identity raise BadParamsError before any check runs.
+    compared range. A string or non-iterable ids, an empty selection, a
+    bound outside its range or past the ceiling of a form it selects, an
+    override for a parameter that no selected identity takes or that is not
+    a (lo, hi) pair, overrides that leave a selected identity with no
+    parameter set, or a bound that selects no form of any selected identity
+    raise BadParamsError before any check runs.
     """
-    selected = [get_identity(i) for i in (_REGISTRY if ids is None else ids)]
+    if ids is None:
+        ids = _REGISTRY
+    elif isinstance(ids, str) or not isinstance(ids, Iterable):
+        raise BadParamsError(f"ids must be a sequence of identity ids, got {ids!r}")
+    selected = [get_identity(i) for i in ids]
     if not selected:
         raise BadParamsError("no identity selected")
     taken = {name for desc in selected for name, _, _ in desc.schema}

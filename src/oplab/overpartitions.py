@@ -12,20 +12,19 @@ is the smallest part. Everything in this module is exact integer counting;
 generating-function coefficients are used only where enumeration would be
 wasteful (large-n counts), and tests pin the two routes against each other.
 
-Every caller-supplied integer (a weight, a k, a MexQuery field, a part
-value) must be an int, not a bool, within its range. A value that fails, a
-malformed part and a weight past its counting route's ceiling
-(OBJECT_CEILING for materialised overpartitions, SHAPE_CEILING for the
-shape-counted statistics) all raise BadParamsError, the package's one
-rejected-input error, which the series layer defines, this layer and the
-identities layer re-export, and the CLI maps to exit 2.
+Every caller-supplied integer (a weight, a k, a part value) must be an
+int, not a bool, within its range. A value that fails, a malformed part
+and a weight past its counting route's ceiling (OBJECT_CEILING for
+materialised overpartitions, SHAPE_CEILING for the shape-counted
+statistics) all raise BadParamsError, the package's one rejected-input
+error, which the series layer defines, this layer and the identities layer
+re-export, and the CLI maps to exit 2.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import inf
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -36,8 +35,6 @@ from .series import BadParamsError, _checked_int
 __all__ = [
     "Part",
     "Overpartition",
-    "MexQuery",
-    "MEX_2_1",
     "BadParamsError",
     "EnumerationCapError",
     "OBJECT_CEILING",
@@ -130,21 +127,8 @@ class Overpartition(tuple):
         return self
 
     @property
-    def parts(self) -> tuple[Part, ...]:
-        """The parts, largest first: the overpartition itself."""
-        return self
-
-    @property
     def weight(self) -> int:
         return sum(map(itemgetter(0), self))
-
-    def plain_count(self, value: int) -> int:
-        _checked_int(value, -inf, inf, "value must be an int, not a bool")
-        return self.count(Part(value, False))
-
-    def has_overline(self, value: int) -> bool:
-        _checked_int(value, -inf, inf, "value must be an int, not a bool")
-        return Part(value, True) in self
 
     def smallest(self) -> Part | None:
         return self[-1] if self else None
@@ -158,23 +142,6 @@ class Overpartition(tuple):
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self) + ")"
 
-
-@dataclass(frozen=True)
-class MexQuery:
-    """Arithmetic-progression minimal excludant query: residue mod modulus."""
-
-    modulus: int
-    residue: int
-
-    def __post_init__(self) -> None:
-        _checked_int(self.modulus, 1, inf, "modulus must be >= 1")
-        _checked_int(
-            self.residue, 1, self.modulus,
-            "residue must satisfy 1 <= residue <= modulus",
-        )
-
-
-MEX_2_1 = MexQuery(2, 1)
 
 # Exhaustive counting grows with the weight, so each counting route stops at
 # a fixed ceiling, measured with Python 3.11.7 on 2 cores (host speed varies
@@ -339,15 +306,13 @@ def partition_count(n: int) -> int:
 
 # -- statistics --------------------------------------------------------------
 
-def overline_mex(pi: Overpartition, query: MexQuery = MEX_2_1) -> int:
-    """Smallest positive integer congruent to residue mod modulus that does
-    not occur as a non-overlined part of pi. Overlined parts never block a
-    candidate."""
-    parts = pi.parts
-    candidate = query.residue
+def overline_mex(pi: Overpartition) -> int:
+    """The overline-mex: the smallest odd value that does not occur as a
+    non-overlined part of pi. Overlined parts never block a candidate."""
+    candidate = 1
     # the bare pair equals Part(candidate, False) and skips building a Part
-    while (candidate, False) in parts:
-        candidate += query.modulus
+    while (candidate, False) in pi:
+        candidate += 2
     return candidate
 
 
@@ -365,8 +330,8 @@ class _ShapeTables(NamedTuple):
     """Counts for one weight n, all filled by one pass over its shapes.
 
     mbar, nbar and mk are indexed by k, and mex[m] counts the
-    overpartitions of n whose overline-mex (mod 2, residue 1) is m. An
-    index past the end counts 0."""
+    overpartitions of n whose overline-mex is m. An index past the end
+    counts 0."""
 
     mbar: tuple[int, ...]
     nbar: tuple[int, ...]
@@ -436,8 +401,8 @@ def _column(col: tuple[int, ...], k: int) -> int:
 
 
 def op_class_counts(n: int) -> tuple[int, int]:
-    """Split pbar(n) by the overline-mex (mod 2, residue 1) mod 4: returns
-    (low, high), where low counts mex = 1 mod 4 and high mex = 3 mod 4.
+    """Split pbar(n) by the overline-mex mod 4: returns (low, high),
+    where low counts mex = 1 mod 4 and high mex = 3 mod 4.
 
     Both are sums over the mex column of the shape table that op21 reads."""
     _check_weight(n, 0, "weight must be >= 0")
@@ -446,8 +411,8 @@ def op_class_counts(n: int) -> tuple[int, int]:
 
 
 def op21(n: int, k: int) -> int:
-    """Count overpartitions of n whose overline-mex m (mod 2, residue 1)
-    satisfies m >= 2k+1 and m = 2k+1 mod 4."""
+    """Count overpartitions of n whose overline-mex m satisfies
+    m >= 2k+1 and m = 2k+1 mod 4."""
     _check_weight(n, 1, "n must be >= 1")
     _checked_int(k, 0, inf, "op21 requires k >= 0")
     return sum(_shape_tables(n).mex[2 * k + 1 :: 4])

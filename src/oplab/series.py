@@ -12,8 +12,8 @@ fast for a pentagonal or theta sum; invert divides 1 by it.
 Conventions:
 
 * a series of order N holds coefficients for q^0 .. q^N inclusive;
-* binary operations require both operands to have the same order;
-* changing the order is always an explicit step (dilate);
+* binary operations require both operands to have the same order, and no
+  operation changes the order;
 * an infinite product or sum is truncated by dropping every factor or term
   whose minimal exponent exceeds the order, which is exact mod q^(N+1).
 
@@ -184,25 +184,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self._order, _div_sparse([1] + [0] * self._order, self._coeffs)
         )
-
-    def dilate(self, ell: int, order: int) -> "TruncatedSeries":
-        """Substitute q -> q^ell by re-indexing coefficients onto a series of
-        the given order, dropping exponents that land past it.
-
-        The source must be known through exponent order//ell, otherwise the
-        result would be missing coefficients it claims to have.
-        """
-        _checked_int(ell, 1, inf, "dilation must be >= 1")
-        _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
-        top = order // ell
-        if self._order < top:
-            raise BadParamsError(
-                f"source order {self._order} too small to dilate by {ell} "
-                f"up to order {order} (needs {top})"
-            )
-        out = [0] * (order + 1)
-        out[: ell * top + 1 : ell] = self._coeffs[: top + 1]
-        return TruncatedSeries(order, out)
 
     # -- misc ---------------------------------------------------------------
 
@@ -381,21 +362,19 @@ def pentagonal_series(order: int, dilation: int = 1) -> TruncatedSeries:
     """
     _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
     _checked_int(dilation, 1, inf, "dilation must be >= 1")
-    base_order = order // dilation
-    c = [0] * (base_order + 1)
+    c = [0] * (order + 1)
     j = 0
     while True:
-        g = j * (3 * j + 1) // 2
-        if g > base_order:
+        g = j * (3 * j + 1) // 2 * dilation
+        if g > order:
             break
         s = 1 if j % 2 == 0 else -1
         c[g] += s
-        h = g + 2 * j + 1
-        if h <= base_order:
+        h = g + (2 * j + 1) * dilation
+        if h <= order:
             c[h] -= s
         j += 1
-    base = TruncatedSeries(base_order, c)
-    return base if dilation == 1 else base.dilate(dilation, order)
+    return TruncatedSeries(order, c)
 
 
 def theta_partial(j_lo: int, j_hi: int, order: int) -> TruncatedSeries:

@@ -11,6 +11,13 @@ def shift(f, e):
     return TruncatedSeries(f.order, ((0,) * e + f.coeffs)[: f.order + 1])
 
 
+def dilate(f, ell, order):
+    """f with q -> q^ell, at the given order; f must reach order // ell."""
+    c = [0] * (order + 1)
+    c[::ell] = f.coeffs[: order // ell + 1]
+    return TruncatedSeries(order, c)
+
+
 def div_product(f, start, step, sign=1):
     """f / prod_{i>=0} (1 - sign*q^(start + step*i)), one factor at a time."""
     for e in range(start, f.order + 1, step):

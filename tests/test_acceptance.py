@@ -88,7 +88,7 @@ def test_acceptance_1_ground_truth_counts():
 
 def test_acceptance_2_mex_table_weight_4():
     seen = {
-        tuple((p.value, p.overlined) for p in pi.parts): op.overline_mex(pi)
+        tuple((p.value, p.overlined) for p in pi): op.overline_mex(pi)
         for pi in op.enumerate_overpartitions(4)
     }
     ok = seen == MEX_TABLE_4
@@ -207,15 +207,15 @@ def test_acceptance_8_mutation_sensitivity():
     misses = []
     for desc in idn.list_identities():
         params = idn.expand_grid(desc)[0]
-        if desc.has_series:
+        if desc.series_lhs is not None:
             r = idn.verify_series(desc.id, params, 30, perturb=(7, 3))
             if r.passed or r.first_mismatch[0] != 7:
                 misses.append((desc.id, "series", r.first_mismatch))
-        if desc.has_enum:
+        if desc.enum_lhs is not None:
             r = idn.verify_enumerative(desc.id, params, 10, perturb=(6, 2))
             if r.passed or r.first_mismatch[0] != 6:
                 misses.append((desc.id, "enum", r.first_mismatch))
-        if desc.has_inequality:
+        if desc.ineq_values is not None:
             r = idn.verify_inequality(desc.id, params, 10, perturb=(5, -10**9))
             if r.passed or r.first_mismatch[0] != 5:
                 misses.append((desc.id, "ineq", r.first_mismatch))

@@ -3,8 +3,8 @@ within its range, and every rejection is a BadParamsError.
 
 Each row names an entry point, a call taking the value under test and one
 int just outside that value's range (None where every int is in range, as
-for a coefficient); the call must reject that int, True and the float 2.0
-alike.
+for a coefficient), or for a pair or a selection, one value of the wrong
+shape; the call must reject that value, True and the float 2.0 alike.
 """
 
 import pytest
@@ -41,6 +41,13 @@ ENTRY_POINTS = {
     "perturbation delta": (
         lambda v: idn.verify_series("gauss", order=10, perturb=(3, v)), None
     ),
+    "perturbation shape": (
+        lambda v: idn.verify_series("gauss", order=5, perturb=v), (1, 1, 1)
+    ),
+    "override shape": (
+        lambda v: idn.run_default_suite(["thm-1-1"], overrides={"k": v}), 3
+    ),
+    "run_default_suite ids": (idn.run_default_suite, "gauss"),
     "override range": (
         lambda v: idn.run_default_suite(["li-truncation"], order=5,
                                         overrides={"k": (v, v)}),
@@ -66,8 +73,6 @@ ENTRY_POINTS = {
                                   {"k": (2, v)}),
         1,
     ),
-    "MexQuery modulus": (lambda v: op.MexQuery(v, 1), 0),
-    "MexQuery residue": (lambda v: op.MexQuery(2, v), 3),
     "pbar": (op.pbar, None),
     "partition_count": (op.partition_count, None),
     "enumerate_overpartitions": (op.enumerate_overpartitions, -1),
@@ -96,8 +101,6 @@ ENTRY_POINTS = {
     "qproduct sign": (lambda v: series.qproduct(v, 1, 1, 3, 5), 0),
     "times_factor sign": (lambda v: series.one(3).times_factor(1, v), 0),
     "div_factor sign": (lambda v: series.one(3).div_factor(1, v), 0),
-    "dilate ell": (lambda v: series.one(3).dilate(v, 3), 0),
-    "dilate order": (lambda v: series.one(3).dilate(1, v), -1),
     "scale factor": (lambda v: series.one(3).scale(v), None),
     "monomial order": (lambda v: series.monomial(v, 1), -1),
     "qproduct order": (lambda v: series.qproduct(1, 1, 1, None, v), -1),

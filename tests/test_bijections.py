@@ -98,8 +98,8 @@ def test_trace_preserves_overlines_above_smallest():
             if not bj.in_a(pi):
                 continue
             out = bj.map_a_to_b(pi)
-            before = {p.value for p in pi.parts if p.overlined}
-            after = {p.value for p in out.parts if p.overlined}
+            before = {p.value for p in pi if p.overlined}
+            after = {p.value for p in out if p.overlined}
             if pi.smallest().value == 1:
                 assert after == before
             else:

@@ -484,7 +484,7 @@ PUBLIC_NAMES = {
     "TruncatedSeries", "zero", "one", "monomial", "qproduct",
     "pentagonal_series", "theta_partial", "gauss_theta",
     # overpartitions
-    "Part", "Overpartition", "MexQuery", "MEX_2_1", "BadParamsError",
+    "Part", "Overpartition", "BadParamsError",
     "EnumerationCapError", "OBJECT_CEILING", "SHAPE_CEILING",
     "enumerate_overpartitions", "pbar", "partition_count",
     "overline_mex", "op_class_counts", "op21", "mbar", "nbar", "mk_stat",

@@ -61,10 +61,10 @@ def test_registry_ids_exact_order():
 
 def test_every_descriptor_has_a_form_and_kind():
     for d in idn.list_identities():
-        assert d.has_series or d.has_enum or d.has_inequality
-        if d.has_series:
+        assert (d.series_lhs, d.enum_lhs, d.ineq_values) != (None, None, None)
+        if d.series_lhs is not None:
             assert d.series_rhs is not None and d.default_order is not None
-        if d.has_enum or d.has_inequality:
+        if d.enum_lhs is not None or d.ineq_values is not None:
             assert d.default_n_max is not None
         assert d.statement and d.oracle
 
@@ -76,10 +76,9 @@ def test_statements_are_csv_safe():
 
 def test_dual_form_identities():
     # these carry both an analytic and a counting reading under one id
-    assert idn.get_identity("gauss").has_series
-    assert idn.get_identity("gauss").has_enum
-    assert idn.get_identity("cor-2-9").has_series
-    assert idn.get_identity("cor-2-9").has_enum
+    for ident in ("gauss", "cor-2-9"):
+        d = idn.get_identity(ident)
+        assert d.series_lhs is not None and d.enum_lhs is not None
 
 
 def test_unknown_identity():
@@ -90,7 +89,7 @@ def test_unknown_identity():
 
 def test_series_identities_smoke():
     for d in idn.list_identities():
-        if not d.has_series:
+        if d.series_lhs is None:
             continue
         params = idn.expand_grid(d)[0]
         # the enumerated left side of yao caps the usable order
@@ -103,7 +102,7 @@ def test_series_identities_smoke():
 
 def test_enumerative_identities_smoke():
     for d in idn.list_identities():
-        if not d.has_enum:
+        if d.enum_lhs is None:
             continue
         params = idn.expand_grid(d)[0]
         r = idn.verify_enumerative(d.id, params, 12)
@@ -113,7 +112,7 @@ def test_enumerative_identities_smoke():
 
 def test_inequality_identities_smoke():
     for d in idn.list_identities():
-        if not d.has_inequality:
+        if d.ineq_values is None:
             continue
         params = idn.expand_grid(d)[0]
         r = idn.verify_inequality(d.id, params, 40)
@@ -614,9 +613,9 @@ def test_no_identity_reads_one_tail_sum_on_both_sides(monkeypatch):
     both_sides = set()
     for desc in idn.list_identities():
         forms = []
-        if desc.has_series:
+        if desc.series_lhs is not None:
             forms.append((desc.series_lhs, desc.series_rhs, desc.default_order))
-        if desc.has_enum:
+        if desc.enum_lhs is not None:
             forms.append((desc.enum_lhs, desc.enum_rhs, desc.default_n_max))
         for lhs, rhs, n in forms:
             for p in idn.expand_grid(desc):
@@ -713,7 +712,8 @@ def test_summand_recurrences_include_empty_sums():
 
 
 SERIES_AT_MAX_ORDER = [
-    d.id for d in idn.list_identities() if d.has_series and d.id != "yao"
+    d.id for d in idn.list_identities()
+    if d.series_lhs is not None and d.id != "yao"
 ]
 
 

@@ -14,14 +14,13 @@ import pytest
 from oplab import overpartitions as op
 from oplab.overpartitions import (
     EnumerationCapError,
-    MexQuery,
     Overpartition,
     Part,
 )
 
 from _reference import of, overpartition_gf
 
-# weight-4 overpartitions with their overline-mex (mod 2, residue 1);
+# weight-4 overpartitions with their overline-mex;
 # fourteen rows, one per overpartition
 MEX_TABLE_4 = {
     ((4, False),): 1,
@@ -52,7 +51,7 @@ def test_part_order():
 
 def test_overpartition_construction_and_str():
     pi = of((2, True), 1)
-    assert [(p.value, p.overlined) for p in pi.parts] == [(2, True), (1, False)]
+    assert [(p.value, p.overlined) for p in pi] == [(2, True), (1, False)]
     assert pi.weight == 3
     assert str(of(3, (1, True))) == "(3,1̅)"
     assert str(of()) == "()"
@@ -60,7 +59,7 @@ def test_overpartition_construction_and_str():
 
 def test_overpartition_of_sorts_by_part_order():
     pi = of(1, (3, True), 3, (1, True))
-    assert [(p.value, p.overlined) for p in pi.parts] == [
+    assert [(p.value, p.overlined) for p in pi] == [
         (3, False),
         (3, True),
         (1, False),
@@ -144,8 +143,8 @@ def test_overpartition_from_any_iterable():
     parts.append(Part(5, False))
     for pi in (from_list, Overpartition(iter(want)), Overpartition(p for p in want)):
         assert pi == want and hash(pi) == hash(want) and pi.weight == 3
-        assert type(pi.parts) is Overpartition and pi.parts is pi
-        assert not hasattr(pi.parts, "append")
+        assert type(pi) is Overpartition
+        assert not hasattr(pi, "append")
     assert len({from_list, want}) == 1
     with pytest.raises(AttributeError):
         from_list.parts = ()
@@ -173,24 +172,19 @@ def test_overpartition_is_the_tuple_of_its_parts():
 
 def test_overpartition_accessors():
     pi = of(3, 2, 2, (2, True), (1, True))
-    assert pi.plain_count(2) == 2
-    assert pi.has_overline(2) and pi.has_overline(1)
-    assert not pi.has_overline(3)
+    assert pi.count(Part(2, False)) == 2
+    assert Part(2, True) in pi and Part(1, True) in pi
+    assert Part(3, True) not in pi
     assert pi.smallest() == Part(1, True)
     assert of().smallest() is None
     assert pi.to_jsonable()[0] == [3, False]
-    for value in (True, 1.0, "1"):
-        with pytest.raises(op.BadParamsError, match="must be an int"):
-            pi.plain_count(value)
-        with pytest.raises(op.BadParamsError, match="must be an int"):
-            pi.has_overline(value)
 
 
 def _plain_only(n):
     """The overpartitions of n with no overlined part: the partitions of n."""
     return [
         pi for pi in op.enumerate_overpartitions(n)
-        if not any(p.overlined for p in pi.parts)
+        if not any(p.overlined for p in pi)
     ]
 
 
@@ -213,7 +207,7 @@ def test_enumeration_order_is_pinned():
         ops = op.enumerate_overpartitions(n)
         assert len(set(ops)) == len(ops) == op.pbar(n), n
         assert list(ops) == sorted(
-            ops, key=lambda pi: tuple(p.rank for p in pi.parts)
+            ops, key=lambda pi: tuple(p.rank for p in pi)
         ), n
 
 
@@ -233,7 +227,7 @@ def test_mex_table_weight_4():
     ops = op.enumerate_overpartitions(4)
     assert len(ops) == 14
     seen = {
-        tuple((p.value, p.overlined) for p in pi.parts): op.overline_mex(pi)
+        tuple((p.value, p.overlined) for p in pi): op.overline_mex(pi)
         for pi in ops
     }
     assert seen == MEX_TABLE_4
@@ -243,16 +237,6 @@ def test_overline_mex_ignores_overlined_parts():
     assert op.overline_mex(of((1, True), (3, True))) == 1
     assert op.overline_mex(of(1, 3, 5)) == 7
     assert op.overline_mex(of()) == 1
-
-
-def test_overline_mex_other_progressions():
-    q32 = MexQuery(3, 2)
-    assert op.overline_mex(of(2, (2, True)), q32) == 5
-    assert op.overline_mex(of(4), q32) == 2
-    with pytest.raises(ValueError):
-        MexQuery(2, 3)
-    with pytest.raises(ValueError):
-        MexQuery(0, 1)
 
 
 def test_op_class_counts_split():
@@ -357,14 +341,14 @@ def _ref_op21(mex_values, k):
 def _ref_mbar(n, k):
     count = 0
     for pi in op.enumerate_overpartitions(n):
-        above = [p.value for p in pi.parts if p.value > k]
-        if above and sum(p.value == min(above) for p in pi.parts) >= k + 1:
+        above = [p.value for p in pi if p.value > k]
+        if above and sum(p.value == min(above) for p in pi) >= k + 1:
             count += 1
     return count
 
 
 def _ref_nbar_qualifies(pi, k):
-    parts = list(pi.parts)
+    parts = list(pi)
     # an overlined k is exempt: set it aside before testing the rest
     for idx, p in enumerate(parts):
         if p.value == k and p.overlined:
@@ -397,7 +381,7 @@ def _ref_mk_stat(plain_values, k):
 @pytest.mark.parametrize("n", range(1, REF_N_MAX + 1))
 def test_shape_tables_match_object_scans(n):
     mex_values = [op.overline_mex(pi) for pi in op.enumerate_overpartitions(n)]
-    plain_values = [[p.value for p in pi.parts] for pi in _plain_only(n)]
+    plain_values = [[p.value for p in pi] for pi in _plain_only(n)]
     for k in range(0, n + 3):
         assert op.op21(n, k) == _ref_op21(mex_values, k), ("op21", n, k)
         assert op.mbar(n, k) == _ref_mbar(n, k), ("mbar", n, k)
