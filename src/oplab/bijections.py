@@ -16,9 +16,12 @@ The second inserts the odd staircase 1, 3, ..., 2j-1 as plain parts, adding
 weight j^2 and forcing the overline-mex to at least 2j+1; removal is its
 inverse. Each check walks its source weight once, keeping only counters
 and flags: it tests every image for membership in the target class, maps
-each member back, and compares the source size with a separate count of
-that class. A map with a left inverse is injective, so
-the round trip stands in for a set of distinct images.
+each member back, and compares the source size with a count of that class
+over partition shapes, which reads no object. A map with a left inverse is
+injective, so the round trip stands in for a set of distinct images. The
+weight-down check walks the cached A(n) alone; the staircase check walks
+every overpartition of its source weight, building the half with an
+overlined smallest part as it goes and keeping none of it.
 
 Each inverse has a tuple-level core that the public map wraps in its guard
 and the validating Overpartition constructor. The checks compare the
@@ -39,7 +42,9 @@ from .overpartitions import (
     Part,
     _check_weight,
     _checked_int,
-    enumerate_overpartitions,
+    _class_a,
+    _overpartitions,
+    _shape_tables,
     op21,
     overline_mex,
     pbar,
@@ -173,7 +178,8 @@ def check_weight_down(n: int) -> dict:
     """Exhaustively verify the weight-down bijection at weight n.
 
     Returns a dict of counts and flags: sizes of A(n), B(n-1), C(n-1) (the
-    last two by testing weight n-1 with in_b), how many images weigh n-1
+    last two counted over the partition shapes of n-1, C as pbar(n-1) less
+    B, so no object of weight n-1 is built), how many images weigh n-1
     and lie in B, whether every image weighs n-1, whether every image lies
     in B and maps back to the original, and whether the witness behaves
     when n >= 4. An image outside B fails the round trip, which compares
@@ -182,15 +188,13 @@ def check_weight_down(n: int) -> dict:
     distinct_images is a_count then, and None when the round trip fails.
     Weight n past OBJECT_CEILING raises before anything is enumerated.
     """
-    # n - 1 < n, so this one test bounds both enumerated weights
-    _check_weight(n, 1, "n must be >= 1", OBJECT_CEILING)
-    lower = enumerate_overpartitions(n - 1)
-    b_count = sum(map(in_b, lower))
-    c_count = len(lower) - b_count
+    _check_weight(n, 1, "n", OBJECT_CEILING)
+    b_count = _shape_tables(n - 1).b
+    c_count = pbar(n - 1) - b_count
 
     a_count = images_in_b = 0
     round_trip_ok = weights_ok = True
-    for pi in filter(in_a, enumerate_overpartitions(n)):
+    for pi in filter(in_a, _class_a(n)):
         a_count += 1
         lam = map_a_to_b(pi)
         on_weight = lam.weight == n - 1
@@ -237,27 +241,30 @@ def check_staircase(n: int, j: int) -> dict:
     large as the target's shape count op21(n, j) + op21(n, j + 1); each
     image in the target must map back to its source, which makes the map
     injective. The round trip compares the removal core's tuple with the
-    source, so only the image is built as an Overpartition. Every bound is
+    source, so the check itself builds only the image as an Overpartition;
+    the source walk builds the half of weight n - j^2 whose smallest part
+    is overlined and keeps none of it. Every bound is
     checked before anything is enumerated: n - j^2 against OBJECT_CEILING,
     then n against the shape ceiling."""
     _checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
     _checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
-    _check_weight(n - j * j, 0, "weight must be >= 0", OBJECT_CEILING)
-    _check_weight(n, 1, "n must be >= 1")
-    source = enumerate_overpartitions(n - j * j)
+    _check_weight(n - j * j, 0, "weight", OBJECT_CEILING)
+    _check_weight(n, 1, "n")
     target_count = op21(n, j) + op21(n, j + 1)
+    source_count = 0
     in_target = round_trip_ok = True
-    for mu in source:
+    for mu in _overpartitions(n - j * j):
+        source_count += 1
         lam = staircase_insert(mu, j)
         if lam.weight != n or overline_mex(lam) < 2 * j + 1:
             in_target = False
         elif _remove_stairs(lam, j) != mu:
             round_trip_ok = False
-    matched = in_target and len(source) == target_count
+    matched = in_target and source_count == target_count
     return {
         "n": n,
         "j": j,
-        "source_count": len(source),
+        "source_count": source_count,
         "target_count": target_count,
         "matched": matched,
         "round_trip_ok": round_trip_ok,

@@ -208,7 +208,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 f"--k must end at or below {identities._K_MAX}, got {k_hi}"
             )
         # past the shape ceiling, fail before any weight is counted
-        op._check_weight(args.n_max, 1, "--n-max must be >= 1")
+        op._check_weight(args.n_max, 1, "--n-max")
         fn = _STAT_FN[args.stat]
         rows = [
             (n, k, fn(n, k))

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from . import bijections
 from . import overpartitions as op
@@ -590,10 +590,13 @@ def _lemma41_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 def _sec3_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     def row(n: int) -> tuple[int, ...]:
         d = bijections.check_weight_down(n)
+        # C(n-1) from objects, not the shape-counted c_count: for n <= 3 by
+        # testing the at most 4 overpartitions of n - 1, above by the witness
         if n <= 3:
-            c_comp = d["c_count"]
+            lower = op.enumerate_overpartitions(n - 1)
+            c_comp = sum(not bijections.in_b(lam) for lam in lower)
         else:
-            c_comp = int(bool(d["witness_ok"]) and d["c_count"] >= 1)
+            c_comp = int(d["witness_ok"] is True)
         bijective = int(d["round_trip_ok"] and d["weights_ok"])
         return (d["a_count"], d["images_in_b"], bijective, c_comp)
 
@@ -603,8 +606,7 @@ def _sec3_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 def _sec3_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     def row(n: int) -> tuple[int, ...]:
         half = op.pbar(n) // 2 if op.pbar(n) % 2 == 0 else -1
-        b_count = sum(map(bijections.in_b, op.enumerate_overpartitions(n - 1)))
-        return (half, b_count, 1, 0 if n <= 3 else 1)
+        return (half, op._shape_tables(n - 1).b, 1, 0 if n <= 3 else 1)
 
     return _rows(row, n_max)
 
@@ -1083,6 +1085,10 @@ def list_identities() -> tuple[IdentityDescriptor, ...]:
 
 
 def get_identity(ident: str) -> IdentityDescriptor:
+    if not isinstance(ident, str):
+        raise BadParamsError(
+            f"identity id must be a str, got {type(ident).__name__} {ident!r}"
+        )
     try:
         return _REGISTRY[ident]
     except KeyError:
@@ -1092,7 +1098,7 @@ def get_identity(ident: str) -> IdentityDescriptor:
 def _validate_params(
     desc: IdentityDescriptor, params: Mapping[str, int] | None
 ) -> dict[str, int]:
-    given = dict(params or {})
+    given = dict(_checked_mapping(params, "params"))
     names = [name for name, _, _ in desc.schema]
     unknown = sorted(set(given) - set(names))
     if unknown:
@@ -1110,6 +1116,17 @@ def _validate_params(
     if desc.requires_m_le_k and given["m"] > given["k"]:
         raise BadParamsError(f"{desc.id}: requires m <= k, got {given}")
     return given
+
+
+def _checked_mapping(v: object, name: str) -> Mapping:
+    """v when it is a mapping, {} when it is None, else BadParamsError."""
+    if v is None:
+        return {}
+    if not isinstance(v, Mapping):
+        raise BadParamsError(
+            f"{name} must be a mapping, got {type(v).__name__} {v!r}"
+        )
+    return v
 
 
 def _checked_pair(v: object, message: str) -> tuple:
@@ -1199,7 +1216,7 @@ def _checked_bound(desc: IdentityDescriptor, form: str, bound: int | None) -> in
     f = _FORMS[form]
     n = getattr(desc, f"default_{f.bound}") if bound is None else bound
     ceiling = f.ceiling if desc.ceiling is None else desc.ceiling
-    message = f"{desc.id}: {f.bound} must be within {f.low}..{ceiling}, got {n}"
+    message = f"{desc.id}: {f.bound} must be within {f.low}..{ceiling}, got {n!r}"
     return _checked_int(n, f.low, ceiling, message)
 
 
@@ -1220,7 +1237,7 @@ def _checked_forms(
         if bound is not None:
             _checked_int(
                 bound, f.low, MAX_ORDER,
-                f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {bound}",
+                f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {bound!r}",
             )
         if getattr(desc, f.attr) is not None and (bound is not None or neither):
             _checked_bound(desc, form, bound)
@@ -1342,10 +1359,11 @@ def expand_grid(
 
     Sets with m > k are dropped where the identity requires m <= k; ranges
     that leave no set at all raise BadParamsError."""
+    overrides = _checked_mapping(overrides, "overrides")
     ranges = []
     bounds = {name: (lo, hi) for name, lo, hi in desc.schema}
     for name, lo, hi in desc.param_ranges:
-        if overrides and name in overrides:
+        if name in overrides:
             lo, hi = _checked_pair(
                 overrides[name], f"{desc.id}: range for {name} must be a (lo, hi) pair"
             )
@@ -1381,8 +1399,9 @@ def run_default_suite(
     """Verify identities over their default parameter grids.
 
     Reports are merged deterministically, sorted by id then parameters then
-    compared range. A string or non-iterable ids, an empty selection, a
-    bound outside its range or past the ceiling of a form it selects, an
+    compared range. A string or non-iterable ids, an id that is not a
+    string, an empty selection, a bound outside its range or past the
+    ceiling of a form it selects, overrides that are not a mapping, an
     override for a parameter that no selected identity takes or that is not
     a (lo, hi) pair, overrides that leave a selected identity with no
     parameter set, or a bound that selects no form of any selected identity
@@ -1395,8 +1414,9 @@ def run_default_suite(
     selected = [get_identity(i) for i in ids]
     if not selected:
         raise BadParamsError("no identity selected")
+    overrides = _checked_mapping(overrides, "overrides")
     taken = {name for desc in selected for name, _, _ in desc.schema}
-    stray = sorted(set(overrides or ()) - taken)
+    stray = sorted(set(overrides) - taken)
     if stray:
         raise BadParamsError(
             f"{selected[0].id} does not take parameter(s) {stray}"

@@ -12,6 +12,11 @@ is the smallest part. Everything in this module is exact integer counting;
 generating-function coefficients are used only where enumeration would be
 wasteful (large-n counts), and tests pin the two routes against each other.
 
+Enumeration walks and caches only half of each weight n >= 1: the
+overpartitions whose smallest part is plain. Overlining that part pairs
+them with the other half, which is built from the cached half on demand and
+never kept.
+
 Every caller-supplied integer (a weight, a k, a part value) must be an
 int, not a bool, within its range. A value that fails, a malformed part
 and a weight past its counting route's ceiling (OBJECT_CEILING for
@@ -145,7 +150,7 @@ class Overpartition(tuple):
 
 # Exhaustive counting grows with the weight, so each counting route stops at
 # a fixed ceiling, measured with Python 3.11.7 on 2 cores (host speed varies
-# about 2x between runs): check_weight_down(30) takes 1.0-1.5 s and 43 MB,
+# about 2x between runs): check_weight_down(30) takes 0.6-0.7 s and 25 MB,
 # and filling every shape table up to n = 50 takes 1.4-2.8 s (n = 60: 7 s).
 OBJECT_CEILING = 30  # materialised overpartitions
 SHAPE_CEILING = 50  # statistics counted over partition shapes
@@ -155,10 +160,15 @@ class EnumerationCapError(BadParamsError):
     """Raised when exhaustive counting is asked past its route's ceiling."""
 
 
-def _check_weight(n: int, lo: int, message: str, ceiling: int = SHAPE_CEILING) -> None:
-    """n is an int, not a bool, at least lo (else message) and within the
-    ceiling (else EnumerationCapError)."""
-    _checked_int(n, lo, inf, message)
+def _check_weight(n: int, lo: int, name: str, ceiling: int = SHAPE_CEILING) -> None:
+    """n is an int, not a bool (else a message naming its type), at least lo
+    (else "<name> must be >= <lo>") and within the ceiling (else
+    EnumerationCapError)."""
+    if n.__class__ is not int:
+        _checked_int(
+            n, -inf, inf, f"{name} must be an int, got {type(n).__name__} {n!r}"
+        )
+    _checked_int(n, lo, inf, f"{name} must be >= {lo}")
     if n > ceiling:
         raise EnumerationCapError(f"weight {n} exceeds the ceiling {ceiling}")
 
@@ -195,14 +205,17 @@ def _value_blocks(n: int):
 
 
 @lru_cache(maxsize=None)
-def _overpartitions_of(n: int) -> tuple[Overpartition, ...]:
-    """Every overpartition of n, in increasing lexicographic order of its
-    part ranks (1bar=1, 1=2, 2bar=3, ...), largest part first.
+def _class_a(n: int) -> tuple[Overpartition, ...]:
+    """Every overpartition of n whose smallest part is not overlined (A(n)
+    in bijections' terms; empty for n = 0), in increasing lexicographic
+    order of its part ranks (1bar=1, 1=2, 2bar=3, ...), largest part first.
 
     A depth-first walk tries each position's ranks upward. Ranks never rise
     along a sequence, and after an overlined part the next rank is strictly
-    smaller, as the overline marks a value's last copy. Parts are shared:
-    one instance per rank."""
+    smaller, as the overline marks a value's last copy. The last part is
+    never overlined. Parts are shared: one instance per rank."""
+    if n == 0:
+        return ()
     values = [(r + 1) // 2 for r in range(2 * n + 1)]
     parts = [Part(v, r % 2 == 1) for r, v in enumerate(values)]
     stack: list[Part] = []
@@ -212,9 +225,12 @@ def _overpartitions_of(n: int) -> tuple[Overpartition, ...]:
         if not remaining:
             out.append(Overpartition(stack))
             return
-        # 1bar allows no part after it, so it is tried only as the last unit
-        lo = 1 if remaining == 1 else 2
-        for r in range(lo, min(top, 2 * remaining) + 1):
+        # 1bar (rank 1) and the overlined part that would use up the
+        # remaining weight (rank 2 * remaining - 1) could only come last
+        last_bar = 2 * remaining - 1
+        for r in range(2, min(top, 2 * remaining) + 1):
+            if r == last_bar:
+                continue
             stack.append(parts[r])
             # next ranks: up to r after a plain part, r - 1 after an overline
             walk(remaining - values[r], r & -2)
@@ -224,14 +240,31 @@ def _overpartitions_of(n: int) -> tuple[Overpartition, ...]:
     return tuple(out)
 
 
+def _overpartitions(n: int):
+    """Yield every overpartition of n, in the rank order of _class_a.
+
+    Each object of A(n) comes just after its twin with the last part
+    overlined: toggling changes only the last rank, from 2t to 2t - 1, and
+    no other overpartition of n lies between the two. The twins are built
+    on demand and not kept; every overlined last part is one shared Part
+    per value."""
+    if n == 0:
+        yield Overpartition(())
+        return
+    bars = [Part(v, True) for v in range(n + 1)]
+    for pi in _class_a(n):
+        yield Overpartition(pi[:-1] + (bars[pi[-1].value],))
+        yield pi
+
+
 def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
     """All overpartitions of n in a fixed deterministic order.
 
     Exhaustive enumeration grows like the overpartition numbers themselves,
     so weights above OBJECT_CEILING are refused rather than attempted.
     """
-    _check_weight(n, 0, "weight must be >= 0", OBJECT_CEILING)
-    return _overpartitions_of(n)
+    _check_weight(n, 0, "weight", OBJECT_CEILING)
+    return tuple(_overpartitions(n))
 
 
 # -- counting via generating functions --------------------------------------
@@ -331,12 +364,14 @@ class _ShapeTables(NamedTuple):
 
     mbar, nbar and mk are indexed by k, and mex[m] counts the
     overpartitions of n whose overline-mex is m. An index past the end
-    counts 0."""
+    counts 0. b counts the overpartitions of n in the class B of the
+    weight-down bijection (bijections.in_b)."""
 
     mbar: tuple[int, ...]
     nbar: tuple[int, ...]
     mk: tuple[int, ...]
     mex: tuple[int, ...]
+    b: int
 
 
 @lru_cache(maxsize=None)
@@ -346,9 +381,18 @@ def _shape_tables(n: int) -> _ShapeTables:
     mk_col = [0] * (n + 2)
     # the overline-mex 2j + 1 needs 1, 3, ..., 2j - 1: j^2 <= n, 2j + 1 <= n + 3
     mex_col = [0] * (n + 4)
+    b = 0
     for blocks in _value_blocks(n):
         weight = 1 << len(blocks)
         half = weight >> 1
+        b += weight
+        # B fails only with an overlined 1 (c1 copies of 1, r = c1 - 1 of
+        # them plain) whose next value v2 ranks below the plain part c1 + 1:
+        # as v2bar when v2 <= c1 + 1, as plain v2 when v2 <= c1; the other
+        # blocks' flags are free
+        if len(blocks) > 1 and blocks[-1][0] == 1:
+            v2, c1 = blocks[-2][0], blocks[-1][1]
+            b -= (half >> 1) * ((v2 <= c1 + 1) + (v2 <= c1))
         prev = prev_c = 0
         parts = below = 0
         gap = 1  # least value missing so far: the mex of the plain values
@@ -392,7 +436,7 @@ def _shape_tables(n: int) -> _ShapeTables:
         mex_col[odd] += odd_weight
     return _ShapeTables(
         tuple(itertools.accumulate(mbar_diff)), tuple(nbar_col), tuple(mk_col),
-        tuple(mex_col),
+        tuple(mex_col), b,
     )
 
 
@@ -405,7 +449,7 @@ def op_class_counts(n: int) -> tuple[int, int]:
     where low counts mex = 1 mod 4 and high mex = 3 mod 4.
 
     Both are sums over the mex column of the shape table that op21 reads."""
-    _check_weight(n, 0, "weight must be >= 0")
+    _check_weight(n, 0, "weight")
     mex = _shape_tables(n).mex
     return sum(mex[1::4]), sum(mex[3::4])
 
@@ -413,7 +457,7 @@ def op_class_counts(n: int) -> tuple[int, int]:
 def op21(n: int, k: int) -> int:
     """Count overpartitions of n whose overline-mex m satisfies
     m >= 2k+1 and m = 2k+1 mod 4."""
-    _check_weight(n, 1, "n must be >= 1")
+    _check_weight(n, 1, "n")
     _checked_int(k, 0, inf, "op21 requires k >= 0")
     return sum(_shape_tables(n).mex[2 * k + 1 :: 4])
 
@@ -421,7 +465,7 @@ def op21(n: int, k: int) -> int:
 def mbar(n: int, k: int) -> int:
     """Count overpartitions of n whose smallest part value above k exists and
     occurs at least k+1 times, overlined and plain occurrences together."""
-    _check_weight(n, 1, "n must be >= 1")
+    _check_weight(n, 1, "n")
     _checked_int(k, 0, inf, "mbar requires k >= 0")
     return _column(_shape_tables(n).mbar, k)
 
@@ -431,7 +475,7 @@ def nbar(n: int, k: int) -> int:
     present, the smallest remaining part of value >= k exists, is not
     overlined, and its value occurs exactly k times among the non-exempt
     parts."""
-    _check_weight(n, 1, "n must be >= 1")
+    _check_weight(n, 1, "n")
     _checked_int(k, 1, inf, "nbar requires k >= 1")
     return _column(_shape_tables(n).nbar, k)
 
@@ -439,6 +483,6 @@ def nbar(n: int, k: int) -> int:
 def mk_stat(n: int, k: int) -> int:
     """Count ordinary partitions of n whose least non-part is exactly k and
     which have more parts above k than below k."""
-    _check_weight(n, 1, "n must be >= 1")
+    _check_weight(n, 1, "n")
     _checked_int(k, 1, inf, "mk_stat requires k >= 1")
     return _column(_shape_tables(n).mk, k)

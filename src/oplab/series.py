@@ -70,7 +70,7 @@ class TruncatedSeries:
     __slots__ = ("_order", "_coeffs")
 
     def __init__(self, order: int, coeffs: list[int] | tuple[int, ...] = ()) -> None:
-        _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
+        _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
         if not isinstance(coeffs, (list, tuple)):
             raise BadParamsError(
                 f"coefficients must be a list or tuple, got {type(coeffs).__name__}"
@@ -314,7 +314,7 @@ def one(order: int) -> TruncatedSeries:
 
 
 def monomial(order: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
     _checked_int(exponent, 0, order, f"exponent {exponent} outside 0..{order}")
     c = [0] * (order + 1)
     c[exponent] = coeff
@@ -337,7 +337,7 @@ def qproduct(
     _checked_sign(sign)
     _checked_int(start, 0, inf, "need start >= 0 and step >= 1")
     _checked_int(step, 1, inf, "need start >= 0 and step >= 1")
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
     if length is not None:
         _checked_int(length, 0, inf, "length must be >= 0 or None")
     if sign == 1 and start == 0 and length is None:
@@ -360,7 +360,7 @@ def pentagonal_series(order: int, dilation: int = 1) -> TruncatedSeries:
     sum_{j>=0} (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1)); terms whose minimal
     exponent exceeds the order are omitted.
     """
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
     _checked_int(dilation, 1, inf, "dilation must be >= 1")
     c = [0] * (order + 1)
     j = 0
@@ -381,7 +381,7 @@ def theta_partial(j_lo: int, j_hi: int, order: int) -> TruncatedSeries:
     """sum_{j=j_lo..j_hi} (-1)^j q^(j^2), dropping terms with j^2 > order."""
     _checked_int(j_lo, -inf, inf, "theta sum bounds must be ints")
     _checked_int(j_hi, -inf, inf, "theta sum bounds must be ints")
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
     root = isqrt(order)  # the terms past it have j^2 > order
     c = [0] * (order + 1)
     for j in range(max(j_lo, -root), min(j_hi, root) + 1):
@@ -391,7 +391,7 @@ def theta_partial(j_lo: int, j_hi: int, order: int) -> TruncatedSeries:
 
 def gauss_theta(k: int | None, order: int) -> TruncatedSeries:
     """1 + 2*sum_{j=1..k} (-1)^j q^(j^2); k None takes the full theta sum."""
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order}")
+    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
     if k is None:
         k = isqrt(order)
     else:

@@ -66,3 +66,27 @@ def of(*parts):
     (value, overlined) pair or a Part is taken as it is."""
     norm = [Part(p, False) if isinstance(p, int) else Part(*p) for p in parts]
     return Overpartition(tuple(sorted(norm, key=lambda p: p.rank, reverse=True)))
+
+
+def rank_walk(n):
+    """Every overpartition of n in increasing lexicographic order of its
+    part ranks (1bar=1, 1=2, 2bar=3, ...), by a depth-first walk over both
+    halves of the weight: ranks never rise along a sequence, after an
+    overlined part the next rank is strictly smaller, and 1bar only ever
+    comes last."""
+    values = [(r + 1) // 2 for r in range(2 * n + 1)]
+    parts = [Part(v, r % 2 == 1) for r, v in enumerate(values)]
+    stack, out = [], []
+
+    def walk(remaining, top):
+        if not remaining:
+            out.append(Overpartition(stack))
+            return
+        lo = 1 if remaining == 1 else 2
+        for r in range(lo, min(top, 2 * remaining) + 1):
+            stack.append(parts[r])
+            walk(remaining - values[r], r & -2)
+            stack.pop()
+
+    walk(n, 2 * n)
+    return tuple(out)

@@ -3,8 +3,9 @@ within its range, and every rejection is a BadParamsError.
 
 Each row names an entry point, a call taking the value under test and one
 int just outside that value's range (None where every int is in range, as
-for a coefficient), or for a pair or a selection, one value of the wrong
-shape; the call must reject that value, True and the float 2.0 alike.
+for a coefficient), or for a pair, a mapping, an id or a selection, one
+value of the wrong shape; the call must reject that value, True and the
+float 2.0 alike.
 """
 
 import pytest
@@ -35,6 +36,8 @@ ENTRY_POINTS = {
         lambda v: idn.verify_identity("euler-odd-distinct", n_max=v), 0
     ),
     "parameter k": (lambda v: idn.verify_series("li-truncation", {"k": v}), 0),
+    "verify_series params": (lambda v: idn.verify_series("gauss", v, 10), 5),
+    "get_identity id": (idn.get_identity, ["gauss"]),
     "perturbation index": (
         lambda v: idn.verify_series("gauss", order=10, perturb=(v, 1)), 11
     ),
@@ -48,6 +51,9 @@ ENTRY_POINTS = {
         lambda v: idn.run_default_suite(["thm-1-1"], overrides={"k": v}), 3
     ),
     "run_default_suite ids": (idn.run_default_suite, "gauss"),
+    "run_default_suite overrides": (
+        lambda v: idn.run_default_suite(["thm-1-1"], overrides=v), "k"
+    ),
     "override range": (
         lambda v: idn.run_default_suite(["li-truncation"], order=5,
                                         overrides={"k": (v, v)}),
@@ -165,6 +171,20 @@ REJECTED_OBJECTS = {
 def test_rejected_object_raises_bad_params_error(call):
     with pytest.raises(op.BadParamsError):
         call()
+
+
+def test_rejection_names_a_wrong_type_and_quotes_a_string():
+    with pytest.raises(op.BadParamsError,
+                       match=r"^weight must be an int, got float 2\.0$"):
+        op.enumerate_overpartitions(2.0)
+    with pytest.raises(op.BadParamsError, match=r"^order must be .*, got '5'$"):
+        idn.verify_identity("gauss", {}, order="5")
+    # a well-typed value out of range keeps its message
+    with pytest.raises(op.BadParamsError, match=r"^weight must be >= 0$"):
+        op.enumerate_overpartitions(-1)
+    with pytest.raises(op.BadParamsError,
+                       match=r"^order must be within 0\.\.2000, got 2001$"):
+        idn.verify_identity("gauss", {}, order=2001)
 
 
 def test_staircase_rejection_names_the_bound():

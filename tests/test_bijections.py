@@ -250,7 +250,7 @@ def test_checks_build_one_object_per_source_object(monkeypatch):
 
 
 def test_checks_reject_a_weight_past_its_ceiling_before_enumerating():
-    caches = op._overpartitions_of.cache_info(), op._shape_tables.cache_info()
+    caches = op._class_a.cache_info(), op._shape_tables.cache_info()
     with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
         bj.check_weight_down(31)
     # the source weight 28 is in range, the target weight is not
@@ -259,7 +259,7 @@ def test_checks_reject_a_weight_past_its_ceiling_before_enumerating():
     with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
         bj.check_staircase(32, 1)
     assert (
-        op._overpartitions_of.cache_info(), op._shape_tables.cache_info()
+        op._class_a.cache_info(), op._shape_tables.cache_info()
     ) == caches
 
 
@@ -296,6 +296,20 @@ def test_checks_keep_no_objects():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024, (check.__name__, peak)
+
+
+def test_weight_down_walks_only_its_source_weight():
+    # B(n-1) and C(n-1) are counted over shapes: with a cold cache, the
+    # check fills A(n) alone, and the sec3 rhs fills nothing
+    op._class_a.cache_clear()
+    assert bj.check_weight_down(9)["ok"]
+    assert op._class_a.cache_info().currsize == 1
+    misses = op._class_a.cache_info().misses
+    op._class_a(9)
+    assert op._class_a.cache_info().misses == misses
+    op._class_a.cache_clear()
+    idn.get_identity("sec3-bijection").enum_rhs({}, 10)
+    assert op._class_a.cache_info().currsize == 0
 
 
 # -- properties past the object ceiling ------------------------------------

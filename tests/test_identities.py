@@ -788,7 +788,7 @@ def _never_built_registry(monkeypatch):
 def _caches():
     return [
         cache.cache_info()
-        for cache in (op._shape_tables, op._overpartitions_of, idn._tail_sum)
+        for cache in (op._shape_tables, op._class_a, idn._tail_sum)
     ]
 
 
@@ -818,7 +818,7 @@ def test_every_form_passes_at_its_ceiling_and_rejects_one_more(
             call()
     assert _caches() == caches
     # release the objects enumerated up to the object ceiling
-    op._overpartitions_of.cache_clear()
+    op._class_a.cache_clear()
 
 
 def test_suite_checks_every_ceiling_before_any_check_runs(monkeypatch):

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from oplab import bijections as bj
 from oplab import overpartitions as op
 from oplab.overpartitions import (
     EnumerationCapError,
@@ -18,7 +19,7 @@ from oplab.overpartitions import (
     Part,
 )
 
-from _reference import of, overpartition_gf
+from _reference import of, overpartition_gf, rank_walk
 
 # weight-4 overpartitions with their overline-mex;
 # fourteen rows, one per overpartition
@@ -211,6 +212,24 @@ def test_enumeration_order_is_pinned():
         ), n
 
 
+def test_enumeration_matches_the_full_rank_walk():
+    # the library walks only A(n) and builds the other half by overlining
+    # each smallest part; the reference walks both halves at once
+    for n in range(23):
+        full = rank_walk(n)
+        ops = op.enumerate_overpartitions(n)
+        assert len(ops) == len(full), n
+        for pi, ref in zip(ops, full):
+            assert type(pi) is Overpartition and pi == ref, (n, pi, ref)
+        assert op._class_a(n) == tuple(filter(bj.in_a, full)), n
+
+
+def test_shape_b_column_matches_in_b():
+    for m in range(21):
+        count = sum(map(bj.in_b, op.enumerate_overpartitions(m)))
+        assert op._shape_tables(m).b == count, m
+
+
 def test_pbar_frozen_values():
     assert tuple(op.pbar(n) for n in range(len(PBAR_LOW))) == PBAR_LOW
     assert op.pbar(-3) == 0
@@ -297,7 +316,7 @@ def test_mk_stat_frozen():
 
 def test_enumeration_ceilings():
     assert (op.OBJECT_CEILING, op.SHAPE_CEILING) == (30, 50)
-    caches = op._overpartitions_of.cache_info(), op._shape_tables.cache_info()
+    caches = op._class_a.cache_info(), op._shape_tables.cache_info()
     with pytest.raises(EnumerationCapError, match="weight 31 .* ceiling 30$"):
         op.enumerate_overpartitions(31)
     for stat in (op.op21, op.mbar, op.nbar, op.mk_stat):
@@ -307,7 +326,7 @@ def test_enumeration_ceilings():
         op.op_class_counts(51)
     # rejected before anything is built
     assert (
-        op._overpartitions_of.cache_info(), op._shape_tables.cache_info()
+        op._class_a.cache_info(), op._shape_tables.cache_info()
     ) == caches
     # the shape counts reach past the object ceiling
     assert sum(op.op_class_counts(31)) == op.pbar(31)
@@ -338,9 +357,9 @@ def _ref_op21(mex_values, k):
     return sum(1 for m in mex_values if m >= bound and m % 4 == bound % 4)
 
 
-def _ref_mbar(n, k):
+def _ref_mbar(ops, k):
     count = 0
-    for pi in op.enumerate_overpartitions(n):
+    for pi in ops:
         above = [p.value for p in pi if p.value > k]
         if above and sum(p.value == min(above) for p in pi) >= k + 1:
             count += 1
@@ -363,8 +382,8 @@ def _ref_nbar_qualifies(pi, k):
     return sum(1 for p in parts if p.value == smallest.value) == k
 
 
-def _ref_nbar(n, k):
-    return sum(1 for pi in op.enumerate_overpartitions(n) if _ref_nbar_qualifies(pi, k))
+def _ref_nbar(ops, k):
+    return sum(1 for pi in ops if _ref_nbar_qualifies(pi, k))
 
 
 def _ref_mk_stat(plain_values, k):
@@ -380,13 +399,14 @@ def _ref_mk_stat(plain_values, k):
 
 @pytest.mark.parametrize("n", range(1, REF_N_MAX + 1))
 def test_shape_tables_match_object_scans(n):
-    mex_values = [op.overline_mex(pi) for pi in op.enumerate_overpartitions(n)]
+    ops = op.enumerate_overpartitions(n)
+    mex_values = [op.overline_mex(pi) for pi in ops]
     plain_values = [[p.value for p in pi] for pi in _plain_only(n)]
     for k in range(0, n + 3):
         assert op.op21(n, k) == _ref_op21(mex_values, k), ("op21", n, k)
-        assert op.mbar(n, k) == _ref_mbar(n, k), ("mbar", n, k)
+        assert op.mbar(n, k) == _ref_mbar(ops, k), ("mbar", n, k)
     for k in range(1, n + 3):
-        assert op.nbar(n, k) == _ref_nbar(n, k), ("nbar", n, k)
+        assert op.nbar(n, k) == _ref_nbar(ops, k), ("nbar", n, k)
         assert op.mk_stat(n, k) == _ref_mk_stat(plain_values, k), ("mk_stat", n, k)
 
 
