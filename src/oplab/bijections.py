@@ -19,9 +19,10 @@ and flags: it tests every image for membership in the target class, maps
 each member back, and compares the source size with a count of that class
 over partition shapes, which reads no object. A map with a left inverse is
 injective, so the round trip stands in for a set of distinct images. The
-weight-down check walks the cached A(n) alone; the staircase check walks
-every overpartition of its source weight, building the half with an
-overlined smallest part as it goes and keeping none of it.
+weight-down check walks A(n) alone; the staircase check walks every
+overpartition of its source weight, building the half with an overlined
+smallest part as it goes. Both walks are uncached generators, so a check
+keeps no object of its source weight, during the check or after it.
 
 Each inverse has a tuple-level core that the public map wraps in its guard
 and the validating Overpartition constructor. The checks compare the

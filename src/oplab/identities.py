@@ -1100,7 +1100,7 @@ def _validate_params(
 ) -> dict[str, int]:
     given = dict(_checked_mapping(params, "params"))
     names = [name for name, _, _ in desc.schema]
-    unknown = sorted(set(given) - set(names))
+    unknown = _sorted_names(set(given) - set(names))
     if unknown:
         raise BadParamsError(
             f"{desc.id} does not take parameter(s) {unknown}; expects {names}"
@@ -1116,6 +1116,12 @@ def _validate_params(
     if desc.requires_m_le_k and given["m"] > given["k"]:
         raise BadParamsError(f"{desc.id}: requires m <= k, got {given}")
     return given
+
+
+def _sorted_names(names) -> list:
+    """Caller-supplied parameter names in a fixed order for a message: by
+    their text, so names of mixed types (1 and "a") still sort."""
+    return sorted(names, key=lambda name: (str(name), type(name).__name__))
 
 
 def _checked_mapping(v: object, name: str) -> Mapping:
@@ -1416,7 +1422,7 @@ def run_default_suite(
         raise BadParamsError("no identity selected")
     overrides = _checked_mapping(overrides, "overrides")
     taken = {name for desc in selected for name, _, _ in desc.schema}
-    stray = sorted(set(overrides) - taken)
+    stray = _sorted_names(set(overrides) - taken)
     if stray:
         raise BadParamsError(
             f"{selected[0].id} does not take parameter(s) {stray}"

@@ -12,10 +12,10 @@ is the smallest part. Everything in this module is exact integer counting;
 generating-function coefficients are used only where enumeration would be
 wasteful (large-n counts), and tests pin the two routes against each other.
 
-Enumeration walks and caches only half of each weight n >= 1: the
-overpartitions whose smallest part is plain. Overlining that part pairs
-them with the other half, which is built from the cached half on demand and
-never kept.
+Enumeration walks only half of each weight n >= 1, the overpartitions whose
+smallest part is plain, and caches none of it: each walk is a generator
+that builds its objects afresh. Overlining that part pairs them with the
+other half, which is built from the walked half on demand and never kept.
 
 Every caller-supplied integer (a weight, a k, a part value) must be an
 int, not a bool, within its range. A value that fails, a malformed part
@@ -29,6 +29,7 @@ re-export, and the CLI maps to exit 2.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from math import inf
 from functools import lru_cache
 from operator import itemgetter
@@ -150,8 +151,10 @@ class Overpartition(tuple):
 
 # Exhaustive counting grows with the weight, so each counting route stops at
 # a fixed ceiling, measured with Python 3.11.7 on 2 cores (host speed varies
-# about 2x between runs): check_weight_down(30) takes 0.6-0.7 s and 25 MB,
-# and filling every shape table up to n = 50 takes 1.4-2.8 s (n = 60: 7 s).
+# about 2x between runs): a first check_weight_down(30) in a fresh process
+# takes 0.4-0.55 s and peaks at 15 MB RSS, the interpreter and package
+# included, as it keeps no object of its walk; filling every shape table
+# up to n = 50 takes 1.4-2.8 s (n = 60: 7 s).
 OBJECT_CEILING = 30  # materialised overpartitions
 SHAPE_CEILING = 50  # statistics counted over partition shapes
 
@@ -204,50 +207,94 @@ def _value_blocks(n: int):
             blocks.append((rest, 1))
 
 
-@lru_cache(maxsize=None)
-def _class_a(n: int) -> tuple[Overpartition, ...]:
-    """Every overpartition of n whose smallest part is not overlined (A(n)
-    in bijections' terms; empty for n = 0), in increasing lexicographic
-    order of its part ranks (1bar=1, 1=2, 2bar=3, ...), largest part first.
+def _rank_parts(top: int) -> list[Part]:
+    """One shared Part per rank 0..top (1bar=1, 1=2, 2bar=3, ...); rank 0 is
+    a placeholder that no walk reads."""
+    return [Part((r + 1) // 2, r % 2 == 1) for r in range(top + 1)]
 
-    A depth-first walk tries each position's ranks upward. Ranks never rise
-    along a sequence, and after an overlined part the next rank is strictly
-    smaller, as the overline marks a value's last copy. The last part is
-    never overlined. Parts are shared: one instance per rank."""
-    if n == 0:
-        return ()
-    values = [(r + 1) // 2 for r in range(2 * n + 1)]
-    parts = [Part(v, r % 2 == 1) for r, v in enumerate(values)]
-    stack: list[Part] = []
-    out: list[Overpartition] = []
 
-    def walk(remaining: int, top: int) -> None:
-        if not remaining:
-            out.append(Overpartition(stack))
-            return
-        # 1bar (rank 1) and the overlined part that would use up the
-        # remaining weight (rank 2 * remaining - 1) could only come last
-        last_bar = 2 * remaining - 1
-        for r in range(2, min(top, 2 * remaining) + 1):
-            if r == last_bar:
-                continue
-            stack.append(parts[r])
+def _a_chunks(prefix: tuple, remaining: int, top: int, parts: list[Part],
+              tails: tuple, firsts: tuple):
+    """Yield the rank walk of the A(n) objects that start with prefix and
+    fill the remaining weight with ranks at most top, as (prefix, tails)
+    chunks: each object is prefix + tail, for tail in tails, in that order.
+
+    A depth-first walk tries each position's ranks upward, with one shared
+    Part per rank from parts. Ranks never rise along a sequence, and after
+    an overlined part the next rank is strictly smaller, as the overline
+    marks a value's last copy. The last part is never overlined. Once the
+    weight left is below len(tails), the walk stops recursing: tails[w] is
+    the rank walk of weight w as plain tuples, tails[0] the one empty
+    suffix, and firsts[w] their first ranks (0 for the empty one), so the
+    rest is tails[w][:bisect_right(firsts[w], top)]. Only chunks pass up the
+    recursion, never an object."""
+    if remaining < len(tails):
+        count = bisect_right(firsts[remaining], top)
+        yield prefix, tails[remaining][:count]
+        return
+    # 1bar (rank 1) and the overlined part that would use up the remaining
+    # weight (rank 2 * remaining - 1) could only come last
+    last_bar = 2 * remaining - 1
+    for r in range(2, min(top, 2 * remaining) + 1):
+        if r != last_bar:
             # next ranks: up to r after a plain part, r - 1 after an overline
-            walk(remaining - values[r], r & -2)
-            stack.pop()
+            yield from _a_chunks(
+                prefix + (parts[r],), remaining - (r + 1) // 2, r & -2,
+                parts, tails, firsts,
+            )
 
-    walk(n, 2 * n)
-    return tuple(out)
+
+def _a_tails(top_weight: int) -> tuple[tuple, tuple]:
+    """The tails and first ranks that _a_chunks splices, for weights
+    0..top_weight: each weight's walk recurses one level and splices the
+    lighter walks built before it."""
+    parts = _rank_parts(2 * top_weight)
+    tails: list[tuple] = [((),)]
+    firsts: list[tuple] = [(0,)]
+    for w in range(1, top_weight + 1):
+        walk = [
+            prefix + tail
+            for prefix, chunk in _a_chunks((), w, 2 * w, parts, tails, firsts)
+            for tail in chunk
+        ]
+        tails.append(tuple(walk))
+        firsts.append(tuple(tail[0].rank for tail in walk))
+    return tuple(tails), tuple(firsts)
+
+
+# Up to this weight left to fill, the walk splices precomputed tails, 322
+# tuples built once per process, instead of recursing.
+_TAIL_WEIGHT = 10
+_TAILS, _TAIL_FIRST_RANKS = _a_tails(_TAIL_WEIGHT)
+
+
+def _class_a(n: int):
+    """Yield every overpartition of n whose smallest part is not overlined
+    (A(n) in bijections' terms; none for n = 0), in increasing
+    lexicographic order of its part ranks (1bar=1, 1=2, 2bar=3, ...),
+    largest part first.
+
+    Nothing is cached: each call walks again and builds its objects afresh,
+    each through the validating constructor, from the prefix and a tail of
+    an _a_chunks chunk."""
+    if n == 0:
+        return
+    chunks = _a_chunks(
+        (), n, 2 * n, _rank_parts(2 * n), _TAILS, _TAIL_FIRST_RANKS
+    )
+    for prefix, tails in chunks:
+        for tail in tails:
+            yield Overpartition(prefix + tail)
 
 
 def _overpartitions(n: int):
-    """Yield every overpartition of n, in the rank order of _class_a.
+    """Yield every overpartition of n, in the rank order of _class_a, from
+    one walk of A(n); nothing is kept.
 
     Each object of A(n) comes just after its twin with the last part
     overlined: toggling changes only the last rank, from 2t to 2t - 1, and
     no other overpartition of n lies between the two. The twins are built
-    on demand and not kept; every overlined last part is one shared Part
-    per value."""
+    on demand; every overlined last part is one shared Part per value."""
     if n == 0:
         yield Overpartition(())
         return

@@ -1,7 +1,8 @@
 """Reference oracles that only the tests use: the shortest direct
-definitions of things the package does not provide itself."""
+definitions of things the package does not provide itself, and one probe
+that records which weights the package walks."""
 
-from oplab import series
+from oplab import bijections, overpartitions, series
 from oplab.overpartitions import Overpartition, Part
 from oplab.series import TruncatedSeries
 
@@ -90,3 +91,18 @@ def rank_walk(n):
 
     walk(n, 2 * n)
     return tuple(out)
+
+
+def record_walks(monkeypatch):
+    """Patch the A(n) walk, overpartitions._class_a, in both modules that
+    look it up, so each call appends its weight to the returned list."""
+    walks = []
+    real = overpartitions._class_a
+
+    def recording(n):
+        walks.append(n)
+        return real(n)
+
+    monkeypatch.setattr(overpartitions, "_class_a", recording)
+    monkeypatch.setattr(bijections, "_class_a", recording)
+    return walks

@@ -37,6 +37,16 @@ ENTRY_POINTS = {
     ),
     "parameter k": (lambda v: idn.verify_series("li-truncation", {"k": v}), 0),
     "verify_series params": (lambda v: idn.verify_series("gauss", v, 10), 5),
+    # an unknown name of another type than "a" must not break the message
+    "parameter name": (
+        lambda v: idn.verify_series("gauss", {v: 0, "a": 0}, 5), 1
+    ),
+    "override name": (
+        lambda v: idn.run_default_suite(
+            ["thm-1-1"], overrides={v: (1, 1), "a": (1, 1)}
+        ),
+        1,
+    ),
     "get_identity id": (idn.get_identity, ["gauss"]),
     "perturbation index": (
         lambda v: idn.verify_series("gauss", order=10, perturb=(v, 1)), 11

@@ -11,7 +11,7 @@ from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab.overpartitions import Overpartition, Part
 
-from _reference import of as _ov
+from _reference import of as _ov, record_walks
 
 
 def test_classify_weight_3_split():
@@ -249,8 +249,11 @@ def test_checks_build_one_object_per_source_object(monkeypatch):
         assert Counting.built == result[key] + extra, check.__name__
 
 
-def test_checks_reject_a_weight_past_its_ceiling_before_enumerating():
-    caches = op._class_a.cache_info(), op._shape_tables.cache_info()
+def test_checks_reject_a_weight_past_its_ceiling_before_enumerating(
+    monkeypatch,
+):
+    walks = record_walks(monkeypatch)
+    tables = op._shape_tables.cache_info()
     with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
         bj.check_weight_down(31)
     # the source weight 28 is in range, the target weight is not
@@ -258,9 +261,8 @@ def test_checks_reject_a_weight_past_its_ceiling_before_enumerating():
         bj.check_staircase(64, 6)
     with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
         bj.check_staircase(32, 1)
-    assert (
-        op._class_a.cache_info(), op._shape_tables.cache_info()
-    ) == caches
+    assert walks == []
+    assert op._shape_tables.cache_info() == tables
 
 
 def _merge_smallest(pi):
@@ -284,32 +286,37 @@ def test_check_weight_down_catches_a_map_that_is_not_injective(monkeypatch):
 
 
 def test_checks_keep_no_objects():
-    # the checks hold counters only; what they allocate does not grow with
-    # the number of objects they map (pbar(20) = 7336)
+    # a first call holds counters only: what it allocates, the walk of its
+    # source weight included, does not grow with the number of objects it
+    # maps (pbar(20) = 7336, pbar(23) = 17728); only the shape tables and
+    # pbar, the caches meant to stay, are filled beforehand
     for check, args in [(bj.check_weight_down, (20,)),
-                        (bj.check_staircase, (20, 1))]:
-        check(*args)  # enumerates and fills the shape tables once
+                        (bj.check_staircase, (20, 1)),
+                        (bj.check_staircase, (24, 1))]:
+        n = args[0]
+        op._shape_tables(n - 1), op._shape_tables(n), op.pbar(n)
+        # CPython 3.11 keeps every freed 20-item tuple, up to 2000 of them,
+        # on a free list that it never reuses; fill that list first, so the
+        # peak is what the check holds, not that list
+        for _ in range(2000):
+            tuple(range(20))
         tracemalloc.start()
         try:
-            check(*args)
+            assert check(*args)["ok"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024, (check.__name__, peak)
+        assert peak < 20 * 1024, (check.__name__, args, peak)
 
 
-def test_weight_down_walks_only_its_source_weight():
-    # B(n-1) and C(n-1) are counted over shapes: with a cold cache, the
-    # check fills A(n) alone, and the sec3 rhs fills nothing
-    op._class_a.cache_clear()
+def test_weight_down_walks_only_its_source_weight(monkeypatch):
+    # B(n-1) and C(n-1) are counted over shapes: the check walks A(n) once
+    # and no other weight, and the sec3 rhs walks nothing
+    walks = record_walks(monkeypatch)
     assert bj.check_weight_down(9)["ok"]
-    assert op._class_a.cache_info().currsize == 1
-    misses = op._class_a.cache_info().misses
-    op._class_a(9)
-    assert op._class_a.cache_info().misses == misses
-    op._class_a.cache_clear()
+    assert walks == [9]
     idn.get_identity("sec3-bijection").enum_rhs({}, 10)
-    assert op._class_a.cache_info().currsize == 0
+    assert walks == [9]
 
 
 # -- properties past the object ceiling ------------------------------------

@@ -20,7 +20,7 @@ from oplab import series
 
 from _reference import (
     div_product, gauss_binomial, overpartition_gf, partition_gf, poch_ratio,
-    ref_invert, shift,
+    record_walks, ref_invert, shift,
 )
 
 EXPECTED_IDS = [
@@ -786,10 +786,7 @@ def _never_built_registry(monkeypatch):
 
 
 def _caches():
-    return [
-        cache.cache_info()
-        for cache in (op._shape_tables, op._class_a, idn._tail_sum)
-    ]
+    return [cache.cache_info() for cache in (op._shape_tables, idn._tail_sum)]
 
 
 @pytest.fixture(scope="session")
@@ -808,6 +805,7 @@ def test_every_form_passes_at_its_ceiling_and_rejects_one_more(
     assert r.passed, r.first_mismatch
     # one more is rejected, naming the ceiling, before either side is built
     _never_built_registry(monkeypatch)
+    walks = record_walks(monkeypatch)
     caches = _caches()
     bound = idn._FORMS[form].bound
     for call in (
@@ -817,8 +815,7 @@ def test_every_form_passes_at_its_ceiling_and_rejects_one_more(
         with pytest.raises(idn.BadParamsError, match=rf"\.\.{ceiling}\b"):
             call()
     assert _caches() == caches
-    # release the objects enumerated up to the object ceiling
-    op._class_a.cache_clear()
+    assert walks == []
 
 
 def test_suite_checks_every_ceiling_before_any_check_runs(monkeypatch):

@@ -19,7 +19,7 @@ from oplab.overpartitions import (
     Part,
 )
 
-from _reference import of, overpartition_gf, rank_walk
+from _reference import of, overpartition_gf, rank_walk, record_walks
 
 # weight-4 overpartitions with their overline-mex;
 # fourteen rows, one per overpartition
@@ -221,7 +221,11 @@ def test_enumeration_matches_the_full_rank_walk():
         assert len(ops) == len(full), n
         for pi, ref in zip(ops, full):
             assert type(pi) is Overpartition and pi == ref, (n, pi, ref)
-        assert op._class_a(n) == tuple(filter(bj.in_a, full)), n
+        # weights 0..22 span the precomputed tails, which end at weight 10
+        assert tuple(op._class_a(n)) == tuple(filter(bj.in_a, full)), n
+    # nothing is kept between walks: each builds its objects afresh
+    first, again = next(op._class_a(12)), next(op._class_a(12))
+    assert first == again and first is not again
 
 
 def test_shape_b_column_matches_in_b():
@@ -314,9 +318,10 @@ def test_mk_stat_frozen():
         op.mk_stat(3, 0)
 
 
-def test_enumeration_ceilings():
+def test_enumeration_ceilings(monkeypatch):
     assert (op.OBJECT_CEILING, op.SHAPE_CEILING) == (30, 50)
-    caches = op._class_a.cache_info(), op._shape_tables.cache_info()
+    walks = record_walks(monkeypatch)
+    tables = op._shape_tables.cache_info()
     with pytest.raises(EnumerationCapError, match="weight 31 .* ceiling 30$"):
         op.enumerate_overpartitions(31)
     for stat in (op.op21, op.mbar, op.nbar, op.mk_stat):
@@ -324,10 +329,9 @@ def test_enumeration_ceilings():
             stat(51, 1)
     with pytest.raises(EnumerationCapError, match="ceiling 50$"):
         op.op_class_counts(51)
-    # rejected before anything is built
-    assert (
-        op._class_a.cache_info(), op._shape_tables.cache_info()
-    ) == caches
+    # rejected before anything is walked or built
+    assert walks == []
+    assert op._shape_tables.cache_info() == tables
     # the shape counts reach past the object ceiling
     assert sum(op.op_class_counts(31)) == op.pbar(31)
 
