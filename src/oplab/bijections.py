@@ -36,20 +36,9 @@ from functools import lru_cache
 from math import inf
 from operator import itemgetter
 
-from .overpartitions import (
-    OBJECT_CEILING,
-    BadParamsError,
-    Overpartition,
-    Part,
-    _check_weight,
-    _checked_int,
-    _class_a,
-    _overpartitions,
-    _shape_tables,
-    op21,
-    overline_mex,
-    pbar,
-)
+from . import overpartitions as op
+from . import series
+from .overpartitions import OBJECT_CEILING, BadParamsError, Overpartition, Part
 
 __all__ = [
     "in_a",
@@ -126,7 +115,9 @@ def _b_to_a_parts(lam: Overpartition) -> tuple[Part, ...]:
 
 def c_witness(n: int) -> Overpartition:
     """An explicit member of C(n-1) for n >= 4: (2bar, 1^(n-4), 1bar)."""
-    _checked_int(n, 4, inf, "the complement class is empty below weight 3")
+    series._checked_int(
+        n, 4, inf, "the complement class is empty below weight 3"
+    )
     return Overpartition(
         (Part(2, True),) + (Part(1, False),) * (n - 4) + (Part(1, True),)
     )
@@ -140,7 +131,7 @@ def _stairs(j: int) -> tuple[Part, ...]:
 
 def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
-    _checked_int(j, 1, inf, "j must be >= 1")
+    series._checked_int(j, 1, inf, "j must be >= 1")
     # both tuples run largest first, so the sort is one merge of two runs;
     # it is stable, so each plain stair lands before mu's copies of its
     # value, and so before an overlined one
@@ -153,7 +144,7 @@ def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
     """Remove one plain copy of each of 1, 3, ..., 2j-1; the inverse of
     staircase_insert. Requires every odd value below 2j as a plain part,
     which is exactly the overline-mex >= 2j+1 precondition."""
-    _checked_int(j, 1, inf, "j must be >= 1")
+    series._checked_int(j, 1, inf, "j must be >= 1")
     return Overpartition(_remove_stairs(lam, j))
 
 
@@ -189,13 +180,13 @@ def check_weight_down(n: int) -> dict:
     distinct_images is a_count then, and None when the round trip fails.
     Weight n past OBJECT_CEILING raises before anything is enumerated.
     """
-    _check_weight(n, 1, "n", OBJECT_CEILING)
-    b_count = _shape_tables(n - 1).b
-    c_count = pbar(n - 1) - b_count
+    op._check_weight(n, 1, "n", OBJECT_CEILING)
+    b_count = op._shape_tables(n - 1).b
+    c_count = op.pbar(n - 1) - b_count
 
     a_count = images_in_b = 0
     round_trip_ok = weights_ok = True
-    for pi in filter(in_a, _class_a(n)):
+    for pi in filter(in_a, op._class_a(n)):
         a_count += 1
         lam = map_a_to_b(pi)
         on_weight = lam.weight == n - 1
@@ -223,10 +214,10 @@ def check_weight_down(n: int) -> dict:
         "round_trip_ok": round_trip_ok,
         "weights_ok": weights_ok,
         "witness_ok": witness_ok,
-        "pbar_half": pbar(n) // 2 if pbar(n) % 2 == 0 else -1,
+        "pbar_half": op.pbar(n) // 2 if op.pbar(n) % 2 == 0 else -1,
         "ok": (
-            a_count == b_count == images_in_b == pbar(n) // 2
-            and pbar(n) % 2 == 0
+            a_count == b_count == images_in_b == op.pbar(n) // 2
+            and op.pbar(n) % 2 == 0
             and round_trip_ok
             and weights_ok
             and (n > 3 or c_count == 0)
@@ -247,17 +238,17 @@ def check_staircase(n: int, j: int) -> dict:
     is overlined and keeps none of it. Every bound is
     checked before anything is enumerated: n - j^2 against OBJECT_CEILING,
     then n against the shape ceiling."""
-    _checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
-    _checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
-    _check_weight(n - j * j, 0, "weight", OBJECT_CEILING)
-    _check_weight(n, 1, "n")
-    target_count = op21(n, j) + op21(n, j + 1)
+    series._checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
+    series._checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
+    op._check_weight(n - j * j, 0, "weight", OBJECT_CEILING)
+    op._check_weight(n, 1, "n")
+    target_count = op.op21(n, j) + op.op21(n, j + 1)
     source_count = 0
     in_target = round_trip_ok = True
-    for mu in _overpartitions(n - j * j):
+    for mu in op._overpartitions(n - j * j):
         source_count += 1
         lam = staircase_insert(mu, j)
-        if lam.weight != n or overline_mex(lam) < 2 * j + 1:
+        if lam.weight != n or op.overline_mex(lam) < 2 * j + 1:
             in_target = False
         elif _remove_stairs(lam, j) != mu:
             round_trip_ok = False

@@ -36,14 +36,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 from . import bijections
 from . import overpartitions as op
 from . import series
-from .overpartitions import OBJECT_CEILING, SHAPE_CEILING, BadParamsError, _checked_int
-from .series import (
-    TruncatedSeries,
-    _div_factor_into,
-    _div_sparse,
-    _times_factor_into,
-    _times_ratio,
-)
+from .overpartitions import OBJECT_CEILING, SHAPE_CEILING, BadParamsError
+from .series import TruncatedSeries
 
 __all__ = [
     "IdentityDescriptor",
@@ -148,18 +142,20 @@ def _window_pbar_sq(n: int, m: int, k: int) -> int:
     return sum(_sign(j) * op.pbar(n - j * j) for j in range(m, k + 1))
 
 
-def _gf(table: Callable[[int], Sequence[int]], order: int) -> TruncatedSeries:
-    """A generating function or product read from its one cache in
-    overpartitions (op._pbar_table, op._p_table, op._qq_table or
-    op._negq_table), truncated to the order.
+def _pbar_gf(order: int) -> TruncatedSeries:
+    """The overpartition generating function (-q;q)oo/(q;q)oo, read from
+    the one product table that series sides share (op._pbar_table) and
+    truncated to the order.
 
     The table is built once per power-of-two table order, from Euler's
     pentagonal sums and sparse long division by them, and shared by every
-    caller, so no identity reads the same table on both sides: the other
-    side is always built independently (a theta sum, a product divided out
-    factor by factor, a recurrence, a shape count, or a tail sum, which
-    divides by the theta sum itself)."""
-    return TruncatedSeries(order, table(op._table_order(order))[: order + 1])
+    caller. Of the sides that read it here, only cor-2-6's two share it, as
+    a common factor; every other reader faces a side built independently
+    (a theta sum, a recurrence, a shape count, or a tail sum, which divides
+    by the theta sum itself). Any other product a side needs is built at
+    that side's own order."""
+    table = op._pbar_table(op._table_order(order))
+    return TruncatedSeries(order, table[: order + 1])
 
 
 def _horner_sum(order: int, first: int, step: int, n_lo: int,
@@ -207,15 +203,16 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     identity reads the same one on both sides.
     """
     u = _horner_sum(order, coef * m_lo, coef, m_lo,
-                    lambda u, m: _times_ratio(u, m + denom_off, m + 1))
+                    lambda u, m: series._times_ratio(u, m + denom_off, m + 1))
     if u is None:
         return series.zero(order)
     for i in range(1, m_lo + denom_off):
-        _times_factor_into(u, i, 1)
+        series._times_factor_into(u, i, 1)
     for i in range(1, m_lo + 1):
-        _div_factor_into(u, i, -1)
+        series._div_factor_into(u, i, -1)
     theta = series.gauss_theta(None, len(u) - 1).coeffs
-    return TruncatedSeries(order, [0] * (coef * m_lo) + _div_sparse(u, theta))
+    tail = series._div_sparse(u, theta)
+    return TruncatedSeries(order, [0] * (coef * m_lo) + tail)
 
 
 def _odd_square_theta(k: int, order: int) -> TruncatedSeries:
@@ -241,7 +238,7 @@ def _times_neg_poch(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """Multiply by (-q;q)_k, one factor at a time."""
     c = list(s.coeffs)
     for i in range(1, min(k, s.order) + 1):
-        _times_factor_into(c, i, -1)
+        series._times_factor_into(c, i, -1)
     return TruncatedSeries(s.order, c)
 
 
@@ -249,7 +246,7 @@ def _div_qpoch(s: TruncatedSeries, n: int) -> TruncatedSeries:
     """Divide by (q;q)_n, one factor at a time."""
     c = list(s.coeffs)
     for i in range(1, min(n, s.order) + 1):
-        _div_factor_into(c, i, 1)
+        series._div_factor_into(c, i, 1)
     return TruncatedSeries(s.order, c)
 
 
@@ -274,12 +271,14 @@ def _op21_gf(k: int, order: int) -> TruncatedSeries:
     """(-q;q)oo/(q;q)oo sum_{j>=0} q^((k+2j+1)^2) (1-q^(2k+4j+3)): the pbar
     table times the odd-square theta tail, by gen-op the generating function
     of op21(n|k+1)."""
-    return _gf(op._pbar_table, order) * _odd_square_theta(k, order)
+    return _pbar_gf(order) * _odd_square_theta(k, order)
 
 
 # -- series builders ----------------------------------------------------------
 
 def _pent_am_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
+    """The first k terms of the pentagonal sum over (q;q)oo: one sparse long
+    division by the full sum, at this side's own order."""
     k = p["k"]
     c = [0] * (order + 1)
     for j in range(k):
@@ -290,7 +289,8 @@ def _pent_am_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
         h = g + 2 * j + 1
         if h <= order:
             c[h] -= _sign(j)
-    return TruncatedSeries(order, c) * _gf(op._p_table, order)
+    pent = series.pentagonal_series(order).coeffs
+    return TruncatedSeries(order, series._div_sparse(c, pent))
 
 
 def _pent_am_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -301,9 +301,9 @@ def _pent_am_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
 
     def ratio(u: list[int], n: int) -> list[int]:
-        _times_factor_into(u, n, 1)
-        _div_factor_into(u, n - k + 1, 1)
-        _div_factor_into(u, n + 1, 1)
+        series._times_factor_into(u, n, 1)
+        series._div_factor_into(u, n - k + 1, 1)
+        series._div_factor_into(u, n + 1, 1)
         return u
 
     first = k * (k - 1) // 2 + (k + 1) * k
@@ -319,16 +319,16 @@ def _gauss_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _gauss_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    """(q;q)oo/(-q;q)oo = (q;q)oo^2/(q^2;q^2)oo by Euler: the (q;q)oo table
+    """(q;q)oo/(-q;q)oo = (q;q)oo^2/(q^2;q^2)oo by Euler: the pentagonal sum
     squared, then one sparse long division by the dilated pentagonal sum.
-    It reads neither the (-q;q)oo table nor the theta sum."""
-    qq = _gf(op._qq_table, order)
+    It reads neither a product table nor the theta sum."""
+    qq = series.pentagonal_series(order)
     q2q2 = series.pentagonal_series(order, 2).coeffs
-    return TruncatedSeries(order, _div_sparse((qq * qq).coeffs, q2q2))
+    return TruncatedSeries(order, series._div_sparse((qq * qq).coeffs, q2q2))
 
 
 def _guo_zeng_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    return _gf(op._pbar_table, order) * series.gauss_theta(p["k"], order)
+    return _pbar_gf(order) * series.gauss_theta(p["k"], order)
 
 
 def _guo_zeng_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -341,10 +341,10 @@ def _guo_zeng_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
 
     def ratio(u: list[int], n: int) -> list[int]:
-        _times_factor_into(u, n, 1)
-        _times_factor_into(u, n - k, -1)
-        _div_factor_into(u, n - k, 1)
-        _div_factor_into(u, n + 1, 1)
+        series._times_factor_into(u, n, 1)
+        series._times_factor_into(u, n - k, -1)
+        series._div_factor_into(u, n - k, 1)
+        series._div_factor_into(u, n + 1, 1)
         return u
 
     first = (k + 1) * (k + 1)
@@ -362,7 +362,7 @@ def _am2018_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _li_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    return _gf(op._pbar_table, order) * series.theta_partial(-k, k - 1, order)
+    return _pbar_gf(order) * series.theta_partial(-k, k - 1, order)
 
 
 def _li_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -411,12 +411,16 @@ def _euler_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     sum and no product table."""
     c = [1] + [0] * order
     for e in range(1, order + 1, 2):
-        _div_factor_into(c, e, 1)
+        series._div_factor_into(c, e, 1)
     return TruncatedSeries(order, c)
 
 
 def _euler_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    return _gf(op._negq_table, order)
+    """(-q;q)oo = (q^2;q^2)oo/(q;q)oo by Euler: one sparse long division of
+    the dilated pentagonal sum by the plain one."""
+    q2q2 = series.pentagonal_series(order, 2).coeffs
+    qq = series.pentagonal_series(order).coeffs
+    return TruncatedSeries(order, series._div_sparse(q2q2, qq))
 
 
 def _yao_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -436,7 +440,7 @@ def _yao_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     s = _div_qpoch(series.qproduct(1, ell, ell, None, order), order)
     c = list(s.coeffs)
     for e in range(1, order + 1, 2):  # 1/(q;q^2)oo
-        _div_factor_into(c, e, 1)
+        series._div_factor_into(c, e, 1)
     return (TruncatedSeries(order, c) * _odd_square_theta(k, order)).scale(2)
 
 
@@ -1110,7 +1114,7 @@ def _validate_params(
         raise BadParamsError(f"{desc.id} requires parameter(s) {missing}")
     for name, lo, hi in desc.schema:
         v = given[name]
-        _checked_int(
+        series._checked_int(
             v, lo, hi, f"{desc.id}: parameter {name}={v!r} outside {lo}..{hi}"
         )
     if desc.requires_m_le_k and given["m"] > given["k"]:
@@ -1223,7 +1227,7 @@ def _checked_bound(desc: IdentityDescriptor, form: str, bound: int | None) -> in
     n = getattr(desc, f"default_{f.bound}") if bound is None else bound
     ceiling = f.ceiling if desc.ceiling is None else desc.ceiling
     message = f"{desc.id}: {f.bound} must be within {f.low}..{ceiling}, got {n!r}"
-    return _checked_int(n, f.low, ceiling, message)
+    return series._checked_int(n, f.low, ceiling, message)
 
 
 def _checked_forms(
@@ -1241,7 +1245,7 @@ def _checked_forms(
     for form, f in _FORMS.items():
         bound = given[f.bound]
         if bound is not None:
-            _checked_int(
+            series._checked_int(
                 bound, f.low, MAX_ORDER,
                 f"{f.bound} must be within {f.low}..{MAX_ORDER}, got {bound!r}",
             )
@@ -1269,10 +1273,10 @@ def _verify(
     n = _checked_bound(desc, form, bound)
     if perturb is not None:
         idx, delta = _checked_pair(perturb, "perturb must be an (index, delta) pair")
-        _checked_int(
+        series._checked_int(
             idx, f.low, n, f"perturbation index {idx} outside {f.low}..{n}"
         )
-        _checked_int(
+        series._checked_int(
             delta, -math.inf, math.inf, f"perturbation delta {delta!r} not an int"
         )
     t0 = perf_counter()
@@ -1364,7 +1368,12 @@ def expand_grid(
     ranges substituted, expanded one set per value combination.
 
     Sets with m > k are dropped where the identity requires m <= k; ranges
-    that leave no set at all raise BadParamsError."""
+    that leave no set at all, and a desc that is not a descriptor, raise
+    BadParamsError."""
+    if not isinstance(desc, IdentityDescriptor):
+        raise BadParamsError(
+            f"expand_grid takes an IdentityDescriptor, got {type(desc).__name__}"
+        )
     overrides = _checked_mapping(overrides, "overrides")
     ranges = []
     bounds = {name: (lo, hi) for name, lo, hi in desc.schema}
@@ -1377,8 +1386,8 @@ def expand_grid(
             message = (
                 f"{desc.id}: range {lo}..{hi} for {name} outside {b_lo}..{b_hi}"
             )
-            _checked_int(lo, b_lo, b_hi, message)
-            _checked_int(hi, lo, b_hi, message)  # an empty range fails too
+            series._checked_int(lo, b_lo, b_hi, message)
+            series._checked_int(hi, lo, b_hi, message)  # an empty range fails too
         ranges.append((name, lo, hi))
     grids = []
     for combo in itertools.product(

@@ -316,32 +316,20 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
 
 # -- counting via generating functions --------------------------------------
 
-# One cache per generating function, each keyed by a power-of-two table
-# order (_table_order), so every caller below that order shares one entry.
-# The four tables come from Euler's pentagonal sums alone, which have
-# O(sqrt(order)) terms: (q;q)oo is one, and the other three divide 1 or the
-# dilated sum (q^2;q^2)oo by (q;q)oo by long division over its few nonzero
+# One cache per counting function, pbar and partition_count, each keyed by a
+# power-of-two table order (_table_order), so every caller below that order
+# shares one entry. Both tables come from Euler's pentagonal sums alone,
+# which have O(sqrt(order)) terms, by long division over their few nonzero
 # terms (series._div_sparse), so no table sweeps the full length once per
-# factor or multiplies two dense series.
-
-@lru_cache(maxsize=None)
-def _qq_table(order: int) -> tuple[int, ...]:
-    """(q;q)oo mod q^(order+1), by Euler's pentagonal number theorem."""
-    return series.pentagonal_series(order).coeffs
-
-
-@lru_cache(maxsize=None)
-def _negq_table(order: int) -> tuple[int, ...]:
-    """(-q;q)oo = (q^2;q^2)oo/(q;q)oo mod q^(order+1), one sparse division."""
-    p = series.pentagonal_series(order).coeffs
-    p2 = series.pentagonal_series(order, 2).coeffs
-    return tuple(series._div_sparse(p2, p))
-
+# factor or multiplies two dense series. Every other product a series side
+# needs is built at that side's own order, uncached.
 
 @lru_cache(maxsize=None)
 def _pbar_table(order: int) -> tuple[int, ...]:
     """(-q;q)oo/(q;q)oo = (q^2;q^2)oo/(q;q)oo/(q;q)oo mod q^(order+1), two
-    sparse divisions of the pentagonal sums (it does not read _negq_table)."""
+    sparse divisions of the pentagonal sums. Besides pbar, the series
+    sides that multiply by the overpartition generating function read it
+    (identities._pbar_gf)."""
     p = series.pentagonal_series(order).coeffs
     p2 = series.pentagonal_series(order, 2).coeffs
     return tuple(series._div_sparse(series._div_sparse(p2, p), p))

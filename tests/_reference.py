@@ -2,7 +2,7 @@
 definitions of things the package does not provide itself, and one probe
 that records which weights the package walks."""
 
-from oplab import bijections, overpartitions, series
+from oplab import overpartitions, series
 from oplab.overpartitions import Overpartition, Part
 from oplab.series import TruncatedSeries
 
@@ -94,8 +94,8 @@ def rank_walk(n):
 
 
 def record_walks(monkeypatch):
-    """Patch the A(n) walk, overpartitions._class_a, in both modules that
-    look it up, so each call appends its weight to the returned list."""
+    """Patch the A(n) walk, overpartitions._class_a, so each call appends
+    its weight to the returned list."""
     walks = []
     real = overpartitions._class_a
 
@@ -104,5 +104,4 @@ def record_walks(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(overpartitions, "_class_a", recording)
-    monkeypatch.setattr(bijections, "_class_a", recording)
     return walks

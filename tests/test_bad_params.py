@@ -174,6 +174,8 @@ REJECTED_OBJECTS = {
     "TruncatedSeries coefficients set": lambda: series.TruncatedSeries(3, {2, 1}),
     "TruncatedSeries coefficients str": lambda: series.TruncatedSeries(3, ""),
     "TruncatedSeries coefficients bytes": lambda: series.TruncatedSeries(3, b""),
+    # an identity id where its descriptor belongs
+    "expand_grid id string": lambda: idn.expand_grid("gauss"),
 }
 
 

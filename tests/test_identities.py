@@ -8,12 +8,14 @@ validation, and a handful of coefficient-level oracles recomputed in-test.
 
 import dataclasses
 import inspect
+import json
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oplab import cli
 from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab import series
@@ -429,37 +431,33 @@ def test_tail_sum_matches_reference(order, m_lo, coef, denom_off):
 
 def test_product_caches_stay_bounded_over_orders():
     # a library loop over orders must not keep one product per order: the
-    # tables are keyed by power-of-two table order, 64 .. 512 here
-    desc = idn.get_identity("gauss")
-    caches = (op._qq_table, op._negq_table)
-    for cache in caches:
-        cache.cache_clear()
+    # table is keyed by power-of-two table order, 64 .. 512 here
+    desc = idn.get_identity("guo-zeng-truncation")
+    op._pbar_table.cache_clear()
     for order in range(0, 301):
-        assert desc.series_rhs({}, order) == desc.series_lhs({}, order), order
+        lhs = desc.series_lhs({"k": 1}, order)
+        assert lhs == desc.series_rhs({"k": 1}, order), order
         idn._tail_sum.__wrapped__(order, 4, 4, 1)
-    for cache in caches:
-        assert cache.cache_info().currsize <= 4, cache
+    assert op._pbar_table.cache_info().currsize <= 4
 
 
 def test_negq_product_built_once_for_its_readers():
-    # euler-odd-distinct reads (-q;q)oo, am-2018 the pbar table and gauss
-    # the (q;q)oo table; one process builds each table once for all three
-    for cache in (op._negq_table, op._pbar_table):
-        cache.cache_clear()
-    for ident in ("gauss", "euler-odd-distinct", "am-2018-truncation"):
+    # am-2018, guo-zeng and li read the overpartition table
+    # (-q;q)oo/(q;q)oo on their left sides, and gauss and
+    # euler-odd-distinct none; one process builds it once for all of them
+    op._pbar_table.cache_clear()
+    for ident in ("gauss", "euler-odd-distinct", "am-2018-truncation",
+                  "guo-zeng-truncation", "li-truncation"):
         params = idn.expand_grid(idn.get_identity(ident))[0]
         r = idn.verify_series(ident, params, idn.MAX_ORDER)
         assert r.passed, (ident, r.first_mismatch)
-    for cache in (op._negq_table, op._pbar_table):
-        assert cache.cache_info().misses == 1, cache
+    assert op._pbar_table.cache_info().misses == 1
 
 
 def test_product_tables_match_their_factor_products():
     # the tables come from pentagonal sums and sparse long division by
     # them; the factor-by-factor products they replaced are the oracle
     order = op._table_order(idn.MAX_ORDER)
-    assert op._qq_table(order) == series.qproduct(1, 1, 1, None, order).coeffs
-    assert op._negq_table(order) == series.qproduct(-1, 1, 1, None, order).coeffs
     assert op._pbar_table(order) == overpartition_gf(order).coeffs
     assert op._p_table(order) == partition_gf(order).coeffs
 
@@ -475,20 +473,40 @@ def test_gauss_and_euler_sides_match_their_inverted_products():
         assert idn._gauss_rhs({}, order) == want, order
         want = series.TruncatedSeries(order, ref_invert(odd.coeffs))
         assert idn._euler_lhs({}, order) == want, order
+        assert idn._euler_rhs({}, order) == negq, order
     order = idn.MAX_ORDER
     qq = series.qproduct(1, 1, 1, None, order)
     assert idn._gauss_rhs({}, order) == div_product(qq, 1, 1, -1)
     assert idn._euler_lhs({}, order) == div_product(series.one(order), 1, 2)
+    assert idn._euler_rhs({}, order) == series.qproduct(-1, 1, 1, None, order)
 
 
-PRODUCT_TABLES = (op._pbar_table, op._qq_table, op._negq_table, op._p_table)
+def _partial_pentagonal_sum(k, order):
+    """The first k terms of sum_j (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1))."""
+    acc = series.zero(order)
+    for j in range(k):
+        for e, sign in ((j * (3 * j + 1) // 2, 1), ((j + 1) * (3 * j + 2) // 2, -1)):
+            if e <= order:
+                acc = acc + series.monomial(order, e, (-1) ** j * sign)
+    return acc
 
 
-# identities imports _div_sparse by name, so both bindings are wrapped
+@pytest.mark.parametrize("order", [63, 64, 65, 127, 128, 129, idn.MAX_ORDER])
+def test_pent_am_lhs_is_the_partial_sum_times_the_partition_series(order):
+    # the lhs divides by the pentagonal sum at its own order; the oracle
+    # divides out (q;q)oo one factor at a time, across the table-order edges
+    p = partition_gf(order)
+    for k in (1, 2, 5, 8):
+        want = _partial_pentagonal_sum(k, order) * p
+        assert idn._pent_am_lhs({"k": k}, order) == want, k
+
+
+PRODUCT_TABLES = (op._pbar_table, op._p_table)
+
+
 ROUTE_HELPERS = (
     (series, "pentagonal_series"), (series, "gauss_theta"),
-    (series, "_div_sparse"), (idn, "_div_sparse"),
-    (op, "_qq_table"), (op, "_negq_table"), (op, "_p_table"),
+    (series, "_div_sparse"), (op, "_pbar_table"), (op, "_p_table"),
 )
 
 
@@ -510,7 +528,7 @@ def _calls_made(monkeypatch, build, order, params=()):
 
 def test_series_sides_keep_their_own_routes(monkeypatch):
     # euler-odd-distinct's rhs is (q^2;q^2)oo/(q;q)oo, so an lhs that read a
-    # pentagonal sum, a sparse division or the (-q;q)oo table could agree
+    # pentagonal sum, a sparse division or a product table could agree
     # with it by construction; gauss's lhs is the theta sum; a tail sum
     # divides by theta and reads no product table
     order = idn.MAX_ORDER
@@ -518,16 +536,21 @@ def test_series_sides_keep_their_own_routes(monkeypatch):
     called = _calls_made(monkeypatch, idn._gauss_rhs, order)
     assert "series.gauss_theta" not in called
     # the wrappers see the calls the rhs does make
-    assert {"series.pentagonal_series", "identities._div_sparse"} <= called
-    # pentagonal-am's lhs reads the partition table, a sparse division by
-    # the pentagonal sum, and guo-zeng-truncation's lhs the theta sum and
-    # the pbar table; each rhs is a Horner scheme of one-factor steps
+    assert {"series.pentagonal_series", "series._div_sparse"} <= called
+    # pentagonal-am's lhs is a sparse division by the pentagonal sum, and
+    # guo-zeng-truncation's lhs reads the theta sum and the pbar table; each
+    # rhs is a Horner scheme of one-factor steps
     for cache in PRODUCT_TABLES:
         cache.cache_clear()
     for build in (idn._pent_am_rhs, idn._guo_zeng_rhs):
         assert _calls_made(monkeypatch, build, order, {"k": 1}) == set(), build
     idn._tail_sum.__wrapped__(order, 1, 1, 0)
-    assert [c.cache_info().misses for c in PRODUCT_TABLES] == [0, 0, 0, 0]
+    # gauss's and euler-odd-distinct's rhs and pentagonal-am's lhs build
+    # their products at their own order from the pentagonal sums
+    idn._gauss_rhs({}, order)
+    idn._euler_rhs({}, order)
+    idn._pent_am_lhs({"k": 1}, order)
+    assert [c.cache_info().misses for c in PRODUCT_TABLES] == [0, 0]
 
 
 def test_theta_inverse_matches_pbar_table():
@@ -718,19 +741,25 @@ SERIES_AT_MAX_ORDER = [
 
 
 @pytest.mark.parametrize("ident", SERIES_AT_MAX_ORDER)
-def test_series_identity_at_max_order_within_budget(ident):
+def test_series_identity_at_max_order_within_budget(ident, capsys):
     # every series builder is O(order^2); yao's lhs is counted over shapes,
     # so the shape ceiling bounds it far below MAX_ORDER
     params = idn.expand_grid(idn.get_identity(ident))[0]
+    # run as `oplab verify --id X [--k 1] --order 2000`, so the exit code
+    # of that command line is asserted too
+    argv = ["verify", "--id", ident]
+    for name, value in params.items():
+        argv += [f"--{name}", str(value)]
+    argv += ["--order", str(idn.MAX_ORDER)]
     # cold tail sums and tables, as one `oplab verify --id X --order 2000`
     # pays them
-    for cache in (idn._tail_sum, op._pbar_table, op._p_table, op._qq_table,
-                  op._negq_table):
+    for cache in (idn._tail_sum, op._pbar_table, op._p_table):
         cache.cache_clear()
     t0 = time.perf_counter()
-    r = idn.verify_series(ident, params, idn.MAX_ORDER)
+    code = cli.main(argv)
     dt = time.perf_counter() - t0
-    assert r.passed, r.first_mismatch
+    [record] = json.loads(capsys.readouterr().out)
+    assert code == 0 and record["status"] == "pass", record
     assert dt < 3.0, f"{ident} took {dt:.1f}s at order {idn.MAX_ORDER}"
 
 
