@@ -1,7 +1,8 @@
 """Constructive weight bijections on overpartitions.
 
 Two maps live here, each with an explicit inverse. Every map returns just
-its image; `oplab bijection --trace` builds the per-object records.
+its image. `oplab bijection` prints a check's record as returned here, and
+its --trace maps each object of the same walk the check makes.
 
 The first is a weight-1-decreasing bijection. Its domain A(n) holds the
 overpartitions of n whose smallest part is not overlined (in_a); its image
@@ -24,10 +25,12 @@ overpartition of its source weight, building the half with an overlined
 smallest part as it goes. Both walks are uncached generators, so a check
 keeps no object of its source weight, during the check or after it.
 
-Each inverse has a tuple-level core that the public map wraps in its guard
-and the validating Overpartition constructor. The checks compare the
-core's plain tuple with the (already valid) source, so an equal tuple is
-valid too and each mapped object is built and validated once, as its image.
+Each inverse has a tuple-level core. The public map validates its input
+as an Overpartition, guards the inverse's domain (in_b, or the overline-mex
+precondition) with BadParamsError and validates the core's result. The
+checks compare the core's plain tuple with the (already valid) source, so
+an equal tuple is valid too and each mapped object is built and validated
+once, as its image.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ def map_b_to_a(lam: Overpartition) -> Overpartition:
     """Inverse of map_a_to_b. The case split is read off the presence of an
     overlined 1: absent means append a plain 1, present means gather the
     overlined 1 and the r plain 1s back into a plain part r+2."""
+    lam = Overpartition(lam)
     if not in_b(lam):
         raise BadParamsError("input lies in the complement class C")
     return Overpartition(_b_to_a_parts(lam))
@@ -143,24 +147,26 @@ def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
 def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
     """Remove one plain copy of each of 1, 3, ..., 2j-1; the inverse of
     staircase_insert. Requires every odd value below 2j as a plain part,
-    which is exactly the overline-mex >= 2j+1 precondition."""
+    which is exactly the overline-mex >= 2j+1 precondition; a violation
+    raises at once, naming the smallest missing stair, the overline-mex."""
     series._checked_int(j, 1, inf, "j must be >= 1")
+    lam = Overpartition(lam)
+    mex = op.overline_mex(lam)
+    if mex < 2 * j + 1:
+        raise BadParamsError(
+            f"missing plain part {mex}: overline-mex precondition "
+            f">= {2 * j + 1} is violated"
+        )
     return Overpartition(_remove_stairs(lam, j))
 
 
 def _remove_stairs(lam: Overpartition, j: int) -> tuple[Part, ...]:
     """The parts of staircase_remove(lam, j) as a plain tuple; j is not
-    checked and the result is not validated. A missing stair raises."""
+    checked and the result is not validated. The caller guarantees
+    overline_mex(lam) >= 2j+1, so every stair is there to remove."""
     parts = list(lam)
-    # smallest stair first, so a failure names the smallest missing value
-    for stair in reversed(_stairs(j)):
-        try:
-            parts.remove(stair)
-        except ValueError:
-            raise BadParamsError(
-                f"missing plain part {stair.value}: overline-mex precondition "
-                f">= {2 * j + 1} is violated"
-            ) from None
+    for stair in _stairs(j):
+        parts.remove(stair)
     return tuple(parts)
 
 

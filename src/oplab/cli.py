@@ -19,6 +19,10 @@ enumerative and inequality forms, both flags (or neither) every registered
 form, and rejects a range flag that names no parameter of a selected
 identity and a bound that selects no form of any. The command itself
 checks only the flag bounds.
+
+The bijection payload is the check's own record (check_weight_down or
+check_staircase) after "which", each key camelCased, with images_in_b
+renamed to mappedPairs.
 """
 
 from __future__ import annotations
@@ -192,12 +196,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return _usage_error(
             f"--n-max must be within 1..{identities.MAX_ORDER}"
         )
+    weights = range(1, args.n_max + 1)
     if args.stat == "pbar":
         if args.k is not None:
             return _usage_error("--k does not apply to stat pbar")
-        rows = [(n, op.pbar(n)) for n in range(1, args.n_max + 1)]
-        header = "n,value"
-        json_rows = [{"n": n, "value": v} for n, v in rows]
+        rows = [{"n": n, "value": op.pbar(n)} for n in weights]
     else:
         if args.k is None:
             return _usage_error(f"stat {args.stat} requires --k")
@@ -211,18 +214,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
         op._check_weight(args.n_max, 1, "--n-max")
         fn = _STAT_FN[args.stat]
         rows = [
-            (n, k, fn(n, k))
-            for n in range(1, args.n_max + 1)
+            {"n": n, "k": k, "value": fn(n, k)}
+            for n in weights
             for k in range(k_lo, k_hi + 1)
         ]
-        header = "n,k,value"
-        json_rows = [{"n": n, "k": k, "value": v} for n, k, v in rows]
     if args.format == "csv":
-        lines = [header] + [",".join(str(x) for x in row) for row in rows]
+        lines = [",".join(rows[0])]
+        lines += [",".join(str(v) for v in row.values()) for row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        _emit_json(json_rows)
+        _emit_json(rows)
     return 0
+
+
+def _camel(key: str) -> str:
+    head, *rest = key.split("_")
+    return head + "".join(word.capitalize() for word in rest)
 
 
 def _trace(source: op.Overpartition, image: op.Overpartition, case: str) -> dict:
@@ -236,64 +243,31 @@ def _trace(source: op.Overpartition, image: op.Overpartition, case: str) -> dict
     }
 
 
-def _section3_payload(n: int, trace: bool) -> dict:
-    summary = bijections.check_weight_down(n)
-    payload = {
-        "which": "section3",
-        "n": n,
-        "aCount": summary["a_count"],
-        "bCount": summary["b_count"],
-        "cCount": summary["c_count"],
-        "mappedPairs": summary["images_in_b"],
-        "distinctImages": summary["distinct_images"],
-        "roundTripOk": summary["round_trip_ok"],
-        "weightsOk": summary["weights_ok"],
-        "witnessOk": summary["witness_ok"],
-        "pbarHalf": summary["pbar_half"],
-        "ok": summary["ok"],
-    }
-    if trace:
-        payload["traces"] = [
-            _trace(pi, bijections.map_a_to_b(pi),
-                   "t=1" if pi.smallest().value == 1 else "t>=2")
-            for pi in op.enumerate_overpartitions(n)
-            if bijections.in_a(pi)
-        ]
-    return payload
-
-
-def _lemma41_payload(n: int, j: int, trace: bool) -> dict:
-    summary = bijections.check_staircase(n, j)
-    payload = {
-        "which": "lemma41",
-        "n": n,
-        "j": j,
-        "sourceCount": summary["source_count"],
-        "targetCount": summary["target_count"],
-        "matched": summary["matched"],
-        "roundTripOk": summary["round_trip_ok"],
-        "ok": summary["ok"],
-    }
-    if trace:
-        payload["traces"] = [
-            _trace(mu, bijections.staircase_insert(mu, j), "insert")
-            for mu in op.enumerate_overpartitions(n - j * j)
-        ]
-    return payload
-
-
 def _cmd_bijection(args: argparse.Namespace) -> int:
+    n = args.n
     if args.which == "section3":
         if args.j is not None:
             return _usage_error("--j applies only to lemma41")
-        payload = _section3_payload(args.n, args.trace)
+        record = bijections.check_weight_down(n)
     else:
         j = 1 if args.j is None else args.j
-        payload = _lemma41_payload(args.n, j, args.trace)
+        record = bijections.check_staircase(n, j)
+    payload = {"which": args.which}
+    for key, value in record.items():
+        payload["mappedPairs" if key == "images_in_b" else _camel(key)] = value
+    if args.trace and args.which == "section3":
+        payload["traces"] = [
+            _trace(pi, bijections.map_a_to_b(pi),
+                   "t=1" if pi[-1].value == 1 else "t>=2")
+            for pi in op._class_a(n)
+        ]
+    elif args.trace:
+        payload["traces"] = [
+            _trace(mu, bijections.staircase_insert(mu, j), "insert")
+            for mu in op._overpartitions(n - j * j)
+        ]
     _emit_json(payload)
-    if args.check and not payload["ok"]:
-        return 1
-    return 0
+    return 1 if args.check and not payload["ok"] else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

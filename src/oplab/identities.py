@@ -179,13 +179,13 @@ def _horner_sum(order: int, first: int, step: int, n_lo: int,
 
 
 @lru_cache(maxsize=64)
-def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeries:
-    """sum_{m>=m_lo} q^(coef*m) * R(m) with
+def _tail_sum(order: int, m_lo: int, denom_off: int) -> TruncatedSeries:
+    """sum_{m>=m_lo} q^(m_lo*m) * R(m) with
     R(m) = (-q^(m+1);q)oo / (q^(m+denom_off);q)oo.
 
     Successive ratios differ by one factor on each side,
     R(m+1) = R(m) * (1 - q^(m+denom_off)) / (1 + q^(m+1)), so the sum is
-    q^(coef*m_lo) * R(m_lo) * U(m_lo) by _horner_sum, each step one fused
+    q^(m_lo^2) * R(m_lo) * U(m_lo) by _horner_sum, each step one fused
     pass (series._times_ratio).
     The head R(m_lo) is the overpartition generating function times
     (q;q)_{m_lo+denom_off-1} and divided by (-q;q)_{m_lo}. Its finite
@@ -202,7 +202,7 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
     times_factor returns a new series. Identities may share a sum, but no
     identity reads the same one on both sides.
     """
-    u = _horner_sum(order, coef * m_lo, coef, m_lo,
+    u = _horner_sum(order, m_lo * m_lo, m_lo, m_lo,
                     lambda u, m: series._times_ratio(u, m + denom_off, m + 1))
     if u is None:
         return series.zero(order)
@@ -212,7 +212,7 @@ def _tail_sum(order: int, m_lo: int, coef: int, denom_off: int) -> TruncatedSeri
         series._div_factor_into(u, i, -1)
     theta = series.gauss_theta(None, len(u) - 1).coeffs
     tail = series._div_sparse(u, theta)
-    return TruncatedSeries(order, [0] * (coef * m_lo) + tail)
+    return TruncatedSeries(order, [0] * (m_lo * m_lo) + tail)
 
 
 def _odd_square_theta(k: int, order: int) -> TruncatedSeries:
@@ -253,13 +253,13 @@ def _div_qpoch(s: TruncatedSeries, n: int) -> TruncatedSeries:
 def _large_tail(kappa: int, order: int) -> TruncatedSeries:
     """(-q;q)_kappa/(q;q)_kappa sum_{m>=kappa+1} q^((kappa+1)m)
     (-q^(m+1);q)oo / (q^m;q)oo."""
-    tail = _times_neg_poch(_tail_sum(order, kappa + 1, kappa + 1, 0), kappa)
+    tail = _times_neg_poch(_tail_sum(order, kappa + 1, 0), kappa)
     return _div_qpoch(tail, kappa)
 
 
 def _li_tail(k: int, order: int) -> TruncatedSeries:
     """(-q;q)_k/(q;q)_{k-1} sum_{m>=k} q^(km) (-q^(m+1);q)oo / (q^(m+1);q)oo."""
-    return _div_qpoch(_times_neg_poch(_tail_sum(order, k, k, 1), k), k - 1)
+    return _div_qpoch(_times_neg_poch(_tail_sum(order, k, 1), k), k - 1)
 
 
 def _mbar_gf(kappa: int, order: int) -> TruncatedSeries:
@@ -395,14 +395,14 @@ def _sec5_main_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 def _sec5_red_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    s1 = _tail_sum(order, k, k, 0)
-    s2 = _tail_sum(order, k + 1, k + 1, 0)
+    s1 = _tail_sum(order, k, 0)
+    s2 = _tail_sum(order, k + 1, 0)
     return s1.times_factor(k, 1) - s2.times_factor(k, -1)
 
 
 def _sec5_red_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
     k = p["k"]
-    return _tail_sum(order, k, k, 1).times_factor(2 * k, 1)
+    return _tail_sum(order, k, 1).times_factor(2 * k, 1)
 
 
 def _euler_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:

@@ -160,6 +160,9 @@ REJECTED_OBJECTS = {
         of(3, (1, True))
     ),
     "map_b_to_a complement class": lambda: bj.map_b_to_a(bj.c_witness(5)),
+    "map_b_to_a None": lambda: bj.map_b_to_a(None),
+    "map_b_to_a int": lambda: bj.map_b_to_a(5),
+    "staircase_remove None": lambda: bj.staircase_remove(None, 1),
     "staircase_remove missing stair": lambda: bj.staircase_remove(
         of(3, 2), 2
     ),

@@ -122,12 +122,24 @@ def test_staircase_remove_frozen():
     assert bj.staircase_remove(_ov(3, 1), 2) == _ov()
     with pytest.raises(ValueError, match="overline-mex"):
         bj.staircase_remove(_ov(3, (1, True)), 1)
-    # stairs are removed smallest first: with 1 and 3 both missing, the
-    # message names 1
+    # with 1 and 3 both missing, the message names the smallest, 1
     with pytest.raises(ValueError, match="missing plain part 1:"):
         bj.staircase_remove(_ov(2), 2)
     with pytest.raises(ValueError):
         bj.staircase_insert(_ov(1), 0)
+
+
+def test_staircase_remove_rejects_a_huge_j_before_building_stairs():
+    # the overline-mex names the smallest missing stair, so no stair of
+    # _stairs(10**8) is built to find it
+    bj._stairs.cache_clear()
+    with pytest.raises(
+        op.BadParamsError,
+        match=r"^missing plain part 5: overline-mex precondition "
+        r">= 200000001 is violated$",
+    ):
+        bj.staircase_remove(_ov(3, 1), 10**8)
+    assert bj._stairs.cache_info().misses == 0
 
 
 def test_staircase_forces_mex():

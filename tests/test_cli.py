@@ -408,6 +408,47 @@ def test_bijection_lemma41(capsys):
     assert code == 0 and json.loads(out)["sourceCount"] == op.pbar(24)
 
 
+@pytest.mark.parametrize("argv, record, keys", [
+    (("section3", "--n", "9"), lambda: bijections.check_weight_down(9),
+     ["n", "aCount", "bCount", "cCount", "mappedPairs", "distinctImages",
+      "roundTripOk", "weightsOk", "witnessOk", "pbarHalf", "ok"]),
+    (("lemma41", "--n", "9", "--j", "2"),
+     lambda: bijections.check_staircase(9, 2),
+     ["n", "j", "sourceCount", "targetCount", "matched", "roundTripOk",
+      "ok"]),
+], ids=["section3", "lemma41"])
+def test_bijection_payload_is_the_check_record(capsys, argv, record, keys):
+    # the record's keys in its own order, camelCased, after "which"
+    code, out, _ = run(capsys, "bijection", "--which", *argv, "--trace")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["which"] + keys + ["traces"]
+    assert payload["which"] == argv[0]
+    assert [payload[k] for k in keys] == list(record().values())
+
+
+def test_section3_trace_inputs_are_class_a(capsys):
+    for n in range(1, 17):
+        code, out, _ = run(capsys, "bijection", "--which", "section3",
+                           "--n", str(n), "--trace")
+        assert code == 0
+        want = [pi.to_jsonable() for pi in op.enumerate_overpartitions(n)
+                if bijections.in_a(pi)]
+        assert [t["input"] for t in json.loads(out)["traces"]] == want, n
+
+
+def test_lemma41_trace_inputs_are_the_source_weight(capsys):
+    for j in range(1, 4):
+        for n in range(j * j, j * j + 9):
+            code, out, _ = run(capsys, "bijection", "--which", "lemma41",
+                               "--n", str(n), "--j", str(j), "--trace")
+            assert code == 0
+            want = [mu.to_jsonable()
+                    for mu in op.enumerate_overpartitions(n - j * j)]
+            got = [t["input"] for t in json.loads(out)["traces"]]
+            assert got == want, (n, j)
+
+
 def test_bijection_usage_errors(capsys):
     code, _, err = run(capsys, "bijection", "--which", "section3", "--n", "4",
                        "--j", "1")
@@ -542,6 +583,10 @@ GOLDEN_TRACE_SHA256 = {
         "60863e23dc6e5345a1529d2defad6602e47ae7d92da97d4a3ad8524a9a83f205",
     ("--which", "lemma41", "--n", "12", "--j", "2"):
         "38d49b61ae55ac6a48a22f802b03b18ef547f8b493804b95811b244549c60dca",
+    ("--which", "section3", "--n", "9"):
+        "8ecdc79325a3d92537a1730d9dafbd1f3f2286fa440cf6abcc1d89a1081e1b3a",
+    ("--which", "lemma41", "--n", "9", "--j", "2"):
+        "333cb8aab55fc23e882ccc9a1814ab5a1b15b4729234fff44758f19c0e3f9ede",
 }
 
 

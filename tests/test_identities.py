@@ -368,7 +368,7 @@ def test_gen_op_rhs_coefficient_from_pbar():
 def test_tail_sum_first_terms():
     # sum_{m>=1} q^m (-q^(m+1);q)oo/(q^(m+1);q)oo starts q + 2q^2 + ...;
     # cross-checked against the expanded ratio at each shift
-    got = idn._tail_sum(12, 1, 1, 1)
+    got = idn._tail_sum(12, 1, 1)
     acc = series.zero(12)
     for m in range(1, 13):
         acc = acc + shift(poch_ratio(m + 1, m + 1, 12), m)
@@ -376,25 +376,25 @@ def test_tail_sum_first_terms():
 
 
 def test_tail_sum_empty_when_shift_exceeds_order():
-    assert idn._tail_sum(10, 4, 3, 0) == series.zero(10)
+    assert idn._tail_sum(10, 4, 0) == series.zero(10)
 
 
-def ref_tail_sum(order, m_lo, coef, denom_off):
-    """sum_{m>=m_lo} q^(coef*m) (-q^(m+1);q)oo / (q^(m+denom_off);q)oo, one
+def ref_tail_sum(order, m_lo, denom_off):
+    """sum_{m>=m_lo} q^(m_lo*m) (-q^(m+1);q)oo / (q^(m+denom_off);q)oo, one
     expanded ratio per term and no cache."""
     acc = series.zero(order)
-    for m in range(m_lo, order // coef + 1):
+    for m in range(m_lo, order // m_lo + 1):
         acc = acc + shift(
-            poch_ratio(m + 1, m + denom_off, order), coef * m
+            poch_ratio(m + 1, m + denom_off, order), m_lo * m
         )
     return acc
 
 
-# the (m_lo, coef, denom_off) keys the builders read for k = 1..4:
-# _large_tail(k-1) and _large_tail(k) read (k, k, 0) and (k+1, k+1, 0),
-# _li_tail(k) reads (k, k, 1)
+# the (m_lo, denom_off) keys the builders read for k = 1..4:
+# _large_tail(k-1) and _large_tail(k) read (k, 0) and (k+1, 0),
+# _li_tail(k) reads (k, 1)
 TAIL_KEYS = sorted(
-    {(k, k, 0) for k in range(1, 6)} | {(k, k, 1) for k in range(1, 5)}
+    {(k, 0) for k in range(1, 6)} | {(k, 1) for k in range(1, 5)}
 )
 TAIL_ORDERS = (0, 1, 2, 17, 150)
 
@@ -417,16 +417,14 @@ def test_tail_sum_matches_reference_in_either_call_order(reverse):
 
 
 @settings(deadline=None, max_examples=60)
-@given(
-    st.integers(0, 60), st.integers(1, 6), st.integers(1, 6),
-    st.sampled_from((0, 1)),
-)
-@example(17, 2, 5, 1)  # order % coef != 0
-@example(13, 2, 6, 0)  # a single term: order // coef == m_lo
-@example(60, 1, 1, 0)
-def test_tail_sum_matches_reference(order, m_lo, coef, denom_off):
-    got = idn._tail_sum.__wrapped__(order, m_lo, coef, denom_off)
-    assert got == ref_tail_sum(order, m_lo, coef, denom_off)
+@given(st.integers(0, 60), st.integers(1, 6), st.sampled_from((0, 1)))
+@example(17, 2, 1)  # order % m_lo != 0
+@example(11, 3, 0)  # a single term: order // m_lo == m_lo
+@example(15, 4, 1)  # an empty sum: m_lo^2 > order
+@example(60, 1, 0)
+def test_tail_sum_matches_reference(order, m_lo, denom_off):
+    got = idn._tail_sum.__wrapped__(order, m_lo, denom_off)
+    assert got == ref_tail_sum(order, m_lo, denom_off)
 
 
 def test_product_caches_stay_bounded_over_orders():
@@ -437,7 +435,7 @@ def test_product_caches_stay_bounded_over_orders():
     for order in range(0, 301):
         lhs = desc.series_lhs({"k": 1}, order)
         assert lhs == desc.series_rhs({"k": 1}, order), order
-        idn._tail_sum.__wrapped__(order, 4, 4, 1)
+        idn._tail_sum.__wrapped__(order, 4, 1)
     assert op._pbar_table.cache_info().currsize <= 4
 
 
@@ -544,7 +542,7 @@ def test_series_sides_keep_their_own_routes(monkeypatch):
         cache.cache_clear()
     for build in (idn._pent_am_rhs, idn._guo_zeng_rhs):
         assert _calls_made(monkeypatch, build, order, {"k": 1}) == set(), build
-    idn._tail_sum.__wrapped__(order, 1, 1, 0)
+    idn._tail_sum.__wrapped__(order, 1, 0)
     # gauss's and euler-odd-distinct's rhs and pentagonal-am's lhs build
     # their products at their own order from the pentagonal sums
     idn._gauss_rhs({}, order)
@@ -611,18 +609,18 @@ def test_cached_tail_sums_survive_their_callers():
 def test_tail_sum_cache_is_bounded():
     # a library loop over orders must not grow the cache without limit
     for order in range(201):
-        idn._tail_sum(order, 4, 4, 1)
+        idn._tail_sum(order, 4, 1)
     assert idn._tail_sum.cache_info().currsize <= 64
 
 
 def _tail_keys_read(monkeypatch, build, p, n):
-    """The (m_lo, coef, denom_off) keys of every tail sum build(p, n) reads."""
+    """The (m_lo, denom_off) keys of every tail sum build(p, n) reads."""
     keys = set()
     real = idn._tail_sum
 
-    def recorder(order, m_lo, coef, denom_off):
-        keys.add((m_lo, coef, denom_off))
-        return real(order, m_lo, coef, denom_off)
+    def recorder(order, m_lo, denom_off):
+        keys.add((m_lo, denom_off))
+        return real(order, m_lo, denom_off)
 
     with monkeypatch.context() as m:
         m.setattr(idn, "_tail_sum", recorder)
