@@ -25,12 +25,14 @@ overpartition of its source weight, building the half with an overlined
 smallest part as it goes. Both walks are uncached generators, so a check
 keeps no object of its source weight, during the check or after it.
 
-Each inverse has a tuple-level core. The public map validates its input
-as an Overpartition, guards the inverse's domain (in_b, or the overline-mex
-precondition) with BadParamsError and validates the core's result. The
-checks compare the core's plain tuple with the (already valid) source, so
-an equal tuple is valid too and each mapped object is built and validated
-once, as its image.
+The predicates and the forward maps take an Overpartition as it is and
+send anything else through its validating constructor, so junk input
+raises BadParamsError. Each inverse has a tuple-level core. The public
+map validates its input as an Overpartition, guards the inverse's domain
+(in_b, or the overline-mex precondition) with BadParamsError and
+validates the core's result. The checks compare the core's plain tuple
+with the (already valid) source, so an equal tuple is valid too and each
+mapped object is built and validated once, as its image.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ _ONE_BAR = Part(1, True)
 
 def in_a(pi: Overpartition) -> bool:
     """Whether pi is in A: its smallest part exists and is not overlined."""
+    pi = pi if isinstance(pi, op.Overpartition) else Overpartition(pi)
     smallest = pi.smallest()
     return smallest is not None and not smallest.overlined
 
@@ -71,6 +74,7 @@ def in_b(lam: Overpartition) -> bool:
     overpartition and anything without an overlined 1 are in B; when 1bar
     is present the smallest part of value >= 2 (if any) must be >= the
     plain part 2 + r in the part order, r = number of non-overlined 1s."""
+    lam = lam if isinstance(lam, op.Overpartition) else Overpartition(lam)
     # parts run largest first, so an overlined 1 is the last part and the
     # r plain 1s come just before it
     if not lam or lam[-1] != _ONE_BAR:
@@ -84,6 +88,7 @@ def map_a_to_b(pi: Overpartition) -> Overpartition:
     """Send an overpartition with non-overlined smallest part t to weight-1
     less: delete t when t = 1, otherwise replace t by t-2 plain 1s and an
     overlined 1."""
+    pi = pi if isinstance(pi, op.Overpartition) else Overpartition(pi)
     if not in_a(pi):
         raise BadParamsError("input must have a non-overlined smallest part")
     t = pi[-1].value
@@ -136,6 +141,7 @@ def _stairs(j: int) -> tuple[Part, ...]:
 def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
     series._checked_int(j, 1, inf, "j must be >= 1")
+    mu = mu if isinstance(mu, op.Overpartition) else Overpartition(mu)
     # both tuples run largest first, so the sort is one merge of two runs;
     # it is stable, so each plain stair lands before mu's copies of its
     # value, and so before an overlined one
@@ -192,7 +198,7 @@ def check_weight_down(n: int) -> dict:
 
     a_count = images_in_b = 0
     round_trip_ok = weights_ok = True
-    for pi in filter(in_a, op._class_a(n)):
+    for pi in op._class_a(n):
         a_count += 1
         lam = map_a_to_b(pi)
         on_weight = lam.weight == n - 1

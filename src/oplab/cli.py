@@ -1,11 +1,12 @@
 """Command-line front end: verification runs, count tables, bijection demos.
 
 Exit codes: 0 when every requested check passes, 1 when any verification
-fails, 2 on usage errors. Beyond argparse and the flag checks (--order and
---n-max against MAX_ORDER, a table's --k against 64, which flags a stat or
-bijection takes), the library rejects every input: main maps its
-UnknownIdentityError and BadParamsError (a value out of range or of the
-wrong type, a weight or bound past its ceiling) to exit 2 in one place.
+or bijection check fails, 2 on usage errors. Beyond argparse and the table
+flag checks (--n-max against its stat's ceiling, --k against 64, which
+flags a stat or bijection takes), the library rejects every input: main
+maps its UnknownIdentityError and BadParamsError (a value out of range or
+of the wrong type, a weight or bound past its ceiling) to exit 2 in one
+place.
 
 Output is deterministic: identical invocations produce byte-identical
 bytes. Wall-clock timings are therefore reported as 0 unless --timings is
@@ -17,8 +18,8 @@ verify passes its flags through to identities.run_default_suite, which
 owns the form selection: --order alone runs series forms, --n-max alone
 enumerative and inequality forms, both flags (or neither) every registered
 form, and rejects a range flag that names no parameter of a selected
-identity and a bound that selects no form of any. The command itself
-checks only the flag bounds.
+identity and a bound that selects no form of any. The range flags are the
+registry's parameter names.
 
 The bijection payload is the check's own record (check_weight_down or
 check_staircase) after "which", each key camelCased, with images_in_b
@@ -41,10 +42,17 @@ __all__ = ["main"]
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
-_CSV_HEADER = (
-    "id,params,range,status,mismatchIndex,mismatchLhs,mismatchRhs,"
-    "elapsedMs,anchor,detail"
-)
+# every parameter name of the registry, in order of first appearance
+_PARAMS = tuple(dict.fromkeys(
+    name for desc in identities.list_identities() for name, _, _ in desc.schema
+))
+
+_STAT_FN = {
+    "op21": op.op21,
+    "mbar": op.mbar,
+    "nbar": op.nbar,
+    "mk": op.mk_stat,
+}
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -75,10 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sel = p_verify.add_mutually_exclusive_group(required=True)
     sel.add_argument("--id", help="identity id to verify")
     sel.add_argument("--all", action="store_true", help="verify every id")
-    p_verify.add_argument("--k", type=_range_arg, metavar="A..B")
-    p_verify.add_argument("--m", type=_range_arg, metavar="A..B")
-    p_verify.add_argument("--ell", type=_range_arg, metavar="A..B")
-    p_verify.add_argument("--j", type=_range_arg, metavar="A..B")
+    for name in _PARAMS:
+        p_verify.add_argument(f"--{name}", type=_range_arg, metavar="A..B")
     p_verify.add_argument("--order", type=int, help="series truncation order")
     p_verify.add_argument(
         "--n-max", dest="n_max", type=int, help="largest weight checked"
@@ -91,11 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_table = sub.add_parser("table", help="print count tables")
-    p_table.add_argument(
-        "--stat",
-        required=True,
-        choices=("pbar", "op21", "mbar", "nbar", "mk"),
-    )
+    p_table.add_argument("--stat", required=True, choices=("pbar", *_STAT_FN))
     p_table.add_argument("--k", type=_range_arg, metavar="A..B")
     p_table.add_argument("--n-max", dest="n_max", type=int, default=25)
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
@@ -106,11 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_bij.add_argument("--n", type=int, required=True)
     p_bij.add_argument("--j", type=int, help="staircase size (lemma41 only)")
-    p_bij.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero unless the full check passes",
-    )
     p_bij.add_argument(
         "--trace",
         action="store_true",
@@ -124,40 +121,26 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _emit_json(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _reports_csv(
-    reports: Sequence[identities.VerificationReport], timings: bool
-) -> str:
-    """One row per JSON record, its mismatch triple flattened."""
-    lines = [_CSV_HEADER]
-    for r in reports:
-        rec = r.to_jsonable(include_timing=timings)
-        fields = [
-            rec["id"],
-            ";".join(f"{k}={v}" for k, v in rec["params"].items()),
-            rec["range"],
-            rec["status"],
-            *rec.get("firstMismatch", ("", "", "")),
-            rec["elapsedMs"],
-            rec["anchor"],
-            rec.get("detail", ""),
-        ]
-        fields = [str(f) for f in fields]
+def _emit(rows: object, fmt: str = "json") -> None:
+    """rows as JSON, or as CSV under the first row's keys."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        return
+    lines = [",".join(rows[0])]
+    for row in rows:
+        fields = [str(v) for v in row.values()]
         for f in fields:
-            # the report schema is comma-free by construction
+            # every row is comma-free by construction
             if "," in f:
                 raise ValueError(f"comma in csv field {f!r}")
         lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
     ids = [d.id for d in identities.list_identities()]
     if args.format == "json":
-        _emit_json(ids)
+        _emit(ids)
     else:
         for ident in ids:
             print(ident)
@@ -167,7 +150,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     overrides = {
         name: value
-        for name in ("k", "m", "ell", "j")
+        for name in _PARAMS
         if (value := getattr(args, name)) is not None
     }
     reports = identities.run_default_suite(
@@ -176,25 +159,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         overrides=overrides,
     )
+    records = [r.to_jsonable(include_timing=args.timings) for r in reports]
     if args.format == "csv":
-        sys.stdout.write(_reports_csv(reports, args.timings))
-    else:
-        _emit_json([r.to_jsonable(include_timing=args.timings) for r in reports])
+        records = [_csv_row(rec) for rec in records]
+    _emit(records, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
 
-_STAT_FN = {
-    "op21": op.op21,
-    "mbar": op.mbar,
-    "nbar": op.nbar,
-    "mk": op.mk_stat,
-}
+def _csv_row(rec: dict) -> dict:
+    """A JSON record as CSV columns: params joined by ";", the mismatch
+    triple and detail always present."""
+    index, lhs, rhs = rec.get("firstMismatch", ("", "", ""))
+    return {
+        "id": rec["id"],
+        "params": ";".join(f"{k}={v}" for k, v in rec["params"].items()),
+        "range": rec["range"],
+        "status": rec["status"],
+        "mismatchIndex": index,
+        "mismatchLhs": lhs,
+        "mismatchRhs": rhs,
+        "elapsedMs": rec["elapsedMs"],
+        "anchor": rec["anchor"],
+        "detail": rec.get("detail", ""),
+    }
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if not 1 <= args.n_max <= identities.MAX_ORDER:
+    # every row is built before any is printed: bound them first
+    ceiling = identities.MAX_ORDER if args.stat == "pbar" else op.SHAPE_CEILING
+    if not 1 <= args.n_max <= ceiling:
         return _usage_error(
-            f"--n-max must be within 1..{identities.MAX_ORDER}"
+            f"--n-max must be within 1..{ceiling}, got {args.n_max}"
         )
     weights = range(1, args.n_max + 1)
     if args.stat == "pbar":
@@ -205,25 +200,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.k is None:
             return _usage_error(f"stat {args.stat} requires --k")
         k_lo, k_hi = args.k
-        # every row is built before any is printed: bound them first
         if k_hi > identities._K_MAX:
             return _usage_error(
                 f"--k must end at or below {identities._K_MAX}, got {k_hi}"
             )
-        # past the shape ceiling, fail before any weight is counted
-        op._check_weight(args.n_max, 1, "--n-max")
         fn = _STAT_FN[args.stat]
         rows = [
             {"n": n, "k": k, "value": fn(n, k)}
             for n in weights
             for k in range(k_lo, k_hi + 1)
         ]
-    if args.format == "csv":
-        lines = [",".join(rows[0])]
-        lines += [",".join(str(v) for v in row.values()) for row in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        _emit_json(rows)
+    _emit(rows, args.format)
     return 0
 
 
@@ -266,8 +253,8 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
             _trace(mu, bijections.staircase_insert(mu, j), "insert")
             for mu in op._overpartitions(n - j * j)
         ]
-    _emit_json(payload)
-    return 1 if args.check and not payload["ok"] else 0
+    _emit(payload)
+    return 0 if payload["ok"] else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -377,6 +377,7 @@ def partition_count(n: int) -> int:
 def overline_mex(pi: Overpartition) -> int:
     """The overline-mex: the smallest odd value that does not occur as a
     non-overlined part of pi. Overlined parts never block a candidate."""
+    pi = pi if isinstance(pi, Overpartition) else Overpartition(pi)
     candidate = 1
     # the bare pair equals Part(candidate, False) and skips building a Part
     while (candidate, False) in pi:

@@ -163,6 +163,14 @@ REJECTED_OBJECTS = {
     "map_b_to_a None": lambda: bj.map_b_to_a(None),
     "map_b_to_a int": lambda: bj.map_b_to_a(5),
     "staircase_remove None": lambda: bj.staircase_remove(None, 1),
+    # junk where a predicate or a forward map takes an overpartition
+    "in_a None": lambda: bj.in_a(None),
+    "in_b None": lambda: bj.in_b(None),
+    "in_b str": lambda: bj.in_b("ab"),
+    "map_a_to_b None": lambda: bj.map_a_to_b(None),
+    "staircase_insert None": lambda: bj.staircase_insert(None, 1),
+    "overline_mex None": lambda: op.overline_mex(None),
+    "overline_mex int": lambda: op.overline_mex(5),
     "staircase_remove missing stair": lambda: bj.staircase_remove(
         of(3, 2), 2
     ),

@@ -269,7 +269,7 @@ def test_table_respects_enumeration_cap(capsys):
     tables = op._shape_tables.cache_info()
     code, out, err = run(capsys, "table", "--stat", "mbar", "--k", "1",
                          "--n-max", str(op.SHAPE_CEILING + 1))
-    assert (code, out) == (2, "") and "ceiling 50" in err
+    assert (code, out) == (2, "") and "--n-max must be within 1..50" in err
     assert op._shape_tables.cache_info() == tables
     # the shape counts reach past the object ceiling
     code, out, _ = run(capsys, "table", "--stat", "op21", "--k", "1",
@@ -354,8 +354,7 @@ def test_bounds_past_max_order_are_usage_errors(argv):
 
 
 def test_bijection_section3_check(capsys):
-    code, out, _ = run(capsys, "bijection", "--which", "section3", "--n", "4",
-                       "--check")
+    code, out, _ = run(capsys, "bijection", "--which", "section3", "--n", "4")
     assert code == 0
     payload = json.loads(out)
     assert payload["which"] == "section3"
@@ -391,7 +390,7 @@ def test_trace_jsonable_shape(capsys):
 
 def test_bijection_lemma41(capsys):
     code, out, _ = run(capsys, "bijection", "--which", "lemma41", "--n", "10",
-                       "--j", "2", "--check", "--trace")
+                       "--j", "2", "--trace")
     assert code == 0
     payload = json.loads(out)
     assert payload["sourceCount"] == op.pbar(6)
@@ -404,7 +403,7 @@ def test_bijection_lemma41(capsys):
     assert code == 0 and json.loads(out)["j"] == 1
     # source weight 24 is enumerated; the target weight 40 is shape-counted
     code, out, _ = run(capsys, "bijection", "--which", "lemma41", "--n", "40",
-                       "--j", "4", "--check")
+                       "--j", "4")
     assert code == 0 and json.loads(out)["sourceCount"] == op.pbar(24)
 
 
@@ -460,6 +459,10 @@ def test_bijection_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "bijection", "--which", "section3", "--n", "31")
     assert code == 2 and "ceiling 30" in err
+    # the exit code follows the record's ok; there is no --check option
+    code, out, err = run(capsys, "bijection", "--which", "section3", "--n", "4",
+                         "--check")
+    assert (code, out) == (2, "") and "--check" in err
 
 
 _REAL_MAP_A_TO_B = bijections.map_a_to_b
@@ -476,9 +479,9 @@ def _into_complement(pi):
     ("map_a_to_b", _into_complement,
      ("verify", "--id", "sec3-bijection", "--n-max", "8")),
     ("map_a_to_b", _into_complement,
-     ("bijection", "--which", "section3", "--n", "8", "--check")),
+     ("bijection", "--which", "section3", "--n", "8")),
     ("staircase_insert", lambda mu, j: mu,
-     ("bijection", "--which", "lemma41", "--n", "6", "--j", "1", "--check")),
+     ("bijection", "--which", "lemma41", "--n", "6", "--j", "1")),
 ], ids=["verify-section3", "bijection-section3", "bijection-lemma41"])
 def test_a_faulty_map_is_a_failed_check(capsys, monkeypatch, name, mutant, argv):
     # a map whose images leave the target fails the check (exit 1); it is
@@ -561,37 +564,72 @@ def test_readme_library_use_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-# sha256 of `oplab verify --all` stdout; any change to a verdict, a
-# mismatch, a record field or the formatting shows up here
+# sha256 of stdout per invocation; any change to a verdict, a mismatch, a
+# record field, a count or the formatting shows up here, and the bijection
+# traces list every source object, so they pin the enumeration order too
 GOLDEN_SHA256 = {
-    "json": "9bd92fa77371b8315bc43b2dae74cd2430879f0f05d8ec03139746d162175583",
-    "csv": "9e32c679cd94f8ce828d1be98366f9d98c46b1b4441bb7f8ddca5a671766f251",
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(GOLDEN_SHA256))
-def test_verify_all_output_is_golden(capsys, fmt):
-    code, out, err = run(capsys, "verify", "--all", "--format", fmt)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[fmt]
-
-
-# sha256 of `oplab bijection ... --trace` stdout; the traces list every
-# source object, so this pins the enumeration order as well
-GOLDEN_TRACE_SHA256 = {
-    ("--which", "section3", "--n", "12"):
+    ("list",):
+        "22a2a0eaf9ece94177db4de9c646a89bafdf739c980069856d4d1a8141c80dc1",
+    ("list", "--format", "json"):
+        "830ad347f064134ba4daafb1fbea3e49179b3771ea231692a06724aa6e2d2daa",
+    ("verify", "--all", "--format", "json"):
+        "9bd92fa77371b8315bc43b2dae74cd2430879f0f05d8ec03139746d162175583",
+    ("verify", "--all", "--format", "csv"):
+        "9e32c679cd94f8ce828d1be98366f9d98c46b1b4441bb7f8ddca5a671766f251",
+    ("verify", "--id", "li-truncation", "--k", "1..3", "--order", "40",
+     "--format", "csv"):
+        "364774cff8c50196ed5a29a7e657b24fee082e68ecd9a09ba468c05f414f1d5c",
+    ("verify", "--id", "thm-2-4", "--m", "1..3", "--k", "3", "--n-max", "12",
+     "--format", "csv"):
+        "d436d7725fcd9949d3c8e0ec453b3080d15e9551e7d23b17f46ce67fba4cf257",
+    ("verify", "--id", "ineq-m-k", "--m=-2..-1", "--k", "2", "--n-max", "20",
+     "--format", "csv"):
+        "88209535b5b901060873c2cd40b520db49c6329c17048df9897d6126f1cd6b28",
+    ("table", "--stat", "pbar", "--n-max", "30", "--format", "json"):
+        "1f9c76d750e3434bd66fd2311ffdd40c01298a4644a641337a7f2ec3c2704ea3",
+    ("table", "--stat", "pbar", "--n-max", "30", "--format", "csv"):
+        "b3d4be7a820ce10262fa206589a3fb6db74ba5c110accd3ecaef102813ed752d",
+    ("table", "--stat", "op21", "--k", "0..3", "--n-max", "20", "--format",
+     "json"):
+        "6858d2cc2d81e01e59e2497aa066f22b837e494d9171b186194adc51e77e4636",
+    ("table", "--stat", "op21", "--k", "0..3", "--n-max", "20", "--format",
+     "csv"):
+        "5b9b94d3e2308750c82324ad9f3aac63e639455f456c7f646fb6a91bfdb1fbe3",
+    ("table", "--stat", "mbar", "--k", "0..3", "--n-max", "20", "--format",
+     "json"):
+        "a9418ae3250074dea5b083dc36dd65aa054f1fb5e7df23022b4e496506ef3ec8",
+    ("table", "--stat", "mbar", "--k", "0..3", "--n-max", "20", "--format",
+     "csv"):
+        "3ca683b8ff9a606d7e61b8061f76de4e971606b5bc2e2dd80ab65559a2ca756d",
+    ("table", "--stat", "nbar", "--k", "1..3", "--n-max", "20", "--format",
+     "json"):
+        "9175ab49600e941a9e716494fe1b0ba4a7cbbb73b2362c94fe04ced6c050f0fb",
+    ("table", "--stat", "nbar", "--k", "1..3", "--n-max", "20", "--format",
+     "csv"):
+        "4d97101e40df674e1e5d08bbc6f728cb39507a7061ad2236f1088c8590cf9c0b",
+    ("table", "--stat", "mk", "--k", "1..3", "--n-max", "20", "--format",
+     "json"):
+        "23fc851108f69ed8b0efcb9375494eb8b04b8ff7a4eb06ed10acfe51870c139e",
+    ("table", "--stat", "mk", "--k", "1..3", "--n-max", "20", "--format",
+     "csv"):
+        "af6d691b02bf00ca54af57dec78f1d4ba1f9a9d35cb81ed61aae4b5c66cfc7fc",
+    ("bijection", "--which", "section3", "--n", "12"):
+        "8c9039a92f4a2346ccb6b65a496909d3e735411854404bfe22957ce90459b4a2",
+    ("bijection", "--which", "lemma41", "--n", "12", "--j", "2"):
+        "dc7a3692ffefd3c64a99887f9313eed7278a520f20b96d437de833d396299a90",
+    ("bijection", "--which", "section3", "--n", "12", "--trace"):
         "60863e23dc6e5345a1529d2defad6602e47ae7d92da97d4a3ad8524a9a83f205",
-    ("--which", "lemma41", "--n", "12", "--j", "2"):
+    ("bijection", "--which", "lemma41", "--n", "12", "--j", "2", "--trace"):
         "38d49b61ae55ac6a48a22f802b03b18ef547f8b493804b95811b244549c60dca",
-    ("--which", "section3", "--n", "9"):
+    ("bijection", "--which", "section3", "--n", "9", "--trace"):
         "8ecdc79325a3d92537a1730d9dafbd1f3f2286fa440cf6abcc1d89a1081e1b3a",
-    ("--which", "lemma41", "--n", "9", "--j", "2"):
+    ("bijection", "--which", "lemma41", "--n", "9", "--j", "2", "--trace"):
         "333cb8aab55fc23e882ccc9a1814ab5a1b15b4729234fff44758f19c0e3f9ede",
 }
 
 
-@pytest.mark.parametrize("args", sorted(GOLDEN_TRACE_SHA256), ids=" ".join)
-def test_bijection_trace_output_is_golden(capsys, args):
-    code, out, err = run(capsys, "bijection", *args, "--trace")
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
+def test_output_is_golden(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TRACE_SHA256[args]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
