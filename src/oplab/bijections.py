@@ -21,18 +21,34 @@ each member back, and compares the source size with a count of that class
 over partition shapes, which reads no object. A map with a left inverse is
 injective, so the round trip stands in for a set of distinct images. The
 weight-down check walks A(n) alone; the staircase check walks every
-overpartition of its source weight, building the half with an overlined
-smallest part as it goes. Both walks are uncached generators, so a check
-keeps no object of its source weight, during the check or after it.
+overpartition of its source weight, making the half with an overlined
+smallest part as it goes. Both walks are uncached generators of plain part
+tuples, so a check keeps no object of its source weight, during the check
+or after it.
 
-The predicates and the forward maps take an Overpartition as it is and
-send anything else through its validating constructor, so junk input
-raises BadParamsError. Each inverse has a tuple-level core. The public
-map validates its input as an Overpartition, guards the inverse's domain
-(in_b, or the overline-mex precondition) with BadParamsError and
-validates the core's result. The checks compare the core's plain tuple
-with the (already valid) source, so an equal tuple is valid too and each
-mapped object is built and validated once, as its image.
+The predicates and the public maps take an Overpartition as it is and send
+anything else through its validating constructor, so junk input raises
+BadParamsError. Every map has a tuple-level core (_a_to_b_parts,
+_b_to_a_parts, _insert_stairs, _remove_stairs) that checks nothing. The
+public map validates its input, guards its domain (in_a, in_b, or the
+overline-mex precondition) with BadParamsError, and builds the core's
+result through the constructor.
+
+The checks build only the images, each as Overpartition(core(source)), so
+each mapped object is built and validated once, and the source tuples from
+the walk are never validated themselves. No check is lost by that:
+
+- the image is validated by its constructor;
+- each inverse core sends a valid member of its target class to a valid
+  tuple: it removes plain parts, or gathers the overlined 1 and the r plain
+  1s into a plain part r+2, which the gap condition of B keeps in order;
+- so a round trip that returns the source proves the source valid, and
+  (the inverse of the weight-down map ends every result in a plain part)
+  in A.
+
+A walk that yields a bad tuple therefore either makes the image's
+constructor raise BadParamsError or fails the round trip; it never passes
+a check.
 """
 
 from __future__ import annotations
@@ -91,13 +107,19 @@ def map_a_to_b(pi: Overpartition) -> Overpartition:
     pi = pi if isinstance(pi, op.Overpartition) else Overpartition(pi)
     if not in_a(pi):
         raise BadParamsError("input must have a non-overlined smallest part")
+    return Overpartition(_a_to_b_parts(pi))
+
+
+def _a_to_b_parts(pi: tuple[Part, ...]) -> tuple[Part, ...]:
+    """The parts of map_a_to_b(pi) as a plain tuple, for pi in A; neither
+    the class nor the result is checked."""
     t = pi[-1].value
     rest = pi[:-1]
     if t == 1:
-        return Overpartition(rest)
+        return rest
     # rest consists of parts >= t in the part order, so appending the
     # 1-block keeps the largest-first sorting
-    return Overpartition(rest + (_ONE,) * (t - 2) + (_ONE_BAR,))
+    return rest + (_ONE,) * (t - 2) + (_ONE_BAR,)
 
 
 def map_b_to_a(lam: Overpartition) -> Overpartition:
@@ -142,12 +164,16 @@ def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
     series._checked_int(j, 1, inf, "j must be >= 1")
     mu = mu if isinstance(mu, op.Overpartition) else Overpartition(mu)
+    return Overpartition(_insert_stairs(mu, j))
+
+
+def _insert_stairs(mu: tuple[Part, ...], j: int) -> list[Part]:
+    """The parts of staircase_insert(mu, j) as a plain list; j is not
+    checked and the result is not validated."""
     # both tuples run largest first, so the sort is one merge of two runs;
     # it is stable, so each plain stair lands before mu's copies of its
     # value, and so before an overlined one
-    return Overpartition(
-        sorted(_stairs(j) + mu, key=itemgetter(0), reverse=True)
-    )
+    return sorted(_stairs(j) + mu, key=itemgetter(0), reverse=True)
 
 
 def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
@@ -186,11 +212,13 @@ def check_weight_down(n: int) -> dict:
     B, so no object of weight n-1 is built), how many images weigh n-1
     and lie in B, whether every image weighs n-1, whether every image lies
     in B and maps back to the original, and whether the witness behaves
-    when n >= 4. An image outside B fails the round trip, which compares
-    the inverse's core tuple with the source, so only the image is built as
-    an Overpartition. A passing round trip makes the map injective, so
-    distinct_images is a_count then, and None when the round trip fails.
-    Weight n past OBJECT_CEILING raises before anything is enumerated.
+    when n >= 4. Each walked tuple of A(n) is mapped by the core, and only
+    its image is built as an Overpartition; an image outside B fails the
+    round trip, which compares the inverse's core tuple with the source.
+    A passing round trip proves the source valid and in A (module
+    docstring) and makes the map injective, so distinct_images is a_count
+    then, and None when the round trip fails. Weight n past OBJECT_CEILING
+    raises before anything is enumerated.
     """
     op._check_weight(n, 1, "n", OBJECT_CEILING)
     b_count = op._shape_tables(n - 1).b
@@ -200,7 +228,7 @@ def check_weight_down(n: int) -> dict:
     round_trip_ok = weights_ok = True
     for pi in op._class_a(n):
         a_count += 1
-        lam = map_a_to_b(pi)
+        lam = Overpartition(_a_to_b_parts(pi))
         on_weight = lam.weight == n - 1
         if not on_weight:
             weights_ok = False
@@ -244,10 +272,10 @@ def check_staircase(n: int, j: int) -> dict:
     matched when every image weighs n with mex >= 2j+1 and the source is as
     large as the target's shape count op21(n, j) + op21(n, j + 1); each
     image in the target must map back to its source, which makes the map
-    injective. The round trip compares the removal core's tuple with the
-    source, so the check itself builds only the image as an Overpartition;
-    the source walk builds the half of weight n - j^2 whose smallest part
-    is overlined and keeps none of it. Every bound is
+    injective. Each walked tuple of weight n - j^2 is mapped by the
+    insertion core, and only its image is built as an Overpartition; the
+    round trip compares the removal core's tuple with the source, and a
+    passing one proves the source valid (module docstring). Every bound is
     checked before anything is enumerated: n - j^2 against OBJECT_CEILING,
     then n against the shape ceiling."""
     series._checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
@@ -259,7 +287,7 @@ def check_staircase(n: int, j: int) -> dict:
     in_target = round_trip_ok = True
     for mu in op._overpartitions(n - j * j):
         source_count += 1
-        lam = staircase_insert(mu, j)
+        lam = Overpartition(_insert_stairs(mu, j))
         if lam.weight != n or op.overline_mex(lam) < 2 * j + 1:
             in_target = False
         elif _remove_stairs(lam, j) != mu:

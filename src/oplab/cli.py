@@ -246,12 +246,12 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         payload["traces"] = [
             _trace(pi, bijections.map_a_to_b(pi),
                    "t=1" if pi[-1].value == 1 else "t>=2")
-            for pi in op._class_a(n)
+            for pi in map(op.Overpartition, op._class_a(n))
         ]
     elif args.trace:
         payload["traces"] = [
             _trace(mu, bijections.staircase_insert(mu, j), "insert")
-            for mu in op._overpartitions(n - j * j)
+            for mu in map(op.Overpartition, op._overpartitions(n - j * j))
         ]
     _emit(payload)
     return 0 if payload["ok"] else 1

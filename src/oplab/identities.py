@@ -37,7 +37,7 @@ from . import bijections
 from . import overpartitions as op
 from . import series
 from .overpartitions import OBJECT_CEILING, SHAPE_CEILING, BadParamsError
-from .series import TruncatedSeries
+from .series import MAX_ORDER, TruncatedSeries
 
 __all__ = [
     "IdentityDescriptor",
@@ -54,8 +54,6 @@ __all__ = [
     "verify_identity",
     "run_default_suite",
 ]
-
-MAX_ORDER = 2000
 
 SeriesBuilder = Callable[[Mapping[str, int], int], TruncatedSeries]
 RowsBuilder = Callable[[Mapping[str, int], int], "list[tuple[int, ...]]"]
@@ -1367,6 +1365,8 @@ def expand_grid(
     """Parameter sets for one identity: its default ranges, with any override
     ranges substituted, expanded one set per value combination.
 
+    An override for a parameter desc does not take is ignored, which lets
+    run_default_suite pass one overrides mapping to every selected id.
     Sets with m > k are dropped where the identity requires m <= k; ranges
     that leave no set at all, and a desc that is not a descriptor, raise
     BadParamsError."""

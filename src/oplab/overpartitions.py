@@ -14,8 +14,11 @@ wasteful (large-n counts), and tests pin the two routes against each other.
 
 Enumeration walks only half of each weight n >= 1, the overpartitions whose
 smallest part is plain, and caches none of it: each walk is a generator
-that builds its objects afresh. Overlining that part pairs them with the
-other half, which is built from the walked half on demand and never kept.
+that yields plain tuples of parts. Overlining that part pairs them with the
+other half, which is made from the walked half on demand and never kept.
+The walks validate nothing; enumerate_overpartitions builds each object
+through the one validating constructor, and the bijection checks build
+only their images (see bijections).
 
 Every caller-supplied integer (a weight, a k, a part value) must be an
 int, not a bool, within its range. A value that fails, a malformed part
@@ -36,7 +39,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import series
-from .series import BadParamsError, _checked_int
+from .series import MAX_ORDER, BadParamsError, _checked_int
 
 __all__ = [
     "Part",
@@ -269,38 +272,38 @@ _TAILS, _TAIL_FIRST_RANKS = _a_tails(_TAIL_WEIGHT)
 
 
 def _class_a(n: int):
-    """Yield every overpartition of n whose smallest part is not overlined
-    (A(n) in bijections' terms; none for n = 0), in increasing
-    lexicographic order of its part ranks (1bar=1, 1=2, 2bar=3, ...),
-    largest part first.
+    """Yield the parts of every overpartition of n whose smallest part is
+    not overlined (A(n) in bijections' terms; none for n = 0), as plain
+    tuples, in increasing lexicographic order of the part ranks (1bar=1,
+    1=2, 2bar=3, ...), largest part first.
 
-    Nothing is cached: each call walks again and builds its objects afresh,
-    each through the validating constructor, from the prefix and a tail of
-    an _a_chunks chunk."""
+    Nothing is cached and nothing is validated: each call walks again, and
+    each tuple is the prefix plus a tail of an _a_chunks chunk. A caller
+    that needs an Overpartition passes the tuple to the constructor."""
     if n == 0:
         return
     chunks = _a_chunks(
         (), n, 2 * n, _rank_parts(2 * n), _TAILS, _TAIL_FIRST_RANKS
     )
     for prefix, tails in chunks:
-        for tail in tails:
-            yield Overpartition(prefix + tail)
+        yield from map(prefix.__add__, tails)
 
 
 def _overpartitions(n: int):
-    """Yield every overpartition of n, in the rank order of _class_a, from
-    one walk of A(n); nothing is kept.
+    """Yield the parts of every overpartition of n as plain tuples, in the
+    rank order of _class_a, from one walk of A(n); nothing is kept or
+    validated.
 
-    Each object of A(n) comes just after its twin with the last part
+    Each tuple of A(n) comes just after its twin with the last part
     overlined: toggling changes only the last rank, from 2t to 2t - 1, and
-    no other overpartition of n lies between the two. The twins are built
+    no other overpartition of n lies between the two. The twins are made
     on demand; every overlined last part is one shared Part per value."""
     if n == 0:
-        yield Overpartition(())
+        yield ()
         return
     bars = [Part(v, True) for v in range(n + 1)]
     for pi in _class_a(n):
-        yield Overpartition(pi[:-1] + (bars[pi[-1].value],))
+        yield pi[:-1] + (bars[pi[-1].value],)
         yield pi
 
 
@@ -311,7 +314,7 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
     so weights above OBJECT_CEILING are refused rather than attempted.
     """
     _check_weight(n, 0, "weight", OBJECT_CEILING)
-    return tuple(_overpartitions(n))
+    return tuple(map(Overpartition, _overpartitions(n)))
 
 
 # -- counting via generating functions --------------------------------------
@@ -350,12 +353,22 @@ def _table_order(n: int) -> int:
     return order
 
 
+def _checked_count_weight(n: int) -> None:
+    """Raise BadParamsError unless n is an int, not a bool, at most MAX_ORDER,
+    before any table is built; a negative n passes."""
+    # one exact-type test and one comparison accept the common case
+    if n.__class__ is not int or n > MAX_ORDER:
+        _checked_int(
+            n, -inf, MAX_ORDER,
+            f"n must be an int at most MAX_ORDER = {MAX_ORDER}, got {n!r}",
+        )
+
+
 def pbar(n: int) -> int:
     """Number of overpartitions of n; pbar(0) = 1 and pbar(n) = 0 for n < 0.
 
-    A bool or non-int n raises BadParamsError."""
-    if n.__class__ is not int:  # one exact-type test accepts the common case
-        _checked_int(n, -inf, inf, f"n must be an int, got {n!r}")
+    A bool, a non-int or an n past MAX_ORDER raises BadParamsError."""
+    _checked_count_weight(n)
     if n < 0:
         return 0
     return _pbar_table(_table_order(n))[n]
@@ -364,9 +377,8 @@ def pbar(n: int) -> int:
 def partition_count(n: int) -> int:
     """Number of ordinary partitions of n; 1 at n = 0 and 0 for n < 0.
 
-    A bool or non-int n raises BadParamsError."""
-    if n.__class__ is not int:
-        _checked_int(n, -inf, inf, f"n must be an int, got {n!r}")
+    A bool, a non-int or an n past MAX_ORDER raises BadParamsError."""
+    _checked_count_weight(n)
     if n < 0:
         return 0
     return _p_table(_table_order(n))[n]

@@ -46,6 +46,11 @@ class BadParamsError(ValueError):
     range, or a weight or bound past its ceiling."""
 
 
+# The largest series order a verification takes, and the largest weight
+# that pbar and partition_count count; the identities layer re-exports it.
+MAX_ORDER = 2000
+
+
 def _checked_int(v: object, lo: float, hi: float, message: str) -> int:
     """v when it is an int, not a bool, with lo <= v <= hi (an infinite bound
     leaves that side open); otherwise BadParamsError(message)."""

@@ -180,11 +180,14 @@ def test_check_weight_down_validation():
 
 
 def test_check_weight_down_catches_a_wrong_weight(monkeypatch):
+    # the checks map each walked tuple through the forward core
     for name, mutant, flag in [
         # the identity map keeps weight n instead of going down to n-1
-        ("map_a_to_b", lambda pi: pi, "weights_ok"),
+        ("_a_to_b_parts", lambda pi: pi, "weights_ok"),
         # an image in the complement class C is reported, not raised
-        ("map_a_to_b", lambda pi: bj.c_witness(pi.weight), "round_trip_ok"),
+        ("_a_to_b_parts",
+         lambda pi: tuple(bj.c_witness(sum(p.value for p in pi))),
+         "round_trip_ok"),
         # an inverse core that returns the image, not the source
         ("_b_to_a_parts", lambda lam: lam, "round_trip_ok"),
     ]:
@@ -200,7 +203,7 @@ def test_check_staircase_catches_a_broken_round_trip(monkeypatch):
         # a removal that leaves the stairs in returns the image, not the source
         ("_remove_stairs", lambda lam, j: lam, "round_trip_ok"),
         # an insertion that adds nothing leaves every image outside the target
-        ("staircase_insert", lambda mu, j: mu, "matched"),
+        ("_insert_stairs", lambda mu, j: mu, "matched"),
     ]:
         with monkeypatch.context() as m:
             m.setattr(bj, name, mutant)
@@ -225,13 +228,22 @@ def test_an_unsorted_inverse_core_fails_the_round_trip_without_raising(
 
 
 def test_public_inverses_wrap_their_cores():
+    # the forward maps too: the checks call the cores, the public maps wrap
+    # them in the validating constructor
     for n in range(13):
         for lam in op.enumerate_overpartitions(n):
+            if bj.in_a(lam):
+                core = bj._a_to_b_parts(lam)
+                assert type(core) is tuple
+                assert bj.map_a_to_b(lam) == Overpartition(core)
             if bj.in_b(lam):
                 core = bj._b_to_a_parts(lam)
                 assert type(core) is tuple
                 assert bj.map_b_to_a(lam) == Overpartition(core)
             for j in range(1, 4):
+                core = bj._insert_stairs(lam, j)
+                assert type(core) is list
+                assert bj.staircase_insert(lam, j) == Overpartition(core)
                 if op.overline_mex(lam) >= 2 * j + 1:
                     core = bj._remove_stairs(lam, j)
                     assert type(core) is tuple
@@ -247,6 +259,8 @@ def test_checks_build_one_object_per_source_object(monkeypatch):
             Counting.built += 1
             return super().__new__(cls, parts)
 
+    # constructions through either module's name count, so the walk, which
+    # yields plain tuples, is pinned to build nothing
     for check, args, key, extra in [
         # check_weight_down also builds its C witness (n >= 4)
         (bj.check_weight_down, (12,), "a_count", 1),
@@ -255,6 +269,7 @@ def test_checks_build_one_object_per_source_object(monkeypatch):
         check(*args)  # warm the enumeration and the shape tables
         with monkeypatch.context() as m:
             m.setattr(bj, "Overpartition", Counting)
+            m.setattr(op, "Overpartition", Counting)
             Counting.built = 0
             result = check(*args)
         assert result["ok"], result
@@ -279,11 +294,11 @@ def test_checks_reject_a_weight_past_its_ceiling_before_enumerating(
 
 def _merge_smallest(pi):
     # keeps the weight but sends both (3) and (1,1,1) to (1,1)
-    return Overpartition(pi[:-1] + (Part(1, False),) * (pi[-1].value - 1))
+    return pi[:-1] + (Part(1, False),) * (pi[-1].value - 1)
 
 
 def test_check_weight_down_catches_a_map_that_is_not_injective(monkeypatch):
-    monkeypatch.setattr(bj, "map_a_to_b", _merge_smallest)
+    monkeypatch.setattr(bj, "_a_to_b_parts", _merge_smallest)
     result = bj.check_weight_down(6)
     assert result["weights_ok"] is True
     assert result["round_trip_ok"] is False
@@ -295,6 +310,48 @@ def test_check_weight_down_catches_a_map_that_is_not_injective(monkeypatch):
     # and the bijectivity display is the first to differ
     assert r.first_mismatch == (2, 0, 1)
     assert r.detail == "display 3 of 4"
+
+
+def _reversed(pi):
+    return pi[::-1]
+
+
+def _double_an_overline(pi):
+    # (..., v, vbar, ...) -> (..., vbar, vbar, ...): the weight is kept, v
+    # carries two overlines
+    for i in range(len(pi) - 1):
+        if pi[i].value == pi[i + 1].value and pi[i + 1].overlined:
+            return pi[:i] + (pi[i + 1],) + pi[i + 1:]
+    return pi
+
+
+@pytest.mark.parametrize("mutant", [_reversed, _double_an_overline])
+def test_a_walk_that_yields_bad_tuples_never_passes(monkeypatch, mutant):
+    # the checks validate only the images: a bad source tuple makes the
+    # image's constructor raise or fails the round trip, never a pass
+    real = op._class_a
+    assert any(mutant(pi) != pi for pi in real(6))
+    monkeypatch.setattr(op, "_class_a", lambda n: map(mutant, real(n)))
+    for check, args in [(bj.check_weight_down, (6,)),
+                        (bj.check_staircase, (7, 1))]:
+        try:
+            result = check(*args)
+        except op.BadParamsError:
+            continue
+        assert result["ok"] is False, (check.__name__, result)
+
+
+def test_a_walk_outside_a_fails_the_weight_down_round_trip(monkeypatch):
+    # valid tuples whose smallest part is overlined map to valid images in
+    # B, and the round trip, whose results end in a plain part, rejects them
+    real = op._class_a
+    monkeypatch.setattr(op, "_class_a", lambda n: (
+        pi[:-1] + (Part(pi[-1].value, True),) for pi in real(n)
+    ))
+    result = bj.check_weight_down(6)
+    assert result["weights_ok"] is True
+    assert result["round_trip_ok"] is False
+    assert result["ok"] is False
 
 
 def test_checks_keep_no_objects():
@@ -368,6 +425,7 @@ def test_weight_down_round_trip_past_the_cap(pi):
     assert bj.in_b(lam)
     assert lam.weight == pi.weight - 1
     assert bj.map_b_to_a(lam) == pi
+    assert bj._a_to_b_parts(pi) == lam
     assert bj._b_to_a_parts(lam) == pi
 
 
@@ -380,12 +438,14 @@ def test_weight_down_inverse_round_trip_past_the_cap(lam):
     assert bj.in_a(pi)
     assert pi.weight == lam.weight + 1
     assert bj.map_a_to_b(pi) == lam
+    assert bj._a_to_b_parts(pi) == lam
 
 
 @settings(deadline=None)
 @given(overpartitions(), st.integers(1, 12))
 def test_staircase_round_trip_past_the_cap(mu, j):
     lam = bj.staircase_insert(mu, j)
+    assert tuple(bj._insert_stairs(mu, j)) == lam
     assert lam.weight == mu.weight + j * j
     assert op.overline_mex(lam) >= 2 * j + 1
     assert bj.staircase_remove(lam, j) == mu

@@ -465,22 +465,24 @@ def test_bijection_usage_errors(capsys):
     assert (code, out) == (2, "") and "--check" in err
 
 
-_REAL_MAP_A_TO_B = bijections.map_a_to_b
+_REAL_A_TO_B_PARTS = bijections._a_to_b_parts
 
 
 def _into_complement(pi):
     # below weight 4 the complement class is empty and has no witness
-    if pi.weight < 4:
-        return _REAL_MAP_A_TO_B(pi)
-    return bijections.c_witness(pi.weight)
+    weight = sum(p.value for p in pi)
+    if weight < 4:
+        return _REAL_A_TO_B_PARTS(pi)
+    return tuple(bijections.c_witness(weight))
 
 
+# the checks map each walked tuple through the forward map's core
 @pytest.mark.parametrize("name, mutant, argv", [
-    ("map_a_to_b", _into_complement,
+    ("_a_to_b_parts", _into_complement,
      ("verify", "--id", "sec3-bijection", "--n-max", "8")),
-    ("map_a_to_b", _into_complement,
+    ("_a_to_b_parts", _into_complement,
      ("bijection", "--which", "section3", "--n", "8")),
-    ("staircase_insert", lambda mu, j: mu,
+    ("_insert_stairs", lambda mu, j: mu,
      ("bijection", "--which", "lemma41", "--n", "6", "--j", "1")),
 ], ids=["verify-section3", "bijection-section3", "bijection-lemma41"])
 def test_a_faulty_map_is_a_failed_check(capsys, monkeypatch, name, mutant, argv):

@@ -269,6 +269,16 @@ def test_expand_grid_overrides():
         idn.expand_grid(desc, {"m": (-100, 0)})
 
 
+def test_expand_grid_ignores_an_override_the_identity_does_not_take():
+    # run_default_suite passes one overrides mapping to every selected id
+    gauss = idn.get_identity("gauss")
+    assert idn.expand_grid(gauss, {"k": (1, 2)}) == [{}]
+    li = idn.get_identity("li-truncation")
+    assert idn.expand_grid(li, {"k": (2, 3), "m": (0, 0)}) == [
+        {"k": 2}, {"k": 3},
+    ]
+
+
 def test_run_default_suite_subset_sorted():
     reports = idn.run_default_suite(
         ["thm-2-3", "euler-odd-distinct"], n_max=8, order=30
