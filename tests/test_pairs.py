@@ -22,52 +22,72 @@ def test_parent_runs_first_in_odd_pairs():
 def test_summary_of_a_lower_is_better_metric():
     parent = [1.0, 2.0, 3.0, 4.0, 5.0]
     tree = [0.5, 1.0, 1.5, 2.0, 6.0]
-    s = pairs.summarize(parent, tree, "lower")
+    s = pairs.summarize(parent, tree, "lower", (0, 0))
     assert s["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
     assert s["tree"] == {"median": 1.5, "q1": 1.0, "q3": 2.0}
     # the last pair is a loss; ratios 0.5 x 4 and 1.2
     assert (s["wins"], s["losses"], s["pairs"]) == (4, 1, 5)
     assert s["median_ratio"] == 0.5
-    # 4 wins of 5 are fewer than 9 in 10, and the median fell by 1.5, less
-    # than the parent's spread of 2
+    # 5 pairs are fewer than 10, 4 wins of 5 are fewer than 9 in 10, and the
+    # median fell by 1.5, less than the parent's spread of 2
     assert s["verdict"] == "unresolved"
 
 
 def test_summary_of_a_higher_is_better_metric_and_ties():
     parent = [10.0, 10.0, 10.0, 10.0]
     tree = [20.0, 10.0, 30.0, 5.0]
-    s = pairs.summarize(parent, tree, "higher")
+    s = pairs.summarize(parent, tree, "higher", (0, 0))
     # a tie is neither a win nor a loss
     assert (s["wins"], s["losses"], s["pairs"]) == (2, 1, 4)
     assert s["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0}
     assert s["tree"]["median"] == 15.0
     assert s["median_ratio"] == 1.5
     assert s["verdict"] == "unresolved"
-    assert pairs.summarize(parent, tree, "lower")["wins"] == 1
+    assert pairs.summarize(parent, tree, "lower", (0, 0))["wins"] == 1
 
 
 def test_verdict_needs_nine_in_ten_and_a_move_past_the_parent_spread():
     parent = [1.0 + 0.01 * i for i in range(10)]  # spread 0.045
     faster = [p - 0.2 for p in parent]
-    assert pairs.summarize(parent, faster, "lower")["verdict"] == "better"
-    assert pairs.summarize(faster, parent, "lower")["verdict"] == "worse"
+    assert pairs.summarize(parent, faster, "lower", (0, 0))["verdict"] == "better"
+    assert pairs.summarize(faster, parent, "lower", (0, 0))["verdict"] == "worse"
     # nine wins in ten still count, eight do not
     nine = faster[:9] + [parent[9] + 1]
-    assert pairs.summarize(parent, nine, "lower")["verdict"] == "better"
+    assert pairs.summarize(parent, nine, "lower", (0, 0))["verdict"] == "better"
     eight = faster[:8] + [p + 1 for p in parent[8:]]
-    assert pairs.summarize(parent, eight, "lower")["verdict"] == "unresolved"
+    assert pairs.summarize(parent, eight, "lower", (0, 0))["verdict"] == "unresolved"
     # ten small wins that stay inside the parent's spread do not count
     slightly = [p - 0.001 for p in parent]
-    assert pairs.summarize(parent, slightly, "lower")["verdict"] == "unresolved"
+    assert pairs.summarize(parent, slightly, "lower", (0, 0))["verdict"] == "unresolved"
 
 
-def test_one_pair_and_bad_input():
-    s = pairs.summarize([2.0], [1.0], "lower")
+def test_a_gain_with_more_failed_checks_is_not_better():
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    faster = [p - 0.2 for p in parent]
+    assert pairs.summarize(parent, faster, "lower", (1, 1))["verdict"] == "better"
+    s = pairs.summarize(parent, faster, "lower", (0, 1))
+    assert (s["wins"], s["verdict"]) == (10, "unresolved")
+    # fewer failures on the tree do not block a gain
+    assert pairs.summarize(parent, faster, "lower", (2, 0))["verdict"] == "better"
+
+
+def test_fewer_than_ten_pairs_resolve_nothing():
+    assert pairs.PAIRS == 10
+    s = pairs.summarize([2.0], [1.0], "lower", (0, 0))
     assert s["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert (s["wins"], s["median_ratio"]) == (1, 0.5)
+    assert s["verdict"] == "unresolved"
+    parent = [1.0 + 0.01 * i for i in range(9)]
+    faster = [p - 0.2 for p in parent]
+    s = pairs.summarize(parent, faster, "lower", (0, 0))
+    assert (s["wins"], s["pairs"], s["verdict"]) == (9, 9, "unresolved")
+    assert pairs.summarize(faster, parent, "lower", (0, 0))["verdict"] == "unresolved"
+
+
+def test_bad_input():
     with pytest.raises(ValueError):
-        pairs.summarize([1.0, 2.0], [1.0], "lower")
+        pairs.summarize([1.0, 2.0], [1.0], "lower", (0, 0))
     with pytest.raises(ValueError):
-        pairs.summarize([], [], "lower")
+        pairs.summarize([], [], "lower", (0, 0))
     with pytest.raises(ValueError):
-        pairs.summarize([1.0], [1.0], "faster")
+        pairs.summarize([1.0], [1.0], "faster", (0, 0))

@@ -1,23 +1,26 @@
 """Alternating cold benchmark pairs: a parent revision against the working tree.
 
-    python3 tools/pairs.py --parent HEAD --workload bijections --pairs 10 --seconds 6
+    python3 tools/pairs.py --parent HEAD
 
 REV is exported with `git archive` into a temporary directory, so nothing
-in .git changes. Each pair runs `perfbench/run.py --trace 0` once in the
-export and once in the working tree, each in its own processes and one
-after the other, the parent first in odd pairs and the tree first in even
-ones; pair i uses seed i. A run's result is the last line it prints, a
-JSON object.
+in .git changes. The command, the run length and the workloads are those
+of BENCHMARK.json, as in perfbench/spread.py. Every workload gets PAIRS
+pairs; each pair runs the command with `--trace 0` once in the export and
+once in the working tree, each in its own processes and one after the
+other, the parent first in odd pairs and the tree first in even ones;
+pair i uses seed i. A run's result is the last line it prints, a JSON
+object.
 
 The pairs go to BENCH_<short sha of REV>.json at the root of the working
-tree, under the workload's name, so one file collects every workload
-measured against one parent. Per end-to-end metric of BENCHMARK.json it
-holds the median and quartiles of each side, the tree's wins and losses
-(pairs in which it is strictly better or worse, by the metric's
-`better`), the median of the per-pair tree / parent ratios, and a verdict:
-"better" or "worse" when at least 9 pairs in 10 go that way and the
-medians differ by more than the parent's quartile spread, otherwise
-"unresolved". Every process is waited for, so none outlives the script.
+tree, written once, after the last pair. Per workload and end-to-end
+metric of BENCHMARK.json it holds the median and quartiles of each side,
+the tree's wins and losses (pairs in which it is strictly better or
+worse, by the metric's `better`), the median of the per-pair tree / parent
+ratios, and a verdict: "better" or "worse" when there are PAIRS pairs, at
+least 9 in 10 of them go that way and the medians differ by more than the
+parent's quartile spread, otherwise "unresolved". A gain is not "better"
+when the tree failed more checks than the parent. Every process is waited
+for, so none outlives the script.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from os.path import abspath, dirname, join
 from statistics import median, quantiles
 
 ROOT = dirname(dirname(abspath(__file__)))
+PAIRS = 10
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -51,8 +55,10 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(parent: list[float], tree: list[float], better: str) -> dict:
-    """One metric over paired runs: parent[i] and tree[i] are pair i."""
+def summarize(parent: list[float], tree: list[float], better: str,
+              failed: tuple[int, int]) -> dict:
+    """One metric over paired runs: parent[i] and tree[i] are pair i, and
+    `failed` is the number of failed checks over all runs of each side."""
     if len(parent) != len(tree) or not parent:
         raise ValueError("need one parent and one tree value per pair")
     if better not in ("lower", "higher"):
@@ -68,10 +74,11 @@ def summarize(parent: list[float], tree: list[float], better: str) -> dict:
     gain = sign * (sides["parent"]["median"] - sides["tree"]["median"])
     spread = sides["parent"]["q3"] - sides["parent"]["q1"]
     verdict = "unresolved"
-    if 10 * wins >= 9 * n and gain > spread:
-        verdict = "better"
-    elif 10 * losses >= 9 * n and -gain > spread:
-        verdict = "worse"
+    if n >= PAIRS:
+        if 10 * wins >= 9 * n and gain > spread and failed[1] <= failed[0]:
+            verdict = "better"
+        elif 10 * losses >= 9 * n and -gain > spread:
+            verdict = "worse"
     return {
         "better": better,
         **sides,
@@ -98,73 +105,77 @@ def export(rev: str, into: str) -> None:
             tar.extractall(into)
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
-    """One cold perfbench run in the checkout `tree`; its last JSON line."""
+def run_once(bench: dict, tree: str, workload: str, seed: int) -> dict:
+    """One cold benchmark run in the checkout `tree`; its last JSON line."""
     proc = subprocess.run(
-        [sys.executable, join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        bench["command"] + ["--workload", workload, "--seed", str(seed),
+                            "--seconds", str(bench["run_seconds"]),
+                            "--trace", "0"],
         cwd=tree, capture_output=True, text=True, stdin=subprocess.DEVNULL,
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(
-            f"perfbench run in {tree} exited {proc.returncode}: "
+            f"benchmark run in {tree} exited {proc.returncode}: "
             f"{proc.stderr.strip()[-500:]}"
         )
     return json.loads(lines[-1])
 
 
+def measure(bench: dict, trees: dict, workload: str) -> dict:
+    """PAIRS alternating pairs of one workload, summarized per metric."""
+    runs = []
+    for pair in range(1, PAIRS + 1):
+        first, second = order(pair)
+        got = {side: run_once(bench, trees[side], workload, pair)
+               for side in (first, second)}
+        runs.append({
+            "pair": pair, "seed": pair, "first": first,
+            **{side: {"failed": r["failed"], "attempted": r["attempted"],
+                      **{k: v["value"] for k, v in r["metrics"].items()}}
+               for side, r in got.items()},
+        })
+        print(f"{workload} pair {pair}: " + ", ".join(
+            f"{side} wall_s {runs[-1][side]['wall_s']:.3f}"
+            for side in ("parent", "tree")), file=sys.stderr)
+    failed = {side: sum(r[side]["failed"] for r in runs)
+              for side in ("parent", "tree")}
+    return {
+        "failed": failed,
+        "metrics": {
+            m["name"]: {"unit": m["unit"], **summarize(
+                [r["parent"][m["name"]] for r in runs],
+                [r["tree"][m["name"]] for r in runs], m["better"],
+                (failed["parent"], failed["tree"]))}
+            for m in bench["end_to_end"]
+        },
+        "runs": runs,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, required=True)
     args = parser.parse_args()
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be >= 1")
     sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
     short = git("rev-parse", "--short", sha).decode().strip()
     with open(join(ROOT, "BENCHMARK.json")) as f:
-        metrics = {m["name"]: m for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
 
-    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         export(sha, tmp)
         trees = {"parent": tmp, "tree": ROOT}
-        for pair in range(1, args.pairs + 1):
-            first, second = order(pair)
-            got = {side: run_once(trees[side], args.workload, pair, args.seconds)
-                   for side in (first, second)}
-            runs.append({
-                "pair": pair, "seed": pair, "first": first,
-                **{side: {"failed": r["failed"], "attempted": r["attempted"],
-                          **{k: v["value"] for k, v in r["metrics"].items()}}
-                   for side, r in got.items()},
-            })
-            print(f"pair {pair}: " + ", ".join(
-                f"{side} wall_s {runs[-1][side]['wall_s']:.3f}"
-                for side in ("parent", "tree")), file=sys.stderr)
+        workloads = {w["name"]: measure(bench, trees, w["name"])
+                     for w in bench["workloads"]}
 
     out = join(ROOT, f"BENCH_{short}.json")
-    report = {"parent": sha, "workloads": {}}
-    if os.path.exists(out):
-        with open(out) as f:
-            report = json.load(f)
-    report["workloads"][args.workload] = {
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+    report = {
+        "parent": sha,
+        "pairs": PAIRS,
+        "seconds": bench["run_seconds"],
         "host": {"python": platform.python_version(),
                  "nproc": len(os.sched_getaffinity(0))},
-        "failed": {side: sum(r[side]["failed"] for r in runs)
-                   for side in ("parent", "tree")},
-        "metrics": {
-            name: {"unit": m["unit"], **summarize(
-                [r["parent"][name] for r in runs],
-                [r["tree"][name] for r in runs], m["better"])}
-            for name, m in metrics.items()
-        },
-        "runs": runs,
+        "workloads": workloads,
     }
     with open(out, "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
