@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import defaultdict
 from math import inf
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import series
@@ -157,7 +158,7 @@ class Overpartition(tuple):
 # about 2x between runs): a first check_weight_down(30) in a fresh process
 # takes 0.4-0.55 s and peaks at 15 MB RSS, the interpreter and package
 # included, as it keeps no object of its walk; filling every shape table
-# up to n = 50 takes 1.4-2.8 s (n = 60: 7 s).
+# up to n = 50 takes 0.5-0.7 s (n = 60: 2.4-2.7 s).
 OBJECT_CEILING = 30  # materialised overpartitions
 SHAPE_CEILING = 50  # statistics counted over partition shapes
 
@@ -177,37 +178,6 @@ def _check_weight(n: int, lo: int, name: str, ceiling: int = SHAPE_CEILING) -> N
     _checked_int(n, lo, inf, f"{name} must be >= {lo}")
     if n > ceiling:
         raise EnumerationCapError(f"weight {n} exceeds the ceiling {ceiling}")
-
-
-def _value_blocks(n: int):
-    """Yield every partition shape of n once, as ((value, count), ...) with
-    values strictly decreasing, starting from ((n, 1),).
-
-    An iterative walk in multiplicity form (Nijenhuis and Wilf's NEXPAR;
-    Zoghbi and Stojmenovic's ZS1): one list of blocks per walk, and each
-    step strips the 1s, takes one copy off the smallest part v >= 2 and
-    refills the freed weight with as many parts v - 1 as fit plus one
-    remainder part, so a step touches only the last few blocks."""
-    if n == 0:
-        yield ()
-        return
-    blocks = [(n, 1)]
-    while True:
-        yield tuple(blocks)
-        freed = 0
-        if blocks[-1][0] == 1:
-            freed = blocks.pop()[1]
-            if not blocks:
-                return
-        v, c = blocks[-1]
-        if c > 1:
-            blocks[-1] = (v, c - 1)
-        else:
-            blocks.pop()
-        count, rest = divmod(freed + v, v - 1)
-        blocks.append((v - 1, count))
-        if rest:
-            blocks.append((rest, 1))
 
 
 def _rank_parts(top: int) -> list[Part]:
@@ -402,13 +372,18 @@ def overline_mex(pi: Overpartition) -> int:
 # Each statistic depends only on the shape of an overpartition, its
 # (value, multiplicity) blocks, and on which blocks carry an overline. A
 # shape with b blocks stands for 2^b overpartitions, one per flag
-# assignment, so one pass over the p(n) shapes, weighing the assignments in
-# closed form, fills the column for every k. This is still exhaustive
-# counting: no table reads pbar or any generating function.
+# assignment, weighed in closed form. Every shape is a 1-free shape S, one
+# with no part 1, plus c1 >= 0 plain 1s, and S + c1 ones differs from S
+# only in terms that the block of 1s decides. So one incremental fill scans
+# each 1-free shape once, p(n) of them for every weight up to n (204 226
+# for n = 50, against 1 295 971 shapes for one walk per weight),
+# and writes each c1 >= 1 in closed form, as rows over the weight. This is
+# still exhaustive counting: no table reads pbar or any generating
+# function.
 
 
 class _ShapeTables(NamedTuple):
-    """Counts for one weight n, all filled by one pass over its shapes.
+    """Counts for one weight n, over the shapes of n.
 
     mbar, nbar and mk are indexed by k, and mex[m] counts the
     overpartitions of n whose overline-mex is m. An index past the end
@@ -422,70 +397,212 @@ class _ShapeTables(NamedTuple):
     b: int
 
 
-@lru_cache(maxsize=None)
+def _blocks_without_ones(m: int):
+    """Yield every partition shape of m with no part 1 once, as
+    ((value, count), ...) with values strictly decreasing, starting from
+    ((m, 1),); there is none for m = 1.
+
+    An iterative walk in multiplicity form (Nijenhuis and Wilf's NEXPAR;
+    Zoghbi and Stojmenovic's ZS1) with 2 as the smallest part, in reverse
+    lexicographic order: one list of blocks per walk, and each step strips
+    the 2s, takes one copy off the smallest part v above 2 and refills the
+    freed weight with as many parts v - 1 as fit plus one remainder part;
+    where that remainder would be 1, the last part v - 1 and the 1 become
+    v - 2 and 2. A copy of 3 cannot be refilled with 2s alone, so the 3s
+    go two at a time, or a single 3 goes with a copy of the next value."""
+    if m < 2:
+        if m == 0:
+            yield ()
+        return
+    blocks = [(m, 1)]
+    while True:
+        yield tuple(blocks)
+        freed = 0
+        if blocks[-1][0] == 2:
+            freed = 2 * blocks.pop()[1]
+            if not blocks:
+                return
+        v, c = blocks.pop()
+        if v == 3:
+            if c > 1:
+                if c > 2:
+                    blocks.append((3, c - 2))
+                blocks.append((2, freed // 2 + 3))
+                continue
+            if not blocks:
+                return
+            freed += 3
+            v, c = blocks.pop()
+        if c > 1:
+            blocks.append((v, c - 1))
+        count, rest = divmod(freed + v, v - 1)
+        if rest == 1:
+            # the last part v - 1 and the 1 left over make v, as v - 2 and 2
+            if count > 1:
+                blocks.append((v - 1, count - 1))
+            blocks.extend(((2, 2),) if v == 4 else ((v - 2, 1), (2, 1)))
+        else:
+            blocks.append((v - 1, count))
+            if rest:
+                blocks.append((rest, 1))
+
+
+def _fill():
+    """Yield the _ShapeTables of n = 0, 1, 2, ... in turn.
+
+    Weight m's 1-free shapes S are scanned once each, as the shape S itself
+    (c1 = 0), and for every c1 >= 1 as S + c1 ones, written as rows of
+    later weights: a running row holds what is the same for every c1 >= 1
+    and is added to each later weight, and the terms that hold only for
+    some c1 go to the weight where they start or end. With c1 >= 1 the
+    ones are the smallest block, so S + c1 ones has twice S's assignments:
+    - mbar: k = 0 qualifies in every assignment, by the 1s, and each k >= 1
+      as for S;
+    - nbar: as for S, except that a first block of S with a single copy no
+      longer counts at k = 1 (its value is not the smallest part >= 1);
+      the block of 1s decides k = 1 when c1 is 1 or 2, and an overlined
+      single 1 is exempt before such a single-copy block;
+    - mk: the gap is the least value >= 2 missing from S, and with P parts
+      of S, B of them below the gap, it counts while c1 < P - 2B;
+    - mex: a 1 is present, so the odd values continue from 3 over S's
+      blocks; with c1 >= 2 a 1 is always plain, and with c1 = 1 it is plain
+      in half the assignments, and the mex is 1 in the other half;
+    - b: B fails only with an overlined 1 whose next value v ranks below
+      the plain part c1 + 1: as a vbar from c1 = v - 1, as a plain v from
+      c1 = v.
+    Weight n's table is final once every 1-free shape of weight <= n is
+    scanned, so each weight is scanned once, in order, when first asked."""
+    # the c1 >= 1 rows of the shapes scanned so far
+    mbar_ones, nbar_ones, mk_ones = [0] * 3, [0] * 3, [0] * 3
+    b_ones = 0
+    # mex: the c1 = 1 rows less their mex 1, which are the c1 >= 2 rows
+    # halved, summed over the weights below m and below m - 1
+    mex_ones, mex_twos = [0] * 3, [0] * 3
+    mk_ends = defaultdict(list)  # weight -> gaps of the mk windows ending there
+    b_ends = defaultdict(int)  # weight -> b brackets starting there
+    # the assignments of every shape (total) and of the shapes whose first
+    # block has a single copy (single): summed over the weights below m, and
+    # at weights m - 1 and m - 2
+    singles = 0
+    total1 = total2 = single1 = 0
+    for m in itertools.count():
+        size = m + 4  # index room for every column of weight m
+        for row in (mbar_ones, nbar_ones, mk_ones, mex_ones, mex_twos):
+            row.append(0)
+        mbar_diff, nbar_col, mex_half = [0] * size, [0] * size, [0] * size
+        mk_new, b_new = [0] * size, [0] * size
+        total = single = shapes = 0
+        for blocks in _blocks_without_ones(m):
+            weight = 1 << len(blocks)
+            half = weight >> 1
+            total += weight
+            prev = prev_c = 0
+            parts = below = 0
+            gap = 2  # least value >= 2 missing so far
+            odd = 3  # least odd value >= 3 not yet seen as a plain part
+            odd_weight = weight
+            for v, c in reversed(blocks):  # values increasing
+                parts += c
+                # mbar: for prev <= k < v the smallest value above k is v,
+                # which occurs c times whatever the flags, so k <= c - 1
+                # qualifies
+                top = v if v < c else c
+                if top > prev:
+                    mbar_diff[prev] += weight
+                    mbar_diff[top] -= weight
+                # nbar, prev < k < v: the smallest part >= k has value v and
+                # must be plain, so v is plain and c == k
+                if prev < c < v:
+                    nbar_col[c] += half
+                # nbar, k == v: v plain needs c == k; v overlined with c >= 2
+                # is exempt once, leaving c - 1 == k plain copies
+                if c == v or c - 1 == v:
+                    nbar_col[v] += half
+                # nbar, k == prev overlined with one copy: it is exempt
+                # entirely, so this block decides and must be plain with k
+                # copies
+                if prev_c == 1 and c == prev:
+                    nbar_col[prev] += half >> 1
+                # mk: values 2..gap-1 are the first blocks
+                if v == gap:
+                    gap += 1
+                    below += c
+                # overline-mex: a value occurring twice or more is always
+                # plain; a single copy is plain in half the assignments, and
+                # in the other half the mex is v
+                if v == odd:
+                    if c == 1:
+                        odd_weight >>= 1
+                        mex_half[v] += odd_weight
+                    odd += 2
+                prev, prev_c = v, c
+            mex_half[odd] += odd_weight
+            if prev:
+                shapes += 1
+                first, first_c = blocks[-1]
+                b_new[first] += half
+                if first_c == 1:
+                    single += weight
+                end = parts - 2 * below
+                if end > 1:
+                    mk_new[gap] += 1
+                    mk_ends[m + end].append(gap)
+
+        # weight m: S itself, S + 1, S + 2 and the open rows of every c1
+        b_ones += b_ends.pop(m, 0)
+        for g in mk_ends.pop(m, ()):
+            mk_ones[g] -= 1
+        mbar = list(itertools.accumulate(mbar_diff[: m + 2]))
+        nbar = list(map(add, nbar_col[: m + 2], nbar_ones))
+        # k = 1: the 1s decide at c1 = 1 and 2, an overlined single 1 is
+        # exempt before a single-copy first block, and that block no longer
+        # counts for any c1 >= 1
+        nbar[1] += total1 + total2 + (single1 >> 1) - singles
+        mk = mk_ones[: m + 2]
+        mk[1] += shapes  # S itself: no 1, and at least one part
+        mex = list(map(add, mex_ones, mex_twos))
+        mex[1] += total + total1  # S itself, and S + 1 with 1 overlined
+        tables = _ShapeTables(
+            tuple(map(add, mbar, mbar_ones)), tuple(nbar), tuple(mk),
+            tuple(mex), total + b_ones,
+        )
+
+        # the rows every later weight reads
+        mbar_ones[0] += 2 * total
+        for k in range(1, m + 2):
+            mbar_ones[k] += 2 * mbar[k]
+        for k in range(size):
+            nbar_ones[k] += 2 * nbar_col[k]
+            mk_ones[k] += mk_new[k]
+            if b_new[k]:
+                b_ends[m + k - 1] -= b_new[k]
+                b_ends[m + k] -= b_new[k]
+        mex_twos[:] = mex_ones
+        mex_ones[:] = map(add, mex_ones, mex_half)
+        b_ones += 2 * total
+        singles += single
+        total1, total2, single1 = total, total1, single
+        yield tables
+
+
+# The tables of the weights filled so far, in order, and the fill that
+# extends them: no weight is scanned twice in a process.
+_TABLES: list[_ShapeTables] = []
+_FILL = _fill()
+
+
 def _shape_tables(n: int) -> _ShapeTables:
-    mbar_diff = [0] * (n + 2)
-    nbar_col = [0] * (n + 2)
-    mk_col = [0] * (n + 2)
-    # the overline-mex 2j + 1 needs 1, 3, ..., 2j - 1: j^2 <= n, 2j + 1 <= n + 3
-    mex_col = [0] * (n + 4)
-    b = 0
-    for blocks in _value_blocks(n):
-        weight = 1 << len(blocks)
-        half = weight >> 1
-        b += weight
-        # B fails only with an overlined 1 (c1 copies of 1, r = c1 - 1 of
-        # them plain) whose next value v2 ranks below the plain part c1 + 1:
-        # as v2bar when v2 <= c1 + 1, as plain v2 when v2 <= c1; the other
-        # blocks' flags are free
-        if len(blocks) > 1 and blocks[-1][0] == 1:
-            v2, c1 = blocks[-2][0], blocks[-1][1]
-            b -= (half >> 1) * ((v2 <= c1 + 1) + (v2 <= c1))
-        prev = prev_c = 0
-        parts = below = 0
-        gap = 1  # least value missing so far: the mex of the plain values
-        odd = 1  # least odd value not yet seen present as a plain part
-        odd_weight = weight
-        for v, c in reversed(blocks):  # values increasing
-            parts += c
-            # mbar: for prev <= k < v the smallest value above k is v, which
-            # occurs c times whatever the flags, so k <= c - 1 qualifies
-            top = v if v < c else c
-            if top > prev:
-                mbar_diff[prev] += weight
-                mbar_diff[top] -= weight
-            # nbar, prev < k < v: the smallest part >= k has value v and must
-            # be plain, so v is plain and c == k
-            if prev < c < v:
-                nbar_col[c] += half
-            # nbar, k == v: v plain needs c == k; v overlined with c >= 2 is
-            # exempt once, leaving c - 1 == k plain copies
-            if c == v or c - 1 == v:
-                nbar_col[v] += half
-            # nbar, k == prev overlined with one copy: it is exempt entirely,
-            # so this block decides and must be plain with k copies
-            if prev_c == 1 and c == prev:
-                nbar_col[prev] += half >> 1
-            # mk: values 1..gap-1 are the first blocks, the rest lie above gap
-            if v == gap:
-                gap += 1
-                below += c
-            # overline-mex: a value occurring twice or more is always plain; a
-            # single copy is plain in half the assignments, and in the other
-            # half the mex is v
-            if v == odd:
-                if c == 1:
-                    odd_weight >>= 1
-                    mex_col[v] += odd_weight
-                odd += 2
-            prev, prev_c = v, c
-        if parts - below > below:
-            mk_col[gap] += 1
-        mex_col[odd] += odd_weight
-    return _ShapeTables(
-        tuple(itertools.accumulate(mbar_diff)), tuple(nbar_col), tuple(mk_col),
-        tuple(mex_col), b,
-    )
+    """The tables of weight n, extending the fill up to n if it is short."""
+    global _TABLES, _FILL
+    try:
+        while len(_TABLES) <= n:
+            _TABLES.append(next(_FILL))
+    except BaseException:
+        # an exception, an interrupt included, ends the generator, so a fill
+        # cut short starts over from weight 0
+        _TABLES, _FILL = [], _fill()
+        raise
+    return _TABLES[n]
 
 
 def _column(col: tuple[int, ...], k: int) -> int:

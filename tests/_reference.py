@@ -1,6 +1,9 @@
 """Reference oracles that only the tests use: the shortest direct
-definitions of things the package does not provide itself, and one probe
+definitions of things the package does not provide itself, the per-weight
+shape tables that the package's incremental fill replaced, and one probe
 that records which weights the package walks."""
+
+import itertools
 
 from oplab import overpartitions, series
 from oplab.overpartitions import Overpartition, Part
@@ -93,15 +96,124 @@ def rank_walk(n):
     return tuple(out)
 
 
+def _record_calls(monkeypatch, name):
+    calls = []
+    real = getattr(overpartitions, name)
+
+    def recording(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(overpartitions, name, recording)
+    return calls
+
+
 def record_walks(monkeypatch):
     """Patch the A(n) walk, overpartitions._class_a, so each call appends
     its weight to the returned list."""
-    walks = []
-    real = overpartitions._class_a
+    return _record_calls(monkeypatch, "_class_a")
 
-    def recording(n):
-        walks.append(n)
-        return real(n)
 
-    monkeypatch.setattr(overpartitions, "_class_a", recording)
-    return walks
+def record_tables(monkeypatch):
+    """Patch overpartitions._shape_tables, which every shape-counted
+    statistic reads, so each call appends its weight to the returned list."""
+    return _record_calls(monkeypatch, "_shape_tables")
+
+
+def value_blocks(n):
+    """Yield every partition shape of n once, as ((value, count), ...) with
+    values strictly decreasing, starting from ((n, 1),).
+
+    An iterative walk in multiplicity form (Nijenhuis and Wilf's NEXPAR;
+    Zoghbi and Stojmenovic's ZS1): one list of blocks per walk, and each
+    step strips the 1s, takes one copy off the smallest part v >= 2 and
+    refills the freed weight with as many parts v - 1 as fit plus one
+    remainder part, so a step touches only the last few blocks."""
+    if n == 0:
+        yield ()
+        return
+    blocks = [(n, 1)]
+    while True:
+        yield tuple(blocks)
+        freed = 0
+        if blocks[-1][0] == 1:
+            freed = blocks.pop()[1]
+            if not blocks:
+                return
+        v, c = blocks[-1]
+        if c > 1:
+            blocks[-1] = (v, c - 1)
+        else:
+            blocks.pop()
+        count, rest = divmod(freed + v, v - 1)
+        blocks.append((v - 1, count))
+        if rest:
+            blocks.append((rest, 1))
+
+
+def shape_tables(n):
+    """The shape tables of weight n from one pass over its p(n) shapes,
+    each weight walked on its own: each shape of b blocks stands for its 2^b
+    overline assignments, weighed in closed form."""
+    mbar_diff = [0] * (n + 2)
+    nbar_col = [0] * (n + 2)
+    mk_col = [0] * (n + 2)
+    # the overline-mex 2j + 1 needs 1, 3, ..., 2j - 1: j^2 <= n, 2j + 1 <= n + 3
+    mex_col = [0] * (n + 4)
+    b = 0
+    for blocks in value_blocks(n):
+        weight = 1 << len(blocks)
+        half = weight >> 1
+        b += weight
+        # B fails only with an overlined 1 (c1 copies of 1, r = c1 - 1 of
+        # them plain) whose next value v2 ranks below the plain part c1 + 1:
+        # as v2bar when v2 <= c1 + 1, as plain v2 when v2 <= c1; the other
+        # blocks' flags are free
+        if len(blocks) > 1 and blocks[-1][0] == 1:
+            v2, c1 = blocks[-2][0], blocks[-1][1]
+            b -= (half >> 1) * ((v2 <= c1 + 1) + (v2 <= c1))
+        prev = prev_c = 0
+        parts = below = 0
+        gap = 1  # least value missing so far: the mex of the plain values
+        odd = 1  # least odd value not yet seen present as a plain part
+        odd_weight = weight
+        for v, c in reversed(blocks):  # values increasing
+            parts += c
+            # mbar: for prev <= k < v the smallest value above k is v, which
+            # occurs c times whatever the flags, so k <= c - 1 qualifies
+            top = v if v < c else c
+            if top > prev:
+                mbar_diff[prev] += weight
+                mbar_diff[top] -= weight
+            # nbar, prev < k < v: the smallest part >= k has value v and must
+            # be plain, so v is plain and c == k
+            if prev < c < v:
+                nbar_col[c] += half
+            # nbar, k == v: v plain needs c == k; v overlined with c >= 2 is
+            # exempt once, leaving c - 1 == k plain copies
+            if c == v or c - 1 == v:
+                nbar_col[v] += half
+            # nbar, k == prev overlined with one copy: it is exempt entirely,
+            # so this block decides and must be plain with k copies
+            if prev_c == 1 and c == prev:
+                nbar_col[prev] += half >> 1
+            # mk: values 1..gap-1 are the first blocks, the rest lie above gap
+            if v == gap:
+                gap += 1
+                below += c
+            # overline-mex: a value occurring twice or more is always plain; a
+            # single copy is plain in half the assignments, and in the other
+            # half the mex is v
+            if v == odd:
+                if c == 1:
+                    odd_weight >>= 1
+                    mex_col[v] += odd_weight
+                odd += 2
+            prev, prev_c = v, c
+        if parts - below > below:
+            mk_col[gap] += 1
+        mex_col[odd] += odd_weight
+    return overpartitions._ShapeTables(
+        tuple(itertools.accumulate(mbar_diff)), tuple(nbar_col), tuple(mk_col),
+        tuple(mex_col), b,
+    )

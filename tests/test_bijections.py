@@ -11,7 +11,7 @@ from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab.overpartitions import Overpartition, Part
 
-from _reference import of as _ov, record_walks
+from _reference import of as _ov, record_tables, record_walks
 
 
 def test_classify_weight_3_split():
@@ -280,7 +280,7 @@ def test_checks_reject_a_weight_past_its_ceiling_before_enumerating(
     monkeypatch,
 ):
     walks = record_walks(monkeypatch)
-    tables = op._shape_tables.cache_info()
+    tables = record_tables(monkeypatch)
     with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
         bj.check_weight_down(31)
     # the source weight 28 is in range, the target weight is not
@@ -288,8 +288,7 @@ def test_checks_reject_a_weight_past_its_ceiling_before_enumerating(
         bj.check_staircase(64, 6)
     with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
         bj.check_staircase(32, 1)
-    assert walks == []
-    assert op._shape_tables.cache_info() == tables
+    assert walks == tables == []
 
 
 def _merge_smallest(pi):

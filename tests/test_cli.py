@@ -16,6 +16,8 @@ import oplab
 from oplab import bijections, cli, identities
 from oplab import overpartitions as op
 
+from _reference import record_tables
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -241,7 +243,7 @@ def test_table_json(capsys):
     ]
 
 
-def test_table_usage_errors(capsys):
+def test_table_usage_errors(capsys, monkeypatch):
     code, _, err = run(capsys, "table", "--stat", "op21", "--n-max", "4")
     assert code == 2 and "requires --k" in err
     code, _, err = run(capsys, "table", "--stat", "pbar", "--k", "1")
@@ -254,23 +256,23 @@ def test_table_usage_errors(capsys):
     assert code == 2
     # every row is built before any is printed, so a wide k range is
     # refused before the first one
-    tables = op._shape_tables.cache_info()
+    tables = record_tables(monkeypatch)
     code, out, err = run(capsys, "table", "--stat", "op21",
                          "--k", "0..1000000000", "--n-max", "25")
     assert (code, out) == (2, "") and "--k must end at or below 64" in err
-    assert op._shape_tables.cache_info() == tables
+    assert tables == []
     code, out, _ = run(capsys, "table", "--stat", "nbar", "--k", "64",
                        "--n-max", "2", "--format", "csv")
     assert code == 0 and out.splitlines()[-1] == f"2,64,{op.nbar(2, 64)}"
 
 
-def test_table_respects_enumeration_cap(capsys):
+def test_table_respects_enumeration_cap(capsys, monkeypatch):
     # a weight past the shape ceiling fails before any weight is counted
-    tables = op._shape_tables.cache_info()
+    tables = record_tables(monkeypatch)
     code, out, err = run(capsys, "table", "--stat", "mbar", "--k", "1",
                          "--n-max", str(op.SHAPE_CEILING + 1))
     assert (code, out) == (2, "") and "--n-max must be within 1..50" in err
-    assert op._shape_tables.cache_info() == tables
+    assert tables == []
     # the shape counts reach past the object ceiling
     code, out, _ = run(capsys, "table", "--stat", "op21", "--k", "1",
                        "--n-max", "31", "--format", "csv")

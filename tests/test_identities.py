@@ -22,7 +22,7 @@ from oplab import series
 
 from _reference import (
     div_product, gauss_binomial, overpartition_gf, partition_gf, poch_ratio,
-    record_walks, ref_invert, shift,
+    record_tables, record_walks, ref_invert, shift,
 )
 
 EXPECTED_IDS = [
@@ -822,10 +822,6 @@ def _never_built_registry(monkeypatch):
         )
 
 
-def _caches():
-    return [cache.cache_info() for cache in (op._shape_tables, idn._tail_sum)]
-
-
 @pytest.fixture(scope="session")
 def shape_tables_to_the_ceiling():
     # every shape-counted form at its ceiling reads these; fill them once
@@ -843,7 +839,8 @@ def test_every_form_passes_at_its_ceiling_and_rejects_one_more(
     # one more is rejected, naming the ceiling, before either side is built
     _never_built_registry(monkeypatch)
     walks = record_walks(monkeypatch)
-    caches = _caches()
+    tables = record_tables(monkeypatch)
+    tails = idn._tail_sum.cache_info()
     bound = idn._FORMS[form].bound
     for call in (
         lambda: VERIFIERS[form](ident, params, ceiling + 1),
@@ -851,8 +848,8 @@ def test_every_form_passes_at_its_ceiling_and_rejects_one_more(
     ):
         with pytest.raises(idn.BadParamsError, match=rf"\.\.{ceiling}\b"):
             call()
-    assert _caches() == caches
-    assert walks == []
+    assert idn._tail_sum.cache_info() == tails
+    assert walks == tables == []
 
 
 def test_suite_checks_every_ceiling_before_any_check_runs(monkeypatch):

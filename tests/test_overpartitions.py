@@ -19,7 +19,10 @@ from oplab.overpartitions import (
     Part,
 )
 
-from _reference import of, overpartition_gf, rank_walk, record_walks
+from _reference import (
+    of, overpartition_gf, rank_walk, record_tables, record_walks, shape_tables,
+    value_blocks,
+)
 
 # weight-4 overpartitions with their overline-mex;
 # fourteen rows, one per overpartition
@@ -321,7 +324,7 @@ def test_mk_stat_frozen():
 def test_enumeration_ceilings(monkeypatch):
     assert (op.OBJECT_CEILING, op.SHAPE_CEILING) == (30, 50)
     walks = record_walks(monkeypatch)
-    tables = op._shape_tables.cache_info()
+    tables = record_tables(monkeypatch)
     with pytest.raises(EnumerationCapError, match="weight 31 .* ceiling 30$"):
         op.enumerate_overpartitions(31)
     for stat in (op.op21, op.mbar, op.nbar, op.mk_stat):
@@ -330,8 +333,7 @@ def test_enumeration_ceilings(monkeypatch):
     with pytest.raises(EnumerationCapError, match="ceiling 50$"):
         op.op_class_counts(51)
     # rejected before anything is walked or built
-    assert walks == []
-    assert op._shape_tables.cache_info() == tables
+    assert walks == tables == []
     # the shape counts reach past the object ceiling
     assert sum(op.op_class_counts(31)) == op.pbar(31)
 
@@ -424,58 +426,97 @@ def test_op_class_counts_match_object_scans():
 
 
 def test_one_shape_walk_per_weight(monkeypatch):
-    walks = []
-    walk = op._value_blocks
+    # a fresh fill, as in a new process
+    monkeypatch.setattr(op, "_TABLES", [])
+    monkeypatch.setattr(op, "_FILL", op._fill())
+    walks, shapes = [], []
+    walk = op._blocks_without_ones
 
-    def counted(n):
-        walks.append(n)
-        return walk(n)
+    def counted(m):
+        walks.append(m)
+        for blocks in walk(m):
+            shapes.append(blocks)
+            yield blocks
 
-    monkeypatch.setattr(op, "_value_blocks", counted)
-    op._shape_tables.cache_clear()
+    monkeypatch.setattr(op, "_blocks_without_ones", counted)
     n = 12
     for stat in (op.op21, op.mbar, op.nbar, op.mk_stat):
         stat(n, 1)
     op.op_class_counts(n)
-    assert walks == [n]
+    # every weight up to n walked once, in order, and nothing past it; the
+    # 1-free shapes of weight <= n are the partitions of n less their 1s
+    assert walks == list(range(n + 1))
+    assert len(shapes) == len(set(shapes)) == op.partition_count(n)
+    # a smaller n, or the same n again, walks nothing
+    for m in (5, 0, n):
+        op._shape_tables(m)
+        op.mk_stat(max(m, 1), 1)
+    assert walks == list(range(n + 1))
+    assert len(op._TABLES) == n + 1
 
 
-# -- reference walk: the shapes each table is summed over -------------------
+def test_fill_cut_short_starts_over(monkeypatch):
+    monkeypatch.setattr(op, "_TABLES", [])
+    monkeypatch.setattr(op, "_FILL", op._fill())
+    walk = op._blocks_without_ones
+
+    def interrupted(m):
+        if m == 7:
+            raise KeyboardInterrupt
+        return walk(m)
+
+    monkeypatch.setattr(op, "_blocks_without_ones", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        op._shape_tables(10)
+    monkeypatch.setattr(op, "_blocks_without_ones", walk)
+    assert [op._shape_tables(n) for n in range(11)] == list(
+        map(shape_tables, range(11))
+    )
+
+
+# -- reference walks: the shapes the tables are summed over -----------------
 #
-# The library walks partition shapes iteratively. This recursive generator,
-# the walk it replaced, enumerates the same shapes in another order and is
-# kept as the reference for the walk and for the tables built over it.
+# The library walks partition shapes iteratively. This recursive generator
+# enumerates the same shapes in another order and is the reference for the
+# 1-free walk the fill scans, and for the walk of every shape of a weight
+# that the reference tables (_reference.shape_tables) scan.
 
 WALK_N_MAX = 30
+ONE_FREE_N_MAX = 40
 
 
-def _ref_value_blocks(remaining, max_value):
+def _ref_value_blocks(remaining, max_value, min_value=1):
     if remaining == 0:
         yield ()
         return
-    for v in range(min(remaining, max_value), 0, -1):
+    for v in range(min(remaining, max_value), min_value - 1, -1):
         for count in range(1, remaining // v + 1):
-            for rest in _ref_value_blocks(remaining - count * v, v - 1):
+            for rest in _ref_value_blocks(remaining - count * v, v - 1, min_value):
                 yield ((v, count),) + rest
 
 
-@pytest.mark.parametrize("n", range(0, WALK_N_MAX + 1))
-def test_shape_walk_matches_recursive_reference(n):
+def _check_walk(walk, n, min_value):
+    expected = sorted(_ref_value_blocks(n, n, min_value))
     # one shape past the expected count, so a walk that never ends fails
-    shapes = list(itertools.islice(op._value_blocks(n), op.partition_count(n) + 1))
-    assert len(shapes) == len(set(shapes)) == op.partition_count(n)
-    assert sorted(shapes) == sorted(_ref_value_blocks(n, n))
+    shapes = list(itertools.islice(walk, len(expected) + 1))
+    assert len(shapes) == len(set(shapes)) == len(expected)
+    assert sorted(shapes) == expected
     for blocks in shapes:
         values = [v for v, _ in blocks]
         assert values == sorted(set(values), reverse=True)
-        assert all(c >= 1 for _, c in blocks)
+        assert all(v >= min_value and c >= 1 for v, c in blocks)
         assert sum(v * c for v, c in blocks) == n
 
 
-@pytest.mark.parametrize("n", range(REF_N_MAX + 1, WALK_N_MAX + 1))
-def test_tables_match_reference_walk_tables(n, monkeypatch):
-    # past the object scans' reach, the tables must equal the ones the
-    # reference walk builds; __wrapped__ rebuilds without the caches
-    tables = op._shape_tables.__wrapped__(n)
-    monkeypatch.setattr(op, "_value_blocks", lambda m: _ref_value_blocks(m, m))
-    assert tables == op._shape_tables.__wrapped__(n)
+@pytest.mark.parametrize("n", range(0, ONE_FREE_N_MAX + 1))
+def test_shape_walk_matches_recursive_reference(n):
+    _check_walk(op._blocks_without_ones(n), n, 2)
+    if n <= WALK_N_MAX:
+        _check_walk(value_blocks(n), n, 1)
+
+
+@pytest.mark.parametrize("n", range(0, WALK_N_MAX + 1))
+def test_tables_match_reference_walk_tables(n):
+    # every column, with its length, equals the tables that one walk of
+    # weight n's shapes builds; CI compares every n up to SHAPE_CEILING
+    assert op._shape_tables(n) == shape_tables(n)
