@@ -275,24 +275,31 @@ def check_staircase(n: int, j: int) -> dict:
     injective. Each walked tuple of weight n - j^2 is mapped by the
     insertion core, and only its image is built as an Overpartition; the
     round trip compares the removal core's tuple with the source, and a
-    passing one proves the source valid (module docstring). Every bound is
-    checked before anything is enumerated: n - j^2 against OBJECT_CEILING,
-    then n against the shape ceiling."""
+    passing one proves the source valid (module docstring). The round trip
+    cannot see a source yielded twice, so from source weight 1 matched also
+    needs half the sources to have an overlined smallest part; the
+    enumeration tests pin the walk's distinctness in general. Every bound
+    is checked before anything is enumerated: n - j^2 against
+    OBJECT_CEILING, then n against the shape ceiling."""
     series._checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
     series._checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
     op._check_weight(n - j * j, 0, "weight", OBJECT_CEILING)
     op._check_weight(n, 1, "n")
     target_count = op.op21(n, j) + op.op21(n, j + 1)
-    source_count = 0
+    source_count = overlined = 0
     in_target = round_trip_ok = True
     for mu in op._overpartitions(n - j * j):
         source_count += 1
+        if mu and mu[-1].overlined:
+            overlined += 1
         lam = Overpartition(_insert_stairs(mu, j))
         if lam.weight != n or op.overline_mex(lam) < 2 * j + 1:
             in_target = False
         elif _remove_stairs(lam, j) != mu:
             round_trip_ok = False
-    matched = in_target and source_count == target_count
+    # each source of weight >= 1 has a twin with its smallest part toggled
+    balanced = n == j * j or 2 * overlined == source_count
+    matched = in_target and balanced and source_count == target_count
     return {
         "n": n,
         "j": j,

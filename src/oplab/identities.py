@@ -2,9 +2,8 @@
 
 Each identity is registered under a stable string id together with a
 human-readable statement of what is being compared (echoed in reports as
-the anchor), a note on the oracle behind each of its two sides, and the
-parameter ranges it is verified over by default. Three forms of check
-exist:
+the anchor) and the parameter ranges it is verified over by default.
+Three forms of check exist:
 
 * series equality: both sides are built as TruncatedSeries and compared
   coefficient by coefficient up to a fixed order;
@@ -81,7 +80,6 @@ class IdentityDescriptor:
 
     id: str
     statement: str
-    oracle: str
     # validation bounds per parameter and the default verification ranges
     schema: tuple[tuple[str, int, int], ...] = ()
     param_ranges: tuple[tuple[str, int, int], ...] = ()
@@ -647,7 +645,6 @@ _register(
             "1/(q;q)oo * sum_{j=0..k-1} (-1)^j q^(j(3j+1)/2) (1-q^(2j+1)) = 1 + "
             "(-1)^(k-1) sum_{n>=1} q^(k(k-1)/2+(k+1)n) / (q;q)_n * qbin(n-1|k-1)"
         ),
-        oracle="independent series constructions of both sides",
         schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
@@ -664,7 +661,6 @@ _register(
             "counts partitions of n with least non-part k and more parts above k "
             "than below"
         ),
-        oracle="exhaustive partition enumeration vs alternating p(n) sums",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=30,
@@ -680,7 +676,6 @@ _register(
             "1 + 2 sum_{j>=1} (-1)^j q^(j^2) = (q;q)oo / (-q;q)oo; equivalently "
             "pbar(n) + 2 sum_{j>=1} (-1)^j pbar(n-j^2) = 0 for n >= 1"
         ),
-        oracle="theta sum vs product quotient; alternating pbar sums vs zero",
         default_order=200,
         default_n_max=25,
         ceiling=MAX_ORDER,  # reads pbar, not a shape count
@@ -698,7 +693,6 @@ _register(
             "(-q;q)oo/(q;q)oo (1 + 2 sum_{j=1..k} (-1)^j q^(j^2)) = 1 + (-1)^k "
             "sum_{n>=k+1} (-q;q)_k (-1;q)_{n-k} q^((k+1)n) / (q;q)_n * qbin(n-1|k)"
         ),
-        oracle="independent series constructions of both sides",
         schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
@@ -714,7 +708,6 @@ _register(
             "(-1)^k (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) >= 0 with strict "
             "inequality for n >= (k+1)^2"
         ),
-        oracle="alternating pbar sums with sign and strictness scan",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=60,
@@ -731,7 +724,6 @@ _register(
             "(-q;q)_k/(q;q)_k sum_{j>=0} q^((k+1)(k+j+1)) (-q^(k+j+2);q)oo / "
             "(q^(k+j+1);q)oo"
         ),
-        oracle="independent series constructions of both sides",
         schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
@@ -748,7 +740,6 @@ _register(
             "overpartitions of n whose smallest part value above k occurs at "
             "least k+1 times (overlined occurrences included)"
         ),
-        oracle="exhaustive overpartition enumeration vs alternating pbar sums",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
@@ -764,7 +755,6 @@ _register(
             "sum_n sum_j (-1)^j Mbar_k(n - l j(3j-1)/2) q^n = 2 (q^l;q^l)oo / "
             "(q;q)oo / (q;q^2)oo * sum_{j>=0} q^((k+2j+1)^2) (1-q^(2k+4j+3))"
         ),
-        oracle="enumerated counts on the left vs series product on the right",
         schema=(("k", 1, 64), ("ell", 1, 16)),
         param_ranges=(("k", 1, 3), ("ell", 1, 3)),
         default_order=25,
@@ -781,7 +771,6 @@ _register(
             "(-1)^(k-1) (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) + "
             "pbar(n-k^2) >= 0 with strict inequality for n >= k^2"
         ),
-        oracle="alternating pbar sums with sign and strictness scan",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=60,
@@ -797,7 +786,6 @@ _register(
             "(-1)^(k-1) (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) + "
             "pbar(n-k(k+1)) >= 0"
         ),
-        oracle="alternating pbar sums with sign scan",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=60,
@@ -813,7 +801,6 @@ _register(
             "(-q;q)_k/(q;q)_{k-1} sum_{j>=0} q^(k(k+j)) (-q^(k+j+1);q)oo / "
             "(q^(k+j+1);q)oo"
         ),
-        oracle="independent series constructions of both sides",
         schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
@@ -830,7 +817,6 @@ _register(
             "of n in which after exempting an overlined k the smallest remaining "
             "part of value >= k is plain and its value occurs exactly k times"
         ),
-        oracle="exhaustive overpartition enumeration vs alternating pbar sums",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
@@ -845,7 +831,6 @@ _register(
         statement=(
             "(-1)^min(|m| k) sum_{j=m..k} (-1)^j pbar(n-j^2) >= 0 for m <= k"
         ),
-        oracle="alternating pbar sums with sign scan",
         schema=_MK,
         param_ranges=(("m", -4, 4), ("k", -4, 4)),
         requires_m_le_k=True,
@@ -858,7 +843,6 @@ _register(
     IdentityDescriptor(
         id="op-split-2-1",
         statement="op_{2 1}(n) + opbar_{2 1}(n) = pbar(n)",
-        oracle="mex-class split by enumeration vs overpartition counts",
         default_n_max=25,
         enum_lhs=_split21_lhs,
         enum_rhs=_pbar_rhs,
@@ -869,7 +853,6 @@ _register(
     IdentityDescriptor(
         id="thm-2-2",
         statement="2 op21(n|0) = pbar(n)",
-        oracle="mex-class enumeration vs overpartition counts",
         default_n_max=25,
         enum_lhs=_thm22_lhs,
         enum_rhs=_pbar_rhs,
@@ -880,7 +863,6 @@ _register(
     IdentityDescriptor(
         id="thm-2-3",
         statement="2 op21(n|1) = pbar(n)",
-        oracle="mex-class enumeration vs overpartition counts",
         default_n_max=25,
         enum_lhs=_thm23_lhs,
         enum_rhs=_pbar_rhs,
@@ -895,7 +877,6 @@ _register(
             "(-1)^(m+k) op21(n|b+1) when mk > 0 and op21(n|a+1) + (-1)^(m+k) "
             "op21(n|b+1) when mk <= 0 where a=min(|m| |k|) b=max(|m| |k|)"
         ),
-        oracle="mex-class enumeration vs alternating pbar sums",
         schema=_MK,
         param_ranges=(("m", -4, 4), ("k", -4, 4)),
         requires_m_le_k=True,
@@ -911,7 +892,6 @@ _register(
         statement=(
             "(-1)^k (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) = 2 op21(n|k+1)"
         ),
-        oracle="mex-class enumeration vs alternating pbar sums",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
@@ -927,7 +907,6 @@ _register(
             "(-1)^(k-1) (pbar(n) + 2 sum_{j=1..k} (-1)^j pbar(n-j^2)) + "
             "pbar(n-k^2) = op21(n|k) - op21(n|k+1)"
         ),
-        oracle="mex-class enumeration vs alternating pbar sums",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
@@ -943,7 +922,6 @@ _register(
             "sum_n op21(n|k+1) q^n = (-q;q)oo/(q;q)oo sum_{j>=0} "
             "q^((k+2j+1)^2) (1-q^(2k+4j+3))"
         ),
-        oracle="mex-class enumeration vs series coefficients",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
@@ -959,7 +937,6 @@ _register(
             "(-q;q)oo/(q;q)oo (1 + 2 sum_{j=1..k} (-1)^j q^(j^2)) = 1 + 2 (-1)^k "
             "(-q;q)oo/(q;q)oo sum_{j>=0} q^((k+2j+1)^2) (1-q^(2k+4j+3))"
         ),
-        oracle="independent series constructions of both sides",
         schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
@@ -974,7 +951,6 @@ _register(
         statement=(
             "2 op21(n|k+1) = Mbar_k(n) and op21(n|k) - op21(n|k+1) = Nbar_k(n)"
         ),
-        oracle="independent enumerations of both statistics",
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
@@ -990,8 +966,6 @@ _register(
             "sum_n (Mbar_{k-1}(n) - Mbar_k(n)) q^n = 2 (-q;q)_k/(q;q)_{k-1} "
             "sum_{j>=0} q^(k(k+j)) (-q^(k+j+1);q)oo / (q^(k+j+1);q)oo"
         ),
-        oracle="enumerated count differences and analytic form of the left "
-        "side vs series construction of the right side",
         schema=_K,
         param_ranges=(("k", 1, 8),),
         default_order=100,
@@ -1007,7 +981,6 @@ _register(
     IdentityDescriptor(
         id="euler-odd-distinct",
         statement="1/(q;q^2)oo = (-q;q)oo",
-        oracle="odd-step product inversion vs distinct-part product",
         default_order=200,
         series_lhs=_euler_lhs,
         series_rhs=_euler_rhs,
@@ -1018,7 +991,6 @@ _register(
     IdentityDescriptor(
         id="lemma-4-1",
         statement="pbar(n-j^2) = op21(n|j) + op21(n|j+1)",
-        oracle="mex-class enumeration vs overpartition counts",
         schema=(("j", 1, 16),),
         param_ranges=(("j", 1, 4),),
         default_n_max=25,
@@ -1036,7 +1008,6 @@ _register(
             "class of n and the gap-conditioned class of n-1; both have size "
             "pbar(n)/2 and the complement class is empty exactly for n <= 3"
         ),
-        oracle="exhaustive classification and mapping of both classes",
         default_n_max=20,
         ceiling=OBJECT_CEILING,  # maps materialised overpartitions
         enum_lhs=_sec3_lhs,
@@ -1053,7 +1024,6 @@ _register(
             "(-q^(k+j+2);q)oo/(q^(k+j+1);q)oo = (-q;q)_k/(q;q)_{k-1} "
             "sum_j q^(k(k+j)) (-q^(k+j+1);q)oo/(q^(k+j+1);q)oo"
         ),
-        oracle="independent series constructions of both sides",
         schema=_K,
         param_ranges=(("k", 1, 10),),
         default_order=100,
@@ -1070,7 +1040,6 @@ _register(
             "sum_j q^((k+1)(k+j+1)) (-q^(k+j+2);q)oo/(q^(k+j+1);q)oo = "
             "(1-q^(2k)) sum_j q^(k(k+j)) (-q^(k+j+1);q)oo/(q^(k+j+1);q)oo"
         ),
-        oracle="independent series constructions of both sides",
         schema=_K,
         param_ranges=(("k", 1, 10),),
         default_order=100,

@@ -290,12 +290,12 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
 # -- counting via generating functions --------------------------------------
 
 # One cache per counting function, pbar and partition_count, each keyed by a
-# power-of-two table order (_table_order), so every caller below that order
-# shares one entry. Both tables come from Euler's pentagonal sums alone,
-# which have O(sqrt(order)) terms, by long division over their few nonzero
-# terms (series._div_sparse), so no table sweeps the full length once per
-# factor or multiplies two dense series. Every other product a series side
-# needs is built at that side's own order, uncached.
+# power-of-two table order capped at MAX_ORDER (_table_order), so every
+# caller below that order shares one entry. Both tables come from Euler's
+# pentagonal sums alone, which have O(sqrt(order)) terms, by long division
+# over their few nonzero terms (series._div_sparse), so no table sweeps the
+# full length once per factor or multiplies two dense series. Every other
+# product a series side needs is built at that side's own order, uncached.
 
 @lru_cache(maxsize=None)
 def _pbar_table(order: int) -> tuple[int, ...]:
@@ -317,10 +317,12 @@ def _p_table(order: int) -> tuple[int, ...]:
 
 
 def _table_order(n: int) -> int:
+    """The order of the table that holds weight n, for n <= MAX_ORDER: the
+    least power of two from 64 up that reaches n, capped at MAX_ORDER."""
     order = 64
     while order < n:
         order *= 2
-    return order
+    return min(order, MAX_ORDER)
 
 
 def _checked_count_weight(n: int) -> None:

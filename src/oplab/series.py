@@ -11,7 +11,8 @@ fast for a pentagonal or theta sum; invert divides 1 by it.
 
 Conventions:
 
-* a series of order N holds coefficients for q^0 .. q^N inclusive;
+* a series of order N holds coefficients for q^0 .. q^N inclusive, and N
+  is at most MAX_ORDER;
 * binary operations require both operands to have the same order, and no
   operation changes the order;
 * an infinite product or sum is truncated by dropping every factor or term
@@ -46,8 +47,8 @@ class BadParamsError(ValueError):
     range, or a weight or bound past its ceiling."""
 
 
-# The largest series order a verification takes, and the largest weight
-# that pbar and partition_count count; the identities layer re-exports it.
+# The largest order of any series, and the largest weight that pbar and
+# partition_count count; the identities layer re-exports it.
 MAX_ORDER = 2000
 
 
@@ -57,6 +58,14 @@ def _checked_int(v: object, lo: float, hi: float, message: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
         raise BadParamsError(message)
     return v
+
+
+def _checked_order(order: object) -> int:
+    """order when it is an int within 0..MAX_ORDER, else BadParamsError;
+    every public constructor checks it before it allocates a coefficient."""
+    return _checked_int(
+        order, 0, MAX_ORDER, f"order must be within 0..{MAX_ORDER}, got {order!r}"
+    )
 
 
 def _checked_sign(sign: object) -> None:
@@ -75,7 +84,7 @@ class TruncatedSeries:
     __slots__ = ("_order", "_coeffs")
 
     def __init__(self, order: int, coeffs: list[int] | tuple[int, ...] = ()) -> None:
-        _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
+        _checked_order(order)
         if not isinstance(coeffs, (list, tuple)):
             raise BadParamsError(
                 f"coefficients must be a list or tuple, got {type(coeffs).__name__}"
@@ -319,7 +328,7 @@ def one(order: int) -> TruncatedSeries:
 
 
 def monomial(order: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
+    _checked_order(order)
     _checked_int(exponent, 0, order, f"exponent {exponent} outside 0..{order}")
     c = [0] * (order + 1)
     c[exponent] = coeff
@@ -342,7 +351,7 @@ def qproduct(
     _checked_sign(sign)
     _checked_int(start, 0, inf, "need start >= 0 and step >= 1")
     _checked_int(step, 1, inf, "need start >= 0 and step >= 1")
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
+    _checked_order(order)
     if length is not None:
         _checked_int(length, 0, inf, "length must be >= 0 or None")
     if sign == 1 and start == 0 and length is None:
@@ -365,7 +374,7 @@ def pentagonal_series(order: int, dilation: int = 1) -> TruncatedSeries:
     sum_{j>=0} (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1)); terms whose minimal
     exponent exceeds the order are omitted.
     """
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
+    _checked_order(order)
     _checked_int(dilation, 1, inf, "dilation must be >= 1")
     c = [0] * (order + 1)
     j = 0
@@ -386,7 +395,7 @@ def theta_partial(j_lo: int, j_hi: int, order: int) -> TruncatedSeries:
     """sum_{j=j_lo..j_hi} (-1)^j q^(j^2), dropping terms with j^2 > order."""
     _checked_int(j_lo, -inf, inf, "theta sum bounds must be ints")
     _checked_int(j_hi, -inf, inf, "theta sum bounds must be ints")
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
+    _checked_order(order)
     root = isqrt(order)  # the terms past it have j^2 > order
     c = [0] * (order + 1)
     for j in range(max(j_lo, -root), min(j_hi, root) + 1):
@@ -396,7 +405,7 @@ def theta_partial(j_lo: int, j_hi: int, order: int) -> TruncatedSeries:
 
 def gauss_theta(k: int | None, order: int) -> TruncatedSeries:
     """1 + 2*sum_{j=1..k} (-1)^j q^(j^2); k None takes the full theta sum."""
-    _checked_int(order, 0, inf, f"order must be >= 0, got {order!r}")
+    _checked_order(order)
     if k is None:
         k = isqrt(order)
     else:

@@ -1,11 +1,14 @@
 """Reference oracles that only the tests use: the shortest direct
 definitions of things the package does not provide itself, the per-weight
-shape tables that the package's incremental fill replaced, and one probe
-that records which weights the package walks."""
+shape tables that the package's incremental fill replaced, probes that
+record which weights the package walks and tabulates, and the read ledger
+that shows which helpers a side builder reads."""
 
 import itertools
 
-from oplab import overpartitions, series
+import pytest
+
+from oplab import identities, overpartitions, series
 from oplab.overpartitions import Overpartition, Part
 from oplab.series import TruncatedSeries
 
@@ -96,28 +99,71 @@ def rank_walk(n):
     return tuple(out)
 
 
-def _record_calls(monkeypatch, name):
-    calls = []
-    real = getattr(overpartitions, name)
+def _record_calls(monkeypatch, module, name, key=lambda n: n, calls=None):
+    """Patch module.name so each call appends key(*args) to calls, a new
+    list unless one is given, and return calls."""
+    calls = [] if calls is None else calls
+    real = getattr(module, name)
 
-    def recording(n):
-        calls.append(n)
-        return real(n)
+    def recording(*args):
+        calls.append(key(*args))
+        return real(*args)
 
-    monkeypatch.setattr(overpartitions, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 def record_walks(monkeypatch):
     """Patch the A(n) walk, overpartitions._class_a, so each call appends
     its weight to the returned list."""
-    return _record_calls(monkeypatch, "_class_a")
+    return _record_calls(monkeypatch, overpartitions, "_class_a")
 
 
 def record_tables(monkeypatch):
     """Patch overpartitions._shape_tables, which every shape-counted
     statistic reads, so each call appends its weight to the returned list."""
-    return _record_calls(monkeypatch, "_shape_tables")
+    return _record_calls(monkeypatch, overpartitions, "_shape_tables")
+
+
+# The helpers a read ledger records, each with the arguments of every call:
+# the cached intermediates, the A(n) walk, the named derived-series helpers
+# and the pentagonal and theta sums. Every side builder reaches them through
+# these module attributes, so patching them sees every call.
+LEDGER_HELPERS = (
+    (overpartitions, ("_pbar_table", "_p_table", "_shape_tables", "_class_a")),
+    (identities, ("_tail_sum", "_pbar_gf", "_large_tail", "_li_tail",
+                  "_op21_gf", "_odd_square_theta", "_window_pbar_sq")),
+    (series, ("pentagonal_series", "gauss_theta", "theta_partial")),
+)
+# the division kernel, recorded by the length it divides to; it is no
+# intermediate, so no independence check reads it
+KERNEL = "_div_sparse"
+# cleared before each build, so a cached helper's own reads are recorded
+# whatever ran before it
+LEDGER_CACHES = (identities._tail_sum, overpartitions._pbar_table,
+                 overpartitions._p_table)
+
+
+def reads(build, *args):
+    """The read ledger of build(*args): the set of (helper, key) pairs it
+    reads, directly or through another helper, from cold caches."""
+    calls = []
+    for cache in LEDGER_CACHES:
+        cache.cache_clear()
+    with pytest.MonkeyPatch.context() as m:
+        for module, names in LEDGER_HELPERS:
+            for name in names:
+                _record_calls(m, module, name,
+                              lambda *a, name=name: (name, a), calls)
+        _record_calls(m, series, KERNEL,
+                      lambda num, den: (KERNEL, len(num)), calls)
+        build(*args)
+    return set(calls)
+
+
+def helpers(ledger):
+    """The names of the helpers a ledger holds."""
+    return {name for name, _ in ledger}
 
 
 def value_blocks(n):

@@ -133,6 +133,24 @@ ENTRY_POINTS = {
     "gauss_theta order": (lambda v: series.gauss_theta(None, v), -1),
 }
 
+# every series constructor rejects an order past MAX_ORDER before it
+# allocates a coefficient
+SERIES_ORDERS = {
+    "TruncatedSeries": series.TruncatedSeries,
+    "zero": series.zero,
+    "one": series.one,
+    "monomial": lambda v: series.monomial(v, 0),
+    "qproduct": lambda v: series.qproduct(1, 1, 1, 0, v),
+    "pentagonal_series": series.pentagonal_series,
+    "theta_partial": lambda v: series.theta_partial(0, 1, v),
+    "gauss_theta": lambda v: series.gauss_theta(None, v),
+}
+ENTRY_POINTS.update({
+    f"{name} order {how} MAX_ORDER": (call, order)
+    for name, call in SERIES_ORDERS.items()
+    for how, order in (("past", idn.MAX_ORDER + 1), ("far past", 10**18))
+})
+
 CASES = [
     pytest.param(call, value, id=f"{name}-{value!r}")
     for name, (call, outside) in ENTRY_POINTS.items()

@@ -353,6 +353,21 @@ def test_a_walk_outside_a_fails_the_weight_down_round_trip(monkeypatch):
     assert result["ok"] is False
 
 
+def test_a_walk_that_repeats_each_twin_fails_the_staircase_check(monkeypatch):
+    # with every last part overlined, each overlined-smallest source comes
+    # twice and no plain-smallest one comes: every image is in the target
+    # and maps back, and the count of sources is right, so only the half
+    # with an overlined smallest part tells
+    real = op._class_a
+    monkeypatch.setattr(op, "_class_a", lambda n: (
+        pi[:-1] + (Part(pi[-1].value, True),) for pi in real(n)
+    ))
+    result = bj.check_staircase(7, 1)
+    assert result["source_count"] == result["target_count"] == 40
+    assert result["round_trip_ok"] is True
+    assert result["matched"] is False and result["ok"] is False
+
+
 def test_checks_keep_no_objects():
     # a first call holds counters only: what it allocates, the walk of its
     # source weight included, does not grow with the number of objects it

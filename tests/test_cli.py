@@ -143,7 +143,6 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     bogus = identities.IdentityDescriptor(
         id="bogus-fail",
         statement="always wrong",
-        oracle="none",
         default_n_max=5,
         enum_lhs=lambda p, n: [(1,)] * n,
         enum_rhs=lambda p, n: [(0,)] * n,
@@ -161,7 +160,6 @@ def test_verify_csv_row_matches_json_record(capsys, monkeypatch):
     bogus = identities.IdentityDescriptor(
         id="bogus-display",
         statement="always wrong",
-        oracle="none",
         default_n_max=3,
         enum_lhs=lambda p, n: [(0, 1)] * n,
         enum_rhs=lambda p, n: [(0, 0)] * n,

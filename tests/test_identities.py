@@ -8,6 +8,7 @@ validation, and a handful of coefficient-level oracles recomputed in-test.
 
 import dataclasses
 import inspect
+import itertools
 import json
 import time
 
@@ -21,8 +22,9 @@ from oplab import overpartitions as op
 from oplab import series
 
 from _reference import (
-    div_product, gauss_binomial, overpartition_gf, partition_gf, poch_ratio,
-    record_tables, record_walks, ref_invert, shift,
+    KERNEL, div_product, gauss_binomial, helpers, overpartition_gf,
+    partition_gf, poch_ratio, reads, record_tables, record_walks, ref_invert,
+    shift,
 )
 
 EXPECTED_IDS = [
@@ -68,7 +70,7 @@ def test_every_descriptor_has_a_form_and_kind():
             assert d.series_rhs is not None and d.default_order is not None
         if d.enum_lhs is not None or d.ineq_values is not None:
             assert d.default_n_max is not None
-        assert d.statement and d.oracle
+        assert d.statement
 
 
 def test_statements_are_csv_safe():
@@ -239,7 +241,7 @@ def test_counting_perturbation_index_checked_before_building(
     monkeypatch, verify, builders, idx
 ):
     desc = idn.IdentityDescriptor(
-        id="never-built", statement="", oracle="", default_n_max=5, **builders
+        id="never-built", statement="", default_n_max=5, **builders
     )
     monkeypatch.setitem(idn._REGISTRY, "never-built", desc)
     with pytest.raises(idn.BadParamsError, match="perturbation index"):
@@ -509,56 +511,32 @@ def test_pent_am_lhs_is_the_partial_sum_times_the_partition_series(order):
         assert idn._pent_am_lhs({"k": k}, order) == want, k
 
 
-PRODUCT_TABLES = (op._pbar_table, op._p_table)
+PRODUCT_TABLES = {"_pbar_table", "_p_table"}
 
 
-ROUTE_HELPERS = (
-    (series, "pentagonal_series"), (series, "gauss_theta"),
-    (series, "_div_sparse"), (op, "_pbar_table"), (op, "_p_table"),
-)
-
-
-def _calls_made(monkeypatch, build, order, params=()):
-    """The names among ROUTE_HELPERS that build(params, order) calls."""
-    called = set()
-    with monkeypatch.context() as m:
-        for module, name in ROUTE_HELPERS:
-            key = f"{module.__name__.rpartition('.')[2]}.{name}"
-
-            def counted(*args, _real=getattr(module, name), _key=key):
-                called.add(_key)
-                return _real(*args)
-
-            m.setattr(module, name, counted)
-        build(dict(params), order)
-    return called
-
-
-def test_series_sides_keep_their_own_routes(monkeypatch):
+def test_series_sides_keep_their_own_routes():
     # euler-odd-distinct's rhs is (q^2;q^2)oo/(q;q)oo, so an lhs that read a
     # pentagonal sum, a sparse division or a product table could agree
     # with it by construction; gauss's lhs is the theta sum; a tail sum
     # divides by theta and reads no product table
     order = idn.MAX_ORDER
-    assert _calls_made(monkeypatch, idn._euler_lhs, order) == set()
-    called = _calls_made(monkeypatch, idn._gauss_rhs, order)
-    assert "series.gauss_theta" not in called
-    # the wrappers see the calls the rhs does make
-    assert {"series.pentagonal_series", "series._div_sparse"} <= called
+    assert reads(idn._euler_lhs, {}, order) == set()
+    called = helpers(reads(idn._gauss_rhs, {}, order))
+    assert "gauss_theta" not in called
+    # the ledger sees the calls the rhs does make
+    assert {"pentagonal_series", KERNEL} <= called
     # pentagonal-am's lhs is a sparse division by the pentagonal sum, and
     # guo-zeng-truncation's lhs reads the theta sum and the pbar table; each
     # rhs is a Horner scheme of one-factor steps
-    for cache in PRODUCT_TABLES:
-        cache.cache_clear()
     for build in (idn._pent_am_rhs, idn._guo_zeng_rhs):
-        assert _calls_made(monkeypatch, build, order, {"k": 1}) == set(), build
-    idn._tail_sum.__wrapped__(order, 1, 0)
+        assert reads(build, {"k": 1}, order) == set(), build
     # gauss's and euler-odd-distinct's rhs and pentagonal-am's lhs build
     # their products at their own order from the pentagonal sums
-    idn._gauss_rhs({}, order)
-    idn._euler_rhs({}, order)
-    idn._pent_am_lhs({"k": 1}, order)
-    assert [c.cache_info().misses for c in PRODUCT_TABLES] == [0, 0]
+    assert not called & PRODUCT_TABLES
+    for build, args in ((idn._euler_rhs, ({}, order)),
+                        (idn._pent_am_lhs, ({"k": 1}, order)),
+                        (idn._tail_sum, (order, 1, 0))):
+        assert not helpers(reads(build, *args)) & PRODUCT_TABLES, build
 
 
 def test_theta_inverse_matches_pbar_table():
@@ -571,34 +549,26 @@ def test_theta_inverse_matches_pbar_table():
     assert tuple(inverse) == op._pbar_table(order)
 
 
-def _table_reads():
-    infos = [c.cache_info() for c in PRODUCT_TABLES]
-    return sum(i.hits + i.misses for i in infos)
+def test_tail_sums_read_no_product_table():
+    # the series sides of cor-2-9 and sec5-main and li-truncation's rhs
+    # build three cold tail sums at MAX_ORDER; each divides by the theta sum
+    # itself, so none of them reads a product table (li-truncation's lhs
+    # reads the pbar table)
+    order = idn.MAX_ORDER
 
+    def build():
+        for ident in ("cor-2-9", "sec5-main"):
+            desc = idn.get_identity(ident)
+            lhs = desc.series_lhs({"k": 1}, order)
+            assert lhs == desc.series_rhs({"k": 1}, order), ident
+        idn.get_identity("li-truncation").series_rhs({"k": 1}, order)
 
-def test_tail_sums_read_no_product_table(monkeypatch):
-    # cor-2-9, sec5-main and li-truncation build three cold tail sums at
-    # MAX_ORDER; each divides by the theta sum itself, so none of them
-    # reads a product table (li-truncation's lhs reads the pbar table)
-    idn._tail_sum.cache_clear()
-    for cache in PRODUCT_TABLES:
-        cache.cache_clear()
-    real = idn._tail_sum
-    reads = []
-
-    def counted(*args):
-        before = _table_reads()
-        out = real(*args)
-        reads.append(_table_reads() - before)
-        return out
-
-    monkeypatch.setattr(idn, "_tail_sum", counted)
-    for ident in ("cor-2-9", "sec5-main", "li-truncation"):
-        params = idn.expand_grid(idn.get_identity(ident))[0]
-        r = idn.verify_series(ident, params, idn.MAX_ORDER)
-        assert r.passed, (ident, r.first_mismatch)
-    assert real.cache_info().misses == 3
-    assert reads and not any(reads), reads
+    ledger = reads(build)
+    assert len({key for helper, key in ledger if helper == "_tail_sum"}) == 3
+    # the ledger sees the reads inside the tail sums
+    assert "gauss_theta" in helpers(ledger)
+    assert not helpers(ledger) & PRODUCT_TABLES
+    assert idn.verify_series("li-truncation", {"k": 1}, order).passed
 
 
 def test_cached_tail_sums_survive_their_callers():
@@ -623,40 +593,124 @@ def test_tail_sum_cache_is_bounded():
     assert idn._tail_sum.cache_info().currsize <= 64
 
 
-def _tail_keys_read(monkeypatch, build, p, n):
-    """The (m_lo, denom_off) keys of every tail sum build(p, n) reads."""
-    keys = set()
-    real = idn._tail_sum
+# -- the read ledger: what each side of every form reads ---------------------
 
-    def recorder(order, m_lo, denom_off):
-        keys.add((m_lo, denom_off))
-        return real(order, m_lo, denom_off)
-
-    with monkeypatch.context() as m:
-        m.setattr(idn, "_tail_sum", recorder)
-        build(p, n)
-    return keys
-
-
-def test_no_identity_reads_one_tail_sum_on_both_sides(monkeypatch):
-    # the tail cache may share a sum between identities, never between the
-    # two sides of one: that would make them agree by construction
-    both_sides = set()
+@pytest.fixture(scope="module")
+def ledgers():
+    """{(id, form, params): (lhs reads, rhs reads)} for every series and
+    enumerative form over its default grid, at its default bound. An
+    inequality form has one side, so it has nothing to compare."""
+    out = {}
     for desc in idn.list_identities():
-        forms = []
-        if desc.series_lhs is not None:
-            forms.append((desc.series_lhs, desc.series_rhs, desc.default_order))
-        if desc.enum_lhs is not None:
-            forms.append((desc.enum_lhs, desc.enum_rhs, desc.default_n_max))
-        for lhs, rhs, n in forms:
+        for form, lhs, rhs, bound in (
+            ("series", desc.series_lhs, desc.series_rhs, desc.default_order),
+            ("enumerative", desc.enum_lhs, desc.enum_rhs, desc.default_n_max),
+        ):
+            if lhs is None:
+                continue
             for p in idn.expand_grid(desc):
-                left = _tail_keys_read(monkeypatch, lhs, p, n)
-                right = _tail_keys_read(monkeypatch, rhs, p, n)
-                assert not left & right, (desc.id, p, left & right)
-                if left and right:
-                    both_sides.add(desc.id)
-    # the recorder sees the reads: these read tail sums on both sides
-    assert both_sides == {"cor-2-9", "sec5-main", "sec5-reduced"}
+                key = (desc.id, form, tuple(sorted(p.items())))
+                out[key] = (reads(lhs, p, bound), reads(rhs, p, bound))
+    return out
+
+
+_THETA_HEAD = (
+    "a common unit factor: both sides' tail sums divide by the full theta "
+    "sum at order - k^2, so a wrong theta divides both sides alike; the "
+    "tail sums of am-2018-truncation, li-truncation and cor-2-9's "
+    "enumerative form face a side that reads no theta sum, and fail"
+)
+
+# (id, helper): why the two sides of a form of id may both read the helper
+# with one key; the reason is what keeps the shared value from making the
+# sides agree by construction
+SHARED_READS = {
+    ("cor-2-6", "_pbar_gf"): (
+        "a common factor: both sides multiply by the pbar series X, and "
+        "X * theta = 1 fails for a wrong X"
+    ),
+    ("cor-2-6", "_pbar_table"): "the table _pbar_gf reads",
+    ("cor-2-6", "pentagonal_series"): "the sums _pbar_table is built from",
+    ("cor-2-7", "_shape_tables"): (
+        "the lhs reads the mex column and the rhs the mbar and nbar columns "
+        "of one walk; a wrong column fails the id"
+    ),
+    ("sec3-bijection", "_shape_tables"): (
+        "the lhs reads the B column of n - 1 only inside check_weight_down, "
+        "for the check's own b_count, c_count and ok; no lhs display reads "
+        "it, so a wrong B column fails the id"
+    ),
+    ("sec3-bijection", "_pbar_table"): (
+        "the lhs reads pbar(n - 1) and pbar(n) only inside "
+        "check_weight_down, for c_count and ok"
+    ),
+    ("sec3-bijection", "pentagonal_series"): "the sums _pbar_table is built from",
+    **{
+        (ident, helper): _THETA_HEAD
+        for ident in ("cor-2-9", "sec5-main", "sec5-reduced")
+        for helper in ("gauss_theta", "theta_partial")
+    },
+}
+
+
+def test_the_sides_of_a_form_share_no_read_but_the_allowed(ledgers):
+    # the two sides of a check never share a derived intermediate that would
+    # make them agree by construction, whatever helper it comes from
+    shared = {}
+    tails_on_both_sides = set()
+    for (ident, form, params), (left, right) in ledgers.items():
+        for helper, key in left & right:
+            if helper != KERNEL:
+                shared.setdefault((ident, helper), set()).add((form, params, key))
+        if "_tail_sum" in helpers(left) & helpers(right):
+            tails_on_both_sides.add(ident)
+    unexplained = {k: v for k, v in shared.items() if k not in SHARED_READS}
+    assert not unexplained, unexplained
+    # an allowance that no form needs any more goes
+    assert sorted(set(SHARED_READS) - set(shared)) == []
+    # the ledger sees the reads: these read tail sums on both sides
+    assert tails_on_both_sides == {"cor-2-9", "sec5-main", "sec5-reduced"}
+
+
+# (id, id): why two series forms that run one check twice both stay
+KNOWN_COPIES = {
+    ("cor-2-9", "sec5-main"): (
+        "cor-2-9's series sides are sec5-main's doubled; deleting that form "
+        "changes the verify --all bytes and the benchmark goldens"
+    ),
+}
+
+
+def _proportional(x, y):
+    """Whether x = c * y for one rational c != 0."""
+    i = next((i for i, v in enumerate(y) if v), None)
+    if i is None:
+        return not any(x)
+    return x[i] != 0 and all(a * y[i] == x[i] * b for a, b in zip(x, y))
+
+
+def test_no_series_form_is_a_copy_of_another(ledgers):
+    # two forms whose lhs reads and rhs reads are both equal, and whose sides
+    # agree up to one scale, fail on one mutant at one index: one check run
+    # twice
+    groups = {}
+    for (ident, form, params), sides in ledgers.items():
+        if form == "series":
+            groups.setdefault(tuple(map(frozenset, sides)), []).append(
+                (idn.get_identity(ident), dict(params))
+            )
+
+    def coeffs(desc, p):
+        n = desc.default_order
+        return desc.series_lhs(p, n).coeffs + desc.series_rhs(p, n).coeffs
+
+    copies = {
+        tuple(sorted((a.id, b.id)))
+        for group in groups.values()
+        for (a, pa), (b, pb) in itertools.combinations(group, 2)
+        if _proportional(coeffs(a, pa), coeffs(b, pb))
+    }
+    assert copies == set(KNOWN_COPIES)
 
 
 def ref_yao_lhs(k, ell, order):

@@ -1,8 +1,11 @@
 """tools/pairs.py: the statistics of a paired benchmark, on synthetic
-numbers (no benchmark runs here)."""
+numbers, and its clean-up when it is stopped (no benchmark runs here)."""
 
 import importlib.util
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +94,32 @@ def test_bad_input():
         pairs.summarize([], [], "lower", (0, 0))
     with pytest.raises(ValueError):
         pairs.summarize([1.0], [1.0], "faster", (0, 0))
+
+
+_STOPPED_RUN = """
+import os, signal, sys
+from importlib.util import module_from_spec, spec_from_file_location
+spec = spec_from_file_location("pairs", {path!r})
+pairs = module_from_spec(spec)
+spec.loader.exec_module(pairs)
+pairs.git = lambda *args: b"abc1234\\n"
+def export(rev, into):  # a stand-in for the parent's tree
+    open(os.path.join(into, "BENCHMARK.json"), "w").close()
+pairs.export = export
+# stopped as `kill` would stop it, before any benchmark run starts
+pairs.measure = lambda *args: os.kill(os.getpid(), signal.SIGTERM)
+sys.argv = ["pairs.py", "--parent", "HEAD"]
+sys.exit(pairs.main())
+"""
+
+
+def test_sigterm_removes_the_export(tmp_path):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _STOPPED_RUN.format(path=os.path.abspath(_PATH))],
+        env={**os.environ, "TMPDIR": str(tmpdir)}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert list(tmpdir.iterdir()) == []
+    assert proc.returncode == 128 + signal.SIGTERM, proc.stderr

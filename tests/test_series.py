@@ -152,7 +152,7 @@ def test_pentagonal_series_equals_product_every_order():
 def test_pentagonal_series_dilated():
     # the only check of where the dilated terms land: orders below, at and
     # past a dilation, and past a power of two
-    for order in (0, 1, 2, 5, 60, 2000, 2048):
+    for order in (0, 1, 2, 5, 60, 1025, 2000):
         for dilation in (1, 2, 3, 5, 7, 2001):
             assert s.pentagonal_series(order, dilation) == s.qproduct(
                 1, dilation, dilation, None, order

@@ -20,7 +20,8 @@ ratios, and a verdict: "better" or "worse" when there are PAIRS pairs, at
 least 9 in 10 of them go that way and the medians differ by more than the
 parent's quartile spread, otherwise "unresolved". A gain is not "better"
 when the tree failed more checks than the parent. Every process is waited
-for, so none outlives the script.
+for, so none outlives the script, and SIGTERM ends the script as an exit
+would, so the export is removed then too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import io
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tarfile
@@ -153,10 +155,18 @@ def measure(bench: dict, trees: dict, workload: str) -> dict:
     }
 
 
+def exit_on_sigterm(signum: int, frame) -> None:
+    """Turn SIGTERM into SystemExit, so `with` blocks clean up: the
+    export's temporary directory is removed and the running benchmark
+    process is killed and waited for."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision")
     args = parser.parse_args()
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
     short = git("rev-parse", "--short", sha).decode().strip()
     with open(join(ROOT, "BENCHMARK.json")) as f:
