@@ -204,26 +204,10 @@ def _remove_stairs(lam: Overpartition, j: int) -> tuple[Part, ...]:
 
 # -- exhaustive checks used by the identity harness and the CLI -------------
 
-def check_weight_down(n: int) -> dict:
-    """Exhaustively verify the weight-down bijection at weight n.
-
-    Returns a dict of counts and flags: sizes of A(n), B(n-1), C(n-1) (the
-    last two counted over the partition shapes of n-1, C as pbar(n-1) less
-    B, so no object of weight n-1 is built), how many images weigh n-1
-    and lie in B, whether every image weighs n-1, whether every image lies
-    in B and maps back to the original, and whether the witness behaves
-    when n >= 4. Each walked tuple of A(n) is mapped by the core, and only
-    its image is built as an Overpartition; an image outside B fails the
-    round trip, which compares the inverse's core tuple with the source.
-    A passing round trip proves the source valid and in A (module
-    docstring) and makes the map injective, so distinct_images is a_count
-    then, and None when the round trip fails. Weight n past OBJECT_CEILING
-    raises before anything is enumerated.
-    """
-    op._check_weight(n, 1, "n", OBJECT_CEILING)
-    b_count = op._shape_tables(n - 1).b
-    c_count = op.pbar(n - 1) - b_count
-
+def _weight_down_walk(n: int) -> tuple[int, int, bool, bool, bool | None]:
+    """(a_count, images_in_b, round_trip_ok, weights_ok, witness_ok) of the
+    weight-down check at weight n, from the walk of A(n) and the C witness
+    alone: it reads no shape table and no pbar. n is not checked."""
     a_count = images_in_b = 0
     round_trip_ok = weights_ok = True
     for pi in op._class_a(n):
@@ -243,7 +227,31 @@ def check_weight_down(n: int) -> dict:
     if n >= 4:
         w = c_witness(n)
         witness_ok = w.weight == n - 1 and not in_b(w)
+    return a_count, images_in_b, round_trip_ok, weights_ok, witness_ok
 
+
+def check_weight_down(n: int) -> dict:
+    """Exhaustively verify the weight-down bijection at weight n.
+
+    Returns a dict of counts and flags: sizes of A(n), B(n-1), C(n-1) (the
+    last two counted over the partition shapes of n-1, C as pbar(n-1) less
+    B, so no object of weight n-1 is built), how many images weigh n-1
+    and lie in B, whether every image weighs n-1, whether every image lies
+    in B and maps back to the original, and whether the witness behaves
+    when n >= 4. Each walked tuple of A(n) is mapped by the core, and only
+    its image is built as an Overpartition; an image outside B fails the
+    round trip, which compares the inverse's core tuple with the source.
+    A passing round trip proves the source valid and in A (module
+    docstring) and makes the map injective, so distinct_images is a_count
+    then, and None when the round trip fails. Weight n past OBJECT_CEILING
+    raises before anything is enumerated.
+    """
+    op._check_weight(n, 1, "n", OBJECT_CEILING)
+    b_count = op._shape_tables(n - 1).b
+    c_count = op.pbar(n - 1) - b_count
+    a_count, images_in_b, round_trip_ok, weights_ok, witness_ok = (
+        _weight_down_walk(n)
+    )
     return {
         "n": n,
         "a_count": a_count,

@@ -212,22 +212,10 @@ def _tail_sum(order: int, m_lo: int, denom_off: int) -> TruncatedSeries:
 
 
 def _odd_square_theta(k: int, order: int) -> TruncatedSeries:
-    """sum_{j>=0} (q^((k+2j+1)^2) - q^((k+2j+2)^2)) truncated at order.
-
-    The second exponent is the first plus 2k+4j+3, i.e. the next square.
-    """
-    c = [0] * (order + 1)
-    j = 0
-    while True:
-        a = k + 2 * j + 1
-        if a * a > order:
-            break
-        c[a * a] += 1
-        b = (a + 1) * (a + 1)
-        if b <= order:
-            c[b] -= 1
-        j += 1
-    return TruncatedSeries(order, c)
+    """sum_{j>=0} (q^((k+2j+1)^2) - q^((k+2j+2)^2)) truncated at order: the
+    theta window j = k+1 .. sqrt(order), signed so that it starts at +1."""
+    window = series.theta_partial(k + 1, math.isqrt(order), order)
+    return window.scale(_sign(k + 1))
 
 
 def _times_neg_poch(s: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -273,20 +261,14 @@ def _op21_gf(k: int, order: int) -> TruncatedSeries:
 # -- series builders ----------------------------------------------------------
 
 def _pent_am_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
-    """The first k terms of the pentagonal sum over (q;q)oo: one sparse long
-    division by the full sum, at this side's own order."""
+    """The first k terms of the pentagonal sum over (q;q)oo: the full sum
+    below q^(k(3k+1)/2), where term k starts and term k-1 has ended, then
+    one sparse long division by the full sum, at this side's own order."""
     k = p["k"]
-    c = [0] * (order + 1)
-    for j in range(k):
-        g = j * (3 * j + 1) // 2
-        if g > order:
-            break
-        c[g] += _sign(j)
-        h = g + 2 * j + 1
-        if h <= order:
-            c[h] -= _sign(j)
+    end = k * (3 * k + 1) // 2
     pent = series.pentagonal_series(order).coeffs
-    return TruncatedSeries(order, series._div_sparse(c, pent))
+    head = [c if e < end else 0 for e, c in enumerate(pent)]
+    return TruncatedSeries(order, series._div_sparse(head, pent))
 
 
 def _pent_am_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
@@ -447,18 +429,10 @@ def _rows(fn: Callable[[int], tuple[int, ...]], n_max: int) -> list[tuple[int, .
 
 
 def _thm11_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    k = p["k"]
-
-    def row(n: int) -> tuple[int, ...]:
-        total = 0
-        for j in range(k):
-            total += _sign(j) * (
-                op.partition_count(n - j * (3 * j + 1) // 2)
-                - op.partition_count(n - j * (3 * j + 5) // 2 - 1)
-            )
-        return (_sign(k - 1) * total,)
-
-    return _rows(row, n_max)
+    """Coefficient n of pentagonal-am's lhs is the statement's alternating
+    sum of p(n - ...), so the rows are read off that series."""
+    sign = _sign(p["k"] - 1)
+    return [(sign * c,) for c in _pent_am_lhs(p, n_max).coeffs[1:]]
 
 
 def _thm11_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -589,16 +563,20 @@ def _lemma41_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 def _sec3_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     def row(n: int) -> tuple[int, ...]:
-        d = bijections.check_weight_down(n)
-        # C(n-1) from objects, not the shape-counted c_count: for n <= 3 by
-        # testing the at most 4 overpartitions of n - 1, above by the witness
+        # the check's walk alone, not the check, which also reads the shape
+        # tables and pbar that the rhs reads
+        a_count, images_in_b, round_trip_ok, weights_ok, witness_ok = (
+            bijections._weight_down_walk(n)
+        )
+        # C(n-1) from objects: for n <= 3 by testing the at most 4
+        # overpartitions of n - 1, above by the witness
         if n <= 3:
             lower = op.enumerate_overpartitions(n - 1)
             c_comp = sum(not bijections.in_b(lam) for lam in lower)
         else:
-            c_comp = int(d["witness_ok"] is True)
-        bijective = int(d["round_trip_ok"] and d["weights_ok"])
-        return (d["a_count"], d["images_in_b"], bijective, c_comp)
+            c_comp = int(witness_ok is True)
+        bijective = int(round_trip_ok and weights_ok)
+        return (a_count, images_in_b, bijective, c_comp)
 
     return _rows(row, n_max)
 

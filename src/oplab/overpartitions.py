@@ -51,7 +51,6 @@ __all__ = [
     "SHAPE_CEILING",
     "enumerate_overpartitions",
     "pbar",
-    "partition_count",
     "overline_mex",
     "op_class_counts",
     "op21",
@@ -289,11 +288,11 @@ def enumerate_overpartitions(n: int) -> tuple[Overpartition, ...]:
 
 # -- counting via generating functions --------------------------------------
 
-# One cache per counting function, pbar and partition_count, each keyed by a
-# power-of-two table order capped at MAX_ORDER (_table_order), so every
-# caller below that order shares one entry. Both tables come from Euler's
+# One product table, the overpartition generating function behind pbar,
+# cached per power-of-two table order capped at MAX_ORDER (_table_order), so
+# every caller below that order shares one entry. It comes from Euler's
 # pentagonal sums alone, which have O(sqrt(order)) terms, by long division
-# over their few nonzero terms (series._div_sparse), so no table sweeps the
+# over their few nonzero terms (series._div_sparse), so it never sweeps the
 # full length once per factor or multiplies two dense series. Every other
 # product a series side needs is built at that side's own order, uncached.
 
@@ -308,14 +307,6 @@ def _pbar_table(order: int) -> tuple[int, ...]:
     return tuple(series._div_sparse(series._div_sparse(p2, p), p))
 
 
-@lru_cache(maxsize=None)
-def _p_table(order: int) -> tuple[int, ...]:
-    """1/(q;q)oo mod q^(order+1), one sparse division of 1 by the pentagonal
-    sum."""
-    p = series.pentagonal_series(order).coeffs
-    return tuple(series._div_sparse([1] + [0] * order, p))
-
-
 def _table_order(n: int) -> int:
     """The order of the table that holds weight n, for n <= MAX_ORDER: the
     least power of two from 64 up that reaches n, capped at MAX_ORDER."""
@@ -325,35 +316,20 @@ def _table_order(n: int) -> int:
     return min(order, MAX_ORDER)
 
 
-def _checked_count_weight(n: int) -> None:
-    """Raise BadParamsError unless n is an int, not a bool, at most MAX_ORDER,
-    before any table is built; a negative n passes."""
+def pbar(n: int) -> int:
+    """Number of overpartitions of n; pbar(0) = 1 and pbar(n) = 0 for n < 0.
+
+    A bool, a non-int or an n past MAX_ORDER raises BadParamsError before
+    any table is built."""
     # one exact-type test and one comparison accept the common case
     if n.__class__ is not int or n > MAX_ORDER:
         _checked_int(
             n, -inf, MAX_ORDER,
             f"n must be an int at most MAX_ORDER = {MAX_ORDER}, got {n!r}",
         )
-
-
-def pbar(n: int) -> int:
-    """Number of overpartitions of n; pbar(0) = 1 and pbar(n) = 0 for n < 0.
-
-    A bool, a non-int or an n past MAX_ORDER raises BadParamsError."""
-    _checked_count_weight(n)
     if n < 0:
         return 0
     return _pbar_table(_table_order(n))[n]
-
-
-def partition_count(n: int) -> int:
-    """Number of ordinary partitions of n; 1 at n = 0 and 0 for n < 0.
-
-    A bool, a non-int or an n past MAX_ORDER raises BadParamsError."""
-    _checked_count_weight(n)
-    if n < 0:
-        return 0
-    return _p_table(_table_order(n))[n]
 
 
 # -- statistics --------------------------------------------------------------

@@ -47,8 +47,8 @@ class BadParamsError(ValueError):
     range, or a weight or bound past its ceiling."""
 
 
-# The largest order of any series, and the largest weight that pbar and
-# partition_count count; the identities layer re-exports it.
+# The largest order of any series, and the largest weight that pbar
+# counts; the identities layer re-exports it.
 MAX_ORDER = 2000
 
 

@@ -130,7 +130,7 @@ def record_tables(monkeypatch):
 # and the pentagonal and theta sums. Every side builder reaches them through
 # these module attributes, so patching them sees every call.
 LEDGER_HELPERS = (
-    (overpartitions, ("_pbar_table", "_p_table", "_shape_tables", "_class_a")),
+    (overpartitions, ("_pbar_table", "_shape_tables", "_class_a")),
     (identities, ("_tail_sum", "_pbar_gf", "_large_tail", "_li_tail",
                   "_op21_gf", "_odd_square_theta", "_window_pbar_sq")),
     (series, ("pentagonal_series", "gauss_theta", "theta_partial")),
@@ -140,8 +140,7 @@ LEDGER_HELPERS = (
 KERNEL = "_div_sparse"
 # cleared before each build, so a cached helper's own reads are recorded
 # whatever ran before it
-LEDGER_CACHES = (identities._tail_sum, overpartitions._pbar_table,
-                 overpartitions._p_table)
+LEDGER_CACHES = (identities._tail_sum, overpartitions._pbar_table)
 
 
 def reads(build, *args):

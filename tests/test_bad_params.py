@@ -92,8 +92,6 @@ ENTRY_POINTS = {
     # a weight past MAX_ORDER is rejected before any table is built
     "pbar": (op.pbar, idn.MAX_ORDER + 1),
     "pbar far past MAX_ORDER": (op.pbar, 10**18),
-    "partition_count": (op.partition_count, idn.MAX_ORDER + 1),
-    "partition_count far past MAX_ORDER": (op.partition_count, 10**18),
     "enumerate_overpartitions": (op.enumerate_overpartitions, -1),
     "op_class_counts": (op.op_class_counts, -1),
     "op21 n": (lambda v: op.op21(v, 1), 0),

@@ -532,8 +532,8 @@ PUBLIC_NAMES = {
     # overpartitions
     "Part", "Overpartition", "BadParamsError",
     "EnumerationCapError", "OBJECT_CEILING", "SHAPE_CEILING",
-    "enumerate_overpartitions", "pbar", "partition_count",
-    "overline_mex", "op_class_counts", "op21", "mbar", "nbar", "mk_stat",
+    "enumerate_overpartitions", "pbar", "overline_mex", "op_class_counts",
+    "op21", "mbar", "nbar", "mk_stat",
     # bijections
     "in_a", "in_b", "map_a_to_b", "map_b_to_a", "c_witness",
     "staircase_insert", "staircase_remove", "check_weight_down",

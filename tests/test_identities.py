@@ -370,6 +370,30 @@ def test_yao_lhs_low_coefficients():
     assert lhs2.coeff(4) == op.mbar(4, 1) - op.mbar(2, 1) == 2
 
 
+def ref_odd_square_theta(k, order):
+    """sum_{j>=0} (q^((k+2j+1)^2) - q^((k+2j+2)^2)), one square pair at a
+    time."""
+    c = [0] * (order + 1)
+    a = k + 1
+    while a * a <= order:
+        c[a * a] += 1
+        if (a + 1) ** 2 <= order:
+            c[(a + 1) ** 2] -= 1
+        a += 2
+    return series.TruncatedSeries(order, c)
+
+
+@pytest.mark.parametrize(
+    "order", [0, 1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 1935, 1936, 1937, 2000]
+)
+def test_odd_square_theta_is_the_square_pair_sum(order):
+    # the tail is a theta window; at a square order the window's last term
+    # is the order itself, one below it that term drops
+    for k in range(65):
+        want = ref_odd_square_theta(k, order)
+        assert idn._odd_square_theta(k, order) == want, k
+
+
 def test_gen_op_rhs_coefficient_from_pbar():
     # coefficient of q^9 on the series side: pbar(9-4) - pbar(9-9)
     rows = idn.get_identity("gen-op").enum_rhs({"k": 1}, 9)
@@ -451,9 +475,9 @@ def test_product_caches_stay_bounded_over_orders():
     assert op._pbar_table.cache_info().currsize <= 4
 
 
-def test_negq_product_built_once_for_its_readers():
-    # am-2018, guo-zeng and li read the overpartition table
-    # (-q;q)oo/(q;q)oo on their left sides, and gauss and
+def test_pbar_table_built_once_for_its_readers():
+    # am-2018, guo-zeng and li read the overpartition table _pbar_table,
+    # (-q;q)oo/(q;q)oo, on their left sides, and gauss and
     # euler-odd-distinct none; one process builds it once for all of them
     op._pbar_table.cache_clear()
     for ident in ("gauss", "euler-odd-distinct", "am-2018-truncation",
@@ -465,11 +489,10 @@ def test_negq_product_built_once_for_its_readers():
 
 
 def test_product_tables_match_their_factor_products():
-    # the tables come from pentagonal sums and sparse long division by
-    # them; the factor-by-factor products they replaced are the oracle
+    # the table comes from pentagonal sums and sparse long division by
+    # them; the factor-by-factor product it replaced is the oracle
     order = op._table_order(idn.MAX_ORDER)
     assert op._pbar_table(order) == overpartition_gf(order).coeffs
-    assert op._p_table(order) == partition_gf(order).coeffs
 
 
 def test_gauss_and_euler_sides_match_their_inverted_products():
@@ -506,12 +529,37 @@ def test_pent_am_lhs_is_the_partial_sum_times_the_partition_series(order):
     # the lhs divides by the pentagonal sum at its own order; the oracle
     # divides out (q;q)oo one factor at a time, across the table-order edges
     p = partition_gf(order)
-    for k in (1, 2, 5, 8):
+    # term j runs from q^(j(3j+1)/2) to q^((j+1)(3j+2)/2): at order 2000,
+    # k = 36 takes the terms that fit whole and k = 37 cuts term 36 (q^1962
+    # to q^2035) at the order
+    for k in (1, 2, 5, 8, 36, 37, 64):
         want = _partial_pentagonal_sum(k, order) * p
         assert idn._pent_am_lhs({"k": k}, order) == want, k
 
 
-PRODUCT_TABLES = {"_pbar_table", "_p_table"}
+def test_thm11_lhs_is_the_statements_partition_sum():
+    # the rows are read off pentagonal-am's lhs; the oracle is the
+    # statement's alternating sum of p(n), over the whole k schema at the
+    # shape ceiling
+    n_max = op.SHAPE_CEILING
+    p = partition_gf(n_max).coeffs
+
+    def part(m):
+        return p[m] if m >= 0 else 0
+
+    for k in range(1, 65):
+        want = [
+            ((-1) ** (k - 1) * sum(
+                (-1) ** j * (part(n - j * (3 * j + 1) // 2)
+                             - part(n - j * (3 * j + 5) // 2 - 1))
+                for j in range(k)
+            ),)
+            for n in range(1, n_max + 1)
+        ]
+        assert idn._thm11_lhs({"k": k}, n_max) == want, k
+
+
+PRODUCT_TABLES = {"_pbar_table"}
 
 
 def test_series_sides_keep_their_own_routes():
@@ -635,16 +683,6 @@ SHARED_READS = {
         "the lhs reads the mex column and the rhs the mbar and nbar columns "
         "of one walk; a wrong column fails the id"
     ),
-    ("sec3-bijection", "_shape_tables"): (
-        "the lhs reads the B column of n - 1 only inside check_weight_down, "
-        "for the check's own b_count, c_count and ok; no lhs display reads "
-        "it, so a wrong B column fails the id"
-    ),
-    ("sec3-bijection", "_pbar_table"): (
-        "the lhs reads pbar(n - 1) and pbar(n) only inside "
-        "check_weight_down, for c_count and ok"
-    ),
-    ("sec3-bijection", "pentagonal_series"): "the sums _pbar_table is built from",
     **{
         (ident, helper): _THETA_HEAD
         for ident in ("cor-2-9", "sec5-main", "sec5-reduced")
@@ -815,7 +853,7 @@ def test_series_identity_at_max_order_within_budget(ident, capsys):
     argv += ["--order", str(idn.MAX_ORDER)]
     # cold tail sums and tables, as one `oplab verify --id X --order 2000`
     # pays them
-    for cache in (idn._tail_sum, op._pbar_table, op._p_table):
+    for cache in (idn._tail_sum, op._pbar_table):
         cache.cache_clear()
     t0 = time.perf_counter()
     code = cli.main(argv)
