@@ -132,12 +132,6 @@ def _sign(e: int) -> int:
     return 1 if e % 2 == 0 else -1
 
 
-def _window_pbar_sq(n: int, m: int, k: int) -> int:
-    """sum_{j=m..k} (-1)^j pbar(n - j^2); the window -k..k is the symmetric
-    sum pbar(n) + 2*sum_{j=1..k} (-1)^j pbar(n - j^2)."""
-    return sum(_sign(j) * op.pbar(n - j * j) for j in range(m, k + 1))
-
-
 def _pbar_gf(order: int) -> TruncatedSeries:
     """The overpartition generating function (-q;q)oo/(q;q)oo, read from
     the one product table that series sides share (op._pbar_table) and
@@ -146,10 +140,10 @@ def _pbar_gf(order: int) -> TruncatedSeries:
     The table is built once per power-of-two table order, from Euler's
     pentagonal sums and sparse long division by them, and shared by every
     caller. Of the sides that read it here, only cor-2-6's two share it, as
-    a common factor; every other reader faces a side built independently
-    (a theta sum, a recurrence, a shape count, or a tail sum, which divides
-    by the theta sum itself). Any other product a side needs is built at
-    that side's own order."""
+    a common factor; every other reader is an inequality's one side or
+    faces a side built independently (a theta sum, a recurrence, a shape
+    count, zero, or a tail sum, which divides by the theta sum itself).
+    Any other product a side needs is built at that side's own order."""
     table = op._pbar_table(op._table_order(order))
     return TruncatedSeries(order, table[: order + 1])
 
@@ -428,11 +422,20 @@ def _rows(fn: Callable[[int], tuple[int, ...]], n_max: int) -> list[tuple[int, .
     return [fn(n) for n in range(1, n_max + 1)]
 
 
+def _rows_of(s: TruncatedSeries) -> list[tuple[int, ...]]:
+    """Coefficients 1..order of s, one row (c,) each.
+
+    Coefficient n of the pbar series times a theta window
+    sum_{j=m..k} (-1)^j q^(j^2) is the window's alternating sum of
+    pbar(n - j^2), so every coefficient side of a truncated Gauss sum is
+    the rows of that one product."""
+    return [(c,) for c in s.coeffs[1:]]
+
+
 def _thm11_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     """Coefficient n of pentagonal-am's lhs is the statement's alternating
     sum of p(n - ...), so the rows are read off that series."""
-    sign = _sign(p["k"] - 1)
-    return [(sign * c,) for c in _pent_am_lhs(p, n_max).coeffs[1:]]
+    return _rows_of(_pent_am_lhs(p, n_max).scale(_sign(p["k"] - 1)))
 
 
 def _thm11_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -441,10 +444,7 @@ def _thm11_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 
 def _gauss_enum_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    # full alternating sum: j^2 <= n exhausts every nonzero term
-    return _rows(
-        lambda n: (_window_pbar_sq(n, -math.isqrt(n), math.isqrt(n)),), n_max
-    )
+    return _rows_of(_pbar_gf(n_max) * series.gauss_theta(None, n_max))
 
 
 def _gauss_enum_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -452,8 +452,7 @@ def _gauss_enum_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 
 def _thm13_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    k = p["k"]
-    return _rows(lambda n: (_sign(k) * _window_pbar_sq(n, -k, k),), n_max)
+    return _rows_of(_guo_zeng_lhs(p, n_max).scale(_sign(p["k"])))
 
 
 def _thm13_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -462,8 +461,7 @@ def _thm13_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 
 def _thm14_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    k = p["k"]
-    return _rows(lambda n: (_sign(k - 1) * _window_pbar_sq(n, -k, k - 1),), n_max)
+    return _rows_of(_li_lhs(p, n_max).scale(_sign(p["k"] - 1)))
 
 
 def _thm14_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -480,7 +478,7 @@ def _thm23_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 
 def _pbar_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    return _rows(lambda n: (op.pbar(n),), n_max)
+    return _rows_of(_pbar_gf(n_max))
 
 
 def _split21_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -489,8 +487,8 @@ def _split21_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 def _thm24_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     m, k = p["m"], p["k"]
-    pref = _sign(min(abs(m), k))
-    return _rows(lambda n: (pref * _window_pbar_sq(n, m, k),), n_max)
+    window = series.theta_partial(m, k, n_max).scale(_sign(min(abs(m), k)))
+    return _rows_of(_pbar_gf(n_max) * window)
 
 
 def _thm24_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -504,14 +502,6 @@ def _thm24_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 def _cor25a_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     k = p["k"]
     return _rows(lambda n: (2 * op.op21(n, k + 1),), n_max)
-
-
-def _cor25b_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    k = p["k"]
-    return _rows(
-        lambda n: (_sign(k - 1) * _window_pbar_sq(n, -k, k) + op.pbar(n - k * k),),
-        n_max,
-    )
 
 
 def _cor25b_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -537,8 +527,7 @@ def _gen_op_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 
 def _gen_op_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    s = _op21_gf(p["k"], n_max)
-    return [(s.coeff(n),) for n in range(1, n_max + 1)]
+    return _rows_of(_op21_gf(p["k"], n_max))
 
 
 def _cor29_enum_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -547,8 +536,7 @@ def _cor29_enum_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 
 def _cor29_enum_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
-    s = _cor29_rhs(p, n_max)
-    return [(s.coeff(n),) for n in range(1, n_max + 1)]
+    return _rows_of(_cor29_rhs(p, n_max))
 
 
 def _lemma41_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
@@ -592,13 +580,13 @@ def _sec3_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 # -- inequality builders ------------------------------------------------------
 
 def _ineq_xyz_rows(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
+    """The window (-1)^(k-1) sum_{j=-k..k} (-1)^j q^(j^2) plus q^(k(k+1)),
+    times the pbar series."""
     k = p["k"]
-    return _rows(
-        lambda n: (
-            _sign(k - 1) * _window_pbar_sq(n, -k, k) + op.pbar(n - k * (k + 1)),
-        ),
-        n_max,
-    )
+    window = series.gauss_theta(k, n_max).scale(_sign(k - 1))
+    if k * (k + 1) <= n_max:
+        window = window + series.monomial(n_max, k * (k + 1))
+    return _rows_of(_pbar_gf(n_max) * window)
 
 
 # -- registry -----------------------------------------------------------------
@@ -752,7 +740,10 @@ _register(
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=60,
-        ineq_values=_cor25b_lhs,
+        # the window's j = k term (-1)^k pbar(n-k^2), times (-1)^(k-1), is
+        # -pbar(n-k^2) and cancels the + pbar(n-k^2): what is left is
+        # thm-1-4's window -k..k-1
+        ineq_values=_thm14_lhs,
         strict_from=lambda p: p["k"] * p["k"],
     )
 )
@@ -888,7 +879,8 @@ _register(
         schema=_K,
         param_ranges=(("k", 1, 4),),
         default_n_max=25,
-        enum_lhs=_cor25b_lhs,
+        # the same sum as ineq-conj-1-5's values: thm-1-4's window -k..k-1
+        enum_lhs=_thm14_lhs,
         enum_rhs=_cor25b_rhs,
     )
 )

@@ -132,7 +132,7 @@ def record_tables(monkeypatch):
 LEDGER_HELPERS = (
     (overpartitions, ("_pbar_table", "_shape_tables", "_class_a")),
     (identities, ("_tail_sum", "_pbar_gf", "_large_tail", "_li_tail",
-                  "_op21_gf", "_odd_square_theta", "_window_pbar_sq")),
+                  "_op21_gf", "_odd_square_theta")),
     (series, ("pentagonal_series", "gauss_theta", "theta_partial")),
 )
 # the division kernel, recorded by the length it divides to; it is no

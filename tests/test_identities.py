@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -557,6 +558,75 @@ def test_thm11_lhs_is_the_statements_partition_sum():
             for n in range(1, n_max + 1)
         ]
         assert idn._thm11_lhs({"k": k}, n_max) == want, k
+
+
+# -- the truncated Gauss sums against their statements, term by term --------
+
+def _sgn(e):
+    return -1 if e % 2 else 1
+
+
+@pytest.fixture(scope="module")
+def pbar_terms():
+    """pbar(0..MAX_ORDER) from the two products, one factor at a time."""
+    return overpartition_gf(idn.MAX_ORDER).coeffs
+
+
+def ref_window(pbar, m, k, n):
+    """sum_{j=m..k} (-1)^j pbar(n - j^2), one term per j; the terms with
+    j^2 > n read a negative weight and are 0."""
+    r = math.isqrt(n)
+    return sum(_sgn(j) * pbar[n - j * j] for j in range(max(m, -r), min(k, r) + 1))
+
+
+@pytest.mark.parametrize(
+    "n_max, ks", [(60, range(1, 65)), (idn.MAX_ORDER, (1, 2, 44, 45, 64))],
+    ids=["60", "max-order"],
+)
+def test_window_builders_match_their_statements_term_by_term(pbar_terms, n_max, ks):
+    # the builders read their rows off the pbar series times a theta window;
+    # the oracle is each statement's alternating sum of pbar(n - j^2)
+    def rows(value):
+        return [(value(n),) for n in range(1, n_max + 1)]
+
+    def pbar(e):
+        return pbar_terms[e] if e >= 0 else 0
+
+    def window(m, k):
+        return lambda n: ref_window(pbar_terms, m, k, n)
+
+    assert idn._gauss_enum_lhs({}, n_max) == rows(window(-n_max, n_max))
+    cor25b = idn.get_identity("cor-2-5-second").enum_lhs
+    conj15 = idn.get_identity("ineq-conj-1-5").ineq_values
+    for k in ks:
+        p = {"k": k}
+        full = rows(window(-k, k))
+        thm13 = [(_sgn(k) * v,) for (v,) in full]
+        assert idn._thm13_lhs(p, n_max) == thm13, k
+        thm14 = rows(lambda n: _sgn(k - 1) * ref_window(pbar_terms, -k, k - 1, n))
+        assert idn._thm14_lhs(p, n_max) == thm14, k
+        # the shift is k(k+1); a shift by k^2 is the cor-2-5-second sum
+        xyz = [(_sgn(k - 1) * v + pbar(n - k * (k + 1)),)
+               for n, (v,) in enumerate(full, start=1)]
+        assert idn._ineq_xyz_rows(p, n_max) == xyz, k
+        # the statement as written: the window -k..k plus pbar(n - k^2)
+        second = [(_sgn(k - 1) * v + pbar(n - k * k),)
+                  for n, (v,) in enumerate(full, start=1)]
+        assert cor25b(p, n_max) == second, k
+        assert conj15(p, n_max) == second, k
+
+
+def test_thm24_lhs_matches_its_statement_over_the_whole_schema(pbar_terms):
+    # (-1)^min(|m|, k) sum_{j=m..k} (-1)^j pbar(n - j^2) for every m <= k
+    # of the schema; past |j| = 4 a window differs from a narrower one only
+    # beyond n_max
+    n_max = 20
+    (_, m_lo, m_hi), (_, _, k_hi) = idn.get_identity("thm-2-4").schema
+    for m in range(m_lo, m_hi + 1):
+        for k in range(m, k_hi + 1):
+            want = [(_sgn(min(abs(m), k)) * ref_window(pbar_terms, m, k, n),)
+                    for n in range(1, n_max + 1)]
+            assert idn._thm24_lhs({"m": m, "k": k}, n_max) == want, (m, k)
 
 
 PRODUCT_TABLES = {"_pbar_table"}
