@@ -249,6 +249,7 @@ def check_weight_down(n: int) -> dict:
     op._check_weight(n, 1, "n", OBJECT_CEILING)
     b_count = op._shape_tables(n - 1).b
     c_count = op.pbar(n - 1) - b_count
+    pbar = op.pbar(n)
     a_count, images_in_b, round_trip_ok, weights_ok, witness_ok = (
         _weight_down_walk(n)
     )
@@ -262,10 +263,10 @@ def check_weight_down(n: int) -> dict:
         "round_trip_ok": round_trip_ok,
         "weights_ok": weights_ok,
         "witness_ok": witness_ok,
-        "pbar_half": op.pbar(n) // 2 if op.pbar(n) % 2 == 0 else -1,
+        "pbar_half": pbar // 2 if pbar % 2 == 0 else -1,
         "ok": (
-            a_count == b_count == images_in_b == op.pbar(n) // 2
-            and op.pbar(n) % 2 == 0
+            a_count == b_count == images_in_b == pbar // 2
+            and pbar % 2 == 0
             and round_trip_ok
             and weights_ok
             and (n > 3 or c_count == 0)

@@ -571,7 +571,8 @@ def _sec3_lhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
 
 def _sec3_rhs(p: Mapping[str, int], n_max: int) -> list[tuple[int, ...]]:
     def row(n: int) -> tuple[int, ...]:
-        half = op.pbar(n) // 2 if op.pbar(n) % 2 == 0 else -1
+        pbar = op.pbar(n)
+        half = pbar // 2 if pbar % 2 == 0 else -1
         return (half, op._shape_tables(n - 1).b, 1, 0 if n <= 3 else 1)
 
     return _rows(row, n_max)
