@@ -290,8 +290,8 @@ def check_staircase(n: int, j: int) -> dict:
     enumeration tests pin the walk's distinctness in general. Every bound
     is checked before anything is enumerated: n - j^2 against
     OBJECT_CEILING, then n against the shape ceiling."""
-    series._checked_int(j, 1, inf, "need 1 <= j and j^2 <= n")
-    series._checked_int(n, j * j, inf, "need 1 <= j and j^2 <= n")
+    series._checked_int(j, 1, inf, f"j must be >= 1, got {j!r}")
+    series._checked_int(n, j * j, inf, f"n must be >= j^2 = {j * j}, got {n!r}")
     op._check_weight(n - j * j, 0, "weight", OBJECT_CEILING)
     op._check_weight(n, 1, "n")
     target_count = op.op21(n, j) + op.op21(n, j + 1)

@@ -601,7 +601,7 @@ def op21(n: int, k: int) -> int:
     """Count overpartitions of n whose overline-mex m satisfies
     m >= 2k+1 and m = 2k+1 mod 4."""
     _check_weight(n, 1, "n")
-    _checked_int(k, 0, inf, "op21 requires k >= 0")
+    _checked_int(k, 0, inf, f"op21 requires k >= 0, got {k!r}")
     return sum(_shape_tables(n).mex[2 * k + 1 :: 4])
 
 
@@ -609,7 +609,7 @@ def mbar(n: int, k: int) -> int:
     """Count overpartitions of n whose smallest part value above k exists and
     occurs at least k+1 times, overlined and plain occurrences together."""
     _check_weight(n, 1, "n")
-    _checked_int(k, 0, inf, "mbar requires k >= 0")
+    _checked_int(k, 0, inf, f"mbar requires k >= 0, got {k!r}")
     return _column(_shape_tables(n).mbar, k)
 
 
@@ -619,7 +619,7 @@ def nbar(n: int, k: int) -> int:
     overlined, and its value occurs exactly k times among the non-exempt
     parts."""
     _check_weight(n, 1, "n")
-    _checked_int(k, 1, inf, "nbar requires k >= 1")
+    _checked_int(k, 1, inf, f"nbar requires k >= 1, got {k!r}")
     return _column(_shape_tables(n).nbar, k)
 
 
@@ -627,5 +627,5 @@ def mk_stat(n: int, k: int) -> int:
     """Count ordinary partitions of n whose least non-part is exactly k and
     which have more parts above k than below k."""
     _check_weight(n, 1, "n")
-    _checked_int(k, 1, inf, "mk_stat requires k >= 1")
+    _checked_int(k, 1, inf, f"mk_stat requires k >= 1, got {k!r}")
     return _column(_shape_tables(n).mk, k)

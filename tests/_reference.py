@@ -1,10 +1,14 @@
 """Reference oracles that only the tests use: the shortest direct
 definitions of things the package does not provide itself, the per-weight
-shape tables that the package's incremental fill replaced, probes that
-record which weights the package walks and tabulates, and the read ledger
-that shows which helpers a side builder reads."""
+shape tables that the package's incremental fill replaced, probes that record
+which weights the package walks and tabulates, the read ledger of a side
+builder, object scans of the statistics, and a reader of the statements."""
 
+import functools
 import itertools
+import math
+import operator
+import re
 
 import pytest
 
@@ -56,16 +60,6 @@ def poch_ratio(numer_start, denom_start, order):
     """(-q^numer_start;q)oo / (q^denom_start;q)oo, one factor at a time."""
     return div_product(series.qproduct(-1, numer_start, 1, None, order),
                        denom_start, 1)
-
-
-def gauss_binomial(m, n, order):
-    """[m, n]_q = (q;q)_m / ((q;q)_n (q;q)_{m-n}); zero unless 0 <= n <= m."""
-    if n < 0 or m < n:
-        return series.zero(order)
-    f = series.qproduct(1, 1, 1, m, order)
-    for i in [*range(1, n + 1), *range(1, m - n + 1)]:
-        f = f.div_factor(i)
-    return f
 
 
 def of(*parts):
@@ -262,3 +256,409 @@ def shape_tables(n):
         tuple(itertools.accumulate(mbar_diff)), tuple(nbar_col), tuple(mk_col),
         tuple(mex_col), b,
     )
+
+
+# -- the statistics, scanned object by object ---------------------------------
+#
+# The package counts its statistics over partition shapes weighted by their
+# overline assignments; these scans read each enumerated object instead. The
+# shape-table tests and the statement reader below share them.
+
+REF_N_MAX = 20  # the largest weight a scan is asked for
+
+
+@functools.cache
+def _objects(n):
+    """(overpartition, its overline-mex) for each overpartition of n."""
+    if n > REF_N_MAX:
+        raise ValueError(f"object scans stop at weight {REF_N_MAX}, got {n}")
+    return [(pi, overpartitions.overline_mex(pi))
+            for pi in overpartitions.enumerate_overpartitions(n)]
+
+
+@functools.cache
+def ref_op21(n, k):
+    return sum(mex >= 2 * k + 1 and mex % 4 == (2 * k + 1) % 4
+               for _, mex in _objects(n))
+
+
+@functools.cache
+def ref_mbar(n, k):
+    """The smallest value above k occurs at least k + 1 times."""
+    values = [[p.value for p in pi] for pi, _ in _objects(n)]
+    return sum(vs.count(min(v for v in vs if v > k)) > k
+               for vs in values if max(vs, default=0) > k)
+
+
+@functools.cache
+def ref_nbar(n, k):
+    """After exempting one overlined k, the smallest part of value >= k is
+    plain and its value occurs exactly k times."""
+    count = 0
+    for pi, _ in _objects(n):
+        parts = list(pi)
+        if Part(k, True) in parts:
+            parts.remove(Part(k, True))
+        low = min((p for p in parts if p.value >= k), key=lambda p: p.rank,
+                  default=Part(k, True))
+        count += not low.overlined and [p.value for p in parts].count(low.value) == k
+    return count
+
+
+@functools.cache
+def ref_mk_stat(n, k):
+    """Partitions of n whose least non-part is k, with more parts above k
+    than below."""
+    plain = [[p.value for p in pi] for pi, _ in _objects(n)
+             if not any(p.overlined for p in pi)]
+    return sum(k not in vs and set(range(1, k)) <= set(vs)
+               and sum(v > k for v in vs) > sum(v < k for v in vs) for vs in plain)
+
+
+# -- the statements, read literally -------------------------------------------
+#
+# A third oracle: each statement evaluated as it is written, with nothing from
+# oplab.series; the README's "Statement notation" gives the grammar. A value is
+# an int or the coefficient list of a series truncated at env["top"], which is
+# the order of a series clause and the weight n of a coefficient clause.
+
+# the two places the text departs from the grammar, (id, word): meaning
+NOTATION = {("yao", "l"): "ell", ("yao", "sum_j"): "sum_{j in Z}"}
+# ids whose statement the grammar cannot read, with the construct it lacks
+UNREADABLE = {"sec3-bijection": "prose: a bijection between two classes"}
+# what each "counts ..." clause counts, by id
+COUNTS = {"thm-1-1": ref_mk_stat, "thm-1-3": ref_mbar, "thm-1-4": ref_nbar}
+_STATS = {"op21": ref_op21, "Mbar": ref_mbar, "Nbar": ref_nbar,
+          # the overline-mex is 1 or 3 mod 4: op21(n|0) and op21(n|1)
+          "op_{2 1}": lambda n: ref_op21(n, 0), "opbar_{2 1}": lambda n: ref_op21(n, 1)}
+_TOKEN = re.compile(r"op_\{2 1\}|opbar_\{2 1\}|\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[<>]=|\S")
+_KEYWORDS = {"when", "where", "and", "for", "with", "in", "oo", "Z"}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _exact(a, b):
+    quotient, rest = divmod(a, b)
+    if rest:
+        raise ValueError(f"{a}/{b} is not an integer")
+    return quotient
+
+
+def _arith(op, a, b):
+    """a + b, a * b or a / b, exactly, of ints and truncated series."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b if op == "+" else a * b if op == "*" else _exact(a, b)
+    if op != "+" and isinstance(b, int) or op == "*" and isinstance(a, int):
+        c, s = (b, a) if isinstance(b, int) else (a, b)
+        return [_exact(x, c) if op == "/" else c * x for x in s]
+    size = len(a if isinstance(a, list) else b)
+    a, b = ([x] + [0] * (size - 1) if isinstance(x, int) else x for x in (a, b))
+    if op == "+":
+        return [x + y for x, y in zip(a, b)]
+    c = []
+    for e in range(size):
+        if op == "*":
+            c.append(sum(a[i] * b[e - i] for i in range(e + 1)))
+        else:
+            c.append(_exact(a[e] - sum(b[i] * c[e - i] for i in range(1, e + 1)), b[0]))
+    return c
+
+
+def _pow(a, e):
+    """a^e; of a series only a power e >= 0."""
+    if isinstance(a, int):
+        return a ** (e % 2) if a in (1, -1) else a ** e
+    return functools.reduce(lambda x, _: _arith("*", x, a), range(e), 1)
+
+
+def _q(top, e=1):
+    if e < 0:
+        raise ValueError(f"negative power q^{e}")
+    return [int(i == e) for i in range(top + 1)]
+
+
+def _poch(a, step, n, top):
+    """(a;step)_n = prod_{i<n} (1 - a step^i), n None for oo, with a one term
+    c q^e and step q^s; a factor past top is 1, and so is a step past it."""
+    [(c, e)] = [(a, 0)] if isinstance(a, int) else [
+        (x, i) for i, x in enumerate(a) if x] or [(0, 0)]
+    s = next((i for i in range(1, top + 1) if step[i]), top + 1)
+    out = _q(top, 0)
+    for i in range(top + 1 if n is None else n):
+        for t in range(top, e + s * i - 1, -1):
+            out[t] -= c * out[t - e - s * i]
+    return out
+
+
+@functools.cache
+def _count(name, n):
+    """p(n) or pbar(n) off 1/(q;q)oo or (-q;q)oo/(q;q)oo; 0 below 0."""
+    if n < 0:
+        return 0
+    q = _q(n)
+    top = _poch(_arith("*", -1, q), q, None, n) if name == "pbar" else 1
+    return _arith("/", top, _poch(q, q, None, n))[n]
+
+
+def _call(name, args, top):
+    """A named function of the grammar at its evaluated arguments."""
+    if name in _STATS:  # Mbar_k(n) and Nbar_k(n) arrive as (n, k)
+        return _STATS[name](*args) if args[0] >= 0 else 0
+    if name in ("p", "pbar"):
+        return _count(name, args[0])
+    if name in ("min", "max"):
+        return (min if name == "min" else max)(args)
+    (a, b), q = args, _q(top)  # qbin(a|b), the Gaussian binomial
+    return 0 if not 0 <= b <= a else _arith("/", _poch(q, q, a, top), _arith(
+        "*", _poch(q, q, b, top), _poch(q, q, a - b, top)))
+
+
+class _Reader:
+    """A recursive-descent reader of one clause: each rule returns a function
+    of the environment (parameters, bound names, top). stat: the side read so
+    far reads a statistic; free_n: the clause reads the weight n unbound."""
+
+    def __init__(self, text, names):
+        self.tokens, self.names = _TOKEN.findall(text) + [None, None], names
+        self.i, self.bound, self.stat, self.free_n = 0, set(), False, False
+
+    def peek(self, ahead=0):
+        return self.tokens[self.i + ahead]
+
+    def accept(self, *toks):
+        if self.peek() not in toks:
+            return None
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def expect(self, *toks):
+        """Consume toks in order; None, so that expect(...) or rule() reads on."""
+        for tok in toks:
+            if not self.accept(tok):
+                raise SyntaxError(f"expected {tok!r} at {self.peek()!r}")
+
+    def take(self):
+        if self.peek() is None:
+            raise SyntaxError("the statement ends early")
+        return self.accept(self.peek())
+
+    def group(self, close, sep=None):
+        """Expressions up to close, separated by sep."""
+        out = [self.expr()]
+        while sep and self.accept(sep):
+            out.append(self.expr())
+        self.expect(close)
+        return out
+
+    def expr(self):
+        terms = [(-1 if self.accept("-") else 1, self.term())]
+        while self.peek() in ("+", "-"):
+            terms.append((-1 if self.take() == "-" else 1, self.term()))
+        if terms[0][0] == 1 and len(terms) == 1:
+            return terms[0][1]
+        return lambda env: functools.reduce(
+            lambda acc, t: _arith("+", acc, _arith("*", t[0], t[1](env))), terms, 0)
+
+    def term(self):
+        """Factors by *, / or juxtaposition, left to right; a zero product
+        reads no further factor."""
+        ops = [("*", self.factor())]
+        while (op := self.accept("*", "/")) or self.starts_atom():
+            ops.append((op or "*", self.factor()))
+        if len(ops) == 1:
+            return ops[0][1]
+
+        def run(env):
+            acc = 1
+            for op, f in ops:
+                if any(acc) if isinstance(acc, list) else acc:
+                    acc = _arith(op, acc, f(env))
+            return acc
+        return run
+
+    def starts_atom(self):
+        tok = self.peek() or "="
+        return tok[0].isdigit() or tok == "(" or (
+            tok[0].isalpha() and tok not in _KEYWORDS and self.peek(1) != "=")
+
+    def factor(self):
+        is_q = self.accept("q")
+        base = (lambda env: _q(env["top"])) if is_q else self.atom()
+        if not self.accept("^"):
+            return base
+        e = self.atom()
+        if is_q:
+            return lambda env: _q(env["top"], e(env))
+        return lambda env: _pow(base(env), e(env))
+
+    def atom(self):
+        tok = self.take()
+        if tok.isdigit():
+            return lambda env: int(tok)
+        if tok == "(":
+            a, *step = self.group(")", ";")
+            n = None if not step or self.accept("oo") else self.subscript()
+            return a if not step else lambda env: _poch(
+                a(env), step[0](env), n(env) if n else None, env["top"])
+        if tok in ("p", "pbar", "qbin", "min", "max") or tok in _STATS:
+            k = [self.subscript()] if tok in ("Mbar", "Nbar") else []
+            self.expect("(")
+            if tok in ("min", "max"):  # atoms separated by spaces; |x| is abs
+                args = []
+                while not self.accept(")"):
+                    if self.accept("|"):
+                        x = self.group("|")[0]
+                        args.append(lambda env, x=x: abs(x(env)))
+                    else:
+                        args.append(self.atom())
+            else:
+                args = self.group(")", "|") + k
+            self.stat |= tok in _STATS
+            return lambda env: _call(tok, [a(env) for a in args], env.get("top"))
+        if tok == "sum":
+            return self.sum()
+        if tok in self.names or len(tok) == 1 and tok.isalpha():
+            self.free_n |= tok == "n" and "n" not in self.bound
+            return lambda env: env[tok]
+        if tok.isalpha() and set(tok) <= self.names:
+            # a run of parameter letters, as in mk, is their product
+            return lambda env: math.prod(env[v] for v in tok)
+        raise SyntaxError(f"cannot read {tok!r}")
+
+    def subscript(self):
+        self.expect("_")
+        return self.group("}")[0] if self.accept("{") else self.atom()
+
+    def sum(self):
+        """sum_{v=lo..hi}, sum_{v>=lo}, sum_{v in Z} or sum_v (v >= 0) over the
+        rest of the product; an infinite one runs over top + 1 values (-top..top
+        over Z), as each step moves a term's lowest power or weight by >= 1."""
+        self.expect("_")
+        braced = self.accept("{")
+        v, rel = self.take(), braced and self.take()
+        lo = self.expr() if rel in ("=", ">=") else None
+        hi = self.expect("..") or self.expr() if rel == "=" else None
+        if rel == "in":
+            self.expect("Z")
+        if braced:
+            self.expect("}")
+        inner = v not in self.bound
+        self.bound.add(v)
+        body = self.term()
+        self.bound -= {v} if inner else set()
+
+        def run(env):
+            start = lo(env) if lo else -env["top"] if rel == "in" else 0
+            stop = hi(env) if hi else env["top"] + (0 if rel == "in" else start)
+            return functools.reduce(lambda acc, j: _arith(
+                "+", acc, body({**env, v: j})), range(start, stop + 1), 0)
+        return run
+
+    def condition(self):
+        a, rel, b = self.expr(), _COMPARE[self.take()], self.expr()
+        return lambda env: rel(a(env), b(env))
+
+    def side(self):
+        """expr [when cond {and expr when cond}] [where name=term ...], the
+        first case whose condition holds, as (function, reads a statistic)."""
+        self.stat = False
+        cases = [(self.expr(), self.accept("when") and self.condition())]
+        while cases[-1][1] and self.accept("and"):
+            cases.append((self.expr(), self.expect("when") or self.condition()))
+        binds = []
+        while (binds or self.accept("where")) and self.peek(1) == "=":
+            binds.append((self.take(), self.expect("=") or self.term()))
+
+        def run(env):
+            for name, value in binds:
+                env = {**env, name: value(env)}
+            return next(f(env) for f, holds in cases if not holds or holds(env))
+        return run, self.stat
+
+
+@functools.cache
+def read(ident):
+    """The clauses ("; equivalently" separates them) of one id's statement,
+    after its NOTATION: (relations, strict, domain, free_n) each. relations
+    pairs (lhs, rhs), each side (function, reads a statistic), rhs None for
+    ">= 0"; strict is T of "strict inequality for n >= T"; domain "for C"."""
+    desc = identities.get_identity(ident)
+    text = desc.statement
+    for (i, word), meaning in NOTATION.items():
+        text = re.sub(rf"\b{word}\b", meaning, text) if i == ident else text
+    clauses = []
+    for clause in text.split("; equivalently "):
+        head, counts, _ = clause.partition(" counts ")
+        reader = _Reader(head, {name for name, _, _ in desc.schema})
+        relations, strict, domain = [], None, None
+        while not relations or reader.accept("and"):
+            lhs = reader.side()
+            if counts:
+                rhs = (lambda env, scan=COUNTS[ident]: scan(env["n"], env["k"]), True)
+            elif reader.accept(">="):
+                rhs = reader.expect("0")
+                if reader.accept("with"):
+                    reader.expect("strict", "inequality", "for", "n", ">=")
+                    strict = reader.expr()
+            else:
+                rhs = reader.expect("=") or reader.side()
+            relations.append((lhs, rhs))
+        domain = reader.accept("for") and reader.condition()
+        if reader.peek() is not None:
+            raise SyntaxError(f"cannot read {reader.peek()!r}")
+        clauses.append((relations, strict, domain, reader.free_n))
+    return clauses
+
+
+def _statement_side(ident, form, side):
+    """One side of a form as its statement computes it, a function of (params,
+    bound), and whether it reads a statistic. The series form reads the first
+    clause, the counting forms the last."""
+    relations, strict, domain, free_n = read(ident)[0 if form == "series" else -1]
+    if side == "strict_from":
+        return (lambda p, n: strict and strict(p)), False
+    sides = [pair[side.endswith("rhs")] for pair in relations]
+
+    def value(f, env):
+        if domain and not domain(env):
+            raise ValueError(f"{ident}: {env} is outside the statement")
+        v = f(env)
+        return [v] + [0] * env["top"] if isinstance(v, int) and not free_n else v
+
+    def run(p, bound):
+        if free_n:  # a coefficient clause, row by row
+            return [tuple(value(f, {**p, "n": n, "top": n}) for f, _ in sides)
+                    for n in range(1, bound + 1)]
+        [(f, _)] = sides  # a series equation, by its coefficients
+        s = value(f, {**p, "top": bound})
+        return s if form == "series" else [(c,) for c in s[1:]]
+    return run, any(stat for _, stat in sides)
+
+
+def statement_mismatches(desc, p, bound=None):
+    """(form, side, bound, built, read) for each side of each form of desc at
+    p that differs from its statement, at the bound or else the default (order
+    at most 30); a side that reads a statistic stops at REF_N_MAX."""
+    out = []
+    for form, f in identities._FORMS.items():
+        if getattr(desc, f.attr) is None:
+            continue
+        default = getattr(desc, f"default_{f.bound}")
+        default = min(default, 30) if form == "series" else default
+        top = default if bound is None else bound
+        rhs = "strict_from" if form == "inequality" else f.attr.replace("lhs", "rhs")
+        for side in (f.attr, rhs):
+            want, stat = _statement_side(desc.id, form, side)
+            n = min(top, REF_N_MAX) if stat else top
+            built = (desc.strict_from and desc.strict_from(p)
+                     if side == "strict_from" else getattr(desc, side)(p, n))
+            built, got = list(built.coeffs) if form == "series" else built, want(p, n)
+            if built != got:
+                out.append((form, side, n, built, got))
+    return out
+
+
+@functools.cache
+def schema_grid(desc):
+    """Every point of desc's schema, with m <= k where desc requires it."""
+    ranges = {name: (lo, hi) for name, lo, hi in desc.schema}
+    return identities.expand_grid(desc, ranges)

@@ -230,8 +230,14 @@ def test_rejection_names_a_wrong_type_and_quotes_a_string():
 
 
 def test_staircase_rejection_names_the_bound():
-    with pytest.raises(op.BadParamsError, match=r"j\^2 <= n"):
-        bj.check_staircase(3, 2)
+    # each check names its own argument and the value given, j first
+    for args, message in (((3, 2), r"^n must be >= j\^2 = 4, got 3$"),
+                          ((0, 1), r"^n must be >= j\^2 = 1, got 0$"),
+                          ((0, 0), r"^j must be >= 1, got 0$")):
+        with pytest.raises(op.BadParamsError, match=message):
+            bj.check_staircase(*args)
+    with pytest.raises(op.BadParamsError, match=r"^nbar requires k >= 1, got 0$"):
+        op.nbar(5, 0)
 
 
 def test_bound_is_checked_before_the_grid():

@@ -1,5 +1,6 @@
 """Bijection layer: frozen small cases, exhaustive sweeps, failing checks."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -11,7 +12,7 @@ from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab.overpartitions import Overpartition, Part
 
-from _reference import of as _ov, record_tables, record_walks
+from _reference import REF_N_MAX, of as _ov, record_tables, record_walks, ref_op21
 
 
 def test_classify_weight_3_split():
@@ -165,13 +166,10 @@ def test_staircase_bijection_exhaustive():
 def test_staircase_target_count_matches_object_scan():
     # check_staircase counts its target by shapes; the exhaustive scan of
     # the enumerated weight-n objects stays the reference
-    for n in range(1, 21):
-        mex_values = [op.overline_mex(pi) for pi in op.enumerate_overpartitions(n)]
-        j = 1
-        while j * j <= n:
-            expected = sum(1 for m in mex_values if m >= 2 * j + 1)
+    for n in range(1, REF_N_MAX + 1):
+        for j in range(1, math.isqrt(n) + 1):
+            expected = ref_op21(n, j) + ref_op21(n, j + 1)
             assert bj.check_staircase(n, j)["target_count"] == expected, (n, j)
-            j += 1
 
 
 def test_check_weight_down_validation():

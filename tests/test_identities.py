@@ -1,16 +1,15 @@
 """Identity registry and verification harness.
 
-Smoke verifications here run at reduced order so the module stays quick;
-the full configured sweeps live in test_acceptance. What is pinned here:
-registry shape, report schema, perturbation sensitivity plumbing, parameter
-validation, and a handful of coefficient-level oracles recomputed in-test.
+What is pinned here: registry shape, report schema, perturbation plumbing,
+parameter validation, every side against its statement as tests/_reference.py
+reads it, and the tail sums, tables and read ledgers behind the builders; the
+full configured sweeps live in test_acceptance.
 """
 
 import dataclasses
 import inspect
 import itertools
 import json
-import math
 import time
 
 import pytest
@@ -23,9 +22,9 @@ from oplab import overpartitions as op
 from oplab import series
 
 from _reference import (
-    KERNEL, div_product, gauss_binomial, helpers, overpartition_gf,
-    partition_gf, poch_ratio, reads, record_tables, record_walks, ref_invert,
-    shift,
+    KERNEL, UNREADABLE, div_product, helpers, overpartition_gf, poch_ratio,
+    read, reads, record_tables, record_walks, schema_grid, shift,
+    statement_mismatches,
 )
 
 EXPECTED_IDS = [
@@ -79,49 +78,10 @@ def test_statements_are_csv_safe():
         assert "," not in d.statement, d.id
 
 
-def test_dual_form_identities():
-    # these carry both an analytic and a counting reading under one id
-    for ident in ("gauss", "cor-2-9"):
-        d = idn.get_identity(ident)
-        assert d.series_lhs is not None and d.enum_lhs is not None
-
-
 def test_unknown_identity():
     with pytest.raises(idn.UnknownIdentityError, match="unknown identity"):
         idn.get_identity("nope")
     assert str(idn.UnknownIdentityError("plain text")) == "plain text"
-
-
-def test_series_identities_smoke():
-    for d in idn.list_identities():
-        if d.series_lhs is None:
-            continue
-        params = idn.expand_grid(d)[0]
-        # the enumerated left side of yao caps the usable order
-        order = min(40, d.default_order)
-        r = idn.verify_series(d.id, params, order)
-        assert r.passed, (d.id, r.first_mismatch)
-        assert r.compared == f"order={order}"
-        assert r.anchor == d.statement
-
-
-def test_enumerative_identities_smoke():
-    for d in idn.list_identities():
-        if d.enum_lhs is None:
-            continue
-        params = idn.expand_grid(d)[0]
-        r = idn.verify_enumerative(d.id, params, 12)
-        assert r.passed, (d.id, r.first_mismatch, r.detail)
-        assert r.compared == "n=1..12"
-
-
-def test_inequality_identities_smoke():
-    for d in idn.list_identities():
-        if d.ineq_values is None:
-            continue
-        params = idn.expand_grid(d)[0]
-        r = idn.verify_inequality(d.id, params, 40)
-        assert r.passed, (d.id, r.first_mismatch, r.detail)
 
 
 def test_verify_identity_runs_every_form():
@@ -338,6 +298,7 @@ def test_report_jsonable_schema():
     r = idn.verify_series("euler-odd-distinct", order=30)
     blob = r.to_jsonable(include_timing=False)
     assert set(blob) == {"id", "params", "range", "status", "elapsedMs", "anchor"}
+    assert blob["anchor"] == idn.get_identity("euler-odd-distinct").statement
     assert blob["elapsedMs"] == 0 and blob["status"] == "pass"
     r = idn.verify_series("gauss", order=30, perturb=(2, 5))
     blob = r.to_jsonable()
@@ -345,7 +306,37 @@ def test_report_jsonable_schema():
     assert blob["elapsedMs"] >= 0
 
 
-# -- coefficient-level oracles recomputed in the test ------------------------
+# -- every side against its statement, read literally -----------------------
+
+READABLE = [d for d in idn.list_identities() if d.id not in UNREADABLE]
+
+
+@pytest.mark.parametrize("desc", READABLE, ids=lambda d: d.id)
+def test_every_side_computes_its_statement(desc):
+    # series sides at order min(default, 30), counting sides at the default
+    # n_max, a side that reads a statistic up to REF_N_MAX
+    for p in idn.expand_grid(desc):
+        assert statement_mismatches(desc, p) == [], p
+
+
+def test_only_the_listed_statements_are_unreadable():
+    # an entry whose statement now parses is stale
+    for ident, construct in UNREADABLE.items():
+        with pytest.raises(SyntaxError):
+            read(ident)
+        assert construct
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_sides_compute_their_statements_over_the_whole_schema(data):
+    desc = data.draw(st.sampled_from(READABLE), label="id")
+    p = data.draw(st.sampled_from(schema_grid(desc)), label="params")
+    bound = data.draw(st.integers(1, 20), label="bound")
+    assert statement_mismatches(desc, p, bound) == []
+
+
+# -- the tail sums and product tables behind the builders -------------------
 
 def test_repeated_part_gf_matches_overpartition_gf_at_k_zero():
     # with threshold 0 every nonempty overpartition qualifies, so the
@@ -353,67 +344,6 @@ def test_repeated_part_gf_matches_overpartition_gf_at_k_zero():
     built = idn._mbar_gf(0, 40)
     whole = overpartition_gf(40) - series.one(40)
     assert built == whole
-
-
-def test_repeated_part_gf_matches_enumeration():
-    for k in (0, 1, 2):
-        built = idn._mbar_gf(k, 16)
-        for n in range(1, 17):
-            assert built.coeff(n) == op.mbar(n, k), (n, k)
-
-
-def test_yao_lhs_low_coefficients():
-    # k=1, ell=1: coefficient of q^4 is mbar(4,1) - mbar(3,1) - mbar(2,1)
-    lhs = idn.get_identity("yao").series_lhs({"k": 1, "ell": 1}, 10)
-    expected = op.mbar(4, 1) - op.mbar(3, 1) - op.mbar(2, 1)
-    assert lhs.coeff(4) == expected == 2
-    lhs2 = idn.get_identity("yao").series_lhs({"k": 1, "ell": 2}, 10)
-    assert lhs2.coeff(4) == op.mbar(4, 1) - op.mbar(2, 1) == 2
-
-
-def ref_odd_square_theta(k, order):
-    """sum_{j>=0} (q^((k+2j+1)^2) - q^((k+2j+2)^2)), one square pair at a
-    time."""
-    c = [0] * (order + 1)
-    a = k + 1
-    while a * a <= order:
-        c[a * a] += 1
-        if (a + 1) ** 2 <= order:
-            c[(a + 1) ** 2] -= 1
-        a += 2
-    return series.TruncatedSeries(order, c)
-
-
-@pytest.mark.parametrize(
-    "order", [0, 1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 1935, 1936, 1937, 2000]
-)
-def test_odd_square_theta_is_the_square_pair_sum(order):
-    # the tail is a theta window; at a square order the window's last term
-    # is the order itself, one below it that term drops
-    for k in range(65):
-        want = ref_odd_square_theta(k, order)
-        assert idn._odd_square_theta(k, order) == want, k
-
-
-def test_gen_op_rhs_coefficient_from_pbar():
-    # coefficient of q^9 on the series side: pbar(9-4) - pbar(9-9)
-    rows = idn.get_identity("gen-op").enum_rhs({"k": 1}, 9)
-    assert rows[8] == (op.pbar(5) - op.pbar(0),)
-    assert rows[8] == (23,)
-
-
-def test_tail_sum_first_terms():
-    # sum_{m>=1} q^m (-q^(m+1);q)oo/(q^(m+1);q)oo starts q + 2q^2 + ...;
-    # cross-checked against the expanded ratio at each shift
-    got = idn._tail_sum(12, 1, 1)
-    acc = series.zero(12)
-    for m in range(1, 13):
-        acc = acc + shift(poch_ratio(m + 1, m + 1, 12), m)
-    assert got == acc
-
-
-def test_tail_sum_empty_when_shift_exceeds_order():
-    assert idn._tail_sum(10, 4, 0) == series.zero(10)
 
 
 def ref_tail_sum(order, m_lo, denom_off):
@@ -496,137 +426,14 @@ def test_product_tables_match_their_factor_products():
     assert op._pbar_table(order) == overpartition_gf(order).coeffs
 
 
-def test_gauss_and_euler_sides_match_their_inverted_products():
-    # two routes that share nothing with the sparse division: the
-    # coefficient recurrence where it is cheap, factor division at the top
-    for order in range(131):
-        qq = series.qproduct(1, 1, 1, None, order)
-        negq = series.qproduct(-1, 1, 1, None, order)
-        odd = series.qproduct(1, 1, 2, None, order)
-        want = qq * series.TruncatedSeries(order, ref_invert(negq.coeffs))
-        assert idn._gauss_rhs({}, order) == want, order
-        want = series.TruncatedSeries(order, ref_invert(odd.coeffs))
-        assert idn._euler_lhs({}, order) == want, order
-        assert idn._euler_rhs({}, order) == negq, order
+def test_gauss_and_euler_sides_match_their_products_at_max_order():
+    # factor division, which shares nothing with the sparse division; the
+    # statement test reads both statements up to order 30
     order = idn.MAX_ORDER
     qq = series.qproduct(1, 1, 1, None, order)
     assert idn._gauss_rhs({}, order) == div_product(qq, 1, 1, -1)
     assert idn._euler_lhs({}, order) == div_product(series.one(order), 1, 2)
     assert idn._euler_rhs({}, order) == series.qproduct(-1, 1, 1, None, order)
-
-
-def _partial_pentagonal_sum(k, order):
-    """The first k terms of sum_j (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1))."""
-    acc = series.zero(order)
-    for j in range(k):
-        for e, sign in ((j * (3 * j + 1) // 2, 1), ((j + 1) * (3 * j + 2) // 2, -1)):
-            if e <= order:
-                acc = acc + series.monomial(order, e, (-1) ** j * sign)
-    return acc
-
-
-@pytest.mark.parametrize("order", [63, 64, 65, 127, 128, 129, idn.MAX_ORDER])
-def test_pent_am_lhs_is_the_partial_sum_times_the_partition_series(order):
-    # the lhs divides by the pentagonal sum at its own order; the oracle
-    # divides out (q;q)oo one factor at a time, across the table-order edges
-    p = partition_gf(order)
-    # term j runs from q^(j(3j+1)/2) to q^((j+1)(3j+2)/2): at order 2000,
-    # k = 36 takes the terms that fit whole and k = 37 cuts term 36 (q^1962
-    # to q^2035) at the order
-    for k in (1, 2, 5, 8, 36, 37, 64):
-        want = _partial_pentagonal_sum(k, order) * p
-        assert idn._pent_am_lhs({"k": k}, order) == want, k
-
-
-def test_thm11_lhs_is_the_statements_partition_sum():
-    # the rows are read off pentagonal-am's lhs; the oracle is the
-    # statement's alternating sum of p(n), over the whole k schema at the
-    # shape ceiling
-    n_max = op.SHAPE_CEILING
-    p = partition_gf(n_max).coeffs
-
-    def part(m):
-        return p[m] if m >= 0 else 0
-
-    for k in range(1, 65):
-        want = [
-            ((-1) ** (k - 1) * sum(
-                (-1) ** j * (part(n - j * (3 * j + 1) // 2)
-                             - part(n - j * (3 * j + 5) // 2 - 1))
-                for j in range(k)
-            ),)
-            for n in range(1, n_max + 1)
-        ]
-        assert idn._thm11_lhs({"k": k}, n_max) == want, k
-
-
-# -- the truncated Gauss sums against their statements, term by term --------
-
-def _sgn(e):
-    return -1 if e % 2 else 1
-
-
-@pytest.fixture(scope="module")
-def pbar_terms():
-    """pbar(0..MAX_ORDER) from the two products, one factor at a time."""
-    return overpartition_gf(idn.MAX_ORDER).coeffs
-
-
-def ref_window(pbar, m, k, n):
-    """sum_{j=m..k} (-1)^j pbar(n - j^2), one term per j; the terms with
-    j^2 > n read a negative weight and are 0."""
-    r = math.isqrt(n)
-    return sum(_sgn(j) * pbar[n - j * j] for j in range(max(m, -r), min(k, r) + 1))
-
-
-@pytest.mark.parametrize(
-    "n_max, ks", [(60, range(1, 65)), (idn.MAX_ORDER, (1, 2, 44, 45, 64))],
-    ids=["60", "max-order"],
-)
-def test_window_builders_match_their_statements_term_by_term(pbar_terms, n_max, ks):
-    # the builders read their rows off the pbar series times a theta window;
-    # the oracle is each statement's alternating sum of pbar(n - j^2)
-    def rows(value):
-        return [(value(n),) for n in range(1, n_max + 1)]
-
-    def pbar(e):
-        return pbar_terms[e] if e >= 0 else 0
-
-    def window(m, k):
-        return lambda n: ref_window(pbar_terms, m, k, n)
-
-    assert idn._gauss_enum_lhs({}, n_max) == rows(window(-n_max, n_max))
-    cor25b = idn.get_identity("cor-2-5-second").enum_lhs
-    conj15 = idn.get_identity("ineq-conj-1-5").ineq_values
-    for k in ks:
-        p = {"k": k}
-        full = rows(window(-k, k))
-        thm13 = [(_sgn(k) * v,) for (v,) in full]
-        assert idn._thm13_lhs(p, n_max) == thm13, k
-        thm14 = rows(lambda n: _sgn(k - 1) * ref_window(pbar_terms, -k, k - 1, n))
-        assert idn._thm14_lhs(p, n_max) == thm14, k
-        # the shift is k(k+1); a shift by k^2 is the cor-2-5-second sum
-        xyz = [(_sgn(k - 1) * v + pbar(n - k * (k + 1)),)
-               for n, (v,) in enumerate(full, start=1)]
-        assert idn._ineq_xyz_rows(p, n_max) == xyz, k
-        # the statement as written: the window -k..k plus pbar(n - k^2)
-        second = [(_sgn(k - 1) * v + pbar(n - k * k),)
-                  for n, (v,) in enumerate(full, start=1)]
-        assert cor25b(p, n_max) == second, k
-        assert conj15(p, n_max) == second, k
-
-
-def test_thm24_lhs_matches_its_statement_over_the_whole_schema(pbar_terms):
-    # (-1)^min(|m|, k) sum_{j=m..k} (-1)^j pbar(n - j^2) for every m <= k
-    # of the schema; past |j| = 4 a window differs from a narrower one only
-    # beyond n_max
-    n_max = 20
-    (_, m_lo, m_hi), (_, _, k_hi) = idn.get_identity("thm-2-4").schema
-    for m in range(m_lo, m_hi + 1):
-        for k in range(m, k_hi + 1):
-            want = [(_sgn(min(abs(m), k)) * ref_window(pbar_terms, m, k, n),)
-                    for n in range(1, n_max + 1)]
-            assert idn._thm24_lhs({"m": m, "k": k}, n_max) == want, (m, k)
 
 
 PRODUCT_TABLES = {"_pbar_table"}
@@ -819,89 +626,6 @@ def test_no_series_form_is_a_copy_of_another(ledgers):
         if _proportional(coeffs(a, pa), coeffs(b, pb))
     }
     assert copies == set(KNOWN_COPIES)
-
-
-def ref_yao_lhs(k, ell, order):
-    """sum_j (-1)^j mbar(n - ell j(3j-1)/2, k) over every integer j, term by
-    term; weights below 1 contribute nothing."""
-    c = [0] * (order + 1)
-    for n in range(1, order + 1):
-        for j in range(-n, n + 1):  # |j| <= j(3j-1)/2, so no term is missed
-            m = n - ell * j * (3 * j - 1) // 2
-            if m >= 1:
-                c[n] += (-1) ** abs(j) * op.mbar(m, k)
-    return tuple(c)
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 7, 20])
-def test_yao_lhs_matches_termwise_pentagonal_sum(order):
-    desc = idn.get_identity("yao")
-    for k in range(1, 5):
-        for ell in range(1, 5):
-            got = desc.series_lhs({"k": k, "ell": ell}, order).coeffs
-            assert got == ref_yao_lhs(k, ell, order), (k, ell)
-
-
-# -- the summand recurrences against the summands built one by one ----------
-
-def ref_pent_am_rhs(k, order):
-    """1 + (-1)^(k-1) sum_{n>=1} q^(k(k-1)/2+(k+1)n) qbin(n-1|k-1)/(q;q)_n,
-    each summand built from scratch."""
-    acc = series.zero(order)
-    n = 1
-    while k * (k - 1) // 2 + (k + 1) * n <= order:
-        term = gauss_binomial(n - 1, k - 1, order)
-        for i in range(1, min(n, order) + 1):
-            term = term.div_factor(i, 1)
-        acc = acc + shift(term, k * (k - 1) // 2 + (k + 1) * n)
-        n += 1
-    return series.one(order) + acc.scale((-1) ** (k - 1))
-
-
-def ref_guo_zeng_rhs(k, order):
-    """1 + (-1)^k sum_{n>=k+1} q^((k+1)n) (-q;q)_k (-1;q)_{n-k}
-    qbin(n-1|k)/(q;q)_n, each summand built from scratch."""
-    acc = series.zero(order)
-    n = k + 1
-    while (k + 1) * n <= order:
-        term = gauss_binomial(n - 1, k, order)
-        term = term * series.qproduct(-1, 1, 1, k, order)
-        term = term * series.qproduct(-1, 0, 1, n - k, order)
-        for i in range(1, min(n, order) + 1):
-            term = term.div_factor(i, 1)
-        acc = acc + shift(term, (k + 1) * n)
-        n += 1
-    return series.one(order) + acc.scale((-1) ** k)
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 5, 17, 63, 64, 65, 150])
-def test_summand_recurrences_match_summands_built_from_scratch(order):
-    pent = idn.get_identity("pentagonal-am").series_rhs
-    guo = idn.get_identity("guo-zeng-truncation").series_rhs
-    for k in range(1, 9):
-        assert pent({"k": k}, order) == ref_pent_am_rhs(k, order), k
-        assert guo({"k": k}, order) == ref_guo_zeng_rhs(k, order), k
-
-
-def test_summand_recurrences_include_empty_sums():
-    # the first summand's shift passes the order: k=8 starts at q^100 and
-    # q^81, k=1 at q^2 and q^4
-    for order in (0, 1, 17):
-        for k in (1, 8) if order < 2 else (8,):
-            assert idn.get_identity("pentagonal-am").series_rhs(
-                {"k": k}, order
-            ) == series.one(order)
-            assert idn.get_identity("guo-zeng-truncation").series_rhs(
-                {"k": k}, order
-            ) == series.one(order)
-    # k=2 starts at q^7 and q^9: the first summand exactly fits, and one
-    # order below it the sum is empty
-    pent = idn.get_identity("pentagonal-am").series_rhs
-    guo = idn.get_identity("guo-zeng-truncation").series_rhs
-    for order in (7, 6):
-        assert pent({"k": 2}, order) == ref_pent_am_rhs(2, order), order
-    for order in (9, 8):
-        assert guo({"k": 2}, order) == ref_guo_zeng_rhs(2, order), order
 
 
 SERIES_AT_MAX_ORDER = [

@@ -11,9 +11,7 @@ from oplab import overpartitions as op
 from oplab import series as s
 from oplab.series import TruncatedSeries
 
-from _reference import (
-    dilate, gauss_binomial, partition_gf, poch_ratio, ref_invert, shift,
-)
+from _reference import dilate, partition_gf, poch_ratio, ref_invert
 
 # hand-checked low-order expansions
 QQ_INF_7 = (1, -1, -1, 0, 0, 1, 0, 1)
@@ -183,45 +181,6 @@ def test_qproduct_validation():
     with pytest.raises(s.BadParamsError):
         s.qproduct(1, 0, 1, None, 5)
     assert s.qproduct(1, 1, 1, 0, 5) == s.one(5)  # empty product
-
-
-def test_gauss_binomial_frozen_values():
-    assert gauss_binomial(2, 1, 6).coeffs[:3] == (1, 1, 0)
-    assert gauss_binomial(4, 2, 6).coeffs == (1, 1, 2, 1, 1, 0, 0)
-    assert gauss_binomial(1, 3, 6) == s.zero(6)
-    assert gauss_binomial(3, -1, 6) == s.zero(6)
-    assert gauss_binomial(5, 0, 6) == s.one(6)
-    assert gauss_binomial(5, 5, 6) == s.one(6)
-
-
-def test_gauss_binomial_degree_and_positivity():
-    for m in range(0, 13):
-        for n in range(0, m + 1):
-            deg = n * (m - n)
-            poly = gauss_binomial(m, n, deg + 5)
-            cs = poly.coeffs
-            assert all(c >= 0 for c in cs)
-            assert cs[deg] != 0 or deg == 0
-            assert all(c == 0 for c in cs[deg + 1 :])
-            # evaluation at q = 1 gives the ordinary binomial
-            assert sum(cs) == math.comb(m, n)
-
-
-def test_gauss_binomial_pascal_recurrence():
-    # [m, n] = [m-1, n-1] + q^n [m-1, n], checked as full polynomials
-    order = 100
-    for m in range(1, 21):
-        for n in range(0, m + 1):
-            lhs = gauss_binomial(m, n, order)
-            rhs = gauss_binomial(m - 1, n - 1, order) + shift(
-                gauss_binomial(m - 1, n, order), n
-            )
-            assert lhs == rhs, (m, n)
-
-
-def test_gauss_binomial_truncation_commutes():
-    full = gauss_binomial(12, 5, 40)
-    assert gauss_binomial(12, 5, 9) == TruncatedSeries(9, full.coeffs[:10])
 
 
 def test_theta_partial_and_gauss_theta():
@@ -455,22 +414,6 @@ def test_mul_is_associative_and_distributes_over_add(triple):
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
     assert (f + g) * h == f * h + g * h
-
-
-@settings(deadline=None)
-@given(
-    st.integers(min_value=1, max_value=30),
-    st.integers(min_value=0, max_value=31),
-    st.integers(min_value=0, max_value=120),
-)
-def test_gauss_binomial_q_pascal(m, n, order):
-    # [m, n] = [m-1, n-1] + q^n [m-1, n] = q^(m-n) [m-1, n-1] + [m-1, n]
-    whole = gauss_binomial(m, n, order)
-    left = gauss_binomial(m - 1, n - 1, order)
-    right = gauss_binomial(m - 1, n, order)
-    assert whole == left + shift(right, n)
-    if n <= m:
-        assert whole == shift(left, m - n) + right
 
 
 @settings(deadline=None)
