@@ -634,26 +634,33 @@ def _statement_side(ident, form, side):
     return run, any(stat for _, stat in sides)
 
 
-def statement_mismatches(desc, p, bound=None):
-    """(form, side, bound, built, read) for each side of each form of desc at
-    p that differs from its statement, at the bound or else the default (order
-    at most 30); a side that reads a statistic stops at REF_N_MAX."""
-    out = []
+def statement_sides(desc):
+    """(form, side) for each side of each form of desc; an inequality's second
+    side is its strict_from."""
     for form, f in identities._FORMS.items():
-        if getattr(desc, f.attr) is None:
+        if getattr(desc, f.attr) is not None:
+            rhs = "strict_from" if form == "inequality" else f.attr.replace("lhs", "rhs")
+            yield from ((form, f.attr), (form, rhs))
+
+
+def statement_mismatches(desc, p, bound=None, only=None):
+    """(form, side, bound, built, read) for each side of desc (or only the one
+    named) that differs from its statement at p, at the bound or else the
+    default (order at most 30); a side that reads a statistic stops at REF_N_MAX."""
+    out = []
+    for form, side in statement_sides(desc):
+        if only not in (None, side):
             continue
-        default = getattr(desc, f"default_{f.bound}")
+        default = getattr(desc, f"default_{identities._FORMS[form].bound}")
         default = min(default, 30) if form == "series" else default
         top = default if bound is None else bound
-        rhs = "strict_from" if form == "inequality" else f.attr.replace("lhs", "rhs")
-        for side in (f.attr, rhs):
-            want, stat = _statement_side(desc.id, form, side)
-            n = min(top, REF_N_MAX) if stat else top
-            built = (desc.strict_from and desc.strict_from(p)
-                     if side == "strict_from" else getattr(desc, side)(p, n))
-            built, got = list(built.coeffs) if form == "series" else built, want(p, n)
-            if built != got:
-                out.append((form, side, n, built, got))
+        want, stat = _statement_side(desc.id, form, side)
+        n = min(top, REF_N_MAX) if stat else top
+        built = (desc.strict_from and desc.strict_from(p)
+                 if side == "strict_from" else getattr(desc, side)(p, n))
+        built, got = list(built.coeffs) if form == "series" else built, want(p, n)
+        if built != got:
+            out.append((form, side, n, built, got))
     return out
 
 

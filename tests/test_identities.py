@@ -24,7 +24,7 @@ from oplab import series
 from _reference import (
     KERNEL, UNREADABLE, div_product, helpers, overpartition_gf, poch_ratio,
     read, reads, record_tables, record_walks, schema_grid, shift,
-    statement_mismatches,
+    statement_mismatches, statement_sides,
 )
 
 EXPECTED_IDS = [
@@ -311,12 +311,14 @@ def test_report_jsonable_schema():
 READABLE = [d for d in idn.list_identities() if d.id not in UNREADABLE]
 
 
-@pytest.mark.parametrize("desc", READABLE, ids=lambda d: d.id)
-def test_every_side_computes_its_statement(desc):
+@pytest.mark.parametrize("desc, side", [
+    pytest.param(d, side, id=f"{d.id}-{side}")
+    for d in READABLE for _, side in statement_sides(d)])
+def test_every_side_computes_its_statement(desc, side):
     # series sides at order min(default, 30), counting sides at the default
     # n_max, a side that reads a statistic up to REF_N_MAX
     for p in idn.expand_grid(desc):
-        assert statement_mismatches(desc, p) == [], p
+        assert statement_mismatches(desc, p, only=side) == [], p
 
 
 def test_only_the_listed_statements_are_unreadable():
