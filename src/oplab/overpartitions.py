@@ -179,6 +179,14 @@ def _check_weight(n: int, lo: int, name: str, ceiling: int = SHAPE_CEILING) -> N
         raise EnumerationCapError(f"weight {n} exceeds the ceiling {ceiling}")
 
 
+def _check_k(k: int, lo: int, stat: str) -> None:
+    """k is an int, not a bool, and at least lo, else "<stat> requires k >=
+    <lo>, got <k>". The stat scans call this once per cell, so the message
+    is formatted only for a k that fails."""
+    if k.__class__ is not int or k < lo:
+        _checked_int(k, lo, inf, f"{stat} requires k >= {lo}, got {k!r}")
+
+
 def _rank_parts(top: int) -> list[Part]:
     """One shared Part per rank 0..top (1bar=1, 1=2, 2bar=3, ...); rank 0 is
     a placeholder that no walk reads."""
@@ -601,7 +609,7 @@ def op21(n: int, k: int) -> int:
     """Count overpartitions of n whose overline-mex m satisfies
     m >= 2k+1 and m = 2k+1 mod 4."""
     _check_weight(n, 1, "n")
-    _checked_int(k, 0, inf, f"op21 requires k >= 0, got {k!r}")
+    _check_k(k, 0, "op21")
     return sum(_shape_tables(n).mex[2 * k + 1 :: 4])
 
 
@@ -609,7 +617,7 @@ def mbar(n: int, k: int) -> int:
     """Count overpartitions of n whose smallest part value above k exists and
     occurs at least k+1 times, overlined and plain occurrences together."""
     _check_weight(n, 1, "n")
-    _checked_int(k, 0, inf, f"mbar requires k >= 0, got {k!r}")
+    _check_k(k, 0, "mbar")
     return _column(_shape_tables(n).mbar, k)
 
 
@@ -619,7 +627,7 @@ def nbar(n: int, k: int) -> int:
     overlined, and its value occurs exactly k times among the non-exempt
     parts."""
     _check_weight(n, 1, "n")
-    _checked_int(k, 1, inf, f"nbar requires k >= 1, got {k!r}")
+    _check_k(k, 1, "nbar")
     return _column(_shape_tables(n).nbar, k)
 
 
@@ -627,5 +635,5 @@ def mk_stat(n: int, k: int) -> int:
     """Count ordinary partitions of n whose least non-part is exactly k and
     which have more parts above k than below k."""
     _check_weight(n, 1, "n")
-    _checked_int(k, 1, inf, f"mk_stat requires k >= 1, got {k!r}")
+    _check_k(k, 1, "mk_stat")
     return _column(_shape_tables(n).mk, k)
