@@ -16,22 +16,27 @@ smallest part t >= 2 into t-2 plain 1s plus an overlined 1.
 The second inserts the odd staircase 1, 3, ..., 2j-1 as plain parts, adding
 weight j^2 and forcing the overline-mex to at least 2j+1; removal is its
 inverse. Each check walks its source weight once, keeping only counters
-and flags: it tests every image for membership in the target class, maps
-each member back, and compares the source size with a count of that class
-over partition shapes, which reads no object. A map with a left inverse is
-injective, so the round trip stands in for a set of distinct images. The
-weight-down check walks A(n) alone; the staircase check walks every
-overpartition of its source weight, making the half with an overlined
-smallest part as it goes. Both walks are uncached generators of plain part
-tuples, so a check keeps no object of its source weight, during the check
-or after it.
+and flags: it maps every image back with the inverse core, which decides
+on the way whether the image lies in the target class, and compares the
+source size with a count of that class over partition shapes, which reads
+no object. A map with a left inverse is injective, so the round trip
+stands in for a set of distinct images. The weight-down check walks A(n)
+alone; the staircase check walks every overpartition of its source weight,
+making the half with an overlined smallest part as it goes. Both walks are
+uncached generators of plain part tuples, so a check keeps no object of
+its source weight, during the check or after it.
 
 The predicates and the public maps take an Overpartition as it is and send
 anything else through its validating constructor, so junk input raises
 BadParamsError. Every map has a tuple-level core (_a_to_b_parts,
-_b_to_a_parts, _insert_stairs, _remove_stairs) that checks nothing. The
-public map validates its input, guards its domain (in_a, in_b, or the
-overline-mex precondition) with BadParamsError, and builds the core's
+_b_to_a_parts, _insert_stairs, _remove_stairs) that validates nothing. The
+two inverse cores decide their own target class: _b_to_a_parts returns
+None for an overpartition outside B, and in_b is that verdict;
+_remove_stairs returns None when a stair is missing, which is exactly an
+overline-mex below 2j+1. The staircase cores take the stairs tuple, so a
+check looks it up once. The public map validates its input, guards its
+domain with BadParamsError (in_a, the inverse core's None, or, before any
+stair is built, the overline-mex precondition), and builds the core's
 result through the constructor.
 
 The checks build only the images, each as Overpartition(core(source)), so
@@ -55,11 +60,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import inf
-from operator import itemgetter
 
 from . import overpartitions as op
 from . import series
-from .overpartitions import OBJECT_CEILING, BadParamsError, Overpartition, Part
+from .overpartitions import (
+    OBJECT_CEILING,
+    BadParamsError,
+    Overpartition,
+    Part,
+    _part_value,
+)
 
 __all__ = [
     "in_a",
@@ -89,15 +99,10 @@ def in_b(lam: Overpartition) -> bool:
     """Whether lam is in B rather than the complement class C. The empty
     overpartition and anything without an overlined 1 are in B; when 1bar
     is present the smallest part of value >= 2 (if any) must be >= the
-    plain part 2 + r in the part order, r = number of non-overlined 1s."""
+    plain part 2 + r in the part order, r = number of non-overlined 1s.
+    The inverse core decides it (_b_to_a_parts)."""
     lam = lam if isinstance(lam, op.Overpartition) else Overpartition(lam)
-    # parts run largest first, so an overlined 1 is the last part and the
-    # r plain 1s come just before it
-    if not lam or lam[-1] != _ONE_BAR:
-        return True
-    r = lam.count(_ONE)
-    # the smallest part of value >= 2, against the plain part 2 + r
-    return len(lam) <= r + 1 or lam[-r - 2].rank >= 2 * (2 + r)
+    return _b_to_a_parts(lam) is not None
 
 
 def map_a_to_b(pi: Overpartition) -> Overpartition:
@@ -127,20 +132,25 @@ def map_b_to_a(lam: Overpartition) -> Overpartition:
     overlined 1: absent means append a plain 1, present means gather the
     overlined 1 and the r plain 1s back into a plain part r+2."""
     lam = Overpartition(lam)
-    if not in_b(lam):
+    parts = _b_to_a_parts(lam)
+    if parts is None:
         raise BadParamsError("input lies in the complement class C")
-    return Overpartition(_b_to_a_parts(lam))
+    return Overpartition(parts)
 
 
-def _b_to_a_parts(lam: Overpartition) -> tuple[Part, ...]:
-    """The parts of map_b_to_a(lam) as a plain tuple, for lam in B; neither
-    the class nor the result is checked."""
-    # as in in_b, an overlined 1 can only be the last part
+def _b_to_a_parts(lam: Overpartition) -> tuple[Part, ...] | None:
+    """The parts of map_b_to_a(lam) as a plain tuple, or None when lam is
+    outside B; lam must be a valid overpartition, and the result is not
+    validated."""
+    # parts run largest first, so an overlined 1 is the last part and the
+    # r plain 1s come just before it
     if not lam or lam[-1] != _ONE_BAR:
         return lam + (_ONE,)
     r = lam.count(_ONE)
-    # the r plain 1s and the overlined 1 are the last r + 1 parts; the gap
-    # condition guarantees every kept part is >= the new part r+2
+    # the gap condition: the smallest part of value >= 2, if any, is at
+    # least the plain part r + 2, so every kept part is >= the new part
+    if len(lam) > r + 1 and lam[-r - 2].rank < 2 * (r + 2):
+        return None
     return lam[:-r - 1] + (Part(r + 2, False),)
 
 
@@ -164,16 +174,18 @@ def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
     """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
     series._checked_int(j, 1, inf, "j must be >= 1")
     mu = mu if isinstance(mu, op.Overpartition) else Overpartition(mu)
-    return Overpartition(_insert_stairs(mu, j))
+    return Overpartition(_insert_stairs(mu, _stairs(j)))
 
 
-def _insert_stairs(mu: tuple[Part, ...], j: int) -> list[Part]:
-    """The parts of staircase_insert(mu, j) as a plain list; j is not
-    checked and the result is not validated."""
+def _insert_stairs(
+    mu: tuple[Part, ...], stairs: tuple[Part, ...]
+) -> list[Part]:
+    """The parts of staircase_insert(mu, j) as a plain list, for stairs =
+    _stairs(j); the result is not validated."""
     # both tuples run largest first, so the sort is one merge of two runs;
     # it is stable, so each plain stair lands before mu's copies of its
     # value, and so before an overlined one
-    return sorted(_stairs(j) + mu, key=itemgetter(0), reverse=True)
+    return sorted(stairs + mu, key=_part_value, reverse=True)
 
 
 def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
@@ -189,16 +201,21 @@ def staircase_remove(lam: Overpartition, j: int) -> Overpartition:
             f"missing plain part {mex}: overline-mex precondition "
             f">= {2 * j + 1} is violated"
         )
-    return Overpartition(_remove_stairs(lam, j))
+    return Overpartition(_remove_stairs(lam, _stairs(j)))
 
 
-def _remove_stairs(lam: Overpartition, j: int) -> tuple[Part, ...]:
-    """The parts of staircase_remove(lam, j) as a plain tuple; j is not
-    checked and the result is not validated. The caller guarantees
-    overline_mex(lam) >= 2j+1, so every stair is there to remove."""
+def _remove_stairs(
+    lam: tuple[Part, ...], stairs: tuple[Part, ...]
+) -> tuple[Part, ...] | None:
+    """The parts of staircase_remove(lam, j) as a plain tuple, for stairs =
+    _stairs(j), or None when a stair is missing, which is exactly
+    overline_mex(lam) < 2j+1; the result is not validated."""
     parts = list(lam)
-    for stair in _stairs(j):
-        parts.remove(stair)
+    try:
+        for stair in stairs:
+            parts.remove(stair)
+    except ValueError:
+        return None
     return tuple(parts)
 
 
@@ -216,11 +233,10 @@ def _weight_down_walk(n: int) -> tuple[int, int, bool, bool, bool | None]:
         on_weight = lam.weight == n - 1
         if not on_weight:
             weights_ok = False
-        if not in_b(lam):
-            round_trip_ok = False  # outside the domain of map_b_to_a
-            continue
-        images_in_b += on_weight
-        if _b_to_a_parts(lam) != pi:
+        back = _b_to_a_parts(lam)  # None outside B, failing the round trip
+        if back is not None:
+            images_in_b += on_weight
+        if back != pi:
             round_trip_ok = False
 
     witness_ok: bool | None = None
@@ -295,16 +311,19 @@ def check_staircase(n: int, j: int) -> dict:
     op._check_weight(n - j * j, 0, "weight", OBJECT_CEILING)
     op._check_weight(n, 1, "n")
     target_count = op.op21(n, j) + op.op21(n, j + 1)
+    stairs = _stairs(j)
     source_count = overlined = 0
     in_target = round_trip_ok = True
     for mu in op._overpartitions(n - j * j):
         source_count += 1
         if mu and mu[-1].overlined:
             overlined += 1
-        lam = Overpartition(_insert_stairs(mu, j))
-        if lam.weight != n or op.overline_mex(lam) < 2 * j + 1:
+        lam = Overpartition(_insert_stairs(mu, stairs))
+        # a missing stair (None) is exactly an overline-mex below 2j+1
+        back = _remove_stairs(lam, stairs)
+        if back is None or lam.weight != n:
             in_target = False
-        elif _remove_stairs(lam, j) != mu:
+        elif back != mu:
             round_trip_ok = False
     # each source of weight >= 1 has a twin with its smallest part toggled
     balanced = n == j * j or 2 * overlined == source_count

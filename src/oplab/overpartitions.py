@@ -76,6 +76,12 @@ class Part(NamedTuple):
         return text
 
 
+# the value of a part, as a map or sort key
+_part_value = itemgetter(0)
+# no part is this object, so the constructor's first part is never a repeat
+_NO_PART = object()
+
+
 def _check_part(p: object) -> None:
     """Raise BadParamsError unless p is a Part (or a subclass) whose value is
     an int >= 1, not a bool, and whose overline flag is a bool."""
@@ -110,8 +116,12 @@ class Overpartition(tuple):
                 "parts must be an iterable of Part instances, "
                 f"got {type(parts).__name__}"
             ) from None
-        prev_value, prev_overlined = inf, False
+        prev, prev_value, prev_overlined = _NO_PART, inf, False
         for p in self:
+            # a plain part object repeated as is passed its checks on its
+            # first copy, and a plain repeat keeps the order
+            if p is prev and not prev_overlined:
+                continue
             # one exact-type test accepts the common part; anything else,
             # subclasses included, takes the full checks
             if p.__class__ is Part:
@@ -132,12 +142,12 @@ class Overpartition(tuple):
                         f"value {value} carries more than one overline"
                     )
                 raise BadParamsError("parts are not sorted largest first")
-            prev_value, prev_overlined = value, overlined
+            prev, prev_value, prev_overlined = p, value, overlined
         return self
 
     @property
     def weight(self) -> int:
-        return sum(map(itemgetter(0), self))
+        return sum(map(_part_value, self))
 
     def smallest(self) -> Part | None:
         return self[-1] if self else None

@@ -199,9 +199,15 @@ def test_check_weight_down_catches_a_wrong_weight(monkeypatch):
 def test_check_staircase_catches_a_broken_round_trip(monkeypatch):
     for name, mutant, flag in [
         # a removal that leaves the stairs in returns the image, not the source
-        ("_remove_stairs", lambda lam, j: lam, "round_trip_ok"),
+        ("_remove_stairs", lambda lam, stairs: lam, "round_trip_ok"),
         # an insertion that adds nothing leaves every image outside the target
-        ("_insert_stairs", lambda mu, j: mu, "matched"),
+        ("_insert_stairs", lambda mu, stairs: mu, "matched"),
+        # adding the weight j^2 = 4 as one plain 4 keeps the weight but leaves
+        # the stairs 1 and 3 missing: every image is outside the target
+        ("_insert_stairs",
+         lambda mu, stairs: sorted((Part(4, False),) + mu,
+                                   key=op._part_value, reverse=True),
+         "matched"),
     ]:
         with monkeypatch.context() as m:
             m.setattr(bj, name, mutant)
@@ -219,33 +225,58 @@ def test_an_unsorted_inverse_core_fails_the_round_trip_without_raising(
                               ("_remove_stairs", bj.check_staircase, (6, 1))]:
         core = getattr(bj, name)
         with monkeypatch.context() as m:
-            m.setattr(bj, name, lambda *a, core=core: core(*a)[::-1])
+            # the core's None, for an image outside the target, stays None
+            m.setattr(bj, name, lambda *a, core=core: (
+                None if (parts := core(*a)) is None else parts[::-1]
+            ))
             result = check(*args)
         assert result["round_trip_ok"] is False, name
         assert result["ok"] is False
 
 
+def test_an_inverse_core_that_rejects_every_image_fails_without_raising(
+    monkeypatch,
+):
+    # None from an inverse core puts the image outside the target class,
+    # which the checks report and never raise
+    for name, check, args, flag in [
+        ("_b_to_a_parts", bj.check_weight_down, (6,), "round_trip_ok"),
+        ("_remove_stairs", bj.check_staircase, (6, 1), "matched"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(bj, name, lambda *a: None)
+            result = check(*args)
+        assert result[flag] is False, name
+        assert result["ok"] is False
+
+
 def test_public_inverses_wrap_their_cores():
     # the forward maps too: the checks call the cores, the public maps wrap
-    # them in the validating constructor
+    # them in the validating constructor, and an inverse core returns None
+    # exactly outside its map's domain
     for n in range(13):
         for lam in op.enumerate_overpartitions(n):
             if bj.in_a(lam):
                 core = bj._a_to_b_parts(lam)
                 assert type(core) is tuple
                 assert bj.map_a_to_b(lam) == Overpartition(core)
+            core = bj._b_to_a_parts(lam)
             if bj.in_b(lam):
-                core = bj._b_to_a_parts(lam)
                 assert type(core) is tuple
                 assert bj.map_b_to_a(lam) == Overpartition(core)
+            else:
+                assert core is None
             for j in range(1, 4):
-                core = bj._insert_stairs(lam, j)
+                stairs = bj._stairs(j)
+                core = bj._insert_stairs(lam, stairs)
                 assert type(core) is list
                 assert bj.staircase_insert(lam, j) == Overpartition(core)
+                core = bj._remove_stairs(lam, stairs)
                 if op.overline_mex(lam) >= 2 * j + 1:
-                    core = bj._remove_stairs(lam, j)
                     assert type(core) is tuple
                     assert bj.staircase_remove(lam, j) == Overpartition(core)
+                else:
+                    assert core is None
 
 
 def test_checks_build_one_object_per_source_object(monkeypatch):
@@ -457,8 +488,8 @@ def test_weight_down_inverse_round_trip_past_the_cap(lam):
 @given(overpartitions(), st.integers(1, 12))
 def test_staircase_round_trip_past_the_cap(mu, j):
     lam = bj.staircase_insert(mu, j)
-    assert tuple(bj._insert_stairs(mu, j)) == lam
+    assert tuple(bj._insert_stairs(mu, bj._stairs(j))) == lam
     assert lam.weight == mu.weight + j * j
     assert op.overline_mex(lam) >= 2 * j + 1
     assert bj.staircase_remove(lam, j) == mu
-    assert bj._remove_stairs(lam, j) == mu
+    assert bj._remove_stairs(lam, bj._stairs(j)) == mu

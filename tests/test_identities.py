@@ -7,6 +7,7 @@ full configured sweeps live in test_acceptance.
 """
 
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -348,9 +349,11 @@ def test_repeated_part_gf_matches_overpartition_gf_at_k_zero():
     assert built == whole
 
 
+@functools.cache
 def ref_tail_sum(order, m_lo, denom_off):
     """sum_{m>=m_lo} q^(m_lo*m) (-q^(m+1);q)oo / (q^(m+denom_off);q)oo, one
-    expanded ratio per term and no cache."""
+    expanded ratio per term and nothing shared with the builders; memoized
+    per key, as both call orders ask for the same references."""
     acc = series.zero(order)
     for m in range(m_lo, order // m_lo + 1):
         acc = acc + shift(

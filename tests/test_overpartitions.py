@@ -114,10 +114,16 @@ def test_overpartition_accepts_subclasses():
     assert pi.weight == 6
     assert pi == of(3, (2, True), 1)
     assert Overpartition((_Part(_Int(2), False),)).weight == 2
+    # a subclass part object repeated after a plain copy of its value
+    two = _Part(_Int(2), False)
+    pi = Overpartition((Part(2, False), two, two, Part(1, True)))
+    assert pi == of(2, 2, 2, (1, True)) and pi.weight == 7
 
 
 # each input breaks one rule, after a valid leading part that the accept
-# test passes, and must raise today's message for that rule
+# test passes, and must raise today's message for that rule; one overlined
+# Part object repeated is not taken for an already checked plain repeat
+_BAR5 = Part(5, True)
 SINGLE_FAULTS = {
     "not a Part": ((Part(5, False), (3, False)), r"^parts must be Part instances$"),
     "int not a Part": ((Part(5, False), 3), r"^parts must be Part instances$"),
@@ -129,6 +135,7 @@ SINGLE_FAULTS = {
     "unsorted": ((Part(5, False), Part(6, False)), r"^parts are not sorted largest first$"),
     "plain after overline": ((Part(5, True), Part(5, False)), r"^parts are not sorted largest first$"),
     "doubled overline": ((Part(5, True), Part(5, True)), r"^value 5 carries more than one overline$"),
+    "repeated overlined object": ((_BAR5, _BAR5), r"^value 5 carries more than one overline$"),
 }
 
 
@@ -136,6 +143,14 @@ SINGLE_FAULTS = {
 def test_overpartition_single_fault_messages(parts, message):
     with pytest.raises(op.BadParamsError, match=message):
         Overpartition(parts)
+
+
+def test_overpartition_checks_its_first_part():
+    # no part before the first one, so nothing is taken for its repeat
+    for parts in [(None,), (None, None)]:
+        with pytest.raises(op.BadParamsError,
+                           match="^parts must be Part instances$"):
+            Overpartition(parts)
 
 
 def test_overpartition_from_any_iterable():
