@@ -84,8 +84,8 @@ __all__ = [
 ]
 
 
-_ONE = Part(1, False)
-_ONE_BAR = Part(1, True)
+_ONE = op._PARTS[2]
+_ONE_BAR = op._PARTS[1]
 
 
 def in_a(pi: Overpartition) -> bool:
@@ -159,9 +159,7 @@ def c_witness(n: int) -> Overpartition:
     series._checked_int(
         n, 4, inf, "the complement class is empty below weight 3"
     )
-    return Overpartition(
-        (Part(2, True),) + (Part(1, False),) * (n - 4) + (Part(1, True),)
-    )
+    return Overpartition((op._PARTS[3],) + (_ONE,) * (n - 4) + (_ONE_BAR,))
 
 
 @lru_cache(maxsize=64)

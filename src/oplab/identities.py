@@ -1355,12 +1355,12 @@ def run_default_suite(
 
     Reports are merged deterministically, sorted by id then parameters then
     compared range. A string or non-iterable ids, an id that is not a
-    string, an empty selection, a bound outside its range or past the
-    ceiling of a form it selects, overrides that are not a mapping, an
-    override for a parameter that no selected identity takes or that is not
-    a (lo, hi) pair, overrides that leave a selected identity with no
-    parameter set, or a bound that selects no form of any selected identity
-    raise BadParamsError before any check runs.
+    string, an empty selection, an id selected more than once, a bound
+    outside its range or past the ceiling of a form it selects, overrides
+    that are not a mapping, an override for a parameter that no selected
+    identity takes or that is not a (lo, hi) pair, overrides that leave a
+    selected identity with no parameter set, or a bound that selects no form
+    of any selected identity raise BadParamsError before any check runs.
     """
     if ids is None:
         ids = _REGISTRY
@@ -1369,6 +1369,9 @@ def run_default_suite(
     selected = [get_identity(i) for i in ids]
     if not selected:
         raise BadParamsError("no identity selected")
+    for n, desc in enumerate(selected):
+        if desc in selected[:n]:
+            raise BadParamsError(f"identity id {desc.id!r} is selected twice")
     overrides = _checked_mapping(overrides, "overrides")
     taken = {name for desc in selected for name, _, _ in desc.schema}
     stray = _sorted_names(set(overrides) - taken)

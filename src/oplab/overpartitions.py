@@ -171,6 +171,12 @@ class Overpartition(tuple):
 OBJECT_CEILING = 30  # materialised overpartitions
 SHAPE_CEILING = 50  # statistics counted over partition shapes
 
+# One shared Part per rank 0..2 * OBJECT_CEILING (1bar=1, 1=2, 2bar=3, ...),
+# built once: every walk yields these objects, and bijections takes its 1,
+# 1bar and 2bar from here. Rank 0 is a placeholder that no walk reads.
+_PARTS = tuple(Part((r + 1) // 2, r % 2 == 1)
+               for r in range(2 * OBJECT_CEILING + 1))
+
 
 class EnumerationCapError(BadParamsError):
     """Raised when exhaustive counting is asked past its route's ceiling."""
@@ -197,27 +203,21 @@ def _check_k(k: int, lo: int, stat: str) -> None:
         _checked_int(k, lo, inf, f"{stat} requires k >= {lo}, got {k!r}")
 
 
-def _rank_parts(top: int) -> list[Part]:
-    """One shared Part per rank 0..top (1bar=1, 1=2, 2bar=3, ...); rank 0 is
-    a placeholder that no walk reads."""
-    return [Part((r + 1) // 2, r % 2 == 1) for r in range(top + 1)]
-
-
-def _a_chunks(prefix: tuple, remaining: int, top: int, parts: list[Part],
-              tails: tuple, firsts: tuple):
+def _a_chunks(prefix: tuple, remaining: int, top: int, tails: tuple,
+              firsts: tuple):
     """Yield the rank walk of the A(n) objects that start with prefix and
     fill the remaining weight with ranks at most top, as (prefix, tails)
     chunks: each object is prefix + tail, for tail in tails, in that order.
 
-    A depth-first walk tries each position's ranks upward, with one shared
-    Part per rank from parts. Ranks never rise along a sequence, and after
-    an overlined part the next rank is strictly smaller, as the overline
-    marks a value's last copy. The last part is never overlined. Once the
-    weight left is below len(tails), the walk stops recursing: tails[w] is
-    the rank walk of weight w as plain tuples, tails[0] the one empty
-    suffix, and firsts[w] their first ranks (0 for the empty one), so the
-    rest is tails[w][:bisect_right(firsts[w], top)]. Only chunks pass up the
-    recursion, never an object."""
+    A depth-first walk tries each position's ranks upward, with the shared
+    Part of each rank from _PARTS. Ranks never rise along a sequence, and
+    after an overlined part the next rank is strictly smaller, as the
+    overline marks a value's last copy. The last part is never overlined.
+    Once the weight left is below len(tails), the walk stops recursing:
+    tails[w] is the rank walk of weight w as plain tuples, tails[0] the one
+    empty suffix, and firsts[w] their first ranks (0 for the empty one), so
+    the rest is tails[w][:bisect_right(firsts[w], top)]. Only chunks pass up
+    the recursion, never an object."""
     if remaining < len(tails):
         count = bisect_right(firsts[remaining], top)
         yield prefix, tails[remaining][:count]
@@ -229,8 +229,8 @@ def _a_chunks(prefix: tuple, remaining: int, top: int, parts: list[Part],
         if r != last_bar:
             # next ranks: up to r after a plain part, r - 1 after an overline
             yield from _a_chunks(
-                prefix + (parts[r],), remaining - (r + 1) // 2, r & -2,
-                parts, tails, firsts,
+                prefix + (_PARTS[r],), remaining - (r + 1) // 2, r & -2,
+                tails, firsts,
             )
 
 
@@ -238,13 +238,12 @@ def _a_tails(top_weight: int) -> tuple[tuple, tuple]:
     """The tails and first ranks that _a_chunks splices, for weights
     0..top_weight: each weight's walk recurses one level and splices the
     lighter walks built before it."""
-    parts = _rank_parts(2 * top_weight)
     tails: list[tuple] = [((),)]
     firsts: list[tuple] = [(0,)]
     for w in range(1, top_weight + 1):
         walk = [
             prefix + tail
-            for prefix, chunk in _a_chunks((), w, 2 * w, parts, tails, firsts)
+            for prefix, chunk in _a_chunks((), w, 2 * w, tails, firsts)
             for tail in chunk
         ]
         tails.append(tuple(walk))
@@ -262,16 +261,15 @@ def _class_a(n: int):
     """Yield the parts of every overpartition of n whose smallest part is
     not overlined (A(n) in bijections' terms; none for n = 0), as plain
     tuples, in increasing lexicographic order of the part ranks (1bar=1,
-    1=2, 2bar=3, ...), largest part first.
+    1=2, 2bar=3, ...), largest part first. n must be at most
+    OBJECT_CEILING, the last weight _PARTS covers; every caller checks it.
 
     Nothing is cached and nothing is validated: each call walks again, and
     each tuple is the prefix plus a tail of an _a_chunks chunk. A caller
     that needs an Overpartition passes the tuple to the constructor."""
     if n == 0:
         return
-    chunks = _a_chunks(
-        (), n, 2 * n, _rank_parts(2 * n), _TAILS, _TAIL_FIRST_RANKS
-    )
+    chunks = _a_chunks((), n, 2 * n, _TAILS, _TAIL_FIRST_RANKS)
     for prefix, tails in chunks:
         yield from map(prefix.__add__, tails)
 
@@ -284,13 +282,13 @@ def _overpartitions(n: int):
     Each tuple of A(n) comes just after its twin with the last part
     overlined: toggling changes only the last rank, from 2t to 2t - 1, and
     no other overpartition of n lies between the two. The twins are made
-    on demand; every overlined last part is one shared Part per value."""
+    on demand; every part yielded is the _PARTS entry of its rank."""
     if n == 0:
         yield ()
         return
-    bars = [Part(v, True) for v in range(n + 1)]
+    bars = _PARTS[1::2]  # value v overlined is bars[v - 1]
     for pi in _class_a(n):
-        yield pi[:-1] + (bars[pi[-1].value],)
+        yield pi[:-1] + (bars[pi[-1].value - 1],)
         yield pi
 
 

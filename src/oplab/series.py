@@ -301,19 +301,16 @@ def _div_sparse(num: Sequence[int], den: Sequence[int]) -> list[int]:
 
 
 def _times_ratio(c: list[int], a: int, b: int) -> list[int]:
-    """c * (1 - q^a) / (1 + q^b) mod q^len(c) as a new list, for a, b >= 1.
+    """c * (1 - q^a) / (1 + q^b) mod q^len(c) as a new list, for
+    1 <= a <= b, the one case identities._tail_sum steps with.
 
-    One blockwise pass of y[i] = c[i] - c[i-a] - y[i-b]. Below
-    s = max(a, b) a term whose index is negative drops out; from s on,
-    each block of b coefficients reads the input and the block before it.
+    One blockwise pass of y[i] = c[i] - c[i-a] - y[i-b]. Below b a term
+    whose index is negative drops out; from b on, each block of b
+    coefficients reads the input and the block before it.
     """
-    n = len(c)
-    s = max(a, b)
-    y = c[:s]
+    y = c[:b]
     y[a:] = map(sub, y[a:], c)
-    for lo in range(b, min(s, n), b):
-        y[lo : lo + b] = map(sub, y[lo : lo + b], y[lo - b : lo])
-    for lo in range(s, n, b):
+    for lo in range(b, len(c), b):
         y += map(sub, map(sub, c[lo : lo + b], c[lo - a : lo - a + b]),
                  y[lo - b : lo])
     return y

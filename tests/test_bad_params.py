@@ -61,6 +61,10 @@ ENTRY_POINTS = {
         lambda v: idn.run_default_suite(["thm-1-1"], overrides={"k": v}), 3
     ),
     "run_default_suite ids": (idn.run_default_suite, "gauss"),
+    "run_default_suite repeated id": (
+        lambda v: idn.run_default_suite(["gauss", "thm-2-2", v], n_max=3),
+        "gauss",
+    ),
     "run_default_suite overrides": (
         lambda v: idn.run_default_suite(["thm-1-1"], overrides=v), "k"
     ),

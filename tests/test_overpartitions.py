@@ -190,6 +190,13 @@ def test_overpartition_is_the_tuple_of_its_parts():
     assert repr(of()) == "Overpartition(parts=())"
 
 
+def test_str_overlines_each_digit():
+    # U+0305 follows every digit of an overlined value
+    pi = Overpartition((Part(10, True), Part(2, False), Part(2, True)))
+    assert str(pi) == "(1\u03050\u0305,2,2\u0305)"
+    assert str(Overpartition(())) == "()"
+
+
 def test_overpartition_accessors():
     pi = of(3, 2, 2, (2, True), (1, True))
     assert pi.count(Part(2, False)) == 2
@@ -246,6 +253,18 @@ def test_enumeration_matches_the_full_rank_walk():
     # nothing is kept between walks: each builds its objects afresh
     first, again = next(op._class_a(12)), next(op._class_a(12))
     assert first == again and first is not again
+
+
+def test_walks_share_one_part_per_rank():
+    # every walked part, and bijections' 1 and 1bar, is an entry of the one
+    # rank table, which reaches the top rank of the ceiling weight
+    table = set(map(id, op._PARTS))
+    assert all(id(p) in table for pi in op._overpartitions(12) for p in pi)
+    assert bj._ONE is op._PARTS[2] and bj._ONE_BAR is op._PARTS[1]
+    for last in op._class_a(op.OBJECT_CEILING):
+        pass
+    assert last == (op._PARTS[2 * op.OBJECT_CEILING],)
+    assert last[0] is op._PARTS[2 * op.OBJECT_CEILING]
 
 
 def test_shape_b_column_matches_in_b():

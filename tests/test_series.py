@@ -330,20 +330,24 @@ def test_div_factor_undoes_times_factor(f, e, sign):
     assert f.div_factor(e, sign).times_factor(e, sign) == f
 
 
-@settings(deadline=None)
-@given(
-    st.lists(st.integers(-(2**70), 2**70), max_size=60),
-    st.integers(1, 70),
-    st.integers(1, 70),
+# (a, b) with 1 <= a <= b, the exponents _tail_sum's steps pass
+_RATIO_EXPONENTS = st.integers(1, 70).flatmap(
+    lambda b: st.tuples(st.integers(1, b), st.just(b))
 )
-@example([3, -1, 4, 1, -5], 5, 2)  # a >= len
-@example([3, -1, 4, 1, -5], 2, 7)  # b >= len
-@example([2, 7, -1, 8, 2, -8, 1, 8], 5, 2)  # b < a, a past the first block
-@example([2, 7, -1, 8, 2, -8, 1, 8], 3, 1)  # b = 1
-@example([], 1, 1)
-@example([9], 1, 1)
-def test_times_ratio_matches_factor_then_division(c, a, b):
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-(2**70), 2**70), max_size=60), _RATIO_EXPONENTS)
+@example([2, 7, -1, 8, 2, -8, 1, 8], (3, 3))  # a = b
+@example([2, 7, -1, 8, 2, -8, 1, 8], (2, 3))  # a = b - 1
+@example([3, -1, 4, 1, -5], (5, 6))  # a >= len, b > a
+@example([3, -1, 4, 1, -5], (2, 7))  # b >= len
+@example([2, 7, -1, 8, 2, -8, 1, 8], (1, 1))  # b = 1
+@example([], (1, 1))
+@example([9], (1, 1))
+def test_times_ratio_matches_factor_then_division(c, exponents):
     # the fused Horner step against the two one-factor passes it replaces
+    a, b = exponents
     want = list(c)
     s._times_factor_into(want, a, 1)
     s._div_factor_into(want, b, -1)
