@@ -36,8 +36,10 @@ _remove_stairs returns None when a stair is missing, which is exactly an
 overline-mex below 2j+1. The staircase cores take the stairs tuple, so a
 check looks it up once. The public map validates its input, guards its
 domain with BadParamsError (in_a, the inverse core's None, or, before any
-stair is built, the overline-mex precondition), and builds the core's
-result through the constructor.
+stair is built, the overline-mex precondition), refuses an image heavier
+than MAX_ORDER before building it when a number it is given sets the
+image's size (c_witness, map_a_to_b, staircase_insert), and builds the
+core's result through the constructor.
 
 The checks build only the images, each as Overpartition(core(source)), so
 each mapped object is built and validated once, and the source tuples from
@@ -70,6 +72,7 @@ from .overpartitions import (
     Part,
     _part_value,
 )
+from .series import MAX_ORDER
 
 __all__ = [
     "in_a",
@@ -86,6 +89,13 @@ __all__ = [
 
 _ONE = op._PARTS[2]
 _ONE_BAR = op._PARTS[1]
+
+
+def _check_image_weight(weight: int) -> None:
+    """Refuse an image that weighs at least weight > MAX_ORDER, unbuilt."""
+    if weight > MAX_ORDER:
+        raise BadParamsError(f"the image would weigh at least {weight}, "
+                             f"past MAX_ORDER = {MAX_ORDER}")
 
 
 def in_a(pi: Overpartition) -> bool:
@@ -112,6 +122,7 @@ def map_a_to_b(pi: Overpartition) -> Overpartition:
     pi = pi if isinstance(pi, op.Overpartition) else Overpartition(pi)
     if not in_a(pi):
         raise BadParamsError("input must have a non-overlined smallest part")
+    _check_image_weight(pi.weight - 1)
     return Overpartition(_a_to_b_parts(pi))
 
 
@@ -155,10 +166,12 @@ def _b_to_a_parts(lam: Overpartition) -> tuple[Part, ...] | None:
 
 
 def c_witness(n: int) -> Overpartition:
-    """An explicit member of C(n-1) for n >= 4: (2bar, 1^(n-4), 1bar)."""
+    """An explicit member of C(n-1) for 4 <= n <= MAX_ORDER + 1:
+    (2bar, 1^(n-4), 1bar)."""
     series._checked_int(
         n, 4, inf, "the complement class is empty below weight 3"
     )
+    _check_image_weight(n - 1)
     return Overpartition((op._PARTS[3],) + (_ONE,) * (n - 4) + (_ONE_BAR,))
 
 
@@ -169,9 +182,12 @@ def _stairs(j: int) -> tuple[Part, ...]:
 
 
 def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
-    """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
+    """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2;
+    j^2 is checked against MAX_ORDER first, then the image's weight."""
     series._checked_int(j, 1, inf, "j must be >= 1")
+    _check_image_weight(j * j)
     mu = mu if isinstance(mu, op.Overpartition) else Overpartition(mu)
+    _check_image_weight(mu.weight + j * j)
     return Overpartition(_insert_stairs(mu, _stairs(j)))
 
 

@@ -112,20 +112,6 @@ class TruncatedSeries:
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    def coeff(self, exponent: int) -> int:
-        """Coefficient of q^exponent; exponents beyond the order are not knowable.
-
-        A non-int or bool exponent raises BadParamsError; an int outside
-        0..order raises IndexError."""
-        _checked_int(
-            exponent, -inf, inf, f"exponent must be an int, got {exponent!r}"
-        )
-        if exponent < 0 or exponent > self._order:
-            raise IndexError(
-                f"exponent {exponent} outside truncation range 0..{self._order}"
-            )
-        return self._coeffs[exponent]
-
     # -- arithmetic ---------------------------------------------------------
 
     def _same_order(self, other: "TruncatedSeries") -> None:
@@ -147,9 +133,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self._order, [a - b for a, b in zip(self._coeffs, other._coeffs)]
         )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self._order, [-a for a in self._coeffs])
 
     def scale(self, c: int) -> "TruncatedSeries":
         _checked_int(c, -inf, inf, "scale factor must be an int")

@@ -1,16 +1,22 @@
 """Reference oracles that only the tests use: the shortest direct
 definitions of things the package does not provide itself, the per-weight
 shape tables that the package's incremental fill replaced, probes that record
-which weights the package walks and tabulates, the read ledger of a side
-builder, object scans of the statistics, and a reader of the statements."""
+which weights the package walks and tabulates, one call hook behind the read
+ledger of a side builder and the table of what the product never reaches,
+object scans of the statistics, and a reader of the statements."""
 
+import collections
+import contextlib
 import functools
+import glob
+import inspect
 import itertools
 import math
 import operator
+import os
 import re
-
-import pytest
+import sys
+import types
 
 from oplab import identities, overpartitions, series
 from oplab.overpartitions import Overpartition, Part
@@ -119,44 +125,187 @@ def record_tables(monkeypatch):
     return _record_calls(monkeypatch, overpartitions, "_shape_tables")
 
 
-# The helpers a read ledger records, each with the arguments of every call:
-# the cached intermediates, the A(n) walk, the named derived-series helpers
-# and the pentagonal and theta sums. Every side builder reaches them through
-# these module attributes, so patching them sees every call.
-LEDGER_HELPERS = (
-    (overpartitions, ("_pbar_table", "_shape_tables", "_class_a")),
-    (identities, ("_tail_sum", "_pbar_gf", "_large_tail", "_li_tail",
-                  "_op21_gf", "_odd_square_theta")),
-    (series, ("pentagonal_series", "gauss_theta", "theta_partial")),
-)
-# the division kernel, recorded by the length it divides to; it is no
-# intermediate, so no independence check reads it
-KERNEL = "_div_sparse"
-# cleared before each build, so a cached helper's own reads are recorded
-# whatever ran before it
-LEDGER_CACHES = (identities._tail_sum, overpartitions._pbar_table)
+# -- the call hook: what a build reads, and what the product reaches ----------
+#
+# One sys.setprofile hook sees every call of a function defined in the
+# package source. A comprehension or generator expression is no function of
+# its own: a call made inside one belongs to the function around it, so the
+# records are the same whether or not the interpreter inlines comprehensions
+# (PEP 709). The names are qualified names, read off the source, so they do
+# not need code objects' co_qualname (Python 3.11+).
+
+_PACKAGE = os.path.dirname(os.path.abspath(overpartitions.__file__))
+_COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+@functools.cache
+def package_functions():
+    """{(file, first line, name): qualified name} for every function of the
+    package, from the code its source files compile to. A class body puts
+    its name before its methods', and a name that two functions of one
+    file share (two lambdas at one level) gets each one's line."""
+    names = {}
+
+    def walk(code, path, prefix):
+        for c in code.co_consts:
+            if not isinstance(c, types.CodeType):
+                continue
+            if c.co_name in _COMPREHENSIONS:
+                walk(c, path, prefix)
+            elif c.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
+                names[path, c.co_firstlineno, c.co_name] = prefix + c.co_name
+                walk(c, path, f"{prefix}{c.co_name}.<locals>.")
+            else:
+                walk(c, path, f"{prefix}{c.co_name}.")
+
+    for path in sorted(glob.glob(os.path.join(_PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            walk(compile(fh.read(), path, "exec"), path, "")
+    twice = {n for n, c in collections.Counter(names.values()).items() if c > 1}
+    return {where: f"{n}@{where[1]}" if n in twice else n
+            for where, n in names.items()}
+
+
+def _where(code):
+    """The package_functions key of a code object."""
+    return os.path.abspath(code.co_filename), code.co_firstlineno, code.co_name
+
+
+@contextlib.contextmanager
+def hooked(on_call):
+    """Run the block with on_call(name, params, frame) at each call of a
+    package function, params being the names of its arguments and of the
+    closure cells it reads. A generator's resumptions are calls too. The
+    profiler in place before is restored however the block ends."""
+    names = package_functions()
+    known = {}  # id(code) -> (code, name or None, params)
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        entry = known.get(id(code))
+        if entry is None or entry[0] is not code:
+            count = (code.co_argcount + code.co_kwonlyargcount
+                     + bool(code.co_flags & inspect.CO_VARARGS)
+                     + bool(code.co_flags & inspect.CO_VARKEYWORDS))
+            entry = known[id(code)] = (
+                code, names.get(_where(code)),
+                code.co_varnames[:count] + code.co_freevars,
+            )
+        if entry[1] is not None:
+            on_call(entry[1], entry[2], frame)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield
+    finally:
+        sys.setprofile(previous)
+
+
+def _value_key(v):
+    """A key of v that is equal for equal values: a series by its order and
+    coefficient hash, a list by its hash, a function by its qualified name
+    and the keys of its closure cells, a mapping by its items."""
+    if isinstance(v, TruncatedSeries):
+        # __init__'s self has no coefficients yet
+        coeffs = getattr(v, "_coeffs", None)
+        return ("series", getattr(v, "_order", None), hash(coeffs))
+    if isinstance(v, list):
+        return ("list", hash(tuple(v)))
+    if isinstance(v, types.FunctionType):
+        cells = tuple(_value_key(c.cell_contents) for c in v.__closure__ or ())
+        name = package_functions().get(_where(v.__code__), v.__qualname__)
+        return ("function", name, cells)
+    if isinstance(v, dict):
+        return ("dict", frozenset((k, _value_key(x)) for k, x in v.items()))
+    return hash(v)
+
+
+def package_caches():
+    """Every lru_cache at the top level of an imported package module."""
+    return [v for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "oplab"
+            for v in vars(module).values() if hasattr(v, "cache_clear")]
+
+
+# What may run with one value key on both sides of a form, and why that
+# shares no derived intermediate. Everything else a side calls is recorded
+# as a read, whatever helper it is.
+_VALIDATOR = "a validator: it returns its argument or raises"
+_CONSTRUCTOR = "a constructor: it copies and checks the value it is given"
+_PROPERTY = "a property: it reads a field of a value already built"
+_KERNEL = ("a kernel: arithmetic on the ints or coefficients it is given, "
+           "which each side computed on its own")
+OPERATIONS = {
+    "_checked_int": _VALIDATOR,
+    "_checked_order": _VALIDATOR,
+    "_checked_sign": _VALIDATOR,
+    "_check_weight": _VALIDATOR,
+    "TruncatedSeries.__init__": _CONSTRUCTOR,
+    "TruncatedSeries.coeffs": _PROPERTY,
+    "TruncatedSeries.order": _PROPERTY,
+    "_times_factor_into": _KERNEL,
+    "_div_factor_into": _KERNEL,
+    "_div_sparse": _KERNEL,
+    "_sign": _KERNEL,
+    "_table_order": _KERNEL,
+}
 
 
 def reads(build, *args):
-    """The read ledger of build(*args): the set of (helper, key) pairs it
-    reads, directly or through another helper, from cold caches."""
-    calls = []
-    for cache in LEDGER_CACHES:
+    """The read ledger of build(*args): the set of (function, value key of
+    its arguments) for every package call it makes, nested calls included,
+    from cold caches."""
+    calls = set()
+    for cache in package_caches():
         cache.cache_clear()
-    with pytest.MonkeyPatch.context() as m:
-        for module, names in LEDGER_HELPERS:
-            for name in names:
-                _record_calls(m, module, name,
-                              lambda *a, name=name: (name, a), calls)
-        _record_calls(m, series, KERNEL,
-                      lambda num, den: (KERNEL, len(num)), calls)
+
+    def record(name, params, frame):
+        local = frame.f_locals
+        calls.add((name, tuple(_value_key(local.get(p)) for p in params)))
+
+    with hooked(record):
         build(*args)
-    return set(calls)
+    return calls
 
 
 def helpers(ledger):
-    """The names of the helpers a ledger holds."""
+    """The names of the functions a ledger holds."""
     return {name for name, _ in ledger}
+
+
+# why a package function that no `t1` golden row calls stays
+REASONS = {
+    "paper": "a map or statistic of the paper",
+    "value": "value semantics",
+    "error": "an error path",
+    "debug": "a debugging aid",
+    "import": "runs at import",
+    "perfbench": "perfbench/spans.py wraps it by name",
+}
+REACH = {
+    "map_b_to_a": "paper",
+    "staircase_remove": "paper",
+    "overline_mex": "paper",
+    "TruncatedSeries.__eq__": "value",
+    "TruncatedSeries.__hash__": "value",
+    # a series never changes once built
+    "TruncatedSeries.__setattr__": "value",
+    # reached by a malformed part only (test_bad_params.py)
+    "_check_part": "error",
+    "Part.__str__": "debug",
+    "Overpartition.__str__": "debug",
+    "Overpartition.__repr__": "debug",
+    # pytest prints it when an assertion on a series fails
+    "TruncatedSeries.__repr__": "debug",
+    "TruncatedSeries._terms": "debug",
+    "_register": "import",
+    "_a_tails": "import",
+    "TruncatedSeries.div_factor": "perfbench",
+    "TruncatedSeries.invert": "perfbench",
+}
 
 
 def value_blocks(n):

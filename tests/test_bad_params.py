@@ -8,12 +8,15 @@ value of the wrong shape; the call must reject that value, True and the
 float 2.0 alike.
 """
 
+import math
+
 import pytest
 
 from oplab import bijections as bj
 from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab import series
+from oplab.overpartitions import Overpartition, Part
 
 from _reference import of
 
@@ -112,6 +115,19 @@ ENTRY_POINTS = {
     "staircase_insert": (lambda v: bj.staircase_insert(_MU, v), 0),
     "staircase_remove": (lambda v: bj.staircase_remove(_MU, v), 0),
     "c_witness": (bj.c_witness, 3),
+    # a map whose image would weigh past MAX_ORDER builds none of its parts
+    "c_witness image weight": (bj.c_witness, idn.MAX_ORDER + 2),
+    "map_a_to_b image weight": (
+        lambda v: bj.map_a_to_b(Overpartition((Part(v, False),))),
+        idn.MAX_ORDER + 2,
+    ),
+    "staircase_insert j squared": (
+        lambda v: bj.staircase_insert(_MU, v), math.isqrt(idn.MAX_ORDER) + 1
+    ),
+    "staircase_insert image weight": (
+        lambda v: bj.staircase_insert(Overpartition((Part(v, False),)), 1),
+        idn.MAX_ORDER,
+    ),
     "TruncatedSeries order": (series.TruncatedSeries, -1),
     "TruncatedSeries coefficient": (lambda v: series.TruncatedSeries(3, (1, v)),
                                     None),

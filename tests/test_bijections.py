@@ -143,6 +143,27 @@ def test_staircase_remove_rejects_a_huge_j_before_building_stairs():
     assert bj._stairs.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bj.c_witness(10**18),
+    lambda: bj.map_a_to_b(Overpartition((Part(10**18, False),))),
+    lambda: bj.staircase_insert(_ov(3, 1), 10**18),
+    lambda: bj.staircase_insert(Overpartition((Part(10**18, False),)), 1),
+], ids=["c_witness", "map_a_to_b", "staircase_insert j", "staircase_insert mu"])
+def test_a_map_refuses_a_huge_image_before_building_it(call):
+    # each image would hold about 10**18 parts, or a stair cache entry that
+    # large; the refusal allocates next to nothing
+    bj._stairs.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(op.BadParamsError, match="past MAX_ORDER = 2000$"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bj._stairs.cache_info().misses == 0
+    assert peak < 64 * 1024, peak
+
+
 def test_staircase_forces_mex():
     for n in range(1, 13):
         for mu in op.enumerate_overpartitions(n):

@@ -1,5 +1,6 @@
 """tools/goldens.py: the `t1` rows of tests/goldens.json, the manifest's
-own rules, and the tool's check and --write on small manifests."""
+own rules, and the tool's check and --write on small manifests; and the
+package functions those rows reach."""
 
 import importlib.util
 import os
@@ -8,6 +9,9 @@ import shlex
 import pytest
 
 from oplab import cli
+from oplab import overpartitions as op
+
+from _reference import REACH, REASONS, hooked, package_caches, package_functions
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "goldens.py")
 _SPEC = importlib.util.spec_from_file_location("goldens", _PATH)
@@ -15,12 +19,38 @@ goldens = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(goldens)
 
 ROWS = goldens.load()
+T1 = [row for row in ROWS if row["tier"] == "t1"]
 
 
-@pytest.mark.parametrize("row", [r for r in ROWS if r["tier"] == "t1"],
-                         ids=lambda row: shlex.join(row["argv"]))
-def test_t1_row(row):
-    assert goldens.differences(row, goldens.run(row["argv"])) == []
+@pytest.fixture(scope="module")
+def t1_run():
+    """({argv: outputs} of every t1 row, the names of the package functions
+    the rows call), from one run of the rows under the call hook, with the
+    caches and the shape-table fill as empty as in a fresh process."""
+    outputs, reached = {}, set()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(op, "_TABLES", [])
+        m.setattr(op, "_FILL", op._fill())
+        for cache in package_caches():
+            cache.cache_clear()
+        with hooked(lambda name, params, frame: reached.add(name)):
+            for row in T1:
+                outputs[tuple(row["argv"])] = goldens.run(row["argv"])
+    return outputs, reached
+
+
+@pytest.mark.parametrize("row", T1, ids=lambda row: shlex.join(row["argv"]))
+def test_t1_row(row, t1_run):
+    assert goldens.differences(row, t1_run[0][tuple(row["argv"])]) == []
+
+
+def test_every_function_the_rows_miss_has_a_reason(t1_run):
+    # the product's reach is the API: a function that no row calls is
+    # listed with why it stays, and one that a row calls is not listed
+    missed = set(package_functions().values()) - t1_run[1]
+    assert sorted(missed - set(REACH)) == []
+    assert sorted(set(REACH) - missed) == []
+    assert set(REACH.values()) <= set(REASONS)
 
 
 def test_manifest_rows_are_well_formed():

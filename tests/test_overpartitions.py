@@ -219,7 +219,7 @@ def test_enumeration_matches_gf_counts():
     p = partition_gf(16)
     for n in range(0, 17):
         assert len(op.enumerate_overpartitions(n)) == op.pbar(n), n
-        assert len(_plain_only(n)) == p.coeff(n), n
+        assert len(_plain_only(n)) == p.coeffs[n], n
 
 
 def test_enumeration_is_deterministic_and_distinct():
@@ -277,7 +277,7 @@ def test_pbar_frozen_values():
     assert tuple(op.pbar(n) for n in range(len(PBAR_LOW))) == PBAR_LOW
     assert op.pbar(-3) == 0
     # large n goes through the doubling gf table, beyond the first block
-    assert op.pbar(100) == overpartition_gf(128).coeff(100)
+    assert op.pbar(100) == overpartition_gf(128).coeffs[100]
 
 
 def test_partition_gf_frozen_values():
@@ -401,7 +401,7 @@ def test_one_shape_walk_per_weight(monkeypatch):
     # every weight up to n walked once, in order, and nothing past it; the
     # 1-free shapes of weight <= n are the partitions of n less their 1s
     assert walks == list(range(n + 1))
-    assert len(shapes) == len(set(shapes)) == partition_gf(n).coeff(n)
+    assert len(shapes) == len(set(shapes)) == partition_gf(n).coeffs[n]
     # a smaller n, or the same n again, walks nothing
     for m in (5, 0, n):
         op._shape_tables(m)
