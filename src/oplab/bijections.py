@@ -182,10 +182,8 @@ def _stairs(j: int) -> tuple[Part, ...]:
 
 
 def staircase_insert(mu: Overpartition, j: int) -> Overpartition:
-    """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2;
-    j^2 is checked against MAX_ORDER first, then the image's weight."""
+    """Insert the plain odd staircase 1, 3, ..., 2j-1, adding weight j^2."""
     series._checked_int(j, 1, inf, "j must be >= 1")
-    _check_image_weight(j * j)
     mu = mu if isinstance(mu, op.Overpartition) else Overpartition(mu)
     _check_image_weight(mu.weight + j * j)
     return Overpartition(_insert_stairs(mu, _stairs(j)))

@@ -99,15 +99,15 @@ def rank_walk(n):
     return tuple(out)
 
 
-def _record_calls(monkeypatch, module, name, key=lambda n: n, calls=None):
-    """Patch module.name so each call appends key(*args) to calls, a new
-    list unless one is given, and return calls."""
-    calls = [] if calls is None else calls
+def _record_calls(monkeypatch, module, name):
+    """Patch module.name, a function of one argument, so each call appends
+    that argument to the returned list."""
+    calls = []
     real = getattr(module, name)
 
-    def recording(*args):
-        calls.append(key(*args))
-        return real(*args)
+    def recording(arg):
+        calls.append(arg)
+        return real(arg)
 
     monkeypatch.setattr(module, name, recording)
     return calls
