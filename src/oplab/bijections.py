@@ -34,7 +34,7 @@ two inverse cores decide their own target class: _b_to_a_parts returns
 None for an overpartition outside B, and in_b is that verdict;
 _remove_stairs returns None when a stair is missing, which is exactly an
 overline-mex below 2j+1. The staircase cores take the stairs tuple, so a
-check looks it up once. The public map validates its input, guards its
+check builds it once. The public map validates its input, guards its
 domain with BadParamsError (in_a, the inverse core's None, or, before any
 stair is built, the overline-mex precondition), refuses an image heavier
 than MAX_ORDER before building it when a number it is given sets the
@@ -60,7 +60,6 @@ a check.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import inf
 
 from . import overpartitions as op
@@ -175,7 +174,6 @@ def c_witness(n: int) -> Overpartition:
     return Overpartition((op._PARTS[3],) + (_ONE,) * (n - 4) + (_ONE_BAR,))
 
 
-@lru_cache(maxsize=64)
 def _stairs(j: int) -> tuple[Part, ...]:
     """The plain parts 2j-1, ..., 3, 1, largest first."""
     return tuple(Part(2 * i - 1, False) for i in range(j, 0, -1))

@@ -308,35 +308,18 @@ REACH = {
 }
 
 
-def value_blocks(n):
-    """Yield every partition shape of n once, as ((value, count), ...) with
-    values strictly decreasing, starting from ((n, 1),).
-
-    An iterative walk in multiplicity form (Nijenhuis and Wilf's NEXPAR;
-    Zoghbi and Stojmenovic's ZS1): one list of blocks per walk, and each
-    step strips the 1s, takes one copy off the smallest part v >= 2 and
-    refills the freed weight with as many parts v - 1 as fit plus one
-    remainder part, so a step touches only the last few blocks."""
-    if n == 0:
+def ref_value_blocks(remaining, max_value, min_value=1):
+    """Yield every partition shape of remaining with parts in
+    min_value..max_value once, as ((value, count), ...) with values strictly
+    decreasing: the recursive definition, the reference for the package's
+    iterative 1-free walk and the walk the reference tables scan."""
+    if remaining == 0:
         yield ()
         return
-    blocks = [(n, 1)]
-    while True:
-        yield tuple(blocks)
-        freed = 0
-        if blocks[-1][0] == 1:
-            freed = blocks.pop()[1]
-            if not blocks:
-                return
-        v, c = blocks[-1]
-        if c > 1:
-            blocks[-1] = (v, c - 1)
-        else:
-            blocks.pop()
-        count, rest = divmod(freed + v, v - 1)
-        blocks.append((v - 1, count))
-        if rest:
-            blocks.append((rest, 1))
+    for v in range(min(remaining, max_value), min_value - 1, -1):
+        for count in range(1, remaining // v + 1):
+            for rest in ref_value_blocks(remaining - count * v, v - 1, min_value):
+                yield ((v, count),) + rest
 
 
 def shape_tables(n):
@@ -349,7 +332,7 @@ def shape_tables(n):
     # the overline-mex 2j + 1 needs 1, 3, ..., 2j - 1: j^2 <= n, 2j + 1 <= n + 3
     mex_col = [0] * (n + 4)
     b = 0
-    for blocks in value_blocks(n):
+    for blocks in ref_value_blocks(n, n):
         weight = 1 << len(blocks)
         half = weight >> 1
         b += weight

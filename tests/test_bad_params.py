@@ -132,12 +132,30 @@ ENTRY_POINTS = {
     "TruncatedSeries coefficient": (lambda v: series.TruncatedSeries(3, (1, v)),
                                     None),
     "TruncatedSeries coefficients": (lambda v: series.TruncatedSeries(3, v), 5),
+    "TruncatedSeries order below its coefficients": (
+        lambda v: series.TruncatedSeries(v, (1, 2, 3)), 1
+    ),
+    # the operands of a sum or a product share one order
+    "sum order": (lambda v: series.one(3) + series.one(v), 4),
+    "product order": (lambda v: series.one(3) * series.one(v), 4),
     "monomial exponent": (lambda v: series.monomial(5, v), 6),
     "monomial coefficient": (lambda v: series.monomial(3, 1, v), None),
     "qproduct start": (lambda v: series.qproduct(1, v, 1, None, 5), -1),
     "qproduct sign": (lambda v: series.qproduct(v, 1, 1, 3, 5), 0),
+    "qproduct step": (lambda v: series.qproduct(1, 1, v, None, 5), 0),
+    # start 0 is in range only for a finite product, or with sign -1
+    "(q^0;q)∞": (lambda v: series.qproduct(1, v, 1, None, 5), 0),
     "times_factor sign": (lambda v: series.one(3).times_factor(1, v), 0),
+    "times_factor sign far outside": (
+        lambda v: series.one(3).times_factor(2, v), 5
+    ),
     "div_factor sign": (lambda v: series.one(3).div_factor(1, v), 0),
+    # (1 - q^0) is no unit
+    "div_factor exponent": (lambda v: series.one(3).div_factor(v, 1), 0),
+    # only a constant term of +1 or -1 keeps the inverse's coefficients ints
+    "invert constant term": (
+        lambda v: series.TruncatedSeries(3, (v, 1)).invert(), 2
+    ),
     "scale factor": (lambda v: series.one(3).scale(v), None),
     "monomial order": (lambda v: series.monomial(v, 1), -1),
     "qproduct order": (lambda v: series.qproduct(1, 1, 1, None, v), -1),
@@ -198,7 +216,11 @@ REJECTED_OBJECTS = {
     "map_a_to_b overlined smallest": lambda: bj.map_a_to_b(
         of(3, (1, True))
     ),
+    "map_a_to_b empty": lambda: bj.map_a_to_b(of()),
     "map_b_to_a complement class": lambda: bj.map_b_to_a(bj.c_witness(5)),
+    "map_b_to_a complement class at weight 3": lambda: bj.map_b_to_a(
+        of((2, True), (1, True))
+    ),
     "map_b_to_a None": lambda: bj.map_b_to_a(None),
     "map_b_to_a int": lambda: bj.map_b_to_a(5),
     "staircase_remove None": lambda: bj.staircase_remove(None, 1),
@@ -224,6 +246,7 @@ REJECTED_OBJECTS = {
     "TruncatedSeries coefficients set": lambda: series.TruncatedSeries(3, {2, 1}),
     "TruncatedSeries coefficients str": lambda: series.TruncatedSeries(3, ""),
     "TruncatedSeries coefficients bytes": lambda: series.TruncatedSeries(3, b""),
+    "invert of zero": lambda: series.zero(3).invert(),
     # an identity id where its descriptor belongs
     "expand_grid id string": lambda: idn.expand_grid("gauss"),
 }

@@ -1,4 +1,5 @@
-"""Bijection layer: frozen small cases, exhaustive sweeps, failing checks."""
+"""Bijection layer: frozen small cases, sweeps against the object scans,
+one table of faults the checks must catch, and properties past the cap."""
 
 import math
 import tracemalloc
@@ -12,7 +13,9 @@ from oplab import identities as idn
 from oplab import overpartitions as op
 from oplab.overpartitions import Overpartition, Part
 
-from _reference import REF_N_MAX, of as _ov, record_tables, record_walks, ref_op21
+from _reference import (
+    REF_N_MAX, _record_calls, of as _ov, record_tables, record_walks, ref_op21,
+)
 
 
 def test_classify_weight_3_split():
@@ -32,6 +35,7 @@ def test_classify_weight_3_split():
         (b if bj.in_b(pi) else c).add(pi)
     assert b == expected_b
     assert c == {_ov((2, True), (1, True))}
+    assert bj.check_weight_down(4)["c_count"] == 1
 
 
 def test_classify_a_side():
@@ -46,23 +50,11 @@ def test_map_a_to_b_frozen_cases():
     assert bj.map_a_to_b(_ov(4)) == _ov(1, 1, (1, True))
 
 
-def test_map_a_to_b_rejects_overlined_smallest():
-    with pytest.raises(ValueError):
-        bj.map_a_to_b(_ov(3, (1, True)))
-    with pytest.raises(ValueError):
-        bj.map_a_to_b(_ov())
-
-
 def test_map_b_to_a_frozen_cases():
     assert bj.map_b_to_a(_ov(3)) == _ov(3, 1)
     assert bj.map_b_to_a(_ov(2, (1, True))) == _ov(2, 2)
     assert bj.map_b_to_a(_ov(1, 1, (1, True))) == _ov(4)
     assert bj.map_b_to_a(_ov()) == _ov(1)
-
-
-def test_map_b_to_a_rejects_complement_class():
-    with pytest.raises(ValueError):
-        bj.map_b_to_a(_ov((2, True), (1, True)))
 
 
 def test_c_witness():
@@ -71,24 +63,6 @@ def test_c_witness():
     assert w == _ov((2, True), 1, 1, 1, (1, True))
     assert w.weight == 6
     assert bj.in_b(w) is False
-    with pytest.raises(ValueError):
-        bj.c_witness(3)
-
-
-def test_weight_down_bijection_exhaustive():
-    for n in range(1, 19):
-        result = bj.check_weight_down(n)
-        assert result["ok"], result
-        assert result["a_count"] == op.pbar(n) // 2
-
-
-def test_complement_class_empty_iff_small():
-    assert bj.check_weight_down(1)["c_count"] == 0
-    assert bj.check_weight_down(2)["c_count"] == 0
-    assert bj.check_weight_down(3)["c_count"] == 0
-    assert bj.check_weight_down(4)["c_count"] == 1
-    for n in range(5, 15):
-        assert bj.check_weight_down(n)["c_count"] >= 1
 
 
 def test_trace_preserves_overlines_above_smallest():
@@ -126,21 +100,21 @@ def test_staircase_remove_frozen():
     # with 1 and 3 both missing, the message names the smallest, 1
     with pytest.raises(ValueError, match="missing plain part 1:"):
         bj.staircase_remove(_ov(2), 2)
-    with pytest.raises(ValueError):
-        bj.staircase_insert(_ov(1), 0)
 
 
-def test_staircase_remove_rejects_a_huge_j_before_building_stairs():
+def test_staircase_remove_rejects_a_huge_j_before_building_stairs(
+    monkeypatch,
+):
     # the overline-mex names the smallest missing stair, so no stair of
     # _stairs(10**8) is built to find it
-    bj._stairs.cache_clear()
+    stairs = _record_calls(monkeypatch, bj, "_stairs")
     with pytest.raises(
         op.BadParamsError,
         match=r"^missing plain part 5: overline-mex precondition "
         r">= 200000001 is violated$",
     ):
         bj.staircase_remove(_ov(3, 1), 10**8)
-    assert bj._stairs.cache_info().misses == 0
+    assert stairs == []
 
 
 @pytest.mark.parametrize("call", [
@@ -149,10 +123,10 @@ def test_staircase_remove_rejects_a_huge_j_before_building_stairs():
     lambda: bj.staircase_insert(_ov(3, 1), 10**18),
     lambda: bj.staircase_insert(Overpartition((Part(10**18, False),)), 1),
 ], ids=["c_witness", "map_a_to_b", "staircase_insert j", "staircase_insert mu"])
-def test_a_map_refuses_a_huge_image_before_building_it(call):
-    # each image would hold about 10**18 parts, or a stair cache entry that
+def test_a_map_refuses_a_huge_image_before_building_it(monkeypatch, call):
+    # each image would hold about 10**18 parts, or a stairs tuple that
     # large; the refusal allocates next to nothing
-    bj._stairs.cache_clear()
+    stairs = _record_calls(monkeypatch, bj, "_stairs")
     tracemalloc.start()
     try:
         with pytest.raises(op.BadParamsError, match="past MAX_ORDER = 2000$"):
@@ -160,7 +134,7 @@ def test_a_map_refuses_a_huge_image_before_building_it(call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bj._stairs.cache_info().misses == 0
+    assert stairs == []
     assert peak < 64 * 1024, peak
 
 
@@ -172,103 +146,15 @@ def test_staircase_forces_mex():
                 assert op.overline_mex(lam) >= 2 * j + 1
 
 
-def test_staircase_bijection_exhaustive():
-    for n in range(1, 15):
-        j = 1
-        while j * j <= n:
-            result = bj.check_staircase(n, j)
-            assert result["ok"], result
-            assert result["source_count"] == op.pbar(n - j * j)
-            j += 1
-    with pytest.raises(ValueError):
-        bj.check_staircase(3, 2)
-
-
-def test_staircase_target_count_matches_object_scan():
+def test_staircase_counts_match_pbar_and_the_object_scan():
     # check_staircase counts its target by shapes; the exhaustive scan of
     # the enumerated weight-n objects stays the reference
     for n in range(1, REF_N_MAX + 1):
         for j in range(1, math.isqrt(n) + 1):
+            result = bj.check_staircase(n, j)
+            assert result["source_count"] == op.pbar(n - j * j), (n, j)
             expected = ref_op21(n, j) + ref_op21(n, j + 1)
-            assert bj.check_staircase(n, j)["target_count"] == expected, (n, j)
-
-
-def test_check_weight_down_validation():
-    with pytest.raises(ValueError):
-        bj.check_weight_down(0)
-
-
-def test_check_weight_down_catches_a_wrong_weight(monkeypatch):
-    # the checks map each walked tuple through the forward core
-    for name, mutant, flag in [
-        # the identity map keeps weight n instead of going down to n-1
-        ("_a_to_b_parts", lambda pi: pi, "weights_ok"),
-        # an image in the complement class C is reported, not raised
-        ("_a_to_b_parts",
-         lambda pi: tuple(bj.c_witness(sum(p.value for p in pi))),
-         "round_trip_ok"),
-        # an inverse core that returns the image, not the source
-        ("_b_to_a_parts", lambda lam: lam, "round_trip_ok"),
-    ]:
-        with monkeypatch.context() as m:
-            m.setattr(bj, name, mutant)
-            result = bj.check_weight_down(6)
-        assert result[flag] is False
-        assert result["ok"] is False
-
-
-def test_check_staircase_catches_a_broken_round_trip(monkeypatch):
-    for name, mutant, flag in [
-        # a removal that leaves the stairs in returns the image, not the source
-        ("_remove_stairs", lambda lam, stairs: lam, "round_trip_ok"),
-        # an insertion that adds nothing leaves every image outside the target
-        ("_insert_stairs", lambda mu, stairs: mu, "matched"),
-        # adding the weight j^2 = 4 as one plain 4 keeps the weight but leaves
-        # the stairs 1 and 3 missing: every image is outside the target
-        ("_insert_stairs",
-         lambda mu, stairs: sorted((Part(4, False),) + mu,
-                                   key=op._part_value, reverse=True),
-         "matched"),
-    ]:
-        with monkeypatch.context() as m:
-            m.setattr(bj, name, mutant)
-            result = bj.check_staircase(6, 2)
-        assert result[flag] is False
-        assert result["ok"] is False
-
-
-def test_an_unsorted_inverse_core_fails_the_round_trip_without_raising(
-    monkeypatch,
-):
-    # the checks compare the core's tuple with the source and never build
-    # an Overpartition from it, so an invalid result is a failed round trip
-    for name, check, args in [("_b_to_a_parts", bj.check_weight_down, (6,)),
-                              ("_remove_stairs", bj.check_staircase, (6, 1))]:
-        core = getattr(bj, name)
-        with monkeypatch.context() as m:
-            # the core's None, for an image outside the target, stays None
-            m.setattr(bj, name, lambda *a, core=core: (
-                None if (parts := core(*a)) is None else parts[::-1]
-            ))
-            result = check(*args)
-        assert result["round_trip_ok"] is False, name
-        assert result["ok"] is False
-
-
-def test_an_inverse_core_that_rejects_every_image_fails_without_raising(
-    monkeypatch,
-):
-    # None from an inverse core puts the image outside the target class,
-    # which the checks report and never raise
-    for name, check, args, flag in [
-        ("_b_to_a_parts", bj.check_weight_down, (6,), "round_trip_ok"),
-        ("_remove_stairs", bj.check_staircase, (6, 1), "matched"),
-    ]:
-        with monkeypatch.context() as m:
-            m.setattr(bj, name, lambda *a: None)
-            result = check(*args)
-        assert result[flag] is False, name
-        assert result["ok"] is False
+            assert result["target_count"] == expected, (n, j)
 
 
 def test_public_inverses_wrap_their_cores():
@@ -346,21 +232,6 @@ def _merge_smallest(pi):
     return pi[:-1] + (Part(1, False),) * (pi[-1].value - 1)
 
 
-def test_check_weight_down_catches_a_map_that_is_not_injective(monkeypatch):
-    monkeypatch.setattr(bj, "_a_to_b_parts", _merge_smallest)
-    result = bj.check_weight_down(6)
-    assert result["weights_ok"] is True
-    assert result["round_trip_ok"] is False
-    assert result["distinct_images"] is None
-    assert result["ok"] is False
-    r = idn.verify_enumerative("sec3-bijection", None, 8)
-    assert not r.passed
-    # at n = 2 both objects of A map to (1): each side counts two images,
-    # and the bijectivity display is the first to differ
-    assert r.first_mismatch == (2, 0, 1)
-    assert r.detail == "display 3 of 4"
-
-
 def _reversed(pi):
     return pi[::-1]
 
@@ -374,49 +245,126 @@ def _double_an_overline(pi):
     return pi
 
 
-@pytest.mark.parametrize("mutant", [_reversed, _double_an_overline])
-def test_a_walk_that_yields_bad_tuples_never_passes(monkeypatch, mutant):
-    # the checks validate only the images: a bad source tuple makes the
-    # image's constructor raise or fails the round trip, never a pass
+def _overline_the_smallest(pi):
+    return pi[:-1] + (Part(pi[-1].value, True),)
+
+
+def _reversed_core(name):
+    # the core's None, for an image outside the target, stays None
+    core = getattr(bj, name)
+    return lambda *a: None if (parts := core(*a)) is None else parts[::-1]
+
+
+def _walk(mutant):
     real = op._class_a
-    assert any(mutant(pi) != pi for pi in real(6))
-    monkeypatch.setattr(op, "_class_a", lambda n: map(mutant, real(n)))
-    for check, args in [(bj.check_weight_down, (6,)),
-                        (bj.check_staircase, (7, 1))]:
-        try:
-            result = check(*args)
-        except op.BadParamsError:
-            continue
-        assert result["ok"] is False, (check.__name__, result)
+    return lambda n: map(mutant, real(n))
 
 
-def test_a_walk_outside_a_fails_the_weight_down_round_trip(monkeypatch):
+_DOWN, _STAIRS = bj.check_weight_down, bj.check_staircase
+
+# The faults the bijection checks must catch. Each row names the module and
+# the name it patches, the replacement, the check with its arguments, and
+# the fields the check must return, besides ok False; None in place of the
+# fields means the check raises BadParamsError instead.
+FAULTS = {
+    # the checks map each walked tuple through the forward core: the
+    # identity map keeps weight n instead of going down to n-1
+    "forward core keeps the weight": (
+        bj, "_a_to_b_parts", lambda pi: pi, _DOWN, (6,),
+        {"weights_ok": False}),
+    # an image in the complement class C is reported, not raised
+    "forward core into C": (
+        bj, "_a_to_b_parts",
+        lambda pi: tuple(bj.c_witness(sum(p.value for p in pi))), _DOWN, (6,),
+        {"round_trip_ok": False}),
+    # a map that is not injective keeps every weight; only the round trip
+    # tells
+    "forward core merges sources": (
+        bj, "_a_to_b_parts", _merge_smallest, _DOWN, (6,),
+        {"weights_ok": True, "round_trip_ok": False, "distinct_images": None}),
+    # an inverse core that returns the image, not the source
+    "inverse core returns the image": (
+        bj, "_b_to_a_parts", lambda lam: lam, _DOWN, (6,),
+        {"round_trip_ok": False}),
+    # the checks compare the core's tuple with the source and never build
+    # an Overpartition from it, so an invalid result is a failed round trip
+    "unsorted inverse core": (
+        bj, "_b_to_a_parts", _reversed_core("_b_to_a_parts"), _DOWN, (6,),
+        {"round_trip_ok": False}),
+    # None from an inverse core puts the image outside the target class,
+    # which the checks report and never raise
+    "inverse core rejects every image": (
+        bj, "_b_to_a_parts", lambda *a: None, _DOWN, (6,),
+        {"round_trip_ok": False}),
+    # a removal that leaves the stairs in returns the image, not the source
+    "removal keeps the stairs": (
+        bj, "_remove_stairs", lambda lam, stairs: lam, _STAIRS, (6, 2),
+        {"round_trip_ok": False}),
+    # an insertion that adds nothing leaves every image outside the target
+    "insertion adds nothing": (
+        bj, "_insert_stairs", lambda mu, stairs: mu, _STAIRS, (6, 2),
+        {"matched": False}),
+    # adding the weight j^2 = 4 as one plain 4 keeps the weight but leaves
+    # the stairs 1 and 3 missing: every image is outside the target
+    "insertion adds a plain 4": (
+        bj, "_insert_stairs",
+        lambda mu, stairs: sorted((Part(4, False),) + mu,
+                                  key=op._part_value, reverse=True),
+        _STAIRS, (6, 2), {"matched": False}),
+    "unsorted removal core": (
+        bj, "_remove_stairs", _reversed_core("_remove_stairs"), _STAIRS,
+        (6, 1), {"round_trip_ok": False}),
+    "removal core rejects every image": (
+        bj, "_remove_stairs", lambda *a: None, _STAIRS, (6, 1),
+        {"matched": False}),
+    # the checks validate only the images: a bad source tuple makes the
+    # image's constructor raise, never a pass
+    "walk yields reversed tuples, weight down": (
+        op, "_class_a", _walk(_reversed), _DOWN, (6,), None),
+    "walk yields reversed tuples, staircase": (
+        op, "_class_a", _walk(_reversed), _STAIRS, (7, 1), None),
+    "walk doubles an overline, weight down": (
+        op, "_class_a", _walk(_double_an_overline), _DOWN, (6,), None),
+    "walk doubles an overline, staircase": (
+        op, "_class_a", _walk(_double_an_overline), _STAIRS, (7, 1), None),
     # valid tuples whose smallest part is overlined map to valid images in
     # B, and the round trip, whose results end in a plain part, rejects them
-    real = op._class_a
-    monkeypatch.setattr(op, "_class_a", lambda n: (
-        pi[:-1] + (Part(pi[-1].value, True),) for pi in real(n)
-    ))
-    result = bj.check_weight_down(6)
-    assert result["weights_ok"] is True
-    assert result["round_trip_ok"] is False
-    assert result["ok"] is False
-
-
-def test_a_walk_that_repeats_each_twin_fails_the_staircase_check(monkeypatch):
+    "walk outside A, weight down": (
+        op, "_class_a", _walk(_overline_the_smallest), _DOWN, (6,),
+        {"weights_ok": True, "round_trip_ok": False}),
     # with every last part overlined, each overlined-smallest source comes
     # twice and no plain-smallest one comes: every image is in the target
     # and maps back, and the count of sources is right, so only the half
     # with an overlined smallest part tells
-    real = op._class_a
-    monkeypatch.setattr(op, "_class_a", lambda n: (
-        pi[:-1] + (Part(pi[-1].value, True),) for pi in real(n)
-    ))
-    result = bj.check_staircase(7, 1)
-    assert result["source_count"] == result["target_count"] == 40
-    assert result["round_trip_ok"] is True
-    assert result["matched"] is False and result["ok"] is False
+    "walk repeats each twin, staircase": (
+        op, "_class_a", _walk(_overline_the_smallest), _STAIRS, (7, 1),
+        {"source_count": 40, "target_count": 40, "round_trip_ok": True,
+         "matched": False}),
+}
 
+
+@pytest.mark.parametrize("module, name, replacement, check, args, fields",
+                         FAULTS.values(), ids=FAULTS)
+def test_a_fault_fails_its_check(monkeypatch, module, name, replacement,
+                                 check, args, fields):
+    monkeypatch.setattr(module, name, replacement)
+    if fields is None:
+        with pytest.raises(op.BadParamsError):
+            check(*args)
+        return
+    result = check(*args)
+    assert {key: result[key] for key in fields} == fields, result
+    assert result["ok"] is False
+
+
+def test_a_map_that_is_not_injective_fails_sec3_at_its_display(monkeypatch):
+    monkeypatch.setattr(bj, "_a_to_b_parts", _merge_smallest)
+    r = idn.verify_enumerative("sec3-bijection", None, 8)
+    assert not r.passed
+    # at n = 2 both objects of A map to (1): each side counts two images,
+    # and the bijectivity display is the first to differ
+    assert r.first_mismatch == (2, 0, 1)
+    assert r.detail == "display 3 of 4"
 
 def test_checks_keep_no_objects():
     # a first call holds counters only: what it allocates, the walk of its

@@ -5,6 +5,7 @@ Tier-1 and not only CI."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import types
@@ -41,6 +42,12 @@ def test_every_name_a_snippet_imports_exists(snippet):
         elif isinstance(node, ast.ImportFrom):
             source = importlib.import_module(node.module)
             for alias in node.names:
+                # as the import statement does, a name that is no attribute
+                # yet may be a submodule
+                if (not hasattr(source, alias.name)
+                        and importlib.util.find_spec(
+                            f"{node.module}.{alias.name}") is not None):
+                    importlib.import_module(f"{node.module}.{alias.name}")
                 if not hasattr(source, alias.name):
                     missing.append(f"{node.module}.{alias.name}")
                 elif isinstance(getattr(source, alias.name), types.ModuleType):

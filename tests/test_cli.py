@@ -1,10 +1,13 @@
 """Command line: subcommand behavior, formats, exit codes, determinism.
 
-Everything runs in-process through cli.main so exit codes and captured
-stdout/stderr are asserted directly. The exact bytes of fixed invocations
-are rows of tests/goldens.json (tests/test_goldens.py); the tests here
-check what a row cannot: outputs against the library, argparse's own
-rejections, patched builders, the environment and real processes.
+All but one test run in-process through cli.main so exit codes and
+captured stdout/stderr are asserted directly. The exact bytes of fixed
+invocations, the rejections oplab words itself included, are rows of
+tests/goldens.json (tests/test_goldens.py); the tests here check what a
+row cannot: outputs against the library, argparse's own rejections,
+patched builders, an environment variable the CLI must not read, and one
+real process, `python -m oplab`, where an escaping exception would show
+its traceback.
 """
 
 import importlib
@@ -26,18 +29,6 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_list_plain(capsys):
-    code, out, _ = run(capsys, "list")
-    assert code == 0
-    assert out.splitlines() == [d.id for d in identities.list_identities()]
-
-
-def test_list_json(capsys):
-    code, out, _ = run(capsys, "list", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == [d.id for d in identities.list_identities()]
 
 
 def test_verify_single_id_one_record(capsys):
@@ -174,80 +165,22 @@ def test_table_respects_enumeration_cap(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[-1] == f"31,1,{op.op21(31, 1)}"
 
 
-def test_retired_cap_variable_is_ignored(capsys, monkeypatch):
-    argv = ("verify", "--id", "thm-2-2", "--n-max", "5")
-    expected = run(capsys, *argv)
-    monkeypatch.setenv("OPLAB_ENUM_CAP", "abc")
-    assert run(capsys, *argv) == expected
-    assert expected[0] == 0
-
-
 @pytest.mark.parametrize("cap", ["abc", "-1"])
-@pytest.mark.parametrize(
-    "argv, ceiling",
-    [
-        (["verify", "--id", "thm-2-2", "--n-max", "51"], 50),
-        (["table", "--stat", "mbar", "--k", "1", "--n-max", "51"], 50),
-        (["bijection", "--which", "section3", "--n", "31"], 30),
-    ],
-    ids=["verify", "table", "bijection"],
-)
-def test_malformed_enumeration_cap_is_a_usage_error(argv, ceiling, cap):
-    # the retired OPLAB_ENUM_CAP, even malformed, is not read: the one usage
-    # error is the weight past its fixed ceiling, and the message names that
-    # ceiling, not the variable; run as a real process so an escaping
-    # exception would show its traceback
-    env = dict(os.environ, OPLAB_ENUM_CAP=cap)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oplab.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "oplab.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 and str(ceiling) in proc.stderr
-    assert "OPLAB_ENUM_CAP" not in proc.stderr
-
-
-_TOO_FAR = str(identities.MAX_ORDER + 1)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--id", "thm-2-2", "--n-max", _TOO_FAR],
-        ["verify", "--id", "ineq-xyz", "--n-max", _TOO_FAR],
-        ["verify", "--all", "--n-max", _TOO_FAR],
-        ["verify", "--id", "gauss", "--order", _TOO_FAR],
-        ["verify", "--id", "gauss", "--n-max", "0"],
-        ["table", "--stat", "pbar", "--n-max", _TOO_FAR],
-        ["table", "--stat", "mbar", "--k", "1", "--n-max", _TOO_FAR],
-        ["table", "--stat", "pbar", "--n-max", "0"],
-    ],
-    ids=["verify-enum", "verify-ineq", "verify-all", "verify-order",
-         "verify-zero", "table-pbar", "table-mbar", "table-zero"],
-)
-def test_bounds_past_max_order_are_usage_errors(argv):
-    # run as a real process so an escaping exception would show its traceback
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oplab.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "oplab.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1
-    flag = "--n-max" if "--n-max" in argv else "--order"
-    if argv[0] == "verify":
-        # verify leaves the range check to the library, which names the bound
-        bound = "n_max" if flag == "--n-max" else "order"
-        assert f"{bound} must be within" in proc.stderr
-        assert f"got {argv[-1]}" in proc.stderr
-    else:
-        assert f"{flag} must be within" in proc.stderr
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--id", "thm-2-2", "--n-max", "5"], 0),
+    (["verify", "--id", "thm-2-2", "--n-max", "51"], 2),
+    (["table", "--stat", "mbar", "--k", "1", "--n-max", "51"], 2),
+    (["bijection", "--which", "section3", "--n", "31"], 2),
+], ids=["verify-pass", "verify", "table", "bijection"])
+def test_retired_cap_variable_is_ignored(capsys, monkeypatch, argv, code,
+                                         cap):
+    # the retired OPLAB_ENUM_CAP, even malformed, is not read: a weight past
+    # its fixed ceiling is the one usage error, whose stderr, naming that
+    # ceiling, is a row of tests/goldens.json
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("OPLAB_ENUM_CAP", cap)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == code
 
 
 def test_bijection_lemma41(capsys):
@@ -369,16 +302,26 @@ def test_console_entry_matches_main():
 
 
 def test_python_dash_m_oplab_runs_the_cli():
+    # the one test that starts the CLI as a process: a library rejection
+    # must leave main as exit 2 and one line, not as a traceback
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oplab.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "oplab", "list"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+
+    def oplab_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "oplab", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    proc = oplab_run("list")
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == [
         d.id for d in identities.list_identities()
     ]
+    proc = oplab_run("verify", "--id", "gauss", "--order", "2001")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 # the public surface, written out so that every export is a visible decision
