@@ -274,7 +274,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return handlers[args.command](args)
     except (identities.UnknownIdentityError, op.BadParamsError) as exc:
         return _usage_error(str(exc))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

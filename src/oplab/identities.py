@@ -407,10 +407,15 @@ def _yao_lhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
 
 
 def _yao_rhs(p: Mapping[str, int], order: int) -> TruncatedSeries:
+    """2 (q^ell;q^ell)oo / ((q;q)oo (q;q^2)oo) times the odd-square theta
+    tail, each product applied one factor at a time, so this side reads no
+    pentagonal sum (the lhs reads the dilated one)."""
     k, ell = p["k"], p["ell"]
-    # (q^ell;q^ell)oo/(q;q)oo
-    s = _div_qpoch(series.qproduct(1, ell, ell, None, order), order)
-    c = list(s.coeffs)
+    c = [1] + [0] * order
+    for e in range(ell, order + 1, ell):  # (q^ell;q^ell)oo
+        series._times_factor_into(c, e, 1)
+    for e in range(1, order + 1):  # 1/(q;q)oo
+        series._div_factor_into(c, e, 1)
     for e in range(1, order + 1, 2):  # 1/(q;q^2)oo
         series._div_factor_into(c, e, 1)
     return (TruncatedSeries(order, c) * _odd_square_theta(k, order)).scale(2)

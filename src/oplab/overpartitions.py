@@ -6,9 +6,10 @@ below its plain twin:
 
     1bar < 1 < 2bar < 2 < 3bar < 3 < ...
 
-Internally a part is a (value, overlined) pair and an overpartition is the
-tuple of its parts, sorted largest first in that order, so the final entry
-is the smallest part. Everything in this module is exact integer counting;
+A part is a (value, overlined) pair, the NamedTuple Part, and an
+overpartition is the tuple of its parts, sorted largest first in that
+order, so the final entry is the smallest part; both print as the tuples
+they are. Everything in this module is exact integer counting;
 generating-function coefficients are used only where enumeration would be
 wasteful (large-n counts), and tests pin the two routes against each other.
 
@@ -46,7 +47,6 @@ __all__ = [
     "Part",
     "Overpartition",
     "BadParamsError",
-    "EnumerationCapError",
     "OBJECT_CEILING",
     "SHAPE_CEILING",
     "enumerate_overpartitions",
@@ -68,12 +68,6 @@ class Part(NamedTuple):
     def rank(self) -> int:
         """Position in the total part order: 1bar=1, 1=2, 2bar=3, 2=4, ..."""
         return 2 * self.value - (1 if self.overlined else 0)
-
-    def __str__(self) -> str:
-        text = str(self.value)
-        if self.overlined:
-            text = "".join(ch + "̅" for ch in text)
-        return text
 
 
 # the value of a part, as a map or sort key
@@ -101,8 +95,8 @@ class Overpartition(tuple):
     in the part order, one object per overpartition.
 
     Any iterable of parts is taken; the constructor copies it into the tuple
-    once and validates every part. Equality, hashing and `<` are the
-    tuple's, so an Overpartition equals the plain tuple of the same parts,
+    once and validates every part. Equality, hashing, `<` and the repr are
+    the tuple's, so an Overpartition equals the plain tuple of the same parts,
     and `<` follows tuple order (the parts as (value, overlined) pairs, as
     for Part), not the part order."""
 
@@ -155,12 +149,6 @@ class Overpartition(tuple):
     def to_jsonable(self) -> list[list[int | bool]]:
         return [[p.value, p.overlined] for p in self]
 
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(parts={tuple.__repr__(self)})"
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self) + ")"
-
 
 # Exhaustive counting grows with the weight, so each counting route stops at
 # a fixed ceiling, measured with Python 3.11.7 on 2 cores (host speed varies
@@ -178,21 +166,17 @@ _PARTS = tuple(Part((r + 1) // 2, r % 2 == 1)
                for r in range(2 * OBJECT_CEILING + 1))
 
 
-class EnumerationCapError(BadParamsError):
-    """Raised when exhaustive counting is asked past its route's ceiling."""
-
-
 def _check_weight(n: int, lo: int, name: str, ceiling: int = SHAPE_CEILING) -> None:
     """n is an int, not a bool (else a message naming its type), at least lo
-    (else "<name> must be >= <lo>") and within the ceiling (else
-    EnumerationCapError)."""
+    (else "<name> must be >= <lo>") and within the ceiling (else "weight <n>
+    exceeds the ceiling <ceiling>")."""
     if n.__class__ is not int:
         _checked_int(
             n, -inf, inf, f"{name} must be an int, got {type(n).__name__} {n!r}"
         )
     _checked_int(n, lo, inf, f"{name} must be >= {lo}")
     if n > ceiling:
-        raise EnumerationCapError(f"weight {n} exceeds the ceiling {ceiling}")
+        raise BadParamsError(f"weight {n} exceeds the ceiling {ceiling}")
 
 
 def _check_k(k: int, lo: int, stat: str) -> None:

@@ -3,11 +3,12 @@
 Everything here is exact. Coefficients are Python ints, truncation is a hard
 cutoff at a fixed order, and no operation ever reads or writes an exponent
 beyond that order. On top of the core arithmetic the module provides the
-q-series building blocks used by the identity checkers: q-Pochhammer
-products (qproduct: finite, infinite, dilated, any step), and pentagonal
-and theta sums. Dividing one whole series by another has one kernel,
-_div_sparse: long division over the divisor's nonzero terms only, so it is
-fast for a pentagonal or theta sum; invert divides 1 by it.
+q-series building blocks used by the identity checkers: multiplying or
+dividing by one factor (1 - sign*q^e), from which a side builds its
+q-Pochhammer products, and pentagonal and theta sums. Dividing one whole
+series by another has one kernel, _div_sparse: long division over the
+divisor's nonzero terms only, so it is fast for a pentagonal or theta sum;
+invert divides 1 by it.
 
 Conventions:
 
@@ -35,7 +36,6 @@ __all__ = [
     "zero",
     "one",
     "monomial",
-    "qproduct",
     "pentagonal_series",
     "theta_partial",
     "gauss_theta",
@@ -152,9 +152,10 @@ class TruncatedSeries:
         return TruncatedSeries(n, out)
 
     def times_factor(self, exponent: int, sign: int = 1) -> "TruncatedSeries":
-        """Multiply by the single factor (1 - sign*q^exponent) in O(order) time."""
+        """Multiply by the single factor (1 - sign*q^exponent), exponent >= 1,
+        in O(order) time; the exponent-zero factor is scale(1 - sign)."""
         _checked_sign(sign)
-        _checked_int(exponent, 0, inf, "factor exponent must be >= 0")
+        _checked_int(exponent, 1, inf, "factor exponent must be >= 1")
         out = list(self._coeffs)
         _times_factor_into(out, exponent, sign)
         return TruncatedSeries(self._order, out)
@@ -192,36 +193,14 @@ class TruncatedSeries:
     def __hash__(self) -> int:
         return hash((self._order, self._coeffs))
 
-    def _terms(self, limit: int = 8) -> str:
-        pieces = []
-        for e, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                pieces.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                var = "q" if e == 1 else f"q^{e}"
-                sign = "-" if c < 0 else "+"
-                if not pieces:
-                    pieces.append(("-" if c < 0 else "") + mag + var)
-                else:
-                    pieces.append(f"{sign} {mag}{var}")
-            if len(pieces) >= limit:
-                pieces.append("...")
-                break
-        return " ".join(pieces) if pieces else "0"
-
     def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self._order}, {self._terms()})"
+        return f"TruncatedSeries({self._order}, {self._coeffs!r})"
 
 
 def _times_factor_into(c: list[int], exponent: int, sign: int) -> None:
-    """c <- c * (1 - sign*q^exponent) in place, for exponent >= 0; the
+    """c <- c * (1 - sign*q^exponent) in place, for exponent >= 1; the
     truncation order is len(c) - 1."""
-    if exponent == 0:
-        c[:] = map((1 - sign).__mul__, c)
-    elif exponent < len(c):
+    if exponent < len(c):
         c[exponent:] = map(sub if sign == 1 else add, c[exponent:], c[:-exponent])
 
 
@@ -312,38 +291,6 @@ def monomial(order: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
     _checked_int(exponent, 0, order, f"exponent {exponent} outside 0..{order}")
     c = [0] * (order + 1)
     c[exponent] = coeff
-    return TruncatedSeries(order, c)
-
-
-def qproduct(
-    sign: int,
-    start: int,
-    step: int,
-    length: int | None,
-    order: int,
-) -> TruncatedSeries:
-    """Product of (1 - sign*q^(start + step*i)) for i = 0 .. length-1.
-
-    length None gives the infinite product. Factor exponents are strictly
-    increasing, so once one exceeds the order every remaining factor is
-    congruent to 1 and the product is complete mod q^(order+1).
-    """
-    _checked_sign(sign)
-    _checked_int(start, 0, inf, "need start >= 0 and step >= 1")
-    _checked_int(step, 1, inf, "need start >= 0 and step >= 1")
-    _checked_order(order)
-    if length is not None:
-        _checked_int(length, 0, inf, "length must be >= 0 or None")
-    if sign == 1 and start == 0 and length is None:
-        raise BadParamsError("infinite product with a (1 - q^0) factor is zero")
-    c = [1] + [0] * order
-    i = 0
-    while length is None or i < length:
-        e = start + step * i
-        if e > order:
-            break
-        _times_factor_into(c, e, sign)
-        i += 1
     return TruncatedSeries(order, c)
 
 

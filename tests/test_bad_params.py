@@ -105,6 +105,9 @@ ENTRY_POINTS = {
     "op21 k": (lambda v: op.op21(5, v), -1),
     "mbar n": (lambda v: op.mbar(v, 0), 0),
     "mbar k": (lambda v: op.mbar(5, v), -1),
+    "mbar n past its ceiling": (
+        lambda v: op.mbar(v, 0), op.SHAPE_CEILING + 1
+    ),
     "nbar n": (lambda v: op.nbar(v, 1), 0),
     "nbar k": (lambda v: op.nbar(5, v), 0),
     "mk_stat n": (lambda v: op.mk_stat(v, 1), 0),
@@ -140,17 +143,13 @@ ENTRY_POINTS = {
     "product order": (lambda v: series.one(3) * series.one(v), 4),
     "monomial exponent": (lambda v: series.monomial(5, v), 6),
     "monomial coefficient": (lambda v: series.monomial(3, 1, v), None),
-    "qproduct start": (lambda v: series.qproduct(1, v, 1, None, 5), -1),
-    "qproduct sign": (lambda v: series.qproduct(v, 1, 1, 3, 5), 0),
-    "qproduct step": (lambda v: series.qproduct(1, 1, v, None, 5), 0),
-    # start 0 is in range only for a finite product, or with sign -1
-    "(q^0;q)∞": (lambda v: series.qproduct(1, v, 1, None, 5), 0),
     "times_factor sign": (lambda v: series.one(3).times_factor(1, v), 0),
     "times_factor sign far outside": (
         lambda v: series.one(3).times_factor(2, v), 5
     ),
     "div_factor sign": (lambda v: series.one(3).div_factor(1, v), 0),
-    # (1 - q^0) is no unit
+    # (1 - q^0) is the constant 1 - sign: a scale, and no unit
+    "times_factor exponent": (lambda v: series.one(3).times_factor(v, 1), 0),
     "div_factor exponent": (lambda v: series.one(3).div_factor(v, 1), 0),
     # only a constant term of +1 or -1 keeps the inverse's coefficients ints
     "invert constant term": (
@@ -158,7 +157,6 @@ ENTRY_POINTS = {
     ),
     "scale factor": (lambda v: series.one(3).scale(v), None),
     "monomial order": (lambda v: series.monomial(v, 1), -1),
-    "qproduct order": (lambda v: series.qproduct(1, 1, 1, None, v), -1),
     "pentagonal_series order": (series.pentagonal_series, -1),
     "pentagonal_series dilation": (
         lambda v: series.pentagonal_series(10, v), 0
@@ -176,7 +174,6 @@ SERIES_ORDERS = {
     "zero": series.zero,
     "one": series.one,
     "monomial": lambda v: series.monomial(v, 0),
-    "qproduct": lambda v: series.qproduct(1, 1, 1, 0, v),
     "pentagonal_series": series.pentagonal_series,
     "theta_partial": lambda v: series.theta_partial(0, 1, v),
     "gauss_theta": lambda v: series.gauss_theta(None, v),
@@ -197,17 +194,14 @@ CASES = [
 
 @pytest.mark.parametrize("call, value", CASES)
 def test_entry_point_rejects_with_bad_params_error(call, value):
-    with pytest.raises(op.BadParamsError):
+    with pytest.raises(op.BadParamsError) as exc:
         call(value)
+    assert type(exc.value) is op.BadParamsError
 
 
 def test_one_rejection_error_class():
     assert idn.BadParamsError is op.BadParamsError is series.BadParamsError
-    assert issubclass(op.EnumerationCapError, op.BadParamsError)
     assert issubclass(op.BadParamsError, ValueError)
-    with pytest.raises(op.BadParamsError) as exc:
-        op.mbar(op.SHAPE_CEILING + 1, 1)
-    assert type(exc.value) is op.EnumerationCapError
 
 
 # an object outside a map's domain, or coefficients that are not a sequence,

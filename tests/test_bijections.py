@@ -14,7 +14,7 @@ from oplab import overpartitions as op
 from oplab.overpartitions import Overpartition, Part
 
 from _reference import (
-    REF_N_MAX, _record_calls, of as _ov, record_tables, record_walks, ref_op21,
+    REF_N_MAX, of as _ov, record_tables, record_walks, ref_op21,
 )
 
 
@@ -102,12 +102,26 @@ def test_staircase_remove_frozen():
         bj.staircase_remove(_ov(2), 2)
 
 
+def _refuse_stairs(monkeypatch):
+    """Patch bijections._stairs with a stub that appends its j to the
+    returned list and raises, so a guard that lets a huge j through fails
+    at once instead of building j stairs."""
+    calls = []
+
+    def refuse(j):
+        calls.append(j)
+        raise AssertionError(f"_stairs({j}) was called")
+
+    monkeypatch.setattr(bj, "_stairs", refuse)
+    return calls
+
+
 def test_staircase_remove_rejects_a_huge_j_before_building_stairs(
     monkeypatch,
 ):
     # the overline-mex names the smallest missing stair, so no stair of
     # _stairs(10**8) is built to find it
-    stairs = _record_calls(monkeypatch, bj, "_stairs")
+    stairs = _refuse_stairs(monkeypatch)
     with pytest.raises(
         op.BadParamsError,
         match=r"^missing plain part 5: overline-mex precondition "
@@ -126,7 +140,7 @@ def test_staircase_remove_rejects_a_huge_j_before_building_stairs(
 def test_a_map_refuses_a_huge_image_before_building_it(monkeypatch, call):
     # each image would hold about 10**18 parts, or a stairs tuple that
     # large; the refusal allocates next to nothing
-    stairs = _record_calls(monkeypatch, bj, "_stairs")
+    stairs = _refuse_stairs(monkeypatch)
     tracemalloc.start()
     try:
         with pytest.raises(op.BadParamsError, match="past MAX_ORDER = 2000$"):
@@ -217,12 +231,12 @@ def test_checks_reject_a_weight_past_its_ceiling_before_enumerating(
 ):
     walks = record_walks(monkeypatch)
     tables = record_tables(monkeypatch)
-    with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
+    with pytest.raises(op.BadParamsError, match="weight 31 .* ceiling 30$"):
         bj.check_weight_down(31)
     # the source weight 28 is in range, the target weight is not
-    with pytest.raises(op.EnumerationCapError, match="weight 64 .* ceiling 50$"):
+    with pytest.raises(op.BadParamsError, match="weight 64 .* ceiling 50$"):
         bj.check_staircase(64, 6)
-    with pytest.raises(op.EnumerationCapError, match="weight 31 .* ceiling 30$"):
+    with pytest.raises(op.BadParamsError, match="weight 31 .* ceiling 30$"):
         bj.check_staircase(32, 1)
     assert walks == tables == []
 

@@ -328,13 +328,12 @@ def test_python_dash_m_oplab_runs_the_cli():
 PUBLIC_NAMES = {
     "__version__",
     # series
-    "TruncatedSeries", "zero", "one", "monomial", "qproduct",
-    "pentagonal_series", "theta_partial", "gauss_theta",
+    "TruncatedSeries", "zero", "one", "monomial", "pentagonal_series",
+    "theta_partial", "gauss_theta",
     # overpartitions
-    "Part", "Overpartition", "BadParamsError",
-    "EnumerationCapError", "OBJECT_CEILING", "SHAPE_CEILING",
-    "enumerate_overpartitions", "pbar", "overline_mex", "op_class_counts",
-    "op21", "mbar", "nbar", "mk_stat",
+    "Part", "Overpartition", "BadParamsError", "OBJECT_CEILING",
+    "SHAPE_CEILING", "enumerate_overpartitions", "pbar", "overline_mex",
+    "op_class_counts", "op21", "mbar", "nbar", "mk_stat",
     # bijections
     "in_a", "in_b", "map_a_to_b", "map_b_to_a", "c_witness",
     "staircase_insert", "staircase_remove", "check_weight_down",

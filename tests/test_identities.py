@@ -25,7 +25,7 @@ from oplab import series
 
 from _reference import (
     OPERATIONS, UNREADABLE, div_product, helpers, overpartition_gf,
-    package_caches, package_functions, poch_ratio, read, reads,
+    package_caches, package_functions, poch_ratio, product, read, reads,
     record_tables, record_walks, schema_grid, shift, statement_mismatches,
     statement_sides,
 )
@@ -437,10 +437,10 @@ def test_gauss_and_euler_sides_match_their_products_at_max_order():
     # factor division, which shares nothing with the sparse division; the
     # statement test reads both statements up to order 30
     order = idn.MAX_ORDER
-    qq = series.qproduct(1, 1, 1, None, order)
+    qq = product(1, 1, order)
     assert idn._gauss_rhs({}, order) == div_product(qq, 1, 1, -1)
     assert idn._euler_lhs({}, order) == div_product(series.one(order), 1, 2)
-    assert idn._euler_rhs({}, order) == series.qproduct(-1, 1, 1, None, order)
+    assert idn._euler_rhs({}, order) == product(1, 1, order, -1)
 
 
 PRODUCT_TABLES = {"_pbar_table"}

@@ -13,11 +13,7 @@ import pytest
 
 from oplab import bijections as bj
 from oplab import overpartitions as op
-from oplab.overpartitions import (
-    EnumerationCapError,
-    Overpartition,
-    Part,
-)
+from oplab.overpartitions import Overpartition, Part
 
 from _reference import (
     REF_N_MAX, of, overpartition_gf, partition_gf, rank_walk, record_tables,
@@ -35,12 +31,10 @@ def test_part_order():
     assert ranks == sorted(ranks) and len(set(ranks)) == 4
 
 
-def test_overpartition_construction_and_str():
+def test_overpartition_construction():
     pi = of((2, True), 1)
     assert [(p.value, p.overlined) for p in pi] == [(2, True), (1, False)]
     assert pi.weight == 3
-    assert str(of(3, (1, True))) == "(3,1̅)"
-    assert str(of()) == "()"
 
 
 def test_overpartition_of_sorts_by_part_order():
@@ -164,18 +158,7 @@ def test_overpartition_is_the_tuple_of_its_parts():
     assert pi == (Part(3, False), Part(1, True)) and pi == ((3, False), (1, True))
     assert hash(pi) == hash(((3, False), (1, True)))
     assert of(1) < of((1, True)) and of(1).weight == of((1, True)).weight
-    assert repr(pi) == (
-        "Overpartition(parts=(Part(value=3, overlined=False), "
-        "Part(value=1, overlined=True)))"
-    )
-    assert repr(of()) == "Overpartition(parts=())"
-
-
-def test_str_overlines_each_digit():
-    # U+0305 follows every digit of an overlined value
-    pi = Overpartition((Part(10, True), Part(2, False), Part(2, True)))
-    assert str(pi) == "(1\u03050\u0305,2,2\u0305)"
-    assert str(Overpartition(())) == "()"
+    assert repr(pi) == repr(tuple(pi))
 
 
 def test_overpartition_accessors():
@@ -297,12 +280,12 @@ def test_enumeration_ceilings(monkeypatch):
     assert (op.OBJECT_CEILING, op.SHAPE_CEILING) == (30, 50)
     walks = record_walks(monkeypatch)
     tables = record_tables(monkeypatch)
-    with pytest.raises(EnumerationCapError, match="weight 31 .* ceiling 30$"):
+    with pytest.raises(op.BadParamsError, match="weight 31 .* ceiling 30$"):
         op.enumerate_overpartitions(31)
     for stat in (op.op21, op.mbar, op.nbar, op.mk_stat):
-        with pytest.raises(EnumerationCapError, match="weight 51 .* ceiling 50$"):
+        with pytest.raises(op.BadParamsError, match="weight 51 .* ceiling 50$"):
             stat(51, 1)
-    with pytest.raises(EnumerationCapError, match="ceiling 50$"):
+    with pytest.raises(op.BadParamsError, match="ceiling 50$"):
         op.op_class_counts(51)
     # rejected before anything is walked or built
     assert walks == tables == []

@@ -6,30 +6,13 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oplab import series as s
 from oplab.series import TruncatedSeries
 
-from _reference import dilate, partition_gf, poch_ratio, ref_invert
-
-# hand-checked low-order expansions
-QQ_INF_7 = (1, -1, -1, 0, 0, 1, 0, 1)
-NEGQ_INF_4 = (1, 1, 1, 2, 2)
-
-
-def test_qq_infinite_product_low_order():
-    assert s.qproduct(1, 1, 1, None, 7).coeffs == QQ_INF_7
-
-
-def test_negq_infinite_product_low_order():
-    assert s.qproduct(-1, 1, 1, None, 4).coeffs == NEGQ_INF_4
-
-
-def test_leading_minus_one_factor_gives_two():
-    # (-1;q)_1 = 1 + 1
-    assert s.qproduct(-1, 0, 1, 1, 6).coeffs == (2, 0, 0, 0, 0, 0, 0)
+from _reference import partition_gf, poch_ratio, product, ref_invert
 
 
 def test_make_pads_to_the_order():
@@ -63,12 +46,6 @@ def test_mul_truncates_cauchy_product():
     assert g * g == s.zero(3)  # q^4 is beyond the order
 
 
-def test_times_factor_exponent_zero_is_scaling():
-    f = TruncatedSeries(3, (1, 1, 1, 1))
-    assert f.times_factor(0, 1) == s.zero(3)  # times (1 - q^0) = 0
-    assert f.times_factor(0, -1).coeffs == (2, 2, 2, 2)
-
-
 def test_equality_and_hash():
     assert TruncatedSeries(3, (1, 2)) == TruncatedSeries(3, (1, 2, 0, 0))
     assert TruncatedSeries(3, (1, 2)) != TruncatedSeries(4, (1, 2))
@@ -76,14 +53,9 @@ def test_equality_and_hash():
     assert s.one(3) != 1
 
 
-def test_repr_shows_leading_terms():
-    text = repr(TruncatedSeries(5, (1, -1, 0, 2)))
-    assert "q" in text and "2*q^3" in text
-
-
 def test_pentagonal_series_equals_product_every_order():
     for n in range(0, 201):
-        assert s.pentagonal_series(n) == s.qproduct(1, 1, 1, None, n), n
+        assert s.pentagonal_series(n) == product(1, 1, n), n
 
 
 def test_pentagonal_series_dilated():
@@ -91,23 +63,9 @@ def test_pentagonal_series_dilated():
     # past a dilation, and past a power of two
     for order in (0, 1, 2, 5, 60, 1025, 2000):
         for dilation in (1, 2, 3, 5, 7, 2001):
-            assert s.pentagonal_series(order, dilation) == s.qproduct(
-                1, dilation, dilation, None, order
+            assert s.pentagonal_series(order, dilation) == product(
+                dilation, dilation, order
             ), (order, dilation)
-
-
-def test_pochhammer_with_dilation_reindexes():
-    # (a q^(ell*s); q^ell)_n is (a q^s; q)_n with q -> q^ell
-    for sign, start, ell, n, order in (
-        (1, 1, 2, None, 50),
-        (-1, 1, 5, 4, 41),
-        (-1, 0, 3, 6, 40),
-        (1, 2, 4, 3, 9),
-    ):
-        undilated = s.qproduct(sign, start, 1, n, order // ell)
-        assert s.qproduct(sign, ell * start, ell, n, order) == (
-            dilate(undilated, ell, order)
-        )
 
 
 def test_theta_partial_and_gauss_theta():
@@ -138,8 +96,8 @@ def test_theta_partial_asymmetric_window():
 def test_poch_ratio_is_quotient():
     # the reference ratio behind ref_tail_sum in test_identities
     r = poch_ratio(3, 2, 60)
-    numer = s.qproduct(-1, 3, 1, None, 60)
-    denom = s.qproduct(1, 2, 1, None, 60)
+    numer = product(3, 1, 60, -1)
+    denom = product(2, 1, 60)
     assert r * denom == numer
 
 
@@ -150,8 +108,6 @@ def test_poch_ratio_is_quotient():
 
 def ref_times_factor(c, e, sign):
     out = list(c)
-    if e == 0:
-        return [(1 - sign) * x for x in c]
     for i in range(e, len(c)):
         out[i] -= sign * c[i - e]
     return out
@@ -197,11 +153,6 @@ def test_factor_kernel_matches_index_loops(order):
             f = TruncatedSeries(order, c)
             assert list(f.times_factor(e, sign).coeffs) == ref_times_factor(c, e, sign)
             assert list(f.div_factor(e, sign).coeffs) == ref_div_factor(c, e, sign)
-    c = _random_coeffs(rng, order)
-    for sign in (1, -1):
-        assert list(TruncatedSeries(order, c).times_factor(0, sign).coeffs) == (
-            ref_times_factor(c, 0, sign)
-        )
 
 
 @pytest.mark.parametrize("order", [0, 1, 5, 30, 63, 64, 65, 120, 500])
@@ -222,7 +173,7 @@ def test_invert_of_qq_matches_partition_table_at_max_order():
     # 1/(q;q)oo twice: invert of the factor-built product, and the product
     # divided out one factor at a time
     order = 2000
-    inverse = s.qproduct(1, 1, 1, None, order).invert()
+    inverse = product(1, 1, order).invert()
     assert inverse == partition_gf(order)
 
 
@@ -253,6 +204,8 @@ def _series_of(order, first=st.integers(-(10**12), 10**12)):
 @example(TruncatedSeries(20, tuple(range(1, 22))), 7, 1)
 @example(TruncatedSeries(20, tuple(range(1, 22))), 20, -1)
 def test_div_factor_undoes_times_factor(f, e, sign):
+    # the repr is the constructor call, exact
+    assert eval(repr(f)) == f
     assert f.times_factor(e, sign).div_factor(e, sign) == f
     assert f.div_factor(e, sign).times_factor(e, sign) == f
 
@@ -317,8 +270,8 @@ def test_div_sparse_requires_unit_constant_term(c0):
 
 @settings(deadline=None)
 @given(_ORDERS.flatmap(lambda n: _series_of(n, st.sampled_from((1, -1)))))
-@example(s.qproduct(1, 1, 1, None, 200))
-@example(s.qproduct(-1, 1, 1, None, 150))
+@example(product(1, 1, 200))
+@example(product(1, 1, 150, -1))
 def test_series_times_its_inverse_is_one(f):
     assert f * f.invert() == s.one(f.order)
     assert f.invert().invert() == f
@@ -349,18 +302,3 @@ def test_mul_is_associative_and_distributes_over_add(triple):
     assert f * (g + h) == f * g + f * h
     assert (f + g) * h == f * h + g * h
 
-
-@settings(deadline=None)
-@given(
-    st.sampled_from((1, -1)),
-    st.integers(min_value=0, max_value=12),
-    st.integers(min_value=0, max_value=40),
-    _ORDERS,
-)
-@example(1, 1, 0, 5)  # the empty product is 1
-def test_pochhammer_splitting(sign, start, n, order):
-    # (a;q)_n (a q^n;q)oo = (a;q)oo for a = sign * q^start
-    assume(not (sign == 1 and start == 0))  # (q^0;q)oo is zero
-    finite = s.qproduct(sign, start, 1, n, order)
-    rest = s.qproduct(sign, start + n, 1, None, order)
-    assert finite * rest == s.qproduct(sign, start, 1, None, order)
