@@ -105,9 +105,6 @@ ENTRY_POINTS = {
     "op21 k": (lambda v: op.op21(5, v), -1),
     "mbar n": (lambda v: op.mbar(v, 0), 0),
     "mbar k": (lambda v: op.mbar(5, v), -1),
-    "mbar n past its ceiling": (
-        lambda v: op.mbar(v, 0), op.SHAPE_CEILING + 1
-    ),
     "nbar n": (lambda v: op.nbar(v, 1), 0),
     "nbar k": (lambda v: op.nbar(5, v), 0),
     "mk_stat n": (lambda v: op.mk_stat(v, 1), 0),
@@ -140,6 +137,7 @@ ENTRY_POINTS = {
     ),
     # the operands of a sum or a product share one order
     "sum order": (lambda v: series.one(3) + series.one(v), 4),
+    "difference order": (lambda v: series.one(3) - series.one(v), 4),
     "product order": (lambda v: series.one(3) * series.one(v), 4),
     "monomial exponent": (lambda v: series.monomial(5, v), 6),
     "monomial coefficient": (lambda v: series.monomial(3, 1, v), None),
@@ -148,6 +146,9 @@ ENTRY_POINTS = {
         lambda v: series.one(3).times_factor(2, v), 5
     ),
     "div_factor sign": (lambda v: series.one(3).div_factor(1, v), 0),
+    "div_factor sign far outside": (
+        lambda v: series.one(3).div_factor(2, v), 5
+    ),
     # (1 - q^0) is the constant 1 - sign: a scale, and no unit
     "times_factor exponent": (lambda v: series.one(3).times_factor(v, 1), 0),
     "div_factor exponent": (lambda v: series.one(3).div_factor(v, 1), 0),
@@ -165,7 +166,23 @@ ENTRY_POINTS = {
     "theta_partial j_hi": (lambda v: series.theta_partial(0, v, 10), None),
     "theta_partial order": (lambda v: series.theta_partial(0, 2, v), -1),
     "gauss_theta order": (lambda v: series.gauss_theta(None, v), -1),
+    "gauss_theta k": (lambda v: series.gauss_theta(v, 10), -1),
 }
+
+# a weight past its ceiling raises the one class too, not a subclass
+ENTRY_POINTS.update({
+    f"{name} past its ceiling": (call, ceiling + 1)
+    for name, call, ceiling in (
+        ("enumerate_overpartitions", op.enumerate_overpartitions,
+         op.OBJECT_CEILING),
+        ("op_class_counts", op.op_class_counts, op.SHAPE_CEILING),
+        ("op21 n", lambda v: op.op21(v, 1), op.SHAPE_CEILING),
+        ("mbar n", lambda v: op.mbar(v, 0), op.SHAPE_CEILING),
+        ("nbar n", lambda v: op.nbar(v, 1), op.SHAPE_CEILING),
+        ("mk_stat n", lambda v: op.mk_stat(v, 1), op.SHAPE_CEILING),
+        ("check_weight_down", bj.check_weight_down, op.OBJECT_CEILING),
+    )
+})
 
 # every series constructor rejects an order past MAX_ORDER before it
 # allocates a coefficient

@@ -14,6 +14,26 @@ from oplab.series import TruncatedSeries
 
 from _reference import partition_gf, poch_ratio, product, ref_invert
 
+# hand-checked low-order expansions
+QQ_INF_7 = (1, -1, -1, 0, 0, 1, 0, 1)
+NEGQ_INF_4 = (1, 1, 1, 2, 2)
+
+
+def test_qq_infinite_product_low_order():
+    # Euler's pentagonal sum, and the seven factors one at a time
+    assert s.pentagonal_series(7).coeffs == QQ_INF_7
+    f = s.one(7)
+    for e in range(1, 8):
+        f = f.times_factor(e)
+    assert f.coeffs == QQ_INF_7
+
+
+def test_negq_infinite_product_low_order():
+    f = s.one(4)
+    for e in range(1, 5):
+        f = f.times_factor(e, -1)
+    assert f.coeffs == NEGQ_INF_4
+
 
 def test_make_pads_to_the_order():
     f = TruncatedSeries(4, (3, 0, -2))
@@ -51,6 +71,12 @@ def test_equality_and_hash():
     assert TruncatedSeries(3, (1, 2)) != TruncatedSeries(4, (1, 2))
     assert hash(s.one(5)) == hash(s.one(5))
     assert s.one(3) != 1
+
+
+def test_repr_is_the_constructor_call():
+    f = TruncatedSeries(5, (1, -1, 0, 2))
+    assert repr(f) == "TruncatedSeries(5, (1, -1, 0, 2, 0, 0))"
+    assert repr(s.zero(0)) == "TruncatedSeries(0, (0,))"
 
 
 def test_pentagonal_series_equals_product_every_order():
@@ -208,6 +234,20 @@ def test_div_factor_undoes_times_factor(f, e, sign):
     assert eval(repr(f)) == f
     assert f.times_factor(e, sign).div_factor(e, sign) == f
     assert f.div_factor(e, sign).times_factor(e, sign) == f
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60).flatmap(
+        lambda n: st.tuples(_series_of(n), st.integers(1, n))
+    ),
+    st.sampled_from((1, -1)),
+)
+def test_times_factor_is_the_product_with_its_binomial(fe, sign):
+    # the one-factor kernel against the Cauchy product by 1 - sign*q^e
+    f, e = fe
+    binomial = s.one(f.order) - s.monomial(f.order, e, sign)
+    assert f.times_factor(e, sign) == f * binomial
 
 
 # (a, b) with 1 <= a <= b, the exponents _tail_sum's steps pass
